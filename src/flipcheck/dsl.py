@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
-from .motive import MotiveExpr, sym2_class
+from .motive import MotiveExpr, TermKey, sym2_class
 from .sod import RewriteRule, SodLedger
 
 MAX_NESTING = 400
@@ -139,36 +139,36 @@ class Token:
     span: SourceSpan
 
 
-def _line_col(text: str, pos: int) -> tuple[int, int]:
-    line = text.count("\n", 0, pos) + 1
-    last_nl = text.rfind("\n", 0, pos)
-    return line, pos - last_nl
-
-
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
     pos = 0
     n = len(text)
+    # line of ``pos`` and the offset of the newline that opened it (-1 on
+    # line 1), so column = pos - last_nl; only skipped runs hold newlines
+    line, last_nl = 1, -1
     while pos < n:
         skip = _SKIP_RE.match(text, pos)
         if skip:
-            pos = skip.end()
+            end = skip.end()
+            newlines = text.count("\n", pos, end)
+            if newlines:
+                line += newlines
+                last_nl = text.rfind("\n", pos, end)
+            pos = end
             if pos >= n:
                 break
         m = _TOKEN_RE.match(text, pos)
         if not m:
-            line, col = _line_col(text, pos)
-            span = SourceSpan(pos, pos + 1, line, col)
+            span = SourceSpan(pos, pos + 1, line, pos - last_nl)
             raise ParseError(
                 f"unexpected character {text[pos]!r}", span,
                 expected=("token",), found=text[pos],
             )
-        line, col = _line_col(text, m.start())
+        end = m.end()
         tokens.append(Token(str(m.lastgroup), m.group(),
-                            SourceSpan(m.start(), m.end(), line, col)))
-        pos = m.end()
-    line, col = _line_col(text, n)
-    tokens.append(Token("EOF", "", SourceSpan(n, n, line, col)))
+                            SourceSpan(pos, end, line, pos - last_nl)))
+        pos = end
+    tokens.append(Token("EOF", "", SourceSpan(n, n, line, n - last_nl)))
     return tokens
 
 
@@ -416,11 +416,11 @@ def _eval_expr(node: Ast) -> MotiveExpr:
     if isinstance(node, Sym2):
         return sym2_class(_eval_expr(node.arg))
     if isinstance(node, Sum):
-        total = MotiveExpr()
+        total: dict[TermKey, int] = {}
         for sign, term in node.terms:
-            value = _eval_expr(term)
-            total = total + value if sign > 0 else total - value
-        return total
+            for key, c in _eval_expr(term).terms.items():
+                total[key] = total.get(key, 0) + sign * c
+        return MotiveExpr(total)
     if isinstance(node, Product):
         out = MotiveExpr.const(1)
         for factor in node.factors:

@@ -227,19 +227,19 @@ def sym2_class(x: MotiveExpr) -> MotiveExpr:
             )
         items.append((lp, mono, c))
 
-    result = MotiveExpr()
+    result: dict[TermKey, int] = {}
     for i, (lp, mono, m) in enumerate(items):
         if mono:
-            sym_part = MotiveExpr({(2 * lp, (sym2_atom_name(mono[0]),)): 1})
-            square = MotiveExpr({(2 * lp, _mul_monomials(mono, mono)): 1})
+            sym_key = (2 * lp, (sym2_atom_name(mono[0]),))
+            square_key = (2 * lp, _mul_monomials(mono, mono))
         else:
-            sym_part = MotiveExpr({(2 * lp, ()): 1})
-            square = sym_part
-        result = result + m * sym_part + (m * (m - 1) // 2) * square
+            sym_key = square_key = (2 * lp, ())
+        result[sym_key] = result.get(sym_key, 0) + m
+        result[square_key] = result.get(square_key, 0) + m * (m - 1) // 2
         for (lp2, mono2, m2) in items[i + 1:]:
-            cross = MotiveExpr({(lp + lp2, _mul_monomials(mono, mono2)): m * m2})
-            result = result + cross
-    return result
+            cross_key = (lp + lp2, _mul_monomials(mono, mono2))
+            result[cross_key] = result.get(cross_key, 0) + m * m2
+    return MotiveExpr(result)
 
 
 def hilbert_square_class(x: MotiveExpr, n: int) -> MotiveExpr:

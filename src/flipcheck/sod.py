@@ -149,10 +149,6 @@ class SodLedger:
         }
 
 
-def ledger(multiplicities: Mapping[str, int] | None = None) -> SodLedger:
-    return SodLedger(multiplicities)
-
-
 def ledger_equal(a: SodLedger, b: SodLedger) -> bool:
     return a == b
 
@@ -174,11 +170,13 @@ def substitute(ledger: SodLedger, atom: Union[str, CategoryAtom],
                replacement: SodLedger) -> SodLedger:
     """Replace every copy of ``atom`` by the replacement multiset."""
     name = _atom_name(atom)
-    m = ledger.count(name)
+    out = dict(ledger.multiplicities)
+    m = out.pop(name, 0)
     if m == 0:
         raise KeyError(f"atom {name!r} not present in ledger")
-    rest = {k: v for k, v in ledger.multiplicities.items() if k != name}
-    return SodLedger(rest) + m * replacement
+    for k, v in replacement.multiplicities.items():
+        out[k] = out.get(k, 0) + m * v
+    return SodLedger(out)
 
 
 # -- rewrite rules ------------------------------------------------------------
@@ -283,30 +281,28 @@ class RuleTable:
             f"no rule or declared atom for {key[0]} (x) {key[1]}"
         )
 
-    def substitution_for(self, name: str) -> SodLedger | None:
-        """The ledger an atom rewrites to, if any (atom rules, plus sym2
-        rules addressing their mangled ``Sym2_*`` ledger atom)."""
-        if name in self.atom_rules:
-            return self.atom_rules[name]
-        for base, rhs in self.sym2_rules.items():
-            if sym2_atom_name(base) == name:
-                return rhs
-        return None
-
     def normalize(self, led: SodLedger, max_steps: int = 10_000) -> SodLedger:
-        """Apply atom substitutions to a fixpoint (deterministic order)."""
+        """Apply atom substitutions to a fixpoint, each step rewriting the
+        smallest name that has a rule; at most ``max_steps`` substitutions.
+
+        Atom rules, and sym2 rules addressing their mangled ``Sym2_*``
+        ledger atom, both rewrite; an atom rule wins over a sym2 rule for
+        the same name."""
+        rhs_for = {sym2_atom_name(base): rhs
+                   for base, rhs in self.sym2_rules.items()}
+        rhs_for.update(self.atom_rules)
         current = led
-        for _ in range(max_steps):
-            target = None
-            for name in sorted(current.multiplicities):
-                if self.substitution_for(name) is not None:
-                    target = name
-                    break
+        steps = 0
+        while True:
+            target = min((name for name in current.multiplicities
+                          if name in rhs_for), default=None)
             if target is None:
                 return current
-            current = substitute(current, target,
-                                 self.substitution_for(target))
-        raise RewriteLoopError(f"rewriting did not terminate in {max_steps} steps")
+            if steps >= max_steps:
+                raise RewriteLoopError(
+                    f"rewriting did not terminate in {max_steps} steps")
+            current = substitute(current, target, rhs_for[target])
+            steps += 1
 
 
 def default_rules() -> RuleTable:

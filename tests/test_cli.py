@@ -282,3 +282,26 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as info:
         main(["nope"])
     assert info.value.code == 2
+
+
+# -- snapshots -----------------------------------------------------------------------
+
+GOLDEN = REPO / "tests" / "golden"
+
+
+@pytest.mark.parametrize("snapshot, argv", [
+    ("verify-all.txt", ("verify-all",)),
+    ("verify-all.json", ("verify-all", "--json")),
+    ("motive-check-flip-derivation.txt",
+     ("motive", "check", str(CHECKS / "flip-derivation.mot"))),
+    ("motive-check-hilbert-square-classes.txt",
+     ("motive", "check", str(CHECKS / "hilbert-square-classes.mot"))),
+    ("sod-check-degree2-surface.txt",
+     ("sod", "check", str(CHECKS / "degree2-surface.sod"))),
+])
+def test_output_matches_committed_snapshot(capsys, snapshot, argv):
+    """Stdout is byte-identical to the output committed under
+    tests/golden/, so a change to any layer cannot alter it unnoticed."""
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.encode() == (GOLDEN / snapshot).read_bytes()

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from flipcheck.cli import random_value
 from flipcheck.dsl import (EvalError, IntLit, LedgerLiteral, LPow,
-                           ParseError, Product, RuleDef, Sum, Sym2, Tensor,
-                           evaluate, parse, parse_ledger, parse_motive,
-                           parse_rule, parse_script, print_canonical,
-                           tokenize)
+                           ParseError, Product, RuleDef, SourceSpan, Sum,
+                           Sym2, Tensor, evaluate, parse, parse_ledger,
+                           parse_motive, parse_rule, parse_script,
+                           print_canonical, tokenize)
 from flipcheck.motive import L, ONE, MotiveExpr, atom
 from flipcheck.sod import RewriteRule, SodLedger
 
@@ -59,6 +59,41 @@ def test_comments_and_whitespace():
 
 def test_sym2_factor_evaluates():
     assert parse_motive("Sym2(1 + L)") == parse_motive("1 + L + L^2")
+
+
+sum_terms = st.lists(
+    st.tuples(st.sampled_from("+-"),
+              st.sampled_from(["1", "3", "L", "L^3", "X", "2*Y", "L*X",
+                               "Sym2(1 + X)", "(X - X)", "(L - 1)"])),
+    min_size=1, max_size=300,
+)
+
+
+def _left_fold(node):
+    """Reference: the sum as a left fold of ``+`` and ``-``."""
+    total = MotiveExpr()
+    for sign, term in node.terms:
+        total = total + evaluate(term) if sign > 0 else total - evaluate(term)
+    return total
+
+
+@given(sum_terms)
+@settings(max_examples=100)
+def test_long_sum_equals_left_fold(terms):
+    text = "0 " + " ".join(f"{sign} {term}" for sign, term in terms)
+    node = parse(text)
+    got = evaluate(node)
+    assert got == _left_fold(node)
+    assert 0 not in got.terms.values()
+
+
+def test_long_sum_cancellations_leave_no_zero_terms():
+    assert parse_motive("X - X").terms == {}
+    text = "L + " + " + ".join(["X"] * 1000) + " - L - 1000*X + 2"
+    node = parse(text)
+    got = evaluate(node)
+    assert got == _left_fold(node) == MotiveExpr.const(2)
+    assert got.terms == {(0, ()): 2}
 
 
 def test_tensor_only_in_rules():
@@ -136,6 +171,54 @@ def test_spans_are_one_based():
     assert tokens[0].span.line == 1 and tokens[0].span.column == 1
     assert tokens[2].span.column == 5
     assert tokens[0].span.start == 0 and tokens[0].span.end == 1
+
+
+def _line_col(text: str, pos: int) -> tuple[int, int]:
+    """Reference position: recount the lines from offset 0."""
+    line = text.count("\n", 0, pos) + 1
+    last_nl = text.rfind("\n", 0, pos)
+    return line, pos - last_nl
+
+
+token_texts = st.lists(
+    st.sampled_from(["1", "42", "L", "L^2", "X", "Sym2", "DC", "Dpt", "(*)",
+                     "=>", "+", "-", "*", "^", "(", ")", "{", "}", ":", ",",
+                     " ", "\t", "\r", "\n", "\n\n", "\n  \n", "# note\n",
+                     "#x"]),
+    max_size=120,
+).map("".join)
+
+
+@given(token_texts)
+@settings(max_examples=300)
+def test_token_spans_match_recount_from_start(text):
+    tokens = tokenize(text)
+    assert tokens[-1].kind == "EOF" and tokens[-1].span.start == len(text)
+    for tok in tokens:
+        assert tok.span.end == tok.span.start + len(tok.text)
+        assert (tok.span.line, tok.span.column) == \
+            _line_col(text, tok.span.start)
+
+
+@given(token_texts, st.sampled_from("$?;!@~"))
+@settings(max_examples=200)
+def test_unexpected_character_span_matches_recount(prefix, bad):
+    text = prefix + "\n" + bad + " 1"
+    pos = len(prefix) + 1
+    with pytest.raises(ParseError) as info:
+        tokenize(text)
+    line, column = _line_col(text, pos)
+    assert info.value.span == SourceSpan(pos, pos + 1, line, column)
+
+
+def test_unexpected_character_after_many_lines():
+    text = "1 + L  # one\n\n" * 500 + "  X ? 1"
+    with pytest.raises(ParseError) as info:
+        parse_script(text)
+    span = info.value.span
+    assert (span.line, span.column) == (1001, 5)
+    assert (span.line, span.column) == _line_col(text, span.start)
+    assert str(info.value).startswith("line 1001, column 5:")
 
 
 # -- scripts ---------------------------------------------------------------------

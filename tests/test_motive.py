@@ -148,6 +148,36 @@ def test_sym2_class_fragment_errors():
         sym2_class(atom("C") * atom("C"))
 
 
+def _fragment_term(lp, name):
+    return MotiveExpr.lefschetz(lp) * (atom(name) if name else ONE)
+
+
+def _sym2_fold(items):
+    """Reference Sym^2 of sum m_i t_i, folded with public ring operations:
+    m_i Sym^2 t_i + C(m_i, 2) t_i^2 per term and m_i m_j t_i t_j per pair."""
+    result = MotiveExpr()
+    for i, ((lp, name), m) in enumerate(items):
+        t = _fragment_term(lp, name)
+        sym_t = _fragment_term(2 * lp, f"Sym2_{name}" if name else None)
+        result = result + m * sym_t + (m * (m - 1) // 2) * (t * t)
+        for (lp2, name2), m2 in items[i + 1:]:
+            result = result + (m * m2) * (t * _fragment_term(lp2, name2))
+    return result
+
+
+@given(st.dictionaries(
+    st.tuples(st.integers(0, 4), st.sampled_from([None, "C", "F", "X"])),
+    st.integers(1, 4), max_size=10))
+def test_sym2_class_matches_pairwise_fold(coeffs):
+    items = list(coeffs.items())
+    x = MotiveExpr()
+    for (lp, name), m in items:
+        x = x + m * _fragment_term(lp, name)
+    got = sym2_class(x)
+    assert got == _sym2_fold(items)
+    assert 0 not in got.terms.values()
+
+
 # -- hilbert square classes -------------------------------------------------------------
 
 

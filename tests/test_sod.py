@@ -265,6 +265,25 @@ def test_rule_table_loop_detection():
         table.normalize(SodLedger({"DA": 1}))
 
 
+@pytest.mark.parametrize("k", [1, 5])
+def test_normalize_step_budget_counts_substitutions(k):
+    table = RuleTable()
+    for i in range(1, k + 1):
+        table.add(RewriteRule("atom", (f"D{i}",), SodLedger({f"D{i - 1}": 1})))
+    start = SodLedger({f"D{k}": 1})
+    assert table.normalize(start, max_steps=k) == SodLedger({"D0": 1})
+    with pytest.raises(RewriteLoopError, match=f"in {k - 1} steps"):
+        table.normalize(start, max_steps=k - 1)
+
+
+def test_normalize_atom_rule_wins_over_sym2_rule():
+    table = RuleTable()
+    table.add(RewriteRule("sym2", ("DX",), SodLedger({"Dpt": 1})))
+    table.add(RewriteRule("atom", ("Sym2_DX",), SodLedger({"Dpt": 5})))
+    got = table.normalize(SodLedger({"Sym2_DX": 2, "DC": 1}))
+    assert got == SodLedger({"Dpt": 10, "DC": 1})
+
+
 def test_rewrite_rule_validation():
     with pytest.raises(ValueError):
         RewriteRule("nope", ("DA",), SodLedger())
