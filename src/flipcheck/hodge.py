@@ -20,6 +20,18 @@ the twisted summands coming from the exceptional divisor of the blowup of
 Everything is exact integer arithmetic on sparse tables; entries are
 dimensions only (no lattice or torsion information is modelled).  Values are
 immutable after construction and all operations are pure functions.
+
+Products, squares and bundles run on packed diagonals (Kronecker
+substitution): the entries ``h^{p,p+s}`` of one diagonal ``s = q - p`` sit in
+fixed-width, byte-aligned slots ``p`` of one Python integer, so multiplying
+two such integers convolves the diagonals in ``p`` and one big-integer
+multiply per pair of diagonals does the whole Kunneth product.  ``Sym^2`` and
+``Lambda^2`` follow Macdonald's ``(a^2 +- psi^2 a) / 2``; a projective bundle
+multiplies each diagonal by the packed ``1 + X + ... + X^{r-1}``.  This is
+exact because entries are nonnegative, so no slot ever goes negative, and
+the slot width is taken from a bound on every output entry (the product of
+the totals for Kunneth, ``T^2 + T`` before halving for the squares), so no
+carry crosses into the next slot.
 """
 
 from __future__ import annotations
@@ -65,6 +77,14 @@ class HodgeDiamond:
         self.dim = dim
         self._entries = table
         self.validated = validated
+
+    @classmethod
+    def _trusted(cls, dim: int, table: dict[Bidegree, int],
+                 validated: bool) -> "HodgeDiamond":
+        """Wrap a table already known to be positive and inside ``[0, dim]^2``."""
+        d = object.__new__(cls)
+        d.dim, d._entries, d.validated = dim, table, validated
+        return d
 
     def hodge(self, p: int, q: int) -> int:
         """Return ``h^{p,q}``; absent entries are zero."""
@@ -136,12 +156,15 @@ class HodgeDiamond:
             raw = data["entries"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"diamond JSON needs 'dim' and 'entries': {exc}")
-        if not isinstance(dim, int):
+        # bool is a subclass of int, but JSON true/false is not a number
+        if type(dim) is not int:
             raise ValueError("'dim' must be an integer")
+        if not isinstance(raw, list):
+            raise ValueError("'entries' must be a list of [p, q, value] rows")
         entries = []
         for row in raw:
             if not (isinstance(row, (list, tuple)) and len(row) == 3
-                    and all(isinstance(x, int) for x in row)):
+                    and all(type(x) is int for x in row)):
                 raise ValueError(f"bad entry row {row!r}; want [p, q, value]")
             entries.append(tuple(row))
         return cls(dim, entries)
@@ -153,12 +176,86 @@ class HodgeDiamond:
 
 def _accumulate(dim: int, parts: Iterable[HodgeDiamond], validated: bool = False
                 ) -> HodgeDiamond:
-    """Sum entry tables into a fresh diamond of the given dimension."""
+    """Sum entry tables into a fresh diamond of the given dimension, which is
+    at least that of every part."""
     table: dict[Bidegree, int] = {}
     for part in parts:
         for key, v in part._entries.items():
             table[key] = table.get(key, 0) + v
-    return HodgeDiamond(dim, table, validated=validated)
+    return HodgeDiamond._trusted(dim, table, validated)
+
+
+# -- packed diagonals ----------------------------------------------------------
+
+
+def _total(a: HodgeDiamond) -> int:
+    return sum(a._entries.values())
+
+
+def _width(bound: int) -> int:
+    """Bytes per slot for slot values in ``[0, bound]``."""
+    return max(1, (bound.bit_length() + 7) // 8)
+
+
+def _pack(cells: Mapping[int, int], width: int, step: int = 1) -> int:
+    """One integer with ``cells[p]`` in the ``width``-byte slot ``step * p``."""
+    buf = bytearray(width * (step * max(cells, default=0) + 1))
+    for p, v in cells.items():
+        at = width * step * p
+        buf[at:at + width] = v.to_bytes(width, "little")
+    return int.from_bytes(buf, "little")
+
+
+def _diagonals(a: HodgeDiamond) -> dict[int, dict[int, int]]:
+    """Entries grouped by diagonal: ``{q - p: {p: h^{p,q}}}``."""
+    cells: dict[int, dict[int, int]] = {}
+    for (p, q), v in a._entries.items():
+        cells.setdefault(q - p, {})[p] = v
+    return cells
+
+
+def _packed(a: HodgeDiamond, width: int) -> dict[int, int]:
+    return {s: _pack(c, width) for s, c in _diagonals(a).items()}
+
+
+def _unpacked(dim: int, diagonals: Mapping[int, int], width: int,
+              validated: bool) -> HodgeDiamond:
+    """The diamond whose diagonal ``s`` holds the slots of ``diagonals[s]``."""
+    table: dict[Bidegree, int] = {}
+    for s, x in diagonals.items():
+        slots = -(-((x.bit_length() + 7) // 8) // width)
+        raw = x.to_bytes(slots * width, "little")
+        for p in range(slots):
+            v = int.from_bytes(raw[p * width:(p + 1) * width], "little")
+            if v:
+                table[(p, p + s)] = v
+    return HodgeDiamond._trusted(dim, table, validated)
+
+
+def _square(a: HodgeDiamond, sign: int) -> tuple[dict[int, int], int]:
+    """Packed diagonals of ``(a^2 + sign * psi^2 a) / 2`` and their slot width.
+
+    ``psi^2`` doubles bidegrees with the Koszul sign ``(-1)^{p+q}``, and
+    ``p + q`` has the parity of the diagonal ``s = q - p``.  Distinct
+    diagonals pair once; within a diagonal every slot of
+    ``x^2 + sign * (-1)^s * psi`` is even and nonnegative, so one shift halves
+    it slot by slot.
+    """
+    total = _total(a)
+    width = _width(total * total + total)
+    cells = _diagonals(a)
+    packed = {s: _pack(c, width) for s, c in cells.items()}
+    order = sorted(packed)
+    out: dict[int, int] = {}
+    for i, s1 in enumerate(order):
+        x1 = packed[s1]
+        psi = _pack(cells[s1], width, step=2)
+        koszul = -1 if s1 % 2 else 1
+        own = (x1 * x1 + sign * koszul * psi) >> 1
+        out[2 * s1] = out.get(2 * s1, 0) + own
+        for s2 in order[i + 1:]:
+            out[s1 + s2] = out.get(s1 + s2, 0) + x1 * packed[s2]
+    return out, width
 
 
 # -- operations --------------------------------------------------------------
@@ -166,13 +263,15 @@ def _accumulate(dim: int, parts: Iterable[HodgeDiamond], validated: bool = False
 
 def kunneth(a: HodgeDiamond, b: HodgeDiamond) -> HodgeDiamond:
     """Hodge diamond of a product: bigraded convolution of the two tables."""
-    table: dict[Bidegree, int] = {}
-    for (p1, q1), v1 in a._entries.items():
-        for (p2, q2), v2 in b._entries.items():
-            key = (p1 + p2, q1 + q2)
-            table[key] = table.get(key, 0) + v1 * v2
-    return HodgeDiamond(a.dim + b.dim, table,
-                        validated=a.validated and b.validated)
+    ta, tb = _total(a), _total(b)
+    width = _width(max(ta * tb, ta, tb))  # an empty factor still packs the other
+    xb = _packed(b, width)
+    out: dict[int, int] = {}
+    for s1, x1 in _packed(a, width).items():
+        for s2, x2 in xb.items():
+            out[s1 + s2] = out.get(s1 + s2, 0) + x1 * x2
+    return _unpacked(a.dim + b.dim, out, width,
+                     validated=a.validated and b.validated)
 
 
 def tate_twist(a: HodgeDiamond, i: int) -> HodgeDiamond:
@@ -182,11 +281,9 @@ def tate_twist(a: HodgeDiamond, i: int) -> HodgeDiamond:
     """
     if i < 0:
         raise ValueError(f"twist must be nonnegative, got {i}")
-    return HodgeDiamond(
-        a.dim + i,
-        {(p + i, q + i): v for (p, q), v in a._entries.items()},
-        validated=False,
-    )
+    return HodgeDiamond._trusted(
+        a.dim + i, {(p + i, q + i): v for (p, q), v in a._entries.items()},
+        validated=False)
 
 
 def sym2(a: HodgeDiamond) -> HodgeDiamond:
@@ -198,18 +295,8 @@ def sym2(a: HodgeDiamond) -> HodgeDiamond:
     ``m(m+1)/2`` in even total degree and ``m(m-1)/2`` in odd total degree
     (Sym^2 of the even part, even (x) odd, and Lambda^2 of the odd part).
     """
-    items = sorted(a._entries.items())
-    table: dict[Bidegree, int] = {}
-    for i, ((p1, q1), m1) in enumerate(items):
-        # self-pairing
-        key = (2 * p1, 2 * q1)
-        c = m1 * (m1 + 1) // 2 if (p1 + q1) % 2 == 0 else m1 * (m1 - 1) // 2
-        if c:
-            table[key] = table.get(key, 0) + c
-        for (p2, q2), m2 in items[i + 1:]:
-            key = (p1 + p2, q1 + q2)
-            table[key] = table.get(key, 0) + m1 * m2
-    return HodgeDiamond(2 * a.dim, table, validated=a.validated)
+    out, width = _square(a, 1)
+    return _unpacked(2 * a.dim, out, width, validated=a.validated)
 
 
 def alt2(a: HodgeDiamond) -> HodgeDiamond:
@@ -218,17 +305,8 @@ def alt2(a: HodgeDiamond) -> HodgeDiamond:
     Same pairing rule with the parities exchanged, so that
     ``sym2(a) + alt2(a) == kunneth(a, a)`` entry by entry.
     """
-    items = sorted(a._entries.items())
-    table: dict[Bidegree, int] = {}
-    for i, ((p1, q1), m1) in enumerate(items):
-        key = (2 * p1, 2 * q1)
-        c = m1 * (m1 - 1) // 2 if (p1 + q1) % 2 == 0 else m1 * (m1 + 1) // 2
-        if c:
-            table[key] = table.get(key, 0) + c
-        for (p2, q2), m2 in items[i + 1:]:
-            key = (p1 + p2, q1 + q2)
-            table[key] = table.get(key, 0) + m1 * m2
-    return HodgeDiamond(2 * a.dim, table, validated=False)
+    out, width = _square(a, -1)
+    return _unpacked(2 * a.dim, out, width, validated=False)
 
 
 def hilbert_square(a: HodgeDiamond) -> HodgeDiamond:
@@ -243,7 +321,9 @@ def hilbert_square(a: HodgeDiamond) -> HodgeDiamond:
     n = a.dim
     if n < 1:
         raise ValueError("Hilbert square of a 0-dimensional variety is not modelled")
-    parts = [sym2(a)] + [tate_twist(a, i) for i in range(1, n)]
+    parts = [sym2(a)]
+    if n >= 2:
+        parts.append(tate_twist(projective_bundle(a, n - 1), 1))
     return _accumulate(2 * n, parts, validated=a.validated)
 
 
@@ -253,9 +333,11 @@ def projective_bundle(base: HodgeDiamond, fiber_rank: int) -> HodgeDiamond:
     """
     if fiber_rank < 1:
         raise ValueError(f"fiber rank must be positive, got {fiber_rank}")
-    parts = [tate_twist(base, i) for i in range(fiber_rank)]
-    return _accumulate(base.dim + fiber_rank - 1, parts,
-                       validated=base.validated)
+    width = _width(_total(base))
+    series = int.from_bytes((b"\x01" + bytes(width - 1)) * fiber_rank, "little")
+    out = {s: x * series for s, x in _packed(base, width).items()}
+    return _unpacked(base.dim + fiber_rank - 1, out, width,
+                     validated=base.validated)
 
 
 def blowup(total: HodgeDiamond, center: HodgeDiamond, codim: int) -> HodgeDiamond:
@@ -269,8 +351,8 @@ def blowup(total: HodgeDiamond, center: HodgeDiamond, codim: int) -> HodgeDiamon
             f"dimension mismatch: center dim {center.dim} + codim {codim} "
             f"!= total dim {total.dim}"
         )
-    parts = [total] + [tate_twist(center, i) for i in range(1, codim)]
-    return _accumulate(total.dim, parts,
+    exceptional = tate_twist(projective_bundle(center, codim - 1), 1)
+    return _accumulate(total.dim, [total, exceptional],
                        validated=total.validated and center.validated)
 
 

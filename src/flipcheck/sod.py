@@ -324,15 +324,44 @@ def sym2_ledger(components: Sequence[Union[str, CategoryAtom]],
                 rules: RuleTable | None = None) -> SodLedger:
     """Ledger of ``Sym^2`` of a decomposition with the given components:
     one ``Sym^2 A_i`` per component plus one ``A_i (x) A_j`` for each pair
-    ``i < j``, all resolved through the rule table."""
+    ``i < j``, all resolved through the rule table.
+
+    Each distinct name ``a`` of multiplicity ``k`` contributes
+    ``k Sym^2 a + C(k, 2) a (x) a``, and each distinct pair ``a, b``
+    contributes ``k_a k_b a (x) b``.  Pairs are resolved once each, in the
+    order the pairwise expansion first meets them, so the first unresolved
+    pair is the one reported."""
     rules = rules if rules is not None else default_rules()
-    names = [_atom_name(a) for a in components]
-    out = SodLedger()
-    for i, a in enumerate(names):
-        out = out + rules.resolve_sym2(a)
-        for b in names[i + 1:]:
-            out = out + rules.resolve_tensor(a, b)
-    return out
+    count: dict[str, int] = {}
+    first: dict[str, int] = {}
+    second: dict[str, int] = {}
+    for i, a in enumerate(components):
+        name = _atom_name(a)
+        k = count.get(name, 0)
+        if k == 0:
+            first[name] = i
+        elif k == 1:
+            second[name] = i
+        count[name] = k + 1
+    out: dict[str, int] = {}
+
+    def add(led: SodLedger, k: int) -> None:
+        for name, m in led.multiplicities.items():
+            out[name] = out.get(name, 0) + k * m
+
+    distinct = list(count)
+    for r, a in enumerate(distinct):
+        add(rules.resolve_sym2(a), count[a])
+        # the pairwise expansion meets each later name at its first copy,
+        # and a itself at a's second copy
+        partners = [(first[b], b) for b in distinct[r + 1:]]
+        if a in second:
+            partners.append((second[a], a))
+            partners.sort()
+        for _, b in partners:
+            k = comb(count[a], 2) if b == a else count[a] * count[b]
+            add(rules.resolve_tensor(a, b), k)
+    return SodLedger(out)
 
 
 def hilb2_ledger(x_components: Sequence[Union[str, CategoryAtom]],

@@ -67,6 +67,26 @@ def test_hodge_invalid_diamond_file(tmp_path, capsys):
     assert code == 2
 
 
+def test_hodge_diamond_entries_not_a_list_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"dim": 2, "entries": 5}')
+    code, out, err = run(capsys, "hodge", "hilb2", "--diamond", str(bad))
+    assert code == 2 and out == ""
+    assert "'entries' must be a list" in err
+
+
+def test_hodge_diamond_booleans_are_not_integers(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"dim": true, "entries": [[0, 0, true], [1, 1, true]]}')
+    code, out, err = run(capsys, "hodge", "hilb2", "--diamond", str(bad))
+    assert code == 2 and out == ""
+    assert "'dim' must be an integer" in err
+    bad.write_text('{"dim": 1, "entries": [[0, 0, true], [1, 1, 1]]}')
+    code, out, err = run(capsys, "hodge", "hilb2", "--diamond", str(bad))
+    assert code == 2 and out == ""
+    assert "bad entry row" in err
+
+
 def test_hodge_hilb2_rejects_point_builtin(capsys):
     code, _, err = run(capsys, "hodge", "hilb2", "--builtin", "point")
     assert code == 2 and "not modelled" in err

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -61,6 +63,132 @@ def diamonds(draw, max_dim=3, max_cells=5, max_value=5):
 
 small_diamonds = diamonds(max_dim=3, max_cells=3, max_value=3).filter(
     lambda d: sum(d.entries().values()) <= 8)
+
+
+# -- pairwise references for the packed kernel ----------------------------------
+#
+# The entry-by-entry loops the packed kernel replaced, kept as references.
+
+
+def kunneth_pairwise(a, b):
+    table = {}
+    for (p1, q1), v1 in a.entries().items():
+        for (p2, q2), v2 in b.entries().items():
+            key = (p1 + p2, q1 + q2)
+            table[key] = table.get(key, 0) + v1 * v2
+    return HodgeDiamond(a.dim + b.dim, table,
+                        validated=a.validated and b.validated)
+
+
+def _square_pairwise(a, even_self, odd_self, validated):
+    items = sorted(a.entries().items())
+    table = {}
+    for i, ((p1, q1), m1) in enumerate(items):
+        key = (2 * p1, 2 * q1)
+        c = even_self(m1) if (p1 + q1) % 2 == 0 else odd_self(m1)
+        if c:
+            table[key] = table.get(key, 0) + c
+        for (p2, q2), m2 in items[i + 1:]:
+            key = (p1 + p2, q1 + q2)
+            table[key] = table.get(key, 0) + m1 * m2
+    return HodgeDiamond(2 * a.dim, table, validated=validated)
+
+
+def sym2_pairwise(a):
+    return _square_pairwise(a, lambda m: m * (m + 1) // 2,
+                            lambda m: m * (m - 1) // 2, a.validated)
+
+
+def alt2_pairwise(a):
+    return _square_pairwise(a, lambda m: m * (m - 1) // 2,
+                            lambda m: m * (m + 1) // 2, False)
+
+
+def _sum_tables(dim, parts, validated):
+    table = {}
+    for part in parts:
+        for key, v in part.entries().items():
+            table[key] = table.get(key, 0) + v
+    return HodgeDiamond(dim, table, validated=validated)
+
+
+def hilbert_square_pairwise(a):
+    n = a.dim
+    parts = [sym2_pairwise(a)] + [tate_twist(a, i) for i in range(1, n)]
+    return _sum_tables(2 * n, parts, a.validated)
+
+
+def projective_bundle_pairwise(base, r):
+    return _sum_tables(base.dim + r - 1,
+                          [tate_twist(base, i) for i in range(r)],
+                          base.validated)
+
+
+def blowup_pairwise(total, center, codim):
+    parts = [total] + [tate_twist(center, i) for i in range(1, codim)]
+    return _sum_tables(total.dim, parts,
+                          total.validated and center.validated)
+
+
+def assert_same(got, want):
+    """Entries, dimension and the validated flag (``==`` ignores the flag)."""
+    assert (got.dim, got.entries(), got.validated) == \
+        (want.dim, want.entries(), want.validated)
+
+
+@st.composite
+def wide_diamonds(draw, max_dim=12, max_value=10**30):
+    """Diamonds of dimension 0-12 with entries up to 10**30: sparse, empty,
+    diagonal-only (P^n-like) or corner-plus-diagonal (Calabi-Yau-like)."""
+    dim = draw(st.integers(0, max_dim))
+    value = st.integers(1, draw(st.sampled_from([1, 9, 10**6, max_value])))
+    shape = draw(st.sampled_from(["sparse", "empty", "diagonal", "corners"]))
+    entries = {}
+    if shape == "sparse":
+        cell = st.tuples(st.integers(0, dim), st.integers(0, dim))
+        entries = draw(st.dictionaries(cell, value, max_size=30))
+    elif shape in ("diagonal", "corners"):
+        entries = {(p, p): draw(value) for p in range(dim + 1)}
+    if shape == "corners":
+        corner = draw(value)
+        entries[(0, dim)] = entries[(dim, 0)] = corner
+    return HodgeDiamond(dim, entries, validated=draw(st.booleans()))
+
+
+@given(wide_diamonds(), wide_diamonds())
+@settings(max_examples=150)
+def test_kunneth_matches_pairwise(a, b):
+    assert_same(kunneth(a, b), kunneth_pairwise(a, b))
+
+
+@given(wide_diamonds())
+@settings(max_examples=150)
+def test_squares_match_pairwise(a):
+    assert_same(sym2(a), sym2_pairwise(a))
+    assert_same(alt2(a), alt2_pairwise(a))
+    if a.dim >= 1:
+        assert_same(hilbert_square(a), hilbert_square_pairwise(a))
+
+
+@given(wide_diamonds(), st.integers(1, 15), st.integers(2, 6))
+@settings(max_examples=100)
+def test_bundles_and_blowups_match_pairwise(a, r, codim):
+    assert_same(projective_bundle(a, r), projective_bundle_pairwise(a, r))
+    total = kunneth(a, varieties.projective_space(codim))
+    assert_same(blowup(total, a, codim), blowup_pairwise(total, a, codim))
+
+
+def test_dense_dimension_20_matches_pairwise():
+    rng = random.Random(20)
+    a = HodgeDiamond(20, {(p, q): rng.randint(1, 10**9)
+                          for p in range(21) for q in range(21)},
+                     validated=True)
+    b = HodgeDiamond(20, {(p, q): rng.randint(1, 9)
+                          for p in range(21) for q in range(21)})
+    assert_same(kunneth(a, b), kunneth_pairwise(a, b))
+    assert_same(sym2(a), sym2_pairwise(a))
+    assert_same(alt2(a), alt2_pairwise(a))
+    assert_same(hilbert_square(a), hilbert_square_pairwise(a))
 
 
 # -- construction and validation -----------------------------------------------

@@ -14,7 +14,8 @@ from flipcheck.sod import (CategoryAtom, NegativeMultiplicityError,
                            fano_scheme_conjecture_ledger, hilb2_ledger,
                            hilb2_two_quadrics_ledger, ledger_equal,
                            ledger_subtract, ogr_pencil_conjecture_ledger,
-                           substitute, sym2_ledger, two_quadrics_components)
+                           substitute, sym2_ledger, tensor_atom_name,
+                           two_quadrics_components)
 
 ledger_names = st.sampled_from(["DC", "DSym2C", "Dpt", "DCl0", "DS"])
 ledgers = st.dictionaries(ledger_names, st.integers(1, 30), max_size=4).map(
@@ -113,6 +114,86 @@ def test_category_atoms_as_components():
     point = CategoryAtom("Dpt", hh0=1)
     got = sym2_ledger([curve_atom, point])
     assert got == SodLedger({"DSym2C": 1, "DC": 2, "Dpt": 2})
+
+
+def sym2_ledger_pairwise(components, rules=None):
+    """Reference: one resolution per copy and per pair i < j, folded with +."""
+    rules = rules if rules is not None else default_rules()
+    names = [a.name if isinstance(a, CategoryAtom) else a for a in components]
+    out = SodLedger()
+    for i, a in enumerate(names):
+        out = out + rules.resolve_sym2(a)
+        for b in names[i + 1:]:
+            out = out + rules.resolve_tensor(a, b)
+    return out
+
+
+def _outcome(fn, *args):
+    """Multiplicities in insertion order, or the unresolved-pair message."""
+    try:
+        return list(fn(*args).multiplicities.items())
+    except UnresolvedPairError as exc:
+        return str(exc)
+
+
+_EXTRA_NAMES = ["DX", "DY"]
+
+
+@st.composite
+def ledger_tables(draw):
+    """Default rules plus random rules and declared fallbacks for DX, DY."""
+    table = default_rules()
+    names = ["DC", "Dpt"] + _EXTRA_NAMES
+    for a in _EXTRA_NAMES:
+        choice = draw(st.sampled_from(["rule", "declared", "missing"]))
+        if choice == "rule":
+            table.add(RewriteRule("sym2", (a,), SodLedger({a: 1, "Dpt": 2})))
+        elif choice == "declared":
+            table.declare(f"Sym2_{a}")
+    for i, a in enumerate(names):
+        for b in names[i:]:
+            if (a, b) in (("DC", "Dpt"), ("Dpt", "Dpt")):
+                continue
+            choice = draw(st.sampled_from(["rule", "declared", "missing"]))
+            if choice == "rule":
+                table.add(RewriteRule("tensor", (a, b), SodLedger({b: 1, a: 3})))
+            elif choice == "declared":
+                table.declare(tensor_atom_name(a, b))
+    return table
+
+
+component_lists = st.lists(
+    st.sampled_from(["DC", "Dpt", "DX", "DY"]).flatmap(
+        lambda name: st.sampled_from([name, CategoryAtom(name)])),
+    max_size=12)
+
+
+@given(component_lists, ledger_tables())
+def test_sym2_ledger_matches_pairwise_fold(components, table):
+    assert _outcome(sym2_ledger, components, table) == \
+        _outcome(sym2_ledger_pairwise, components, table)
+
+
+@given(st.lists(st.sampled_from(["DC", "Dpt"]), max_size=40))
+def test_sym2_ledger_default_rules_match_pairwise_fold(components):
+    assert _outcome(sym2_ledger, components) == \
+        _outcome(sym2_ledger_pairwise, components)
+
+
+@pytest.mark.parametrize("components, first_unresolved", [
+    (["DX", "DY", "DX"], "DX (x) DY"),
+    (["DX", "DX", "DY"], "DX (x) DX"),
+    (["DY", "DX", "DX", "DY"], "DX (x) DY"),
+])
+def test_sym2_ledger_reports_first_of_two_unresolved_pairs(components,
+                                                           first_unresolved):
+    table = RuleTable(declared=["Sym2_DX", "Sym2_DY", "Tensor_DY_DY"])
+    with pytest.raises(UnresolvedPairError) as got:
+        sym2_ledger(components, table)
+    with pytest.raises(UnresolvedPairError) as want:
+        sym2_ledger_pairwise(components, table)
+    assert str(got.value) == str(want.value)
+    assert first_unresolved in str(got.value)
 
 
 def test_category_atom_consistency():
