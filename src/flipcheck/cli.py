@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 from . import dsl, fano, hodge, motive, sod, varieties
 from .fano import Family
@@ -21,14 +20,9 @@ from .motive import MotiveExpr
 from .sod import RewriteRule, SodLedger
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    name: str
-    inputs: dict
-    expected: object
-    computed: object
-    passed: bool
-    provenance: str  # "paper" | "derived" | "trivial"
+# provenance is "paper", "derived" or "trivial"
+CheckReport = namedtuple(
+    "CheckReport", "name inputs expected computed passed provenance")
 
 
 def make_report(name: str, inputs: dict, expected, computed,
@@ -156,7 +150,7 @@ def _fano_dims(args) -> int:
     if family is Family.GR25_SECTION:
         row = fano.gr25_dim_row(args.n)
         if args.json:
-            print(json.dumps(asdict(row), sort_keys=True))
+            print(json.dumps(row._asdict(), sort_keys=True))
         else:
             cells = [("dim F_1(X)", row.f1), ("dim F_2^sigma(X)", row.f2_sigma),
                      ("dim F_2^tau(X)", row.f2_tau), ("dim F_3(X)", row.f3)]
@@ -166,6 +160,7 @@ def _fano_dims(args) -> int:
         return 0
     if args.k is None:
         raise ValueError("--k (the plane dimension) is required for this family")
+    fano.FanoParams(family, args.n, args.k)  # rejects n < 1, k < 0, k > n
     dim = fano.expected_dim_fano(family, args.n, args.k)
     if args.json:
         print(json.dumps({"family": family.value, "n": args.n,
@@ -204,6 +199,8 @@ def _fano_codim(args) -> int:
     family = _family(args)
     if args.k is None:
         raise ValueError("--k is required without --grid")
+    if family is not Family.GR25_SECTION:  # the gr25 table checks its cells
+        fano.FanoParams(family, args.n, args.k)
     report = fano.verify_codim_identity(family, args.n, args.k)
     if args.json:
         print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
@@ -271,6 +268,8 @@ def _sod_check(args) -> int:
 
 def _sod_consistency(args) -> int:
     n_max = args.n_odd_max
+    if n_max < 3:
+        return _err(f"--n-odd-max must be at least 3, got {n_max}")
     results = [sod.conjecture_consistency(n) for n in range(3, n_max + 1, 2)]
     failed = [r.n for r in results if r.in_stated_range and not r.holds]
     if args.json:
@@ -613,6 +612,8 @@ def _check_euler_specialization() -> CheckReport:
 
 
 def _check_round_trip() -> CheckReport:
+    import random  # only this check needs it; keeps it out of start-up
+
     rng = random.Random(20240815)
     failures = []
     for i in range(200):
@@ -663,7 +664,7 @@ def run_all_checks() -> list[CheckReport]:
 def cmd_verify_all(args) -> int:
     reports = run_all_checks()
     if args.json:
-        print(json.dumps([asdict(r) for r in reports], sort_keys=True,
+        print(json.dumps([r._asdict() for r in reports], sort_keys=True,
                          indent=2))
     else:
         for r in reports:

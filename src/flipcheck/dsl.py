@@ -26,8 +26,8 @@ of construction history and ``parse(print(v))`` returns an equal value.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Union
 
 from .motive import MotiveExpr, TermKey, sym2_class
 from .sod import RewriteRule, SodLedger
@@ -35,16 +35,16 @@ from .sod import RewriteRule, SodLedger
 MAX_NESTING = 400
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    start: int  # byte offsets into the input
-    end: int
-    line: int  # 1-based position of start
-    column: int
+class SourceSpan(namedtuple("SourceSpan", "start end line column")):
+    """``start``/``end`` are byte offsets into the input; ``line`` and
+    ``column`` the 1-based position of ``start``."""
 
-    def __post_init__(self):
-        if self.start > self.end or self.line < 1 or self.column < 1:
+    __slots__ = ()
+
+    def __new__(cls, start: int, end: int, line: int, column: int):
+        if start > end or line < 1 or column < 1:
             raise ValueError("malformed span")
+        return tuple.__new__(cls, (start, end, line, column))
 
 
 class ParseError(ValueError):
@@ -132,11 +132,7 @@ _TOKEN_RE = re.compile(
 _SKIP_RE = re.compile(r"(?:[ \t\r\n]+|\#[^\n]*)+")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    span: SourceSpan
+Token = namedtuple("Token", "kind text span")
 
 
 def tokenize(text: str) -> list[Token]:
@@ -379,7 +375,7 @@ class EvalError(ValueError):
     pass
 
 
-Value = Union[MotiveExpr, SodLedger, RewriteRule]
+Value = MotiveExpr | SodLedger | RewriteRule
 
 
 def evaluate(node: Ast) -> Value:

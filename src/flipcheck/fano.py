@@ -27,10 +27,10 @@ module computes is integer arithmetic about that picture:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Callable, Sequence
 
 from .sod import SodLedger
 
@@ -52,34 +52,29 @@ def parse_family(text: str) -> Family:
                      + ", ".join(f.value for f in Family))
 
 
-@dataclass(frozen=True)
-class FanoParams:
+class FanoParams(namedtuple("FanoParams", "family n k")):
     """Family selector with the quadric dimension ``k`` and ``n = dim X``."""
 
-    family: Family
-    n: int
-    k: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, family: Family, n: int, k: int = 0):
+        if n < 1:
             raise ValueError("n must be positive")
-        if self.k < 0:
+        if k < 0:
             raise ValueError("k must be nonnegative")
-        if self.k > self.n:
-            raise ValueError(f"k = {self.k} exceeds n = {self.n}")
-        if self.family is Family.GR25_SECTION and not 2 <= self.n <= 6:
+        if k > n:
+            raise ValueError(f"k = {k} exceeds n = {n}")
+        if family is Family.GR25_SECTION and not 2 <= n <= 6:
             raise ValueError("Gr(2,5) sections have 2 <= dim X <= 6")
+        return tuple.__new__(cls, (family, n, k))
 
 
-@dataclass(frozen=True)
-class FlipShape:
+class FlipShape(namedtuple("FlipShape", "r s base_label")):
     """Projective-bundle fiber dimensions of a standard flip: the center is
     a P^r-bundle over the base, its replacement a P^s-bundle; ``s = -1``
     marks an empty replacement side (degenerate regime)."""
 
-    r: int
-    s: int
-    base_label: str
+    __slots__ = ()
 
     def is_flop(self) -> bool:
         return self.r == self.s
@@ -109,15 +104,8 @@ _GR25_F2_TAU = {2: None, 3: None, 4: 0, 5: 3, 6: 6}
 _GR25_F3 = {2: None, 3: None, 4: None, 5: 0, 6: 4}
 
 
-@dataclass(frozen=True)
-class Gr25DimRow:
-    """One column of the dimension table for a Gr(2,5) section."""
-
-    n: int
-    f1: int | None
-    f2_sigma: int | None
-    f2_tau: int | None
-    f3: int | None
+# one column of the dimension table for a Gr(2,5) section
+Gr25DimRow = namedtuple("Gr25DimRow", "n f1 f2_sigma f2_tau f3")
 
 
 def gr25_dim_row(n: int) -> Gr25DimRow:
@@ -272,23 +260,16 @@ def flip_shape(family: Family, n: int, k: int,
 # -- codimension identities ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    name: str
-    lhs: int
-    rhs: int
+class IdentityCheck(namedtuple("IdentityCheck", "name lhs rhs")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return self.lhs == self.rhs
 
 
-@dataclass(frozen=True)
-class CodimReport:
-    family: Family
-    n: int
-    k: int
-    checks: tuple[IdentityCheck, ...]
+class CodimReport(namedtuple("CodimReport", "family n k checks")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -390,19 +371,11 @@ def verify_codim_identity_symbolic(family: Family, k: int) -> bool:
 # -- decomposition component counts --------------------------------------------
 
 
-@dataclass(frozen=True)
-class SodCounts:
-    """Component multiset(s) for the decomposition of D^b(G_k(X)).
-
-    ``flip_form`` keeps the bundle side as a single atom (D_PQ or D_OGr);
-    for cubics ``expanded_form`` trades it for copies of D_F<k>.
-    """
-
-    family: Family
-    n: int
-    k: int
-    flip_form: SodLedger
-    expanded_form: SodLedger | None = None
+# Component multiset(s) for the decomposition of D^b(G_k(X)): ``flip_form``
+# keeps the bundle side as a single atom (D_PQ or D_OGr); for cubics
+# ``expanded_form`` trades it for copies of D_F<k>.
+SodCounts = namedtuple("SodCounts", "family n k flip_form expanded_form",
+                       defaults=(None,))
 
 
 def sod_counts(family: Family, n: int, k: int) -> SodCounts:
@@ -523,21 +496,16 @@ def h_p1xp1(e1: int, e2: int) -> tuple[int, int, int]:
 TAUT_SPLITTINGS = {-1: (-1, -1), 0: (-1, 0), 1: (0, 0)}
 
 
-@dataclass(frozen=True)
-class TautRow:
-    twist: int
-    lhs: tuple[int, int, int]
-    rhs: tuple[int, int, int]
+class TautRow(namedtuple("TautRow", "twist lhs rhs")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return self.lhs == self.rhs and self.lhs[1] == 0
 
 
-@dataclass(frozen=True)
-class TautReport:
-    d: int
-    rows: tuple[TautRow, ...] = field(default_factory=tuple)
+class TautReport(namedtuple("TautReport", "d rows", defaults=((),))):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -569,10 +537,7 @@ def verify_taut_splitting(d: int, twist_window: Sequence[int]) -> TautReport:
 # -- degree classification -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DegreeClassEntry:
-    degree: int
-    description: str
+DegreeClassEntry = namedtuple("DegreeClassEntry", "degree description")
 
 
 _DEGREE_TABLE = {

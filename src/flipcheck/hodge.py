@@ -37,7 +37,7 @@ carry crosses into the next slot.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 Bidegree = tuple[int, int]
 

@@ -24,7 +24,7 @@ The Hilbert-square class is then
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 # a monomial is a sorted tuple of atom names; "pt" never appears
 Monomial = tuple[str, ...]

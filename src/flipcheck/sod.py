@@ -26,9 +26,9 @@ divisor).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 from math import comb
-from typing import Iterable, Mapping, Sequence, Union
 
 from . import hodge as hodge_mod
 from .hodge import HodgeDiamond
@@ -51,24 +51,23 @@ class RewriteLoopError(RuntimeError):
     """Rewriting exceeded the step budget; the rule system does not terminate."""
 
 
-@dataclass(frozen=True)
-class CategoryAtom:
+class CategoryAtom(namedtuple("CategoryAtom", "name hh0 diamond")):
     """A named component with an optional attached hh0 invariant, given
     either directly or through a Hodge diamond (they must agree)."""
 
-    name: str
-    hh0: int | None = None
-    diamond: HodgeDiamond | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.hh0 is not None and self.hh0 < 0:
+    def __new__(cls, name: str, hh0: int | None = None,
+                diamond: HodgeDiamond | None = None):
+        if hh0 is not None and hh0 < 0:
             raise ValueError("hh0 must be nonnegative")
-        if self.hh0 is not None and self.diamond is not None:
-            if hodge_mod.hh0(self.diamond) != self.hh0:
+        if hh0 is not None and diamond is not None:
+            if hodge_mod.hh0(diamond) != hh0:
                 raise ValueError(
-                    f"atom {self.name!r}: attached hh0 {self.hh0} disagrees "
-                    f"with its diamond ({hodge_mod.hh0(self.diamond)})"
+                    f"atom {name!r}: attached hh0 {hh0} disagrees "
+                    f"with its diamond ({hodge_mod.hh0(diamond)})"
                 )
+        return tuple.__new__(cls, (name, hh0, diamond))
 
     def invariant(self) -> int | None:
         if self.hh0 is not None:
@@ -78,7 +77,7 @@ class CategoryAtom:
         return None
 
 
-def _atom_name(a: Union[str, CategoryAtom]) -> str:
+def _atom_name(a: str | CategoryAtom) -> str:
     return a.name if isinstance(a, CategoryAtom) else a
 
 
@@ -166,7 +165,7 @@ def ledger_subtract(a: SodLedger, b: SodLedger) -> SodLedger:
     return SodLedger(out)
 
 
-def substitute(ledger: SodLedger, atom: Union[str, CategoryAtom],
+def substitute(ledger: SodLedger, atom: str | CategoryAtom,
                replacement: SodLedger) -> SodLedger:
     """Replace every copy of ``atom`` by the replacement multiset."""
     name = _atom_name(atom)
@@ -182,21 +181,19 @@ def substitute(ledger: SodLedger, atom: Union[str, CategoryAtom],
 # -- rewrite rules ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RewriteRule:
+class RewriteRule(namedtuple("RewriteRule", "kind args rhs")):
     """One rewrite: ``kind`` is "atom", "sym2" or "tensor"; ``args`` is the
     atom name (atom/sym2) or the pair of names (tensor); ``rhs`` a ledger."""
 
-    kind: str
-    args: tuple[str, ...]
-    rhs: SodLedger
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("atom", "sym2", "tensor"):
-            raise ValueError(f"unknown rule kind {self.kind!r}")
-        want = 2 if self.kind == "tensor" else 1
-        if len(self.args) != want:
-            raise ValueError(f"{self.kind} rule needs {want} argument(s)")
+    def __new__(cls, kind: str, args: tuple[str, ...], rhs: SodLedger):
+        if kind not in ("atom", "sym2", "tensor"):
+            raise ValueError(f"unknown rule kind {kind!r}")
+        want = 2 if kind == "tensor" else 1
+        if len(args) != want:
+            raise ValueError(f"{kind} rule needs {want} argument(s)")
+        return tuple.__new__(cls, (kind, args, rhs))
 
     def lhs_name(self) -> str:
         """The ledger-atom name this rule rewrites (tensor pairs have none)."""
@@ -260,7 +257,7 @@ class RuleTable:
     def declare(self, *names: str) -> None:
         self.declared.update(names)
 
-    def resolve_sym2(self, a: Union[str, CategoryAtom]) -> SodLedger:
+    def resolve_sym2(self, a: str | CategoryAtom) -> SodLedger:
         name = _atom_name(a)
         if name in self.sym2_rules:
             return self.sym2_rules[name]
@@ -269,8 +266,8 @@ class RuleTable:
             return SodLedger({fallback: 1})
         raise UnresolvedPairError(f"no rule or declared atom for Sym2({name})")
 
-    def resolve_tensor(self, a: Union[str, CategoryAtom],
-                       b: Union[str, CategoryAtom]) -> SodLedger:
+    def resolve_tensor(self, a: str | CategoryAtom,
+                       b: str | CategoryAtom) -> SodLedger:
         key = tuple(sorted((_atom_name(a), _atom_name(b))))
         if key in self.tensor_rules:
             return self.tensor_rules[key]
@@ -320,7 +317,7 @@ def default_rules() -> RuleTable:
 # -- symmetric squares and Hilbert squares of component lists -----------------
 
 
-def sym2_ledger(components: Sequence[Union[str, CategoryAtom]],
+def sym2_ledger(components: Sequence[str | CategoryAtom],
                 rules: RuleTable | None = None) -> SodLedger:
     """Ledger of ``Sym^2`` of a decomposition with the given components:
     one ``Sym^2 A_i`` per component plus one ``A_i (x) A_j`` for each pair
@@ -364,7 +361,7 @@ def sym2_ledger(components: Sequence[Union[str, CategoryAtom]],
     return SodLedger(out)
 
 
-def hilb2_ledger(x_components: Sequence[Union[str, CategoryAtom]],
+def hilb2_ledger(x_components: Sequence[str | CategoryAtom],
                  n: int, rules: RuleTable | None = None) -> SodLedger:
     """Ledger for the Hilbert square of an ``n``-fold (``n >= 2``) whose
     derived category has the given components: the symmetric square plus
@@ -400,8 +397,8 @@ class Verdict(enum.Enum):
         return self.value
 
 
-def embedding_obstruction(candidate: Union[int, SodLedger],
-                          ambient: Union[int, HodgeDiamond],
+def embedding_obstruction(candidate: int | SodLedger,
+                          ambient: int | HodgeDiamond,
                           assignment: Mapping[str, int] | None = None) -> Verdict:
     """Can a category with the candidate's hh0 sit inside the ambient one?
 
@@ -469,13 +466,9 @@ def clifford_conjecture_ledger(n: int) -> SodLedger:
     return SodLedger({"DCl0": n + 1, "DS": (n - 1) * (n + 1) // 2})
 
 
-@dataclass(frozen=True)
-class ConsistencyResult:
-    n: int
-    holds: bool
-    in_stated_range: bool  # False for n < 5: counts were clamped
-    hilb2: SodLedger
-    fano_plus_ogr: SodLedger
+# in_stated_range is False for n < 5, where the counts were clamped
+ConsistencyResult = namedtuple(
+    "ConsistencyResult", "n holds in_stated_range hilb2 fano_plus_ogr")
 
 
 def conjecture_consistency(n: int) -> ConsistencyResult:

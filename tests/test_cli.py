@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -131,6 +134,20 @@ def test_fano_codim_single(capsys):
     assert all(c["pass"] for c in data["checks"])
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("dims", "--family", "cubic", "--n", "0", "--k", "0"),
+     "n must be positive"),
+    (("dims", "--family", "two-quadrics", "--n", "-2", "--k", "1"),
+     "n must be positive"),
+    (("codim", "--family", "cubic", "--n", "3", "--k", "5"),
+     "k = 5 exceeds n = 3"),
+])
+def test_fano_invalid_cell_exits_2(capsys, argv, message):
+    for extra in ((), ("--json",)):
+        code, out, err = run(capsys, "fano", *argv, *extra)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_fano_splittings(capsys):
     code, out, _ = run(capsys, "fano", "splittings", "--n", "2")
     assert code == 0
@@ -196,6 +213,15 @@ def test_sod_conjecture_consistency(capsys):
     assert "SKIP n=3" in out
     for n in range(5, 16, 2):
         assert f"PASS n={n}" in out
+
+
+def test_sod_conjecture_consistency_rejects_small_n_max(capsys):
+    for n_max in ("2", "-3"):
+        for extra in ((), ("--json",)):
+            code, out, err = run(capsys, "sod", "conjecture-consistency",
+                                 "--n-odd-max", n_max, *extra)
+            assert code == 2 and out == ""
+            assert err == f"error: --n-odd-max must be at least 3, got {n_max}\n"
 
 
 def test_sod_obstruction_quartic_double_solid(capsys):
@@ -318,6 +344,12 @@ GOLDEN = REPO / "tests" / "golden"
      ("motive", "check", str(CHECKS / "hilbert-square-classes.mot"))),
     ("sod-check-degree2-surface.txt",
      ("sod", "check", str(CHECKS / "degree2-surface.sod"))),
+    ("fano-dims-gr25-n5.json",
+     ("fano", "dims", "--family", "gr25", "--n", "5", "--json")),
+    ("fano-codim-cubic-n3-k0.json",
+     ("fano", "codim", "--family", "cubic", "--n", "3", "--k", "0", "--json")),
+    ("sod-conjecture-consistency-15.json",
+     ("sod", "conjecture-consistency", "--n-odd-max", "15", "--json")),
 ])
 def test_output_matches_committed_snapshot(capsys, snapshot, argv):
     """Stdout is byte-identical to the output committed under
@@ -325,3 +357,18 @@ def test_output_matches_committed_snapshot(capsys, snapshot, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out.encode() == (GOLDEN / snapshot).read_bytes()
+
+
+# -- start-up ------------------------------------------------------------------------
+
+
+def test_import_leaves_out_typing_and_random():
+    """Importing the CLI loads neither ``typing`` nor ``random``: the
+    annotations are strings, and only the round-trip check draws random
+    values, so a process pays for neither at start-up."""
+    code = ("import sys, flipcheck.cli; "
+            "print(sorted({'typing', 'random'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"

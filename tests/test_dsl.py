@@ -316,3 +316,22 @@ def test_parser_never_crashes_on_token_soup(text):
         parse(text)
     except ParseError:
         pass
+
+
+# -- value records -----------------------------------------------------------------
+
+
+def test_malformed_span_rejected():
+    with pytest.raises(ValueError, match="^malformed span$"):
+        SourceSpan(5, 3, 1, 1)
+    for args in ((0, 1, 0, 1), (0, 1, 1, 0)):
+        with pytest.raises(ValueError, match="^malformed span$"):
+            SourceSpan(*args)
+
+
+def test_spans_and_tokens_compare_and_hash_by_value():
+    a, b = tokenize("L + L")[0], tokenize("L")[0]
+    assert a == b and hash(a) == hash(b)
+    assert a.span == SourceSpan(0, 1, 1, 1)
+    assert repr(a.span) == "SourceSpan(start=0, end=1, line=1, column=1)"
+    assert tokenize("1")[0] != a

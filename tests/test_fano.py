@@ -86,14 +86,16 @@ def test_h0_quotient_dual_twist2():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^k must be nonnegative$"):
         FanoParams(Family.CUBIC, 3, -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n must be positive$"):
         FanoParams(Family.CUBIC, 0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^k = 3 exceeds n = 2$"):
         FanoParams(Family.CUBIC, 2, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"^Gr\(2,5\) sections have 2 <= dim X <= 6$"):
         FanoParams(Family.GR25_SECTION, 7, 0)
+    assert FanoParams(Family.CUBIC, 3).k == 0
     assert fano.parse_family("cubic") is Family.CUBIC
     with pytest.raises(ValueError):
         fano.parse_family("quartic")
@@ -368,3 +370,21 @@ def test_degree_classification():
     for d in (0, 10):
         with pytest.raises(ValueError):
             degree_classification(d)
+
+
+# -- value records -----------------------------------------------------------------
+
+
+def test_records_compare_and_hash_by_value():
+    assert repr(FlipShape(1, 0, "F")) == "FlipShape(r=1, s=0, base_label='F')"
+    a = flip_shape(Family.CUBIC, 3, 0)
+    assert a == flip_shape(Family.CUBIC, 3, 0)
+    assert hash(a) == hash(flip_shape(Family.CUBIC, 3, 0))
+    assert a != FlipShape(a.r, a.s, a.base_label + "'")
+    assert len({verify_codim_identity(Family.CUBIC, 5, 1),
+                verify_codim_identity(Family.CUBIC, 5, 1)}) == 1
+    assert gr25_dim_row(5) == gr25_dim_row(5)
+    assert gr25_dim_row(5)._asdict() == {"n": 5, "f1": 6, "f2_sigma": 4,
+                                         "f2_tau": 3, "f3": 0}
+    assert verify_taut_splitting(0, range(0)) == fano.TautReport(0)
+    assert sod_counts(Family.TWO_QUADRICS, 5, 0).expanded_form is None

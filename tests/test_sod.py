@@ -199,8 +199,12 @@ def test_sym2_ledger_reports_first_of_two_unresolved_pairs(components,
 def test_category_atom_consistency():
     c = varieties.curve(2)
     assert CategoryAtom("DC", diamond=c).invariant() == 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"^atom 'DC': attached hh0 3 disagrees with its "
+                             r"diamond \(2\)$"):
         CategoryAtom("DC", hh0=3, diamond=c)
+    with pytest.raises(ValueError, match="^hh0 must be nonnegative$"):
+        CategoryAtom("DC", hh0=-1)
 
 
 # -- hilbert-square ledgers -----------------------------------------------------------
@@ -366,9 +370,9 @@ def test_normalize_atom_rule_wins_over_sym2_rule():
 
 
 def test_rewrite_rule_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown rule kind 'nope'$"):
         RewriteRule("nope", ("DA",), SodLedger())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^tensor rule needs 2 argument\(s\)$"):
         RewriteRule("tensor", ("DA",), SodLedger())
 
 
@@ -378,3 +382,14 @@ def test_ledger_equal_and_json():
     assert a.to_json_dict() == {
         "atoms": [{"name": "DC", "mult": 1}, {"name": "Dpt", "mult": 2}]
     }
+
+
+def test_records_compare_and_hash_by_value():
+    rule = RewriteRule("sym2", ("DC",), SodLedger({"DC": 1, "DSym2C": 1}))
+    same = RewriteRule("sym2", ("DC",), SodLedger({"DSym2C": 1, "DC": 1}))
+    assert rule == same and hash(rule) == hash(same)
+    assert rule != RewriteRule("atom", ("DC",), rule.rhs)
+    assert CategoryAtom("DC") == CategoryAtom("DC", None, None)
+    assert len({CategoryAtom("DC", hh0=2), CategoryAtom("DC", hh0=2)}) == 1
+    assert CategoryAtom("DC", hh0=2) != CategoryAtom("DC")
+    assert conjecture_consistency(5) == conjecture_consistency(5)
