@@ -124,7 +124,8 @@ def cmd_fano(args) -> int:
                     print(f"  {fano.format_splitting(t)}")
             return 0
         # sodcounts
-        counts = fano.sod_counts(_family(args), args.n, args.k)
+        family = _family(args)
+        counts = fano.sod_counts(family, args.n, _plane_dim(args))
         if args.json:
             payload = {"flip_form": counts.flip_form.to_json_dict()}
             if counts.expanded_form is not None:
@@ -145,6 +146,12 @@ def _family(args) -> Family:
     return fano.parse_family(args.family)
 
 
+def _plane_dim(args) -> int:
+    if args.k is None:
+        raise ValueError("--k (the plane dimension) is required for this family")
+    return args.k
+
+
 def _fano_dims(args) -> int:
     family = _family(args)
     if family is Family.GR25_SECTION:
@@ -158,9 +165,8 @@ def _fano_dims(args) -> int:
                 shown = "empty" if value is None else value
                 print(f"{label:<17}= {shown}")
         return 0
-    if args.k is None:
-        raise ValueError("--k (the plane dimension) is required for this family")
-    fano.FanoParams(family, args.n, args.k)  # rejects n < 1, k < 0, k > n
+    # rejects n < 1, k < 0, k > n
+    fano.FanoParams(family, args.n, _plane_dim(args))
     dim = fano.expected_dim_fano(family, args.n, args.k)
     if args.json:
         print(json.dumps({"family": family.value, "n": args.n,

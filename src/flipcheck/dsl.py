@@ -126,45 +126,53 @@ _TOKEN_RE = re.compile(
   | (?P<LPAREN>\() | (?P<RPAREN>\))
   | (?P<LBRACE>\{) | (?P<RBRACE>\})
   | (?P<COLON>:) | (?P<COMMA>,)
+  | (?P<SKIP>(?:[ \t\r\n]+|\#[^\n]*)+)
+  | (?P<BAD>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
-_SKIP_RE = re.compile(r"(?:[ \t\r\n]+|\#[^\n]*)+")
+# token kind by group number; every group above is one alternative
+_KINDS = sorted(_TOKEN_RE.groupindex, key=_TOKEN_RE.groupindex.get)
+_KINDS.insert(0, "")
+_SKIP = _TOKEN_RE.groupindex["SKIP"]
 
 
 Token = namedtuple("Token", "kind text span")
 
 
 def tokenize(text: str) -> list[Token]:
+    # Every character starts a match (BAD catches the rest), so the matches
+    # tile the text and each one starts where the previous one ended.  That
+    # end is reused as the next start, one int object for both.  Spans and
+    # tokens are built by ``tuple.__new__``, skipping ``SourceSpan``'s check:
+    # start <= end and line, column >= 1 hold by construction.
     tokens: list[Token] = []
+    append = tokens.append
+    new = tuple.__new__
+    kinds = _KINDS
     pos = 0
-    n = len(text)
     # line of ``pos`` and the offset of the newline that opened it (-1 on
     # line 1), so column = pos - last_nl; only skipped runs hold newlines
     line, last_nl = 1, -1
-    while pos < n:
-        skip = _SKIP_RE.match(text, pos)
-        if skip:
-            end = skip.end()
+    for m in _TOKEN_RE.finditer(text):
+        end = m.end()
+        i = m.lastindex
+        if i < _SKIP:
+            append(new(Token, (kinds[i], m.group(),
+                               new(SourceSpan, (pos, end, line, pos - last_nl)))))
+        elif i == _SKIP:
             newlines = text.count("\n", pos, end)
             if newlines:
                 line += newlines
                 last_nl = text.rfind("\n", pos, end)
-            pos = end
-            if pos >= n:
-                break
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            span = SourceSpan(pos, pos + 1, line, pos - last_nl)
+        else:
+            span = SourceSpan(pos, end, line, pos - last_nl)
             raise ParseError(
                 f"unexpected character {text[pos]!r}", span,
                 expected=("token",), found=text[pos],
             )
-        end = m.end()
-        tokens.append(Token(str(m.lastgroup), m.group(),
-                            SourceSpan(pos, end, line, pos - last_nl)))
         pos = end
-    tokens.append(Token("EOF", "", SourceSpan(n, n, line, n - last_nl)))
+    append(Token("EOF", "", SourceSpan(pos, pos, line, pos - last_nl)))
     return tokens
 
 
@@ -173,18 +181,15 @@ def tokenize(text: str) -> list[Token]:
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
+        # four more EOF tokens make every lookahead of ``at_rule`` a plain
+        # index; the parser owns the list from here on
+        tokens.extend(tokens[-1:] * 4)
         self.tokens = tokens
         self.i = 0
         self.depth = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.i]
-        if tok.kind != "EOF":
-            self.i += 1
-        return tok
+    def peek(self) -> Token:
+        return self.tokens[self.i]
 
     def fail(self, expected: tuple[str, ...]) -> ParseError:
         tok = self.peek()
@@ -195,9 +200,11 @@ class _Parser:
         )
 
     def expect(self, kind: str, what: str) -> Token:
-        if self.peek().kind != kind:
+        tok = self.tokens[self.i]
+        if tok.kind != kind:
             raise self.fail((what,))
-        return self.advance()
+        self.i += 1
+        return tok
 
     def _enter(self):
         self.depth += 1
@@ -210,16 +217,17 @@ class _Parser:
     def at_rule(self) -> bool:
         # match the three lhs shapes exactly so that an expression statement
         # followed by a rule is never misread as one long rule
-        kinds = [self.peek(d).kind for d in range(5)]
-        if kinds[0] != "IDENT":
+        toks, i = self.tokens, self.i
+        if toks[i].kind != "IDENT":
             return False
-        if kinds[1] == "ARROW":
+        second = toks[i + 1].kind
+        if second == "ARROW":
             return True
-        if kinds[1] == "TENSOR" and kinds[2] == "IDENT" and kinds[3] == "ARROW":
-            return True
-        return (self.peek().text == "Sym2" and kinds[1] == "LPAREN"
-                and kinds[2] == "IDENT" and kinds[3] == "RPAREN"
-                and kinds[4] == "ARROW")
+        if second == "TENSOR":
+            return toks[i + 2].kind == "IDENT" and toks[i + 3].kind == "ARROW"
+        return (second == "LPAREN" and toks[i].text == "Sym2"
+                and toks[i + 2].kind == "IDENT" and toks[i + 3].kind == "RPAREN"
+                and toks[i + 4].kind == "ARROW")
 
     def statement(self) -> Node:
         if self.peek().kind == "LBRACE":
@@ -239,52 +247,47 @@ class _Parser:
     def expr(self) -> Node:
         self._enter()
         try:
-            start = self.peek().span
-            terms = [(1, self.term())]
-            while self.peek().kind in ("PLUS", "MINUS"):
-                sign = 1 if self.advance().kind == "PLUS" else -1
-                terms.append((sign, self.term()))
-            if len(terms) == 1:
-                return terms[0][1]
-            end = terms[-1][1].span
-            return Sum(_join(start, end), tuple(terms))
+            toks = self.tokens
+            start = toks[self.i].span
+            first = self.term()
+            kind = toks[self.i].kind
+            if kind != "PLUS" and kind != "MINUS":
+                return first
+            terms = [(1, first)]
+            while kind == "PLUS" or kind == "MINUS":
+                self.i += 1
+                terms.append((1 if kind == "PLUS" else -1, self.term()))
+                kind = toks[self.i].kind
+            return Sum(_join(start, terms[-1][1].span), tuple(terms))
         finally:
             self.depth -= 1
 
     def term(self) -> Node:
-        start = self.peek().span
-        factors = [self.factor()]
-        while self.peek().kind == "STAR":
-            self.advance()
+        toks = self.tokens
+        start = toks[self.i].span
+        first = self.factor()
+        if toks[self.i].kind != "STAR":
+            return first
+        factors = [first]
+        while toks[self.i].kind == "STAR":
+            self.i += 1
             factors.append(self.factor())
-        if len(factors) == 1:
-            return factors[0]
         return Product(_join(start, factors[-1].span), tuple(factors))
 
     def factor(self) -> Node:
-        tok = self.peek()
-        if tok.kind == "INT":
-            self.advance()
-            return IntLit(tok.span, int(tok.text))
-        if tok.kind == "LPAREN":
-            self._enter()
-            try:
-                self.advance()
-                inner = self.expr()
-                close = self.expect("RPAREN", "')'")
-                return _respan(inner, _join(tok.span, close.span))
-            finally:
-                self.depth -= 1
-        if tok.kind == "IDENT":
-            if tok.text == "L":
-                self.advance()
-                if self.peek().kind == "CARET":
-                    self.advance()
+        toks = self.tokens
+        tok = toks[self.i]
+        kind = tok.kind
+        if kind == "IDENT":
+            text = tok.text
+            self.i += 1
+            if text == "L":
+                if toks[self.i].kind == "CARET":
+                    self.i += 1
                     exp = self.expect("INT", "integer exponent")
                     return LPow(_join(tok.span, exp.span), int(exp.text))
                 return LPow(tok.span, 1)
-            if tok.text == "Sym2":
-                self.advance()
+            if text == "Sym2":
                 self.expect("LPAREN", "'(' after Sym2")
                 self._enter()
                 try:
@@ -293,12 +296,25 @@ class _Parser:
                     self.depth -= 1
                 close = self.expect("RPAREN", "')'")
                 return Sym2(_join(tok.span, close.span), inner)
-            self.advance()
-            if self.peek().kind == "TENSOR":
-                self.advance()
+            if toks[self.i].kind == "TENSOR":
+                self.i += 1
                 right = self.expect("IDENT", "atom after '(*)'")
-                return Tensor(_join(tok.span, right.span), tok.text, right.text)
-            return Atom(tok.span, tok.text)
+                return Tensor(_join(tok.span, right.span), text, right.text)
+            return Atom(tok.span, text)
+        if kind == "INT":
+            self.i += 1
+            return IntLit(tok.span, int(tok.text))
+        if kind == "LPAREN":
+            self._enter()
+            try:
+                self.i += 1
+                inner = self.expr()
+                close = self.expect("RPAREN", "')'")
+                # the node is new and not shared: widen its span in place
+                object.__setattr__(inner, "span", _join(tok.span, close.span))
+                return inner
+            finally:
+                self.depth -= 1
         raise self.fail(("integer", "'L'", "atom", "Sym2(...)", "'('"))
 
     # ledgers and rules ---------------------------------------------------
@@ -313,7 +329,7 @@ class _Parser:
                 count = self.expect("INT", "multiplicity")
                 entries.append((name.text, int(count.text)))
                 if self.peek().kind == "COMMA":
-                    self.advance()
+                    self.i += 1
                     continue
                 break
         close = self.expect("RBRACE", "'}' or ','")
@@ -328,27 +344,22 @@ class _Parser:
     def rule_lhs(self) -> Node:
         tok = self.expect("IDENT", "atom or Sym2(...)")
         if tok.text == "Sym2" and self.peek().kind == "LPAREN":
-            self.advance()
+            self.i += 1
             inner = self.expect("IDENT", "atom name")
             close = self.expect("RPAREN", "')'")
             return Sym2(_join(tok.span, close.span),
                         Atom(inner.span, inner.text))
         if self.peek().kind == "TENSOR":
-            self.advance()
+            self.i += 1
             right = self.expect("IDENT", "atom after '(*)'")
             return Tensor(_join(tok.span, right.span), tok.text, right.text)
         return Atom(tok.span, tok.text)
 
 
 def _join(a: SourceSpan, b: SourceSpan) -> SourceSpan:
-    return SourceSpan(a.start, max(a.end, b.end), a.line, a.column)
-
-
-def _respan(node: Node, span: SourceSpan) -> Node:
-    cls = type(node)
-    fields = {k: getattr(node, k) for k in node.__dataclass_fields__}
-    fields["span"] = span
-    return cls(**fields)
+    # both spans are already valid and ``b`` does not start before ``a``
+    return tuple.__new__(SourceSpan,
+                         (a.start, max(a.end, b.end), a.line, a.column))
 
 
 def parse(text: str) -> Ast:
@@ -416,10 +427,11 @@ def _eval_expr(node: Ast) -> MotiveExpr:
         for sign, term in node.terms:
             for key, c in _eval_expr(term).terms.items():
                 total[key] = total.get(key, 0) + sign * c
-        return MotiveExpr(total)
+        return MotiveExpr._trusted(total)
     if isinstance(node, Product):
-        out = MotiveExpr.const(1)
-        for factor in node.factors:
+        factors = iter(node.factors)
+        out = _eval_expr(next(factors))
+        for factor in factors:
             out = out * _eval_expr(factor)
         return out
     if isinstance(node, Tensor):

@@ -38,6 +38,10 @@ class FragmentError(ValueError):
 
 
 def _mul_monomials(m1: Monomial, m2: Monomial) -> Monomial:
+    if not m1:
+        return m2
+    if not m2:
+        return m1
     return tuple(sorted(m1 + m2))
 
 
@@ -54,17 +58,27 @@ class MotiveExpr:
                     clean[(lp, tuple(mono))] = c
         self.terms = clean
 
+    @classmethod
+    def _trusted(cls, terms: dict[TermKey, int]) -> "MotiveExpr":
+        """Wrap a dict whose keys are already ``(int, sorted tuple)``,
+        leaving out zero coefficients."""
+        if 0 in terms.values():
+            terms = {key: c for key, c in terms.items() if c}
+        x = object.__new__(cls)
+        x.terms = terms
+        return x
+
     # -- constructors --------------------------------------------------
 
     @classmethod
     def const(cls, c: int) -> "MotiveExpr":
-        return cls({(0, ()): c})
+        return cls._trusted({(0, ()): c})
 
     @classmethod
     def lefschetz(cls, power: int = 1) -> "MotiveExpr":
         if power < 0:
             raise ValueError("negative powers of L are not in the ring")
-        return cls({(power, ()): 1})
+        return cls._trusted({(power, ()): 1})
 
     @classmethod
     def atom(cls, name: str) -> "MotiveExpr":
@@ -72,7 +86,7 @@ class MotiveExpr:
             raise ValueError(f"{name!r} is reserved")
         if name == "pt":
             return cls.const(1)  # the unit atom
-        return cls({(0, (name,)): 1})
+        return cls._trusted({(0, (name,)): 1})
 
     # -- ring structure --------------------------------------------------
 
@@ -81,12 +95,12 @@ class MotiveExpr:
         terms = dict(self.terms)
         for key, c in other.terms.items():
             terms[key] = terms.get(key, 0) + c
-        return MotiveExpr(terms)
+        return MotiveExpr._trusted(terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MotiveExpr":
-        return MotiveExpr({key: -c for key, c in self.terms.items()})
+        return MotiveExpr._trusted({key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other) -> "MotiveExpr":
         return self + (-_coerce(other))
@@ -101,7 +115,7 @@ class MotiveExpr:
             for (l2, m2), c2 in other.terms.items():
                 key = (l1 + l2, _mul_monomials(m1, m2))
                 terms[key] = terms.get(key, 0) + c1 * c2
-        return MotiveExpr(terms)
+        return MotiveExpr._trusted(terms)
 
     __rmul__ = __mul__
 
@@ -239,7 +253,7 @@ def sym2_class(x: MotiveExpr) -> MotiveExpr:
         for (lp2, mono2, m2) in items[i + 1:]:
             cross_key = (lp + lp2, _mul_monomials(mono, mono2))
             result[cross_key] = result.get(cross_key, 0) + m * m2
-    return MotiveExpr(result)
+    return MotiveExpr._trusted(result)
 
 
 def hilbert_square_class(x: MotiveExpr, n: int) -> MotiveExpr:

@@ -98,6 +98,13 @@ class SodLedger:
                     clean[name] = clean.get(name, 0) + m
         self.multiplicities = clean
 
+    @classmethod
+    def _trusted(cls, multiplicities: dict[str, int]) -> "SodLedger":
+        """Wrap a dict already known to hold only positive multiplicities."""
+        led = object.__new__(cls)
+        led.multiplicities = multiplicities
+        return led
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, SodLedger):
             return NotImplemented
@@ -175,7 +182,7 @@ def substitute(ledger: SodLedger, atom: str | CategoryAtom,
         raise KeyError(f"atom {name!r} not present in ledger")
     for k, v in replacement.multiplicities.items():
         out[k] = out.get(k, 0) + m * v
-    return SodLedger(out)
+    return SodLedger._trusted(out)  # m > 0 and every v > 0
 
 
 # -- rewrite rules ------------------------------------------------------------
@@ -285,21 +292,31 @@ class RuleTable:
         Atom rules, and sym2 rules addressing their mangled ``Sym2_*``
         ledger atom, both rewrite; an atom rule wins over a sym2 rule for
         the same name."""
+        from heapq import heapify, heappop, heappush  # only scripts rewrite
+
         rhs_for = {sym2_atom_name(base): rhs
                    for base, rhs in self.sym2_rules.items()}
         rhs_for.update(self.atom_rules)
         current = led
+        # the names of ``current`` that have a rule, each once
+        pending = [name for name in current.multiplicities if name in rhs_for]
+        heapify(pending)
         steps = 0
-        while True:
-            target = min((name for name in current.multiplicities
-                          if name in rhs_for), default=None)
-            if target is None:
-                return current
+        while pending:
             if steps >= max_steps:
                 raise RewriteLoopError(
                     f"rewriting did not terminate in {max_steps} steps")
-            current = substitute(current, target, rhs_for[target])
+            target = heappop(pending)
+            rhs = rhs_for[target]
+            present = current.multiplicities
+            for name in rhs.multiplicities:
+                # the target leaves the ledger, so it counts as new when
+                # its own right-hand side brings it back
+                if name in rhs_for and (name == target or name not in present):
+                    heappush(pending, name)
+            current = substitute(current, target, rhs)
             steps += 1
+        return current
 
 
 def default_rules() -> RuleTable:

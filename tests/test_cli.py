@@ -162,6 +162,15 @@ def test_fano_sodcounts(capsys):
     assert "{D_F0:5, D_F1:1}" in out
 
 
+@pytest.mark.parametrize("family", ["cubic", "two-quadrics", "gr25"])
+def test_fano_sodcounts_without_k_exits_2(capsys, family):
+    for extra in ((), ("--json",)):
+        code, out, err = run(capsys, "fano", "sodcounts", "--family", family,
+                             "--n", "7", *extra)
+        assert (code, out, err) == (
+            2, "", "error: --k (the plane dimension) is required for this family\n")
+
+
 # -- sod --------------------------------------------------------------------------
 
 

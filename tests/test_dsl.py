@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flipcheck.cli import random_value
-from flipcheck.dsl import (EvalError, IntLit, LedgerLiteral, LPow,
+from flipcheck.dsl import (EvalError, IntLit, LedgerLiteral, LPow, Node,
                            ParseError, Product, RuleDef, SourceSpan, Sum,
                            Sym2, Tensor, evaluate, parse, parse_ledger,
                            parse_motive, parse_rule, parse_script,
@@ -84,7 +84,32 @@ def test_long_sum_equals_left_fold(terms):
     node = parse(text)
     got = evaluate(node)
     assert got == _left_fold(node)
-    assert 0 not in got.terms.values()
+    _assert_canonical(got)
+
+
+def _assert_canonical(x):
+    """No zero coefficient and only sorted monomial tuples."""
+    assert list(x.terms.items()) == \
+        list(MotiveExpr(dict(x.terms)).terms.items())
+    assert all(list(mono) == sorted(mono) for _, mono in x.terms)
+
+
+factor_texts = st.sampled_from(["1", "0", "3", "L", "L^2", "X", "Y", "pt",
+                                "(X - X)", "(1 + L)", "(Y + X*L)",
+                                "Sym2(1 + X)", "(2*Y - L)"])
+
+
+@given(st.lists(factor_texts, min_size=2, max_size=8))
+@settings(max_examples=200)
+def test_product_equals_fold_from_one(factors):
+    node = parse(" * ".join(factors))
+    assert isinstance(node, Product)
+    want = ONE
+    for factor in node.factors:
+        want = want * evaluate(factor)
+    got = evaluate(node)
+    assert got == want
+    _assert_canonical(got)
 
 
 def test_long_sum_cancellations_leave_no_zero_terms():
@@ -211,6 +236,17 @@ def test_unexpected_character_span_matches_recount(prefix, bad):
     assert info.value.span == SourceSpan(pos, pos + 1, line, column)
 
 
+def test_token_spans_on_long_lines_and_files():
+    text = ("Sym2(X1 + L^2*Y) - 12*(1 + L) # c\r\n\n" * 40
+            + " + ".join(f"{i}*A{i}" for i in range(400)))
+    tokens = tokenize(text)
+    assert len(tokens) == 40 * 18 + 400 * 4
+    for tok in tokens:
+        assert text[tok.span.start:tok.span.end] == tok.text
+        assert (tok.span.line, tok.span.column) == \
+            _line_col(text, tok.span.start)
+
+
 def test_unexpected_character_after_many_lines():
     text = "1 + L  # one\n\n" * 500 + "  X ? 1"
     with pytest.raises(ParseError) as info:
@@ -219,6 +255,78 @@ def test_unexpected_character_after_many_lines():
     assert (span.line, span.column) == (1001, 5)
     assert (span.line, span.column) == _line_col(text, span.start)
     assert str(info.value).startswith("line 1001, column 5:")
+
+
+def _expressions():
+    leaves = st.sampled_from(["1", "42", "L", "L^2", "L ^ 10", "X", "Dpt",
+                              "Sym2_X", "A (*) B"])
+    pieces = st.sampled_from([" + ", "-", " -\n  ", "*", " * ", "\r\n+ "])
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, pieces, inner).map("".join),
+            inner.map(lambda s: f"({s})"),
+            inner.map(lambda s: f"( {s}\n)"),
+            inner.map(lambda s: f"Sym2({s})"),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
+_statements = st.one_of(
+    _expressions(),
+    st.sampled_from(["{}", "{DC:1, Dpt:22}", "{ X : 3 }", "DC => {Dpt:1}",
+                     "Sym2(DC) => {DSym2C:1, DC:1}", "DC (*) Dpt => {DC:1}"]),
+)
+_separators = st.sampled_from(["\n", "\r\n", "  # note (\n", "\n\n\t", "\n#x\n"])
+script_texts = st.lists(st.tuples(_statements, _separators), min_size=1,
+                        max_size=6).map(
+    lambda parts: "".join(s + sep for s, sep in parts))
+
+
+def _nodes(node):
+    yield node
+    for name in node.__dataclass_fields__:
+        value = getattr(node, name)
+        items = value if isinstance(value, tuple) else (value,)
+        for item in items:
+            if isinstance(item, tuple):  # a (sign, term) pair of a Sum
+                item = item[1]
+            if isinstance(item, Node):
+                yield from _nodes(item)
+
+
+@given(script_texts)
+@settings(max_examples=300)
+def test_ast_spans_match_recount_and_cover_parentheses(text):
+    nodes = [n for statement in parse_script(text) for n in _nodes(statement)]
+    spans = set()
+    for node in nodes:
+        start, end, line, column = node.span
+        assert type(node.span) is SourceSpan
+        assert 0 <= start <= end <= len(text)
+        assert (line, column) == _line_col(text, start)
+        spans.add((start, end))
+    # each parenthesised factor is a node from its '(' to the matching ')',
+    # and Sym2's node runs from the name to its ')'; parentheses directly
+    # around a node widen it, so directly nested pairs give one node
+    tokens = tokenize(text)
+    match, open_at = {}, []
+    for j, tok in enumerate(tokens):
+        if tok.kind == "LPAREN":
+            open_at.append(j)
+        elif tok.kind == "RPAREN":
+            match[open_at.pop()] = j
+
+    def after_sym2(j):
+        return j > 0 and tokens[j - 1].text == "Sym2"
+
+    for a, b in match.items():
+        if after_sym2(a):
+            a -= 1
+        while match.get(a - 1) == b + 1 and not after_sym2(a - 1):
+            a, b = a - 1, b + 1
+        assert (tokens[a].span.start, tokens[b].span.end) in spans
 
 
 # -- scripts ---------------------------------------------------------------------

@@ -148,6 +148,23 @@ def test_sym2_class_fragment_errors():
         sym2_class(atom("C") * atom("C"))
 
 
+def _assert_canonical(x):
+    """No zero coefficient and only sorted monomial tuples: the public
+    constructor would store the same terms, key for key."""
+    assert list(x.terms.items()) == \
+        list(MotiveExpr(dict(x.terms)).terms.items())
+    for lp, mono in x.terms:
+        assert type(lp) is int and type(mono) is tuple
+        assert list(mono) == sorted(mono)
+
+
+@given(motives(), motives())
+def test_ring_results_are_canonical(a, b):
+    for x in (a + b, a - b, -a, a * b, b * a, a * a, a * ONE, 1 * a,
+              a + 0, 0 - a, a - a):
+        _assert_canonical(x)
+
+
 def _fragment_term(lp, name):
     return MotiveExpr.lefschetz(lp) * (atom(name) if name else ONE)
 
@@ -175,7 +192,7 @@ def test_sym2_class_matches_pairwise_fold(coeffs):
         x = x + m * _fragment_term(lp, name)
     got = sym2_class(x)
     assert got == _sym2_fold(items)
-    assert 0 not in got.terms.values()
+    _assert_canonical(got)
 
 
 # -- hilbert square classes -------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flipcheck import hodge, varieties
+from flipcheck import hodge, sod, varieties
 from flipcheck.sod import (CategoryAtom, NegativeMultiplicityError,
                            RewriteLoopError, RewriteRule, RuleTable,
                            SodLedger, UnassignedAtomError,
@@ -367,6 +367,98 @@ def test_normalize_atom_rule_wins_over_sym2_rule():
     table.add(RewriteRule("atom", ("Sym2_DX",), SodLedger({"Dpt": 5})))
     got = table.normalize(SodLedger({"Sym2_DX": 2, "DC": 1}))
     assert got == SodLedger({"Dpt": 10, "DC": 1})
+
+
+def _normalize_by_min_scan(table, led, max_steps=10_000):
+    """Reference: every step scans the whole ledger for the smallest name
+    that has a rule (atom rules win over sym2 rules for the same name)."""
+    rhs_for = {f"Sym2_{base}": rhs for base, rhs in table.sym2_rules.items()}
+    rhs_for.update(table.atom_rules)
+    current = led
+    steps = 0
+    while True:
+        target = min((name for name in current.multiplicities
+                      if name in rhs_for), default=None)
+        if target is None:
+            return current
+        if steps >= max_steps:
+            raise RewriteLoopError(
+                f"rewriting did not terminate in {max_steps} steps")
+        current = sod.substitute(current, target, rhs_for[target])
+        steps += 1
+
+
+def _counted_outcome(fn, *args):
+    """(multiplicities in insertion order or the loop message, number of
+    ``sod.substitute`` calls)."""
+    calls = []
+    original = sod.substitute
+
+    def counting(*a):
+        calls.append(a[1])
+        return original(*a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sod, "substitute", counting)
+        try:
+            result = list(fn(*args).multiplicities.items())
+        except RewriteLoopError as exc:
+            result = str(exc)
+    return result, calls
+
+
+_REWRITE_NAMES = ["DA", "DB", "DC", "Dpt", "Sym2_DA", "Sym2_DB"]
+
+
+@st.composite
+def rewrite_tables(draw):
+    """Atom and sym2 rules over a few names; self-rewrites, 2-cycles and
+    atom rules for mangled ``Sym2_*`` names all occur."""
+    table = RuleTable()
+    rhs = st.dictionaries(st.sampled_from(_REWRITE_NAMES), st.integers(1, 3),
+                          max_size=3).map(SodLedger)
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            lhs = draw(st.sampled_from(_REWRITE_NAMES))
+            table.add(RewriteRule("atom", (lhs,), draw(rhs)))
+        else:
+            base = draw(st.sampled_from(["DA", "DB", "DC"]))
+            table.add(RewriteRule("sym2", (base,), draw(rhs)))
+    return table
+
+
+@given(rewrite_tables(),
+       st.dictionaries(st.sampled_from(_REWRITE_NAMES), st.integers(1, 5),
+                       max_size=5).map(SodLedger),
+       st.integers(0, 25))
+def test_normalize_matches_min_scan(table, led, max_steps):
+    assert _counted_outcome(table.normalize, led, max_steps) == \
+        _counted_outcome(_normalize_by_min_scan, table, led, max_steps)
+
+
+@pytest.mark.parametrize("rules", [
+    [("DA", {"DA": 1})],
+    [("DA", {"DA": 1, "Dpt": 2})],
+    [("DA", {"DB": 1}), ("DB", {"DA": 1})],
+    [("DA", {"DB": 2, "Dpt": 1}), ("DB", {"DA": 1, "DC": 1})],
+])
+def test_normalize_self_rewrite_and_two_cycle_loop(rules):
+    table = RuleTable(RewriteRule("atom", (lhs,), SodLedger(rhs))
+                      for lhs, rhs in rules)
+    led = SodLedger({"DA": 1, "DC": 1})
+    for max_steps in (0, 1, 7):
+        got = _counted_outcome(table.normalize, led, max_steps)
+        assert got[0] == f"rewriting did not terminate in {max_steps} steps"
+        assert got == _counted_outcome(_normalize_by_min_scan, table, led,
+                                       max_steps)
+
+
+@given(ledgers, ledgers)
+def test_substitute_results_are_canonical(led, replacement):
+    for name in list(led.multiplicities):
+        got = substitute(led, name, replacement)
+        assert got.multiplicities == SodLedger(got.multiplicities).multiplicities
+        assert all(m > 0 for m in got.multiplicities.values())
 
 
 def test_rewrite_rule_validation():
