@@ -102,6 +102,8 @@ def _codim_grid(family: Family) -> tuple[int, int, list]:
 
 
 def _symbolic_failures(family: Family) -> list:
+    if family is Family.GR25_SECTION:  # table-driven, no polynomial in n
+        return []
     return [k for k in range(GRID_K_MAX + 1)
             if not fano.verify_codim_identity_symbolic(family, k)]
 
@@ -186,8 +188,7 @@ def _fano_codim(args) -> int:
         payload = []
         for family in families:
             passed, total, failures = _codim_grid(family)
-            symbolic = ([] if family is Family.GR25_SECTION
-                        else _symbolic_failures(family))
+            symbolic = _symbolic_failures(family)
             ok = not failures and not symbolic
             all_ok = all_ok and ok
             payload.append({"family": family.value, "passed": passed,
@@ -228,13 +229,21 @@ def cmd_sod(args) -> int:
     return _sod_obstruction(args)
 
 
-def _sod_check(args) -> int:
+def _read_script(path: str) -> list | None:
+    """The statements of the script at ``path``; None, after an ``error:``
+    line, when the file cannot be read, decoded or parsed."""
     try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        statements = dsl.parse_script(text)
-    except (OSError, dsl.ParseError) as exc:
-        return _err(str(exc))
+        with open(path, "r", encoding="utf-8") as fh:
+            return dsl.parse_script(fh.read())
+    except (OSError, ValueError) as exc:  # ParseError, UnicodeDecodeError
+        _err(str(exc))
+        return None
+
+
+def _sod_check(args) -> int:
+    statements = _read_script(args.file)
+    if statements is None:
+        return 2
     table = sod.default_rules()
     ledgers: list[SodLedger] = []
     for node in statements:
@@ -292,52 +301,57 @@ def _sod_consistency(args) -> int:
     return 1 if failed else 0
 
 
-# builtin obstruction scenarios: candidate hh0 source, ambient diamond name,
+# the paper's embedding-obstruction verdicts, keyed by the builtin whose
+# Hilbert square is the ambient: golden check name, candidate hh0 source,
 # the verdict the numbers are known to give
 _OBSTRUCTION_SCENARIOS = {
-    "quartic-double-solid": {
-        "candidate": lambda: hodge.hh0(varieties.builtin("f1-quartic-double-solid")),
-        "ambient": "quartic-double-solid",
-        "expected": sod.Verdict.OBSTRUCTED,
-    },
+    "quartic-double-solid": (
+        "sod/obstruction-quartic-double-solid",
+        lambda: hodge.hh0(varieties.builtin("f1-quartic-double-solid")),
+        sod.Verdict.OBSTRUCTED),
     # 56 lines on a degree-2 del Pezzo surface vs the 65 exceptional
     # objects of the Hilbert square
-    "degree2-del-pezzo-surface": {
-        "candidate": lambda: 56,
-        "ambient": "degree2-del-pezzo-surface",
-        "expected": sod.Verdict.INCONCLUSIVE,
-    },
+    "degree2-del-pezzo-surface": (
+        "sod/degree2-surface-obstruction", lambda: 56,
+        sod.Verdict.INCONCLUSIVE),
 }
 
 
+def _check_obstruction(ambient_name: str) -> CheckReport:
+    name, candidate_source, expected = _OBSTRUCTION_SCENARIOS[ambient_name]
+    candidate = candidate_source()
+    ambient = hodge.hh0(hodge.hilbert_square(varieties.builtin(ambient_name)))
+    verdict = sod.embedding_obstruction(candidate, ambient)
+    return make_report(name, {"candidate_hh0": candidate,
+                              "ambient_hh0": ambient},
+                       str(expected), str(verdict), "paper")
+
+
 def _sod_obstruction(args) -> int:
-    scenario = _OBSTRUCTION_SCENARIOS.get(args.builtin)
-    if scenario is None:
+    if args.builtin not in _OBSTRUCTION_SCENARIOS:
         return _err(f"unknown obstruction scenario {args.builtin!r}; known: "
                     + ", ".join(sorted(_OBSTRUCTION_SCENARIOS)))
-    candidate = scenario["candidate"]()
-    ambient = hodge.hh0(hodge.hilbert_square(
-        varieties.builtin(scenario["ambient"])))
-    verdict = sod.embedding_obstruction(candidate, ambient)
-    relation = ">" if verdict is sod.Verdict.OBSTRUCTED else "<="
+    report = _check_obstruction(args.builtin)
     if args.json:
-        print(json.dumps({"candidate_hh0": candidate, "ambient_hh0": ambient,
-                          "verdict": str(verdict)}, sort_keys=True))
+        print(json.dumps({**report.inputs, "verdict": report.computed},
+                         sort_keys=True))
     else:
-        print(f"{verdict} ({candidate} {relation} {ambient})")
-    return 0 if verdict is scenario["expected"] else 1
+        relation = ">" if report.computed == "OBSTRUCTED" else "<="
+        print(f"{report.computed} ({report.inputs['candidate_hh0']} "
+              f"{relation} {report.inputs['ambient_hh0']})")
+    return 0 if report.passed else 1
 
 
 # -- motive subcommand -----------------------------------------------------------
 
 
 def cmd_motive(args) -> int:
+    statements = _read_script(args.file)
+    if statements is None:
+        return 2
     try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        statements = dsl.parse_script(text)
         values = [dsl.evaluate(node) for node in statements]
-    except (OSError, dsl.ParseError, dsl.EvalError, ValueError) as exc:
+    except ValueError as exc:  # EvalError and the value layers' errors
         return _err(str(exc))
     if not all(isinstance(v, MotiveExpr) for v in values):
         return _err("motive scripts may only contain expressions")
@@ -401,29 +415,11 @@ def _check_euler_identity() -> CheckReport:
                        {"builtins": names}, lhs, rhs, "derived")
 
 
-def _check_obstruction_qds() -> CheckReport:
-    candidate = hodge.hh0(varieties.builtin("f1-quartic-double-solid"))
-    ambient = hodge.hh0(hodge.hilbert_square(
-        varieties.builtin("quartic-double-solid")))
-    verdict = sod.embedding_obstruction(candidate, ambient)
-    return make_report("sod/obstruction-quartic-double-solid",
-                       {"candidate_hh0": candidate, "ambient_hh0": ambient},
-                       "OBSTRUCTED", str(verdict), "paper")
-
-
 def _check_degree2_count() -> CheckReport:
     total = sod.sym2_ledger(["Dpt"] * 10).total()
     return make_report("sod/degree2-surface-sym2-count",
                        {"components": "10 exceptional objects"},
                        65, total, "paper")
-
-
-def _check_degree2_obstruction() -> CheckReport:
-    ambient = sod.sym2_ledger(["Dpt"] * 10).total()
-    verdict = sod.embedding_obstruction(56, ambient)
-    return make_report("sod/degree2-surface-obstruction",
-                       {"candidate_hh0": 56, "ambient_hh0": ambient},
-                       "INCONCLUSIVE", str(verdict), "paper")
 
 
 def _check_hilb2_ledger_n5() -> CheckReport:
@@ -471,8 +467,7 @@ def _check_cross_module_hh0() -> CheckReport:
 
 def _check_codim_grid(family: Family) -> CheckReport:
     _, total, failures = _codim_grid(family)
-    symbolic = ([] if family is Family.GR25_SECTION
-                else _symbolic_failures(family))
+    symbolic = _symbolic_failures(family)
     provenance = "paper" if family is Family.GR25_SECTION else "derived"
     return make_report(f"fano/codim-grid-{family.value}",
                        {"cells": total}, [[], []], [failures, symbolic],
@@ -638,9 +633,9 @@ ALL_CHECKS = [
     _check_f1_hh0,
     _check_degree2_hilb2_hh0,
     _check_euler_identity,
-    _check_obstruction_qds,
+    lambda: _check_obstruction("quartic-double-solid"),
     _check_degree2_count,
-    _check_degree2_obstruction,
+    lambda: _check_obstruction("degree2-del-pezzo-surface"),
     _check_hilb2_ledger_n5,
     _check_consistency,
     _check_clifford_reduction,

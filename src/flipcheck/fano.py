@@ -115,15 +115,13 @@ def gr25_dim_row(n: int) -> Gr25DimRow:
                       _GR25_F3[n])
 
 
-def expected_dim_fano(family: Family, n: int, k_planes: int,
-                      component: str | None = None):
+def expected_dim_fano(family: Family, n: int, k_planes: int):
     """Expected dimension of the Fano scheme of ``k_planes``-planes.
 
     Cubics and intersections of two quadrics are closed formulas and may be
     negative (empty is a separate classification, never silently clamped).
     Gr(2,5) sections are table-driven: ``None`` marks an empty scheme, and
-    for 2-planes the sigma and tau components are reported separately
-    (``component=None`` returns the pair).
+    for 2-planes the pair (sigma, tau) of component dimensions is returned.
     """
     if k_planes < 0:
         raise ValueError("k_planes must be nonnegative")
@@ -139,13 +137,7 @@ def expected_dim_fano(family: Family, n: int, k_planes: int,
     if k_planes == 1:
         return row.f1
     if k_planes == 2:
-        if component == "sigma":
-            return row.f2_sigma
-        if component == "tau":
-            return row.f2_tau
-        if component is None:
-            return (row.f2_sigma, row.f2_tau)
-        raise ValueError(f"unknown component {component!r}")
+        return (row.f2_sigma, row.f2_tau)
     if k_planes == 3:
         return row.f3
     return None  # no planes of dimension >= 4 on a Gr(2,5) section
@@ -237,24 +229,6 @@ def flip_shapes(family: Family, n: int, k: int) -> list[FlipShape]:
             FlipShape(r, -1 if degenerate else 1, "F_2^tau(X)"),
         ]
     return [FlipShape(r, -1, f"F_{k + 1}(X)")]
-
-
-def flip_shape(family: Family, n: int, k: int,
-               component: str | None = None) -> FlipShape:
-    """Single-component version of :func:`flip_shapes`; pass ``component``
-    ("sigma" or "tau") when the center has two components."""
-    shapes = flip_shapes(family, n, k)
-    if len(shapes) == 1:
-        return shapes[0]
-    if component is None:
-        raise ValueError(
-            "the replacement center has several components; pass "
-            "component='sigma' or component='tau'"
-        )
-    for shape in shapes:
-        if component in shape.base_label:
-            return shape
-    raise ValueError(f"unknown component {component!r}")
 
 
 # -- codimension identities ----------------------------------------------------

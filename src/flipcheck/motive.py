@@ -142,9 +142,6 @@ class MotiveExpr:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def atoms(self) -> set[str]:
-        return {name for (_, mono) in self.terms for name in mono}
-
     def coefficient(self, l_power: int, monomial: Iterable[str] = ()) -> int:
         return self.terms.get((l_power, tuple(sorted(monomial))), 0)
 
@@ -184,7 +181,6 @@ def _coerce(value) -> MotiveExpr:
     raise TypeError(f"cannot coerce {type(value).__name__} to MotiveExpr")
 
 
-ZERO = MotiveExpr()
 ONE = MotiveExpr.const(1)
 L = MotiveExpr.lefschetz()
 

@@ -30,8 +30,6 @@ from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 from math import comb
 
-from . import hodge as hodge_mod
-from .hodge import HodgeDiamond
 from .motive import sym2_atom_name
 
 
@@ -49,36 +47,6 @@ class UnassignedAtomError(ValueError):
 
 class RewriteLoopError(RuntimeError):
     """Rewriting exceeded the step budget; the rule system does not terminate."""
-
-
-class CategoryAtom(namedtuple("CategoryAtom", "name hh0 diamond")):
-    """A named component with an optional attached hh0 invariant, given
-    either directly or through a Hodge diamond (they must agree)."""
-
-    __slots__ = ()
-
-    def __new__(cls, name: str, hh0: int | None = None,
-                diamond: HodgeDiamond | None = None):
-        if hh0 is not None and hh0 < 0:
-            raise ValueError("hh0 must be nonnegative")
-        if hh0 is not None and diamond is not None:
-            if hodge_mod.hh0(diamond) != hh0:
-                raise ValueError(
-                    f"atom {name!r}: attached hh0 {hh0} disagrees "
-                    f"with its diamond ({hodge_mod.hh0(diamond)})"
-                )
-        return tuple.__new__(cls, (name, hh0, diamond))
-
-    def invariant(self) -> int | None:
-        if self.hh0 is not None:
-            return self.hh0
-        if self.diamond is not None:
-            return hodge_mod.hh0(self.diamond)
-        return None
-
-
-def _atom_name(a: str | CategoryAtom) -> str:
-    return a.name if isinstance(a, CategoryAtom) else a
 
 
 class SodLedger:
@@ -135,9 +103,6 @@ class SodLedger:
     def total(self) -> int:
         return sum(self.multiplicities.values())
 
-    def atoms(self) -> list[str]:
-        return sorted(self.multiplicities)
-
     def is_empty(self) -> bool:
         return not self.multiplicities
 
@@ -155,10 +120,6 @@ class SodLedger:
         }
 
 
-def ledger_equal(a: SodLedger, b: SodLedger) -> bool:
-    return a == b
-
-
 def ledger_subtract(a: SodLedger, b: SodLedger) -> SodLedger:
     """Multiset difference; raises if ``b`` is not contained in ``a``."""
     out = dict(a.multiplicities)
@@ -172,10 +133,9 @@ def ledger_subtract(a: SodLedger, b: SodLedger) -> SodLedger:
     return SodLedger(out)
 
 
-def substitute(ledger: SodLedger, atom: str | CategoryAtom,
+def substitute(ledger: SodLedger, name: str,
                replacement: SodLedger) -> SodLedger:
-    """Replace every copy of ``atom`` by the replacement multiset."""
-    name = _atom_name(atom)
+    """Replace every copy of the atom ``name`` by the replacement multiset."""
     out = dict(ledger.multiplicities)
     m = out.pop(name, 0)
     if m == 0:
@@ -202,14 +162,6 @@ class RewriteRule(namedtuple("RewriteRule", "kind args rhs")):
             raise ValueError(f"{kind} rule needs {want} argument(s)")
         return tuple.__new__(cls, (kind, args, rhs))
 
-    def lhs_name(self) -> str:
-        """The ledger-atom name this rule rewrites (tensor pairs have none)."""
-        if self.kind == "atom":
-            return self.args[0]
-        if self.kind == "sym2":
-            return sym2_atom_name(self.args[0])
-        raise ValueError("tensor rules do not rewrite a single atom")
-
 
 def tensor_atom_name(a: str, b: str) -> str:
     a, b = sorted((a, b))
@@ -219,53 +171,31 @@ def tensor_atom_name(a: str, b: str) -> str:
 class RuleTable:
     """Rule set for resolving Sym^2 atoms, tensor pairs and substitutions.
 
-    If ``order`` (a well-order on atom names, smallest first) is supplied,
-    every added rule must produce strictly smaller atoms than the name it
-    rewrites, which makes exhaustive rewriting terminate by construction.
-    A step budget guards normalization regardless.
+    A step budget guards normalization against rule systems that do not
+    terminate.
     """
 
     def __init__(self, rules: Iterable[RewriteRule] = (),
-                 declared: Iterable[str] = (),
-                 order: Sequence[str] | None = None):
+                 declared: Iterable[str] = ()):
         self.atom_rules: dict[str, SodLedger] = {}
         self.sym2_rules: dict[str, SodLedger] = {}
         self.tensor_rules: dict[tuple[str, str], SodLedger] = {}
         self.declared: set[str] = set(declared)
-        self._rank = {name: i for i, name in enumerate(order)} if order else None
         for rule in rules:
             self.add(rule)
 
-    def _check_descending(self, lhs_name: str, rhs: SodLedger) -> None:
-        if self._rank is None:
-            return
-        if lhs_name not in self._rank:
-            raise ValueError(f"{lhs_name!r} is not in the declared well-order")
-        bound = self._rank[lhs_name]
-        for name in rhs.multiplicities:
-            if self._rank.get(name, len(self._rank)) >= bound:
-                raise ValueError(
-                    f"rule for {lhs_name!r} produces {name!r}, which is not "
-                    "smaller in the declared well-order"
-                )
-
     def add(self, rule: RewriteRule) -> None:
         if rule.kind == "atom":
-            self._check_descending(rule.args[0], rule.rhs)
             self.atom_rules[rule.args[0]] = rule.rhs
         elif rule.kind == "sym2":
-            self._check_descending(sym2_atom_name(rule.args[0]), rule.rhs)
             self.sym2_rules[rule.args[0]] = rule.rhs
         else:
-            key = tuple(sorted(rule.args))
-            self._check_descending(tensor_atom_name(*rule.args), rule.rhs)
-            self.tensor_rules[key] = rule.rhs
+            self.tensor_rules[tuple(sorted(rule.args))] = rule.rhs
 
     def declare(self, *names: str) -> None:
         self.declared.update(names)
 
-    def resolve_sym2(self, a: str | CategoryAtom) -> SodLedger:
-        name = _atom_name(a)
+    def resolve_sym2(self, name: str) -> SodLedger:
         if name in self.sym2_rules:
             return self.sym2_rules[name]
         fallback = sym2_atom_name(name)
@@ -273,9 +203,8 @@ class RuleTable:
             return SodLedger({fallback: 1})
         raise UnresolvedPairError(f"no rule or declared atom for Sym2({name})")
 
-    def resolve_tensor(self, a: str | CategoryAtom,
-                       b: str | CategoryAtom) -> SodLedger:
-        key = tuple(sorted((_atom_name(a), _atom_name(b))))
+    def resolve_tensor(self, a: str, b: str) -> SodLedger:
+        key = tuple(sorted((a, b)))
         if key in self.tensor_rules:
             return self.tensor_rules[key]
         fallback = tensor_atom_name(*key)
@@ -334,7 +263,7 @@ def default_rules() -> RuleTable:
 # -- symmetric squares and Hilbert squares of component lists -----------------
 
 
-def sym2_ledger(components: Sequence[str | CategoryAtom],
+def sym2_ledger(components: Sequence[str],
                 rules: RuleTable | None = None) -> SodLedger:
     """Ledger of ``Sym^2`` of a decomposition with the given components:
     one ``Sym^2 A_i`` per component plus one ``A_i (x) A_j`` for each pair
@@ -349,8 +278,7 @@ def sym2_ledger(components: Sequence[str | CategoryAtom],
     count: dict[str, int] = {}
     first: dict[str, int] = {}
     second: dict[str, int] = {}
-    for i, a in enumerate(components):
-        name = _atom_name(a)
+    for i, name in enumerate(components):
         k = count.get(name, 0)
         if k == 0:
             first[name] = i
@@ -378,7 +306,7 @@ def sym2_ledger(components: Sequence[str | CategoryAtom],
     return SodLedger(out)
 
 
-def hilb2_ledger(x_components: Sequence[str | CategoryAtom],
+def hilb2_ledger(x_components: Sequence[str],
                  n: int, rules: RuleTable | None = None) -> SodLedger:
     """Ledger for the Hilbert square of an ``n``-fold (``n >= 2``) whose
     derived category has the given components: the symmetric square plus
@@ -387,8 +315,7 @@ def hilb2_ledger(x_components: Sequence[str | CategoryAtom],
         raise ValueError(f"need n >= 2, got {n}")
     out = sym2_ledger(x_components, rules)
     per_copy: dict[str, int] = {}
-    for a in x_components:
-        name = _atom_name(a)
+    for name in x_components:
         per_copy[name] = per_copy.get(name, 0) + 1
     return out + (n - 2) * SodLedger(per_copy)
 
@@ -414,23 +341,14 @@ class Verdict(enum.Enum):
         return self.value
 
 
-def embedding_obstruction(candidate: int | SodLedger,
-                          ambient: int | HodgeDiamond,
-                          assignment: Mapping[str, int] | None = None) -> Verdict:
-    """Can a category with the candidate's hh0 sit inside the ambient one?
+def embedding_obstruction(candidate_hh0: int, ambient_hh0: int) -> Verdict:
+    """Can a category with hh0 ``candidate_hh0`` sit inside one with hh0
+    ``ambient_hh0``?
 
     hh0 is additive across semiorthogonal components, so candidate hh0
     exceeding ambient hh0 obstructs any embedding.  The comparison is
     one-directional: anything else is INCONCLUSIVE, never "embeddable".
     """
-    if isinstance(candidate, SodLedger):
-        candidate_hh0 = additive_invariant(candidate, assignment or {})
-    else:
-        candidate_hh0 = candidate
-    if isinstance(ambient, HodgeDiamond):
-        ambient_hh0 = hodge_mod.hh0(ambient)
-    else:
-        ambient_hh0 = ambient
     if candidate_hh0 < 0 or ambient_hh0 < 0:
         raise ValueError("hh0 values must be nonnegative")
     if candidate_hh0 > ambient_hh0:
@@ -500,7 +418,7 @@ def conjecture_consistency(n: int) -> ConsistencyResult:
     rhs = fano_scheme_conjecture_ledger(n) + ogr_pencil_conjecture_ledger(n)
     return ConsistencyResult(
         n=n,
-        holds=ledger_equal(lhs, rhs),
+        holds=lhs == rhs,
         in_stated_range=n >= 5,
         hilb2=lhs,
         fano_plus_ogr=rhs,

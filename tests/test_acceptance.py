@@ -39,7 +39,7 @@ def test_criterion_2_fano_surface_obstruction():
         f1 = varieties.builtin("f1-quartic-double-solid")
         assert hodge.hh0(f1) == 222
         ambient = hodge.hilbert_square(varieties.builtin("quartic-double-solid"))
-        verdict = sod.embedding_obstruction(hodge.hh0(f1), ambient)
+        verdict = sod.embedding_obstruction(hodge.hh0(f1), hodge.hh0(ambient))
         assert verdict is sod.Verdict.OBSTRUCTED
 
     run_criterion(2, 0.1, body)

@@ -247,6 +247,20 @@ def test_sod_obstruction_degree2(capsys):
     assert out.strip() == "INCONCLUSIVE (56 <= 65)"
 
 
+def test_sod_obstruction_matches_verify_all_report(capsys):
+    _, out, _ = run(capsys, "verify-all", "--json")
+    reports = {r["name"]: r for r in json.loads(out)}
+    for builtin, check in [
+            ("quartic-double-solid", "sod/obstruction-quartic-double-solid"),
+            ("degree2-del-pezzo-surface", "sod/degree2-surface-obstruction")]:
+        code, out, _ = run(capsys, "sod", "obstruction", "--builtin", builtin,
+                           "--json")
+        assert code == 0
+        report = reports[check]
+        assert json.loads(out) == {**report["inputs"],
+                                   "verdict": report["computed"]}
+
+
 def test_sod_obstruction_unknown(capsys):
     code, _, err = run(capsys, "sod", "obstruction", "--builtin", "nope")
     assert code == 2 and "unknown obstruction scenario" in err
@@ -282,6 +296,15 @@ def test_motive_rejects_ledger_statements(tmp_path, capsys):
     script.write_text("{Dpt:1}\n")
     code, _, err = run(capsys, "motive", "check", str(script))
     assert code == 2 and "only contain expressions" in err
+
+
+@pytest.mark.parametrize("command", ["sod", "motive"])
+def test_script_not_utf8_exits_2(tmp_path, capsys, command):
+    script = tmp_path / "latin1.txt"
+    script.write_bytes(b"\xff{Dpt:1}\n")
+    code, out, err = run(capsys, command, "check", str(script))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # -- verify-all ----------------------------------------------------------------------

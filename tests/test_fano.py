@@ -8,7 +8,7 @@ from flipcheck import fano
 from flipcheck.fano import (Family, FanoParams, FlipShape, Regime,
                             brute_force_line_splittings, degree_classification,
                             emptiness_threshold, enumerate_line_splittings,
-                            expected_dim_fano, flip_shape, flip_shapes,
+                            expected_dim_fano, flip_shapes,
                             format_splitting, gr25_dim_row,
                             h0_quotient_dual_twist2, hilb2_normal_restriction,
                             sod_counts, verify_codim_identity,
@@ -47,13 +47,9 @@ def test_gr25_dim_table_verbatim():
 
 
 def test_gr25_expected_dim_accessors():
-    assert expected_dim_fano(Family.GR25_SECTION, 5, 2, "sigma") == 4
-    assert expected_dim_fano(Family.GR25_SECTION, 5, 2, "tau") == 3
     assert expected_dim_fano(Family.GR25_SECTION, 5, 2) == (4, 3)
     assert expected_dim_fano(Family.GR25_SECTION, 4, 3) is None
     assert expected_dim_fano(Family.GR25_SECTION, 6, 5) is None
-    with pytest.raises(ValueError):
-        expected_dim_fano(Family.GR25_SECTION, 5, 2, "nope")
 
 
 def test_gr25_closed_forms_match_table():
@@ -165,30 +161,29 @@ def test_gr25_regimes():
 
 
 def test_flip_shape_cubic_k0():
-    shape = flip_shape(Family.CUBIC, 3, 0)
+    [shape] = flip_shapes(Family.CUBIC, 3, 0)
     assert (shape.r, shape.s) == (2, 1)
     assert shape.base_label == "F_1(X)"
 
 
 def test_flip_shape_two_quadrics_always_pencil():
     for k in range(5):
-        shape = flip_shape(Family.TWO_QUADRICS, 2 * k + 4, k)
+        [shape] = flip_shapes(Family.TWO_QUADRICS, 2 * k + 4, k)
         assert shape.s == 1
         assert shape.r == comb(k + 3, 2) - 1
 
 
 def test_flip_shape_gr25_components():
-    sigma = flip_shape(Family.GR25_SECTION, 6, 1, "sigma")
-    tau = flip_shape(Family.GR25_SECTION, 6, 1, "tau")
+    sigma, tau = flip_shapes(Family.GR25_SECTION, 6, 1)
+    assert (sigma.base_label, tau.base_label) == ("F_2^sigma(X)", "F_2^tau(X)")
     assert (sigma.r, sigma.s) == (5, 0)
     assert (tau.r, tau.s) == (5, 1)
-    with pytest.raises(ValueError):
-        flip_shape(Family.GR25_SECTION, 6, 1)
-    assert flip_shape(Family.GR25_SECTION, 5, 0).s == 1
+    [shape] = flip_shapes(Family.GR25_SECTION, 5, 0)
+    assert shape.s == 1
 
 
 def test_flip_shape_degenerate_marker():
-    shape = flip_shape(Family.CUBIC, 1, 0)
+    [shape] = flip_shapes(Family.CUBIC, 1, 0)
     assert shape.s == -1 and shape.is_degenerate()
     assert FlipShape(2, 2, "F").is_flop()
 
@@ -377,9 +372,9 @@ def test_degree_classification():
 
 def test_records_compare_and_hash_by_value():
     assert repr(FlipShape(1, 0, "F")) == "FlipShape(r=1, s=0, base_label='F')"
-    a = flip_shape(Family.CUBIC, 3, 0)
-    assert a == flip_shape(Family.CUBIC, 3, 0)
-    assert hash(a) == hash(flip_shape(Family.CUBIC, 3, 0))
+    [a] = flip_shapes(Family.CUBIC, 3, 0)
+    assert [a] == flip_shapes(Family.CUBIC, 3, 0)
+    assert hash(a) == hash(flip_shapes(Family.CUBIC, 3, 0)[0])
     assert a != FlipShape(a.r, a.s, a.base_label + "'")
     assert len({verify_codim_identity(Family.CUBIC, 5, 1),
                 verify_codim_identity(Family.CUBIC, 5, 1)}) == 1
