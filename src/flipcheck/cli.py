@@ -36,6 +36,11 @@ def _err(message: str) -> int:
     return 2
 
 
+# Python turns no int of over 4300 digits (by default) into text, so script
+# results are formatted in full before any line is printed.
+_TOO_LONG = "result holds an integer too long to print"
+
+
 # -- diamond loading ----------------------------------------------------------
 
 
@@ -270,14 +275,16 @@ def _sod_check(args) -> int:
     except (sod.UnassignedAtomError, sod.RewriteLoopError) as exc:
         return _err(str(exc))
     verdict = sod.embedding_obstruction(candidate_hh0, ambient_hh0)
-    if args.json:
-        print(json.dumps({"ambient_hh0": ambient_hh0,
-                          "candidate_hh0": candidate_hh0,
-                          "verdict": str(verdict)}, sort_keys=True))
-    else:
-        print(f"ambient hh0 = {ambient_hh0}")
-        print(f"candidate hh0 = {candidate_hh0}")
-        print(f"{ambient_hh0} vs {candidate_hh0} {verdict}")
+    try:
+        out = (json.dumps({"ambient_hh0": ambient_hh0,
+                           "candidate_hh0": candidate_hh0,
+                           "verdict": str(verdict)}, sort_keys=True)
+               if args.json else
+               f"ambient hh0 = {ambient_hh0}\ncandidate hh0 = {candidate_hh0}\n"
+               f"{ambient_hh0} vs {candidate_hh0} {verdict}")
+    except ValueError:
+        return _err(_TOO_LONG)
+    print(out)
     return 0
 
 
@@ -355,19 +362,19 @@ def cmd_motive(args) -> int:
         return _err(str(exc))
     if not all(isinstance(v, MotiveExpr) for v in values):
         return _err("motive scripts may only contain expressions")
-    if args.motive_op == "eval":
-        for value in values:
-            print(dsl.print_canonical(value))
-        return 0
-    # check: every statement must vanish
-    failures = 0
-    for i, value in enumerate(values, start=1):
-        if value.is_zero():
-            print(f"PASS statement {i}: 0")
-        else:
-            failures += 1
-            print(f"FAIL statement {i}: {dsl.print_canonical(value)}")
-    return 1 if failures else 0
+    try:
+        if args.motive_op == "eval":
+            lines = [dsl.print_canonical(value) for value in values]
+        else:  # check: every statement must vanish
+            lines = [f"PASS statement {i}: 0" if value.is_zero() else
+                     f"FAIL statement {i}: {dsl.print_canonical(value)}"
+                     for i, value in enumerate(values, start=1)]
+    except ValueError:
+        return _err(_TOO_LONG)
+    for line in lines:
+        print(line)
+    return 0 if args.motive_op == "eval" or all(
+        value.is_zero() for value in values) else 1
 
 
 # -- the golden suite ------------------------------------------------------------

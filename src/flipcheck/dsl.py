@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from dataclasses import dataclass
 
 from .motive import MotiveExpr, TermKey, sym2_class
 from .sod import RewriteRule, SodLedger
@@ -50,68 +49,95 @@ class SourceSpan(namedtuple("SourceSpan", "start end line column")):
 class ParseError(ValueError):
     def __init__(self, message: str, span: SourceSpan,
                  expected: tuple[str, ...] = (), found: str = ""):
-        self.span = span
-        self.expected = expected
-        self.found = found
+        self.span, self.expected, self.found = span, expected, found
         super().__init__(f"line {span.line}, column {span.column}: {message}")
 
 
 # -- AST ----------------------------------------------------------------------
+# Plain ``__slots__`` classes with identity equality; ``_fields`` is ``span``
+# and then the constructor's other arguments, in order.
 
 
-@dataclass(frozen=True)
 class Node:
-    span: SourceSpan
+    __slots__ = ("span",)
+    # perfbench's AST-node counter walks __dataclass_fields__: keep it _fields
+    _fields = __dataclass_fields__ = ("span",)
+
+    def __init__(self, span: SourceSpan):
+        self.span = span
 
 
-@dataclass(frozen=True)
 class IntLit(Node):
-    value: int
+    __slots__ = ("value",)
+    _fields = __dataclass_fields__ = ("span", "value")
+
+    def __init__(self, span: SourceSpan, value: int):
+        self.span, self.value = span, value
 
 
-@dataclass(frozen=True)
 class LPow(Node):
-    power: int
+    __slots__ = ("power",)
+    _fields = __dataclass_fields__ = ("span", "power")
+
+    def __init__(self, span: SourceSpan, power: int):
+        self.span, self.power = span, power
 
 
-@dataclass(frozen=True)
 class Atom(Node):
-    name: str
+    __slots__ = ("name",)
+    _fields = __dataclass_fields__ = ("span", "name")
+
+    def __init__(self, span: SourceSpan, name: str):
+        self.span, self.name = span, name
 
 
-@dataclass(frozen=True)
 class Sym2(Node):
-    arg: Node
+    __slots__ = ("arg",)
+    _fields = __dataclass_fields__ = ("span", "arg")
+
+    def __init__(self, span: SourceSpan, arg: Node):
+        self.span, self.arg = span, arg
 
 
-@dataclass(frozen=True)
 class Tensor(Node):
-    left: str
-    right: str
+    __slots__ = ("left", "right")
+    _fields = __dataclass_fields__ = ("span", "left", "right")
+
+    def __init__(self, span: SourceSpan, left: str, right: str):
+        self.span, self.left, self.right = span, left, right
 
 
-@dataclass(frozen=True)
 class Sum(Node):
-    terms: tuple[tuple[int, Node], ...]  # (+1 or -1, term)
+    __slots__ = ("terms",)
+    _fields = __dataclass_fields__ = ("span", "terms")
+
+    def __init__(self, span: SourceSpan, terms: tuple[tuple[int, Node], ...]):
+        self.span, self.terms = span, terms  # terms: (+1 or -1, node) pairs
 
 
-@dataclass(frozen=True)
 class Product(Node):
-    factors: tuple[Node, ...]
+    __slots__ = ("factors",)
+    _fields = __dataclass_fields__ = ("span", "factors")
+
+    def __init__(self, span: SourceSpan, factors: tuple[Node, ...]):
+        self.span, self.factors = span, factors
 
 
-@dataclass(frozen=True)
 class LedgerLiteral(Node):
-    entries: tuple[tuple[str, int], ...]
+    __slots__ = ("entries",)
+    _fields = __dataclass_fields__ = ("span", "entries")
+
+    def __init__(self, span: SourceSpan, entries: tuple[tuple[str, int], ...]):
+        self.span, self.entries = span, entries
 
 
-@dataclass(frozen=True)
 class RuleDef(Node):
-    lhs: Node  # Atom, Sym2(Atom) or Tensor
-    rhs: LedgerLiteral
+    __slots__ = ("lhs", "rhs")
+    _fields = __dataclass_fields__ = ("span", "lhs", "rhs")
 
-
-Ast = Node
+    def __init__(self, span: SourceSpan, lhs: Node, rhs: LedgerLiteral):
+        # lhs is an Atom, Sym2(Atom) or Tensor
+        self.span, self.lhs, self.rhs = span, lhs, rhs
 
 
 # -- lexer --------------------------------------------------------------------
@@ -285,7 +311,7 @@ class _Parser:
                 if toks[self.i].kind == "CARET":
                     self.i += 1
                     exp = self.expect("INT", "integer exponent")
-                    return LPow(_join(tok.span, exp.span), int(exp.text))
+                    return LPow(_join(tok.span, exp.span), _int(exp))
                 return LPow(tok.span, 1)
             if text == "Sym2":
                 self.expect("LPAREN", "'(' after Sym2")
@@ -303,7 +329,7 @@ class _Parser:
             return Atom(tok.span, text)
         if kind == "INT":
             self.i += 1
-            return IntLit(tok.span, int(tok.text))
+            return IntLit(tok.span, _int(tok))
         if kind == "LPAREN":
             self._enter()
             try:
@@ -311,7 +337,7 @@ class _Parser:
                 inner = self.expr()
                 close = self.expect("RPAREN", "')'")
                 # the node is new and not shared: widen its span in place
-                object.__setattr__(inner, "span", _join(tok.span, close.span))
+                inner.span = _join(tok.span, close.span)
                 return inner
             finally:
                 self.depth -= 1
@@ -327,7 +353,7 @@ class _Parser:
                 name = self.expect("IDENT", "atom name")
                 self.expect("COLON", "':'")
                 count = self.expect("INT", "multiplicity")
-                entries.append((name.text, int(count.text)))
+                entries.append((name.text, _int(count)))
                 if self.peek().kind == "COMMA":
                     self.i += 1
                     continue
@@ -356,13 +382,21 @@ class _Parser:
         return Atom(tok.span, tok.text)
 
 
+def _int(tok: Token) -> int:
+    try:
+        return int(tok.text)
+    except ValueError:  # more digits than the interpreter converts
+        raise ParseError(f"integer literal too long ({len(tok.text)} digits)",
+                         tok.span, ("integer",), "integer") from None
+
+
 def _join(a: SourceSpan, b: SourceSpan) -> SourceSpan:
     # both spans are already valid and ``b`` does not start before ``a``
     return tuple.__new__(SourceSpan,
                          (a.start, max(a.end, b.end), a.line, a.column))
 
 
-def parse(text: str) -> Ast:
+def parse(text: str) -> Node:
     """Parse a single statement (expr, ledger or rule), requiring the whole
     input to be consumed."""
     parser = _Parser(tokenize(text))
@@ -374,7 +408,7 @@ def parse(text: str) -> Ast:
     return node
 
 
-def parse_script(text: str) -> list[Ast]:
+def parse_script(text: str) -> list[Node]:
     """Parse a file as a sequence of statements."""
     return _Parser(tokenize(text)).script()
 
@@ -389,7 +423,7 @@ class EvalError(ValueError):
 Value = MotiveExpr | SodLedger | RewriteRule
 
 
-def evaluate(node: Ast) -> Value:
+def evaluate(node: Node) -> Value:
     """Evaluate an AST to a motive expression, a ledger or a rewrite rule."""
     if isinstance(node, LedgerLiteral):
         merged: dict[str, int] = {}
@@ -410,7 +444,7 @@ def evaluate(node: Ast) -> Value:
     return _eval_expr(node)
 
 
-def _eval_expr(node: Ast) -> MotiveExpr:
+def _eval_expr(node: Node) -> MotiveExpr:
     if isinstance(node, IntLit):
         return MotiveExpr.const(node.value)
     if isinstance(node, LPow):
@@ -439,25 +473,23 @@ def _eval_expr(node: Ast) -> MotiveExpr:
     raise EvalError(f"cannot evaluate {type(node).__name__} as an expression")
 
 
-def parse_motive(text: str) -> MotiveExpr:
+def _parse_as(text: str, kind: type, what: str):
     value = evaluate(parse(text))
-    if not isinstance(value, MotiveExpr):
-        raise EvalError("input is not a motive expression")
+    if not isinstance(value, kind):
+        raise EvalError(f"input is not {what}")
     return value
+
+
+def parse_motive(text: str) -> MotiveExpr:
+    return _parse_as(text, MotiveExpr, "a motive expression")
 
 
 def parse_ledger(text: str) -> SodLedger:
-    value = evaluate(parse(text))
-    if not isinstance(value, SodLedger):
-        raise EvalError("input is not a ledger")
-    return value
+    return _parse_as(text, SodLedger, "a ledger")
 
 
 def parse_rule(text: str) -> RewriteRule:
-    value = evaluate(parse(text))
-    if not isinstance(value, RewriteRule):
-        raise EvalError("input is not a rewrite rule")
-    return value
+    return _parse_as(text, RewriteRule, "a rewrite rule")
 
 
 # -- canonical printing -------------------------------------------------------

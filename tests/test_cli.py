@@ -307,6 +307,45 @@ def test_script_not_utf8_exits_2(tmp_path, capsys, command):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# Python converts no int of over 4300 digits (by default) to text: a literal of
+# 4000 nines parses, but its square cannot be printed
+_NINES = "9" * 4000
+_HUGE_HH0 = f"A => {{Dpt:{_NINES}}}\n{{A:{_NINES}}}\n{{Dpt:1}}\n"
+
+
+@pytest.mark.parametrize("text, argv", [
+    (f"1\nSym2({_NINES})\n", ("motive", "eval")),
+    (f"0\nSym2({_NINES})\n", ("motive", "check")),
+    (_HUGE_HH0, ("sod", "check")),
+    (_HUGE_HH0, ("sod", "check", "--json")),
+], ids=["motive-eval", "motive-check", "sod-check", "sod-check-json"])
+def test_result_too_long_to_print_exits_2(tmp_path, capsys, text, argv):
+    """No partial output and no traceback: the whole output is built
+    before the first line is printed."""
+    script = tmp_path / "huge.txt"
+    script.write_text(text)
+    code, out, err = run(capsys, *argv[:2], str(script), *argv[2:])
+    assert code == 2 and out == ""
+    assert err == "error: result holds an integer too long to print\n"
+
+
+_ONES = "1" * 5000
+
+
+@pytest.mark.parametrize("text, command, where", [
+    (f"1 +\n  {_ONES}*L\n", "motive", "line 2, column 3"),
+    (f"L^{_ONES}\n", "motive", "line 1, column 3"),
+    (f"{{Dpt:1}}\n{{Dpt: {_ONES}}}\n", "sod", "line 2, column 7"),
+], ids=["coefficient", "exponent", "multiplicity"])
+def test_integer_literal_too_long_exits_2_at_its_position(
+        tmp_path, capsys, text, command, where):
+    script = tmp_path / "long.txt"
+    script.write_text(text)
+    code, out, err = run(capsys, command, "check", str(script))
+    assert code == 2 and out == ""
+    assert err == f"error: {where}: integer literal too long (5000 digits)\n"
+
+
 # -- verify-all ----------------------------------------------------------------------
 
 
@@ -395,11 +434,12 @@ def test_output_matches_committed_snapshot(capsys, snapshot, argv):
 
 
 def test_import_leaves_out_typing_and_random():
-    """Importing the CLI loads neither ``typing`` nor ``random``: the
-    annotations are strings, and only the round-trip check draws random
-    values, so a process pays for neither at start-up."""
-    code = ("import sys, flipcheck.cli; "
-            "print(sorted({'typing', 'random'} & set(sys.modules)))")
+    """Importing the CLI loads none of ``typing``, ``random``,
+    ``dataclasses`` and ``inspect``: the annotations are strings, only the
+    round-trip check draws random values, and the AST nodes are plain
+    slotted classes, so a process pays for none of them at start-up."""
+    code = ("import sys, flipcheck.cli; print(sorted({'typing', 'random', "
+            "'dataclasses', 'inspect'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout

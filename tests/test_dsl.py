@@ -1,11 +1,12 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flipcheck.cli import random_value
-from flipcheck.dsl import (EvalError, IntLit, LedgerLiteral, LPow, Node,
+from flipcheck.dsl import (Atom, EvalError, IntLit, LedgerLiteral, LPow, Node,
                            ParseError, Product, RuleDef, SourceSpan, Sum,
                            Sym2, Tensor, evaluate, parse, parse_ledger,
                            parse_motive, parse_rule, parse_script,
@@ -286,7 +287,7 @@ script_texts = st.lists(st.tuples(_statements, _separators), min_size=1,
 
 def _nodes(node):
     yield node
-    for name in node.__dataclass_fields__:
+    for name in node._fields:
         value = getattr(node, name)
         items = value if isinstance(value, tuple) else (value,)
         for item in items:
@@ -443,3 +444,47 @@ def test_spans_and_tokens_compare_and_hash_by_value():
     assert a.span == SourceSpan(0, 1, 1, 1)
     assert repr(a.span) == "SourceSpan(start=0, end=1, line=1, column=1)"
     assert tokenize("1")[0] != a
+
+
+# -- AST shape ---------------------------------------------------------------------
+
+_NODE_TYPES = [Node, IntLit, LPow, Atom, Sym2, Tensor, Sum, Product,
+               LedgerLiteral, RuleDef]
+CHECKS = Path(__file__).resolve().parent.parent / "checks"
+
+
+def test_node_classes_are_slotted_with_fields_in_constructor_order():
+    assert set(Node.__subclasses__()) == set(_NODE_TYPES[1:])
+    for cls in _NODE_TYPES:
+        fields = cls._fields
+        assert "__slots__" in vars(cls)
+        assert fields[0] == "span"
+        assert cls.__dataclass_fields__ is fields
+        if cls is not Node:
+            assert Node.__slots__ + cls.__slots__ == fields
+        node = cls(*range(len(fields)))
+        assert not hasattr(node, "__dict__")
+        assert [getattr(node, name) for name in fields] == list(range(len(fields)))
+
+
+def _count_nodes(root) -> int:
+    """The walk of perfbench's AST-node counter (``dsl.ast_nodes``)."""
+    count, todo = 0, [root]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, Node):
+            count += 1
+            todo.extend(getattr(item, f) for f in item.__dataclass_fields__)
+        elif isinstance(item, (tuple, list)):
+            todo.extend(item)
+    return count
+
+
+@pytest.mark.parametrize("name, count", [
+    ("degree2-surface.sod", 6),
+    ("flip-derivation.mot", 126),
+    ("hilbert-square-classes.mot", 49),
+])
+def test_ast_node_counts_of_the_check_scripts(name, count):
+    statements = parse_script((CHECKS / name).read_text(encoding="utf-8"))
+    assert _count_nodes(statements) == count
