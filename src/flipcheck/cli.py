@@ -54,7 +54,10 @@ def _load_diamond(args) -> hodge.HodgeDiamond:
                 + ", ".join(varieties.builtin_names())
             )
     with open(args.diamond, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("diamond JSON is nested too deeply") from None
     return hodge.HodgeDiamond.from_json_dict(data).validate()
 
 
@@ -172,8 +175,7 @@ def _fano_dims(args) -> int:
                 shown = "empty" if value is None else value
                 print(f"{label:<17}= {shown}")
         return 0
-    # rejects n < 1, k < 0, k > n
-    fano.FanoParams(family, args.n, _plane_dim(args))
+    fano.check_cell(family, args.n, _plane_dim(args))
     dim = fano.expected_dim_fano(family, args.n, args.k)
     if args.json:
         print(json.dumps({"family": family.value, "n": args.n,
@@ -212,7 +214,7 @@ def _fano_codim(args) -> int:
     if args.k is None:
         raise ValueError("--k is required without --grid")
     if family is not Family.GR25_SECTION:  # the gr25 table checks its cells
-        fano.FanoParams(family, args.n, args.k)
+        fano.check_cell(family, args.n, args.k)
     report = fano.verify_codim_identity(family, args.n, args.k)
     if args.json:
         print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
@@ -525,8 +527,8 @@ def _check_hilb2_normal() -> CheckReport:
 def _check_taut_splitting() -> CheckReport:
     failures = []
     for d in (-1, 0, 1):
-        report = fano.verify_taut_splitting(d, range(-5, 6))
-        failures.extend([d, row.twist] for row in report.rows if not row.passed)
+        rows = fano.verify_taut_splitting(d, range(-5, 6))
+        failures.extend([d, row.twist] for row in rows if not row.passed)
     return make_report("fano/taut-splitting",
                        {"d": [-1, 0, 1], "twists": "[-5, 5]"},
                        [], failures, "paper")
@@ -568,7 +570,7 @@ def _check_degree_table() -> CheckReport:
                 "linear section of Gr(2,5) in P^9 via the Pluecker embedding, "
                 "with 2 <= dim X <= 6",
                 "P^2"]
-    computed = [fano.degree_classification(d).description for d in (3, 5, 9)]
+    computed = [fano.degree_classification(d) for d in (3, 5, 9)]
     return make_report("fano/degree-classification", {"d": [3, 5, 9]},
                        expected, computed, "paper")
 

@@ -47,9 +47,8 @@ class SourceSpan(namedtuple("SourceSpan", "start end line column")):
 
 
 class ParseError(ValueError):
-    def __init__(self, message: str, span: SourceSpan,
-                 expected: tuple[str, ...] = (), found: str = ""):
-        self.span, self.expected, self.found = span, expected, found
+    def __init__(self, message: str, span: SourceSpan):
+        self.span = span
         super().__init__(f"line {span.line}, column {span.column}: {message}")
 
 
@@ -193,10 +192,7 @@ def tokenize(text: str) -> list[Token]:
                 last_nl = text.rfind("\n", pos, end)
         else:
             span = SourceSpan(pos, end, line, pos - last_nl)
-            raise ParseError(
-                f"unexpected character {text[pos]!r}", span,
-                expected=("token",), found=text[pos],
-            )
+            raise ParseError(f"unexpected character {text[pos]!r}", span)
         pos = end
     append(Token("EOF", "", SourceSpan(pos, pos, line, pos - last_nl)))
     return tokens
@@ -220,10 +216,8 @@ class _Parser:
     def fail(self, expected: tuple[str, ...]) -> ParseError:
         tok = self.peek()
         found = tok.text or "end of input"
-        return ParseError(
-            f"expected {' or '.join(expected)}; found {found!r}",
-            tok.span, expected=expected, found=found,
-        )
+        return ParseError(f"expected {' or '.join(expected)}; found {found!r}",
+                          tok.span)
 
     def expect(self, kind: str, what: str) -> Token:
         tok = self.tokens[self.i]
@@ -235,8 +229,7 @@ class _Parser:
     def _enter(self):
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ParseError("expression nesting too deep", self.peek().span,
-                             expected=(), found=self.peek().text)
+            raise ParseError("expression nesting too deep", self.peek().span)
 
     # statements ---------------------------------------------------------
 
@@ -387,7 +380,7 @@ def _int(tok: Token) -> int:
         return int(tok.text)
     except ValueError:  # more digits than the interpreter converts
         raise ParseError(f"integer literal too long ({len(tok.text)} digits)",
-                         tok.span, ("integer",), "integer") from None
+                         tok.span) from None
 
 
 def _join(a: SourceSpan, b: SourceSpan) -> SourceSpan:
@@ -473,32 +466,11 @@ def _eval_expr(node: Node) -> MotiveExpr:
     raise EvalError(f"cannot evaluate {type(node).__name__} as an expression")
 
 
-def _parse_as(text: str, kind: type, what: str):
-    value = evaluate(parse(text))
-    if not isinstance(value, kind):
-        raise EvalError(f"input is not {what}")
-    return value
-
-
-def parse_motive(text: str) -> MotiveExpr:
-    return _parse_as(text, MotiveExpr, "a motive expression")
-
-
-def parse_ledger(text: str) -> SodLedger:
-    return _parse_as(text, SodLedger, "a ledger")
-
-
-def parse_rule(text: str) -> RewriteRule:
-    return _parse_as(text, RewriteRule, "a rewrite rule")
-
-
 # -- canonical printing -------------------------------------------------------
 
 
 def print_canonical(value) -> str:
     """Deterministic text form; parse(print(v)) evaluates back to v."""
-    if isinstance(value, Node):
-        return print_canonical(evaluate(value))
     if isinstance(value, MotiveExpr):
         return _print_motive(value)
     if isinstance(value, SodLedger):

@@ -52,32 +52,25 @@ def parse_family(text: str) -> Family:
                      + ", ".join(f.value for f in Family))
 
 
-class FanoParams(namedtuple("FanoParams", "family n k")):
-    """Family selector with the quadric dimension ``k`` and ``n = dim X``."""
-
-    __slots__ = ()
-
-    def __new__(cls, family: Family, n: int, k: int = 0):
-        if n < 1:
-            raise ValueError("n must be positive")
-        if k < 0:
-            raise ValueError("k must be nonnegative")
-        if k > n:
-            raise ValueError(f"k = {k} exceeds n = {n}")
-        if family is Family.GR25_SECTION and not 2 <= n <= 6:
-            raise ValueError("Gr(2,5) sections have 2 <= dim X <= 6")
-        return tuple.__new__(cls, (family, n, k))
+def check_cell(family: Family, n: int, k: int) -> None:
+    """Raise ``ValueError`` unless ``n = dim X >= 1``, ``0 <= k <= n`` for
+    the quadric dimension ``k``, and ``2 <= n <= 6`` for Gr(2,5) sections."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    if k > n:
+        raise ValueError(f"k = {k} exceeds n = {n}")
+    if family is Family.GR25_SECTION and not 2 <= n <= 6:
+        raise ValueError("Gr(2,5) sections have 2 <= dim X <= 6")
 
 
-class FlipShape(namedtuple("FlipShape", "r s base_label")):
+class FlipShape(namedtuple("FlipShape", "r s")):
     """Projective-bundle fiber dimensions of a standard flip: the center is
-    a P^r-bundle over the base, its replacement a P^s-bundle; ``s = -1``
+    a P^r-bundle over a Fano scheme, its replacement a P^s-bundle; ``s = -1``
     marks an empty replacement side (degenerate regime)."""
 
     __slots__ = ()
-
-    def is_flop(self) -> bool:
-        return self.r == self.s
 
     def is_degenerate(self) -> bool:
         return self.s == -1
@@ -209,26 +202,22 @@ def emptiness_threshold(family: Family, n: int, k: int) -> Regime:
 
 def flip_shapes(family: Family, n: int, k: int) -> list[FlipShape]:
     """The flip shape(s) for ``G_k(X)``, one per component of the
-    replacement center (Gr(2,5) sections with k = 1 have a sigma and a tau
-    component).  Degenerate regimes carry the ``s = -1`` marker."""
-    params = FanoParams(family, n, k)
+    replacement center over ``F_{k+1}(X)`` (Gr(2,5) sections with k = 1 have
+    a sigma and then a tau component).  Degenerate regimes carry the
+    ``s = -1`` marker."""
+    check_cell(family, n, k)
     r = rank_sym2_u(k) - 1
     regime = emptiness_threshold(family, n, k)
     degenerate = regime is not Regime.NONEMPTY_EXPECTED
     if family is Family.CUBIC:
-        s = k + 1
-        return [FlipShape(r, -1 if degenerate else s, f"F_{k + 1}(X)")]
-    if family is Family.TWO_QUADRICS:
-        return [FlipShape(r, -1 if degenerate else 1, f"F_{k + 1}(X)")]
-    if k == 0:
-        return [FlipShape(r, -1 if degenerate else 1, "F_1(X)")]
+        return [FlipShape(r, -1 if degenerate else k + 1)]
+    if family is Family.TWO_QUADRICS or k == 0:
+        return [FlipShape(r, -1 if degenerate else 1)]
     if k == 1:
         # kernel bundle has rank 2 - k = 1 over sigma-planes, rank 2 over tau
-        return [
-            FlipShape(r, -1 if degenerate else 0, "F_2^sigma(X)"),
-            FlipShape(r, -1 if degenerate else 1, "F_2^tau(X)"),
-        ]
-    return [FlipShape(r, -1, f"F_{k + 1}(X)")]
+        return [FlipShape(r, -1 if degenerate else 0),
+                FlipShape(r, -1 if degenerate else 1)]
+    return [FlipShape(r, -1)]
 
 
 # -- codimension identities ----------------------------------------------------
@@ -348,21 +337,20 @@ def verify_codim_identity_symbolic(family: Family, k: int) -> bool:
 # Component multiset(s) for the decomposition of D^b(G_k(X)): ``flip_form``
 # keeps the bundle side as a single atom (D_PQ or D_OGr); for cubics
 # ``expanded_form`` trades it for copies of D_F<k>.
-SodCounts = namedtuple("SodCounts", "family n k flip_form expanded_form",
+SodCounts = namedtuple("SodCounts", "flip_form expanded_form",
                        defaults=(None,))
 
 
 def sod_counts(family: Family, n: int, k: int) -> SodCounts:
-    params = FanoParams(family, n, k)
+    check_cell(family, n, k)
     if family is Family.CUBIC:
         extra = rank_sym2_u(k) - (k + 2)
         flip_form = SodLedger({"D_PQ": 1, f"D_F{k + 1}": extra})
         expanded = SodLedger({f"D_F{k}": n - k + 2, f"D_F{k + 1}": extra})
-        return SodCounts(family, n, k, flip_form, expanded)
+        return SodCounts(flip_form, expanded)
     if family is Family.TWO_QUADRICS:
         extra = rank_sym2_u(k) - 2
-        return SodCounts(family, n, k,
-                         SodLedger({"D_OGr": 1, f"D_F{k + 1}": extra}))
+        return SodCounts(SodLedger({"D_OGr": 1, f"D_F{k + 1}": extra}))
     raise ValueError(
         "Gr(2,5) sections carry a full exceptional collection; no ledger "
         "template is tabulated"
@@ -393,15 +381,15 @@ def enumerate_line_splittings(n: int) -> list[SplittingType]:
     return sorted(types)
 
 
-def brute_force_line_splittings(n: int, floor: int = -10) -> list[SplittingType]:
+def brute_force_line_splittings(n: int) -> list[SplittingType]:
     """Oracle for :func:`enumerate_line_splittings`: enumerate every multiset
-    of ``n - 1`` integers in ``[floor, 1]`` summing to ``n - 3``.  Exponential
+    of ``n - 1`` integers in ``[-10, 1]`` summing to ``n - 3``.  Exponential
     in ``n``; intended for small ``n``."""
     if n < 2:
         raise ValueError("need n >= 2")
     found = [
         tuple(sorted(combo))
-        for combo in combinations_with_replacement(range(floor, 2), n - 1)
+        for combo in combinations_with_replacement(range(-10, 2), n - 1)
         if sum(combo) == n - 3
     ]
     return sorted(found)
@@ -478,16 +466,10 @@ class TautRow(namedtuple("TautRow", "twist lhs rhs")):
         return self.lhs == self.rhs and self.lhs[1] == 0
 
 
-class TautReport(namedtuple("TautReport", "d rows", defaults=((),))):
-    __slots__ = ()
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.rows)
-
-
-def verify_taut_splitting(d: int, twist_window: Sequence[int]) -> TautReport:
-    """Check O(d)^[2] = O(a) + O(b) on P^2 through cohomology.
+def verify_taut_splitting(d: int, twist_window: Sequence[int]
+                          ) -> tuple[TautRow, ...]:
+    """Check O(d)^[2] = O(a) + O(b) on P^2 through cohomology, one row per
+    twist.
 
     Pushing forward along the double cover P^1 x P^1 -> P^2 identifies
     R Gamma(O(d)^[2] (x) O(m)) with R Gamma(O(m+d, m)) on P^1 x P^1, so for
@@ -505,13 +487,10 @@ def verify_taut_splitting(d: int, twist_window: Sequence[int]) -> TautReport:
         rb = h_p2(b + m)
         rhs = tuple(x + y for x, y in zip(ra, rb))
         rows.append(TautRow(m, lhs, rhs))
-    return TautReport(d, tuple(rows))
+    return tuple(rows)
 
 
 # -- degree classification -----------------------------------------------------
-
-
-DegreeClassEntry = namedtuple("DegreeClassEntry", "degree description")
 
 
 _DEGREE_TABLE = {
@@ -529,8 +508,8 @@ _DEGREE_TABLE = {
 }
 
 
-def degree_classification(d: int) -> DegreeClassEntry:
+def degree_classification(d: int) -> str:
     """Classification of del Pezzo varieties by degree ``d = H^n``."""
     if d not in _DEGREE_TABLE:
         raise ValueError(f"degree must be in [1, 9], got {d}")
-    return DegreeClassEntry(d, _DEGREE_TABLE[d])
+    return _DEGREE_TABLE[d]

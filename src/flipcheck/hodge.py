@@ -36,7 +36,6 @@ carry crosses into the next slot.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable, Mapping
 
 Bidegree = tuple[int, int]
@@ -45,19 +44,18 @@ Bidegree = tuple[int, int]
 class HodgeDiamond:
     """A bigraded table of nonnegative integers supported on ``[0, dim]^2``.
 
-    A diamond is either *raw* (any nonnegative table) or *validated*
-    (checked to satisfy Hodge symmetry and Serre duality).  Intermediate
-    results such as Tate twists are raw on purpose: Serre duality is
-    relative to a dimension that a twist intentionally breaks.
+    Any nonnegative table is a diamond; :meth:`validate` checks the two
+    symmetries of a geometric one.  Intermediate results such as Tate twists
+    need not satisfy them: Serre duality is relative to a dimension that a
+    twist intentionally breaks.
     """
 
-    __slots__ = ("dim", "_entries", "validated")
+    __slots__ = ("dim", "_entries")
 
     def __init__(
         self,
         dim: int,
         entries: Mapping[Bidegree, int] | Iterable[tuple[int, int, int]] = (),
-        validated: bool = False,
     ):
         if dim < 0:
             raise ValueError(f"dimension must be nonnegative, got {dim}")
@@ -76,14 +74,12 @@ class HodgeDiamond:
                 table[(p, q)] = table.get((p, q), 0) + v
         self.dim = dim
         self._entries = table
-        self.validated = validated
 
     @classmethod
-    def _trusted(cls, dim: int, table: dict[Bidegree, int],
-                 validated: bool) -> "HodgeDiamond":
+    def _trusted(cls, dim: int, table: dict[Bidegree, int]) -> "HodgeDiamond":
         """Wrap a table already known to be positive and inside ``[0, dim]^2``."""
         d = object.__new__(cls)
-        d.dim, d._entries, d.validated = dim, table, validated
+        d.dim, d._entries = dim, table
         return d
 
     def hodge(self, p: int, q: int) -> int:
@@ -95,7 +91,6 @@ class HodgeDiamond:
         return dict(self._entries)
 
     def __eq__(self, other) -> bool:
-        # the validated flag is bookkeeping, not part of the value
         if not isinstance(other, HodgeDiamond):
             return NotImplemented
         return self.dim == other.dim and self._entries == other._entries
@@ -113,8 +108,7 @@ class HodgeDiamond:
         """Entrywise sum (disjoint union); dimensions must agree."""
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} != {other.dim}")
-        return _accumulate(self.dim, [self, other],
-                           validated=self.validated and other.validated)
+        return _accumulate(self.dim, [self, other])
 
     def __mul__(self, other: "HodgeDiamond") -> "HodgeDiamond":
         return kunneth(self, other)
@@ -131,12 +125,12 @@ class HodgeDiamond:
         )
 
     def validate(self) -> "HodgeDiamond":
-        """Check both symmetries and return a diamond marked geometric."""
+        """Check both symmetries and return the diamond itself."""
         if not self.is_hodge_symmetric():
             raise ValueError("table is not Hodge-symmetric")
         if not self.is_serre_dual():
             raise ValueError("table is not Serre-dual")
-        return HodgeDiamond(self.dim, self._entries, validated=True)
+        return self
 
     # -- serialization -----------------------------------------------------
 
@@ -145,9 +139,6 @@ class HodgeDiamond:
             "dim": self.dim,
             "entries": [[p, q, v] for (p, q), v in sorted(self._entries.items())],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "HodgeDiamond":
@@ -169,20 +160,15 @@ class HodgeDiamond:
             entries.append(tuple(row))
         return cls(dim, entries)
 
-    @classmethod
-    def from_json(cls, text: str) -> "HodgeDiamond":
-        return cls.from_json_dict(json.loads(text))
 
-
-def _accumulate(dim: int, parts: Iterable[HodgeDiamond], validated: bool = False
-                ) -> HodgeDiamond:
+def _accumulate(dim: int, parts: Iterable[HodgeDiamond]) -> HodgeDiamond:
     """Sum entry tables into a fresh diamond of the given dimension, which is
     at least that of every part."""
     table: dict[Bidegree, int] = {}
     for part in parts:
         for key, v in part._entries.items():
             table[key] = table.get(key, 0) + v
-    return HodgeDiamond._trusted(dim, table, validated)
+    return HodgeDiamond._trusted(dim, table)
 
 
 # -- packed diagonals ----------------------------------------------------------
@@ -218,8 +204,8 @@ def _packed(a: HodgeDiamond, width: int) -> dict[int, int]:
     return {s: _pack(c, width) for s, c in _diagonals(a).items()}
 
 
-def _unpacked(dim: int, diagonals: Mapping[int, int], width: int,
-              validated: bool) -> HodgeDiamond:
+def _unpacked(dim: int, diagonals: Mapping[int, int], width: int
+              ) -> HodgeDiamond:
     """The diamond whose diagonal ``s`` holds the slots of ``diagonals[s]``."""
     table: dict[Bidegree, int] = {}
     for s, x in diagonals.items():
@@ -229,7 +215,7 @@ def _unpacked(dim: int, diagonals: Mapping[int, int], width: int,
             v = int.from_bytes(raw[p * width:(p + 1) * width], "little")
             if v:
                 table[(p, p + s)] = v
-    return HodgeDiamond._trusted(dim, table, validated)
+    return HodgeDiamond._trusted(dim, table)
 
 
 def _square(a: HodgeDiamond, sign: int) -> tuple[dict[int, int], int]:
@@ -270,8 +256,7 @@ def kunneth(a: HodgeDiamond, b: HodgeDiamond) -> HodgeDiamond:
     for s1, x1 in _packed(a, width).items():
         for s2, x2 in xb.items():
             out[s1 + s2] = out.get(s1 + s2, 0) + x1 * x2
-    return _unpacked(a.dim + b.dim, out, width,
-                     validated=a.validated and b.validated)
+    return _unpacked(a.dim + b.dim, out, width)
 
 
 def tate_twist(a: HodgeDiamond, i: int) -> HodgeDiamond:
@@ -282,8 +267,7 @@ def tate_twist(a: HodgeDiamond, i: int) -> HodgeDiamond:
     if i < 0:
         raise ValueError(f"twist must be nonnegative, got {i}")
     return HodgeDiamond._trusted(
-        a.dim + i, {(p + i, q + i): v for (p, q), v in a._entries.items()},
-        validated=False)
+        a.dim + i, {(p + i, q + i): v for (p, q), v in a._entries.items()})
 
 
 def sym2(a: HodgeDiamond) -> HodgeDiamond:
@@ -296,7 +280,7 @@ def sym2(a: HodgeDiamond) -> HodgeDiamond:
     (Sym^2 of the even part, even (x) odd, and Lambda^2 of the odd part).
     """
     out, width = _square(a, 1)
-    return _unpacked(2 * a.dim, out, width, validated=a.validated)
+    return _unpacked(2 * a.dim, out, width)
 
 
 def alt2(a: HodgeDiamond) -> HodgeDiamond:
@@ -306,7 +290,7 @@ def alt2(a: HodgeDiamond) -> HodgeDiamond:
     ``sym2(a) + alt2(a) == kunneth(a, a)`` entry by entry.
     """
     out, width = _square(a, -1)
-    return _unpacked(2 * a.dim, out, width, validated=False)
+    return _unpacked(2 * a.dim, out, width)
 
 
 def hilbert_square(a: HodgeDiamond) -> HodgeDiamond:
@@ -324,7 +308,7 @@ def hilbert_square(a: HodgeDiamond) -> HodgeDiamond:
     parts = [sym2(a)]
     if n >= 2:
         parts.append(tate_twist(projective_bundle(a, n - 1), 1))
-    return _accumulate(2 * n, parts, validated=a.validated)
+    return _accumulate(2 * n, parts)
 
 
 def projective_bundle(base: HodgeDiamond, fiber_rank: int) -> HodgeDiamond:
@@ -336,8 +320,7 @@ def projective_bundle(base: HodgeDiamond, fiber_rank: int) -> HodgeDiamond:
     width = _width(_total(base))
     series = int.from_bytes((b"\x01" + bytes(width - 1)) * fiber_rank, "little")
     out = {s: x * series for s, x in _packed(base, width).items()}
-    return _unpacked(base.dim + fiber_rank - 1, out, width,
-                     validated=base.validated)
+    return _unpacked(base.dim + fiber_rank - 1, out, width)
 
 
 def blowup(total: HodgeDiamond, center: HodgeDiamond, codim: int) -> HodgeDiamond:
@@ -352,8 +335,7 @@ def blowup(total: HodgeDiamond, center: HodgeDiamond, codim: int) -> HodgeDiamon
             f"!= total dim {total.dim}"
         )
     exceptional = tate_twist(projective_bundle(center, codim - 1), 1)
-    return _accumulate(total.dim, [total, exceptional],
-                       validated=total.validated and center.validated)
+    return _accumulate(total.dim, [total, exceptional])
 
 
 def hh0(a: HodgeDiamond) -> int:

@@ -24,7 +24,7 @@ The Hilbert-square class is then
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 
 # a monomial is a sorted tuple of atom names; "pt" never appears
 Monomial = tuple[str, ...]
@@ -142,13 +142,10 @@ class MotiveExpr:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, l_power: int, monomial: Iterable[str] = ()) -> int:
-        return self.terms.get((l_power, tuple(sorted(monomial))), 0)
-
     def l_coefficients(self) -> list[int]:
         """Coefficients of ``1, L, L^2, ...`` of the atom-free part."""
         top = max((lp for (lp, mono) in self.terms if not mono), default=-1)
-        return [self.coefficient(i) for i in range(top + 1)]
+        return [self.terms.get((i, ()), 0) for i in range(top + 1)]
 
     def specialize(self, assignment: Mapping[str, int], l_value: int = 1) -> int:
         """Ring homomorphism to the integers: ``L`` to ``l_value`` and every
@@ -164,14 +161,6 @@ class MotiveExpr:
             total += value
         return total
 
-    def to_json_list(self) -> list:
-        """Term list ``[[coeff, l_power, [atoms...]], ...]`` sorted by
-        (monomial, L-power)."""
-        out = []
-        for (lp, mono) in sorted(self.terms, key=lambda k: (k[1], k[0])):
-            out.append([self.terms[(lp, mono)], lp, list(mono)])
-        return out
-
 
 def _coerce(value) -> MotiveExpr:
     if isinstance(value, MotiveExpr):
@@ -182,7 +171,6 @@ def _coerce(value) -> MotiveExpr:
 
 
 ONE = MotiveExpr.const(1)
-L = MotiveExpr.lefschetz()
 
 
 def atom(name: str) -> MotiveExpr:

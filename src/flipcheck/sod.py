@@ -17,6 +17,11 @@ and ``Sym^2 Dpt -> {Dpt: 2}`` together with the tensor rules
 ``DC (x) Dpt = DC`` and ``Dpt (x) Dpt = Dpt``; unknown pairs are errors,
 never guesses.
 
+Ledger scripts name these resolutions as atoms: ``Sym2_A`` for ``Sym^2 A``
+and ``Tensor_A_B`` (names sorted) for ``A (x) B``.  Normalizing a ledger
+rewrites each such atom by its sym2 or tensor rule, and any atom by its
+atom rule, which wins over the other two for the same name.
+
 For the Hilbert square of an ``n``-fold whose derived category has the given
 components, the ledger is ``Sym^2`` of the components plus ``n - 2`` extra
 copies of each component (the projective-bundle part of the exceptional
@@ -34,11 +39,11 @@ from .motive import sym2_atom_name
 
 
 class UnresolvedPairError(ValueError):
-    """A Sym^2 or tensor pair has neither a rule nor a declared atom."""
+    """A Sym^2 or tensor pair has no rule in the table."""
 
 
 class NegativeMultiplicityError(ValueError):
-    """Ledger subtraction went below zero."""
+    """A ledger multiplicity would be negative."""
 
 
 class UnassignedAtomError(ValueError):
@@ -97,14 +102,8 @@ class SodLedger:
     def __contains__(self, name: str) -> bool:
         return name in self.multiplicities
 
-    def count(self, name: str) -> int:
-        return self.multiplicities.get(name, 0)
-
     def total(self) -> int:
         return sum(self.multiplicities.values())
-
-    def is_empty(self) -> bool:
-        return not self.multiplicities
 
     def __repr__(self) -> str:
         from . import dsl
@@ -118,19 +117,6 @@ class SodLedger:
                 for name, m in sorted(self.multiplicities.items())
             ]
         }
-
-
-def ledger_subtract(a: SodLedger, b: SodLedger) -> SodLedger:
-    """Multiset difference; raises if ``b`` is not contained in ``a``."""
-    out = dict(a.multiplicities)
-    for name, m in b.multiplicities.items():
-        have = out.get(name, 0)
-        if m > have:
-            raise NegativeMultiplicityError(
-                f"cannot remove {m} copies of {name!r}; only {have} present"
-            )
-        out[name] = have - m
-    return SodLedger(out)
 
 
 def substitute(ledger: SodLedger, name: str,
@@ -175,12 +161,10 @@ class RuleTable:
     terminate.
     """
 
-    def __init__(self, rules: Iterable[RewriteRule] = (),
-                 declared: Iterable[str] = ()):
+    def __init__(self, rules: Iterable[RewriteRule] = ()):
         self.atom_rules: dict[str, SodLedger] = {}
         self.sym2_rules: dict[str, SodLedger] = {}
         self.tensor_rules: dict[tuple[str, str], SodLedger] = {}
-        self.declared: set[str] = set(declared)
         for rule in rules:
             self.add(rule)
 
@@ -192,39 +176,30 @@ class RuleTable:
         else:
             self.tensor_rules[tuple(sorted(rule.args))] = rule.rhs
 
-    def declare(self, *names: str) -> None:
-        self.declared.update(names)
-
     def resolve_sym2(self, name: str) -> SodLedger:
-        if name in self.sym2_rules:
-            return self.sym2_rules[name]
-        fallback = sym2_atom_name(name)
-        if fallback in self.declared:
-            return SodLedger({fallback: 1})
-        raise UnresolvedPairError(f"no rule or declared atom for Sym2({name})")
+        if name not in self.sym2_rules:
+            raise UnresolvedPairError(f"no rule for Sym2({name})")
+        return self.sym2_rules[name]
 
     def resolve_tensor(self, a: str, b: str) -> SodLedger:
         key = tuple(sorted((a, b)))
-        if key in self.tensor_rules:
-            return self.tensor_rules[key]
-        fallback = tensor_atom_name(*key)
-        if fallback in self.declared:
-            return SodLedger({fallback: 1})
-        raise UnresolvedPairError(
-            f"no rule or declared atom for {key[0]} (x) {key[1]}"
-        )
+        if key not in self.tensor_rules:
+            raise UnresolvedPairError(f"no rule for {key[0]} (x) {key[1]}")
+        return self.tensor_rules[key]
 
     def normalize(self, led: SodLedger, max_steps: int = 10_000) -> SodLedger:
         """Apply atom substitutions to a fixpoint, each step rewriting the
         smallest name that has a rule; at most ``max_steps`` substitutions.
 
-        Atom rules, and sym2 rules addressing their mangled ``Sym2_*``
-        ledger atom, both rewrite; an atom rule wins over a sym2 rule for
-        the same name."""
+        Atom rules rewrite, and so do sym2 and tensor rules, each addressing
+        its ``Sym2_*`` or ``Tensor_*`` ledger atom; an atom rule wins over
+        either for the same name."""
         from heapq import heapify, heappop, heappush  # only scripts rewrite
 
         rhs_for = {sym2_atom_name(base): rhs
                    for base, rhs in self.sym2_rules.items()}
+        rhs_for.update((tensor_atom_name(*pair), rhs)
+                       for pair, rhs in self.tensor_rules.items())
         rhs_for.update(self.atom_rules)
         current = led
         # the names of ``current`` that have a rule, each once
@@ -402,8 +377,8 @@ def clifford_conjecture_ledger(n: int) -> SodLedger:
 
 
 # in_stated_range is False for n < 5, where the counts were clamped
-ConsistencyResult = namedtuple(
-    "ConsistencyResult", "n holds in_stated_range hilb2 fano_plus_ogr")
+ConsistencyResult = namedtuple("ConsistencyResult",
+                               "n holds in_stated_range hilb2")
 
 
 def conjecture_consistency(n: int) -> ConsistencyResult:
@@ -421,5 +396,4 @@ def conjecture_consistency(n: int) -> ConsistencyResult:
         holds=lhs == rhs,
         in_stated_range=n >= 5,
         hilb2=lhs,
-        fano_plus_ogr=rhs,
     )

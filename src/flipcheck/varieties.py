@@ -49,14 +49,14 @@ _CURVE_RE = re.compile(r"^curve-g(\d+)$")
 
 
 def point() -> HodgeDiamond:
-    return HodgeDiamond(0, {(0, 0): 1}, validated=True)
+    return HodgeDiamond(0, {(0, 0): 1})
 
 
 def projective_space(n: int) -> HodgeDiamond:
     """P^n: ones along the diagonal."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return HodgeDiamond(n, {(p, p): 1 for p in range(n + 1)}, validated=True)
+    return HodgeDiamond(n, {(p, p): 1 for p in range(n + 1)})
 
 
 def curve(g: int) -> HodgeDiamond:
@@ -67,7 +67,7 @@ def curve(g: int) -> HodgeDiamond:
     if g:
         entries[(1, 0)] = g
         entries[(0, 1)] = g
-    return HodgeDiamond(1, entries, validated=True)
+    return HodgeDiamond(1, entries)
 
 
 def intersection_of_two_quadrics(n: int) -> HodgeDiamond:
@@ -83,7 +83,7 @@ def intersection_of_two_quadrics(n: int) -> HodgeDiamond:
     entries = {(p, p): 1 for p in range(n + 1)}
     entries[((n + 1) // 2, (n - 1) // 2)] = g
     entries[((n - 1) // 2, (n + 1) // 2)] = g
-    return HodgeDiamond(n, entries, validated=True)
+    return HodgeDiamond(n, entries)
 
 
 def _load_asset(name: str) -> HodgeDiamond:

@@ -62,14 +62,13 @@ def test_criterion_4_conjecture_consistency():
             assert result.in_stated_range and result.holds, n
         # the verified instance at n = 5: 8 = 2 + 6 curve copies,
         # 26 = 2 + 24 exceptional objects
-        hilb2 = sod.hilb2_two_quadrics_ledger(5)
-        fano_led = sod.fano_scheme_conjecture_ledger(5)
-        ogr = sod.ogr_pencil_conjecture_ledger(5)
-        assert hilb2.count("DC") == 8 == fano_led.count("DC") + ogr.count("DC")
-        assert fano_led.count("DC") == 2 and ogr.count("DC") == 6
-        assert hilb2.count("Dpt") == 26 == \
-            fano_led.count("Dpt") + ogr.count("Dpt")
-        assert fano_led.count("Dpt") == 2 and ogr.count("Dpt") == 24
+        hilb2 = sod.hilb2_two_quadrics_ledger(5).multiplicities
+        fano_led = sod.fano_scheme_conjecture_ledger(5).multiplicities
+        ogr = sod.ogr_pencil_conjecture_ledger(5).multiplicities
+        assert hilb2["DC"] == 8 == fano_led["DC"] + ogr["DC"]
+        assert fano_led["DC"] == 2 and ogr["DC"] == 6
+        assert hilb2["Dpt"] == 26 == fano_led["Dpt"] + ogr["Dpt"]
+        assert fano_led["Dpt"] == 2 and ogr["Dpt"] == 24
 
     run_criterion(4, 0.5, body)
 
@@ -125,7 +124,7 @@ def test_criterion_7_line_splittings():
             ])
         for n in range(2, 10):
             assert fano.enumerate_line_splittings(n) == \
-                fano.brute_force_line_splittings(n, floor=-10)
+                fano.brute_force_line_splittings(n)
         for n in range(2, 31):
             got = fano.hilb2_normal_restriction(n)
             assert got == tuple(sorted((-1, -1) + (0,) * (2 * n - 4)))
@@ -136,9 +135,9 @@ def test_criterion_7_line_splittings():
 def test_criterion_8_tautological_splittings():
     def body():
         for d in (-1, 0, 1):
-            report = fano.verify_taut_splitting(d, range(-5, 6))
-            assert report.passed
-            for row in report.rows:
+            rows = fano.verify_taut_splitting(d, range(-5, 6))
+            assert all(row.passed for row in rows)
+            for row in rows:
                 assert row.lhs == row.rhs
                 assert row.lhs[1] == 0
 

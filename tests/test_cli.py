@@ -55,7 +55,7 @@ def test_hodge_unknown_builtin_is_usage_error(capsys):
 
 def test_hodge_diamond_file(tmp_path, capsys):
     path = tmp_path / "curve.json"
-    path.write_text(varieties.curve(2).to_json())
+    path.write_text(json.dumps(varieties.curve(2).to_json_dict()))
     code, out, _ = run(capsys, "hodge", "hh0", "--diamond", str(path))
     assert code == 0 and out.strip() == "2"
 
@@ -68,6 +68,15 @@ def test_hodge_invalid_diamond_file(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     code, _, _ = run(capsys, "hodge", "hh0", "--diamond", str(missing))
     assert code == 2
+
+
+def test_hodge_deeply_nested_diamond_is_usage_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    for op in ("hh0", "sym2", "hilb2"):
+        code, out, err = run(capsys, "hodge", op, "--diamond", str(deep))
+        assert (code, out, err) == \
+            (2, "", "error: diamond JSON is nested too deeply\n")
 
 
 def test_hodge_diamond_entries_not_a_list_is_usage_error(tmp_path, capsys):
@@ -187,6 +196,20 @@ def test_sod_check_json(capsys):
     assert code == 0
     assert json.loads(out) == {"ambient_hh0": 65, "candidate_hh0": 56,
                                "verdict": "INCONCLUSIVE"}
+
+
+def test_sod_check_applies_tensor_rules(tmp_path, capsys):
+    script = tmp_path / "tensor.sod"
+    script.write_text("DX (*) Dpt => {Dpt:5}\n"
+                      "{Tensor_DX_Dpt:1, Dpt:1}\n{Dpt:1}\n")
+    code, out, _ = run(capsys, "sod", "check", str(script))
+    assert code == 0
+    assert out == "ambient hh0 = 6\ncandidate hh0 = 1\n6 vs 1 INCONCLUSIVE\n"
+    # an atom rule for the same name wins over the tensor rule
+    script.write_text("DX (*) Dpt => {Dpt:5}\nTensor_DX_Dpt => {Dpt:2}\n"
+                      "{Tensor_DX_Dpt:1, Dpt:1}\n{Dpt:1}\n")
+    code, out, _ = run(capsys, "sod", "check", str(script))
+    assert code == 0 and out.startswith("ambient hh0 = 3\n")
 
 
 def test_sod_check_rejects_expressions(tmp_path, capsys):

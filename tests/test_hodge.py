@@ -76,11 +76,10 @@ def kunneth_pairwise(a, b):
         for (p2, q2), v2 in b.entries().items():
             key = (p1 + p2, q1 + q2)
             table[key] = table.get(key, 0) + v1 * v2
-    return HodgeDiamond(a.dim + b.dim, table,
-                        validated=a.validated and b.validated)
+    return HodgeDiamond(a.dim + b.dim, table)
 
 
-def _square_pairwise(a, even_self, odd_self, validated):
+def _square_pairwise(a, even_self, odd_self):
     items = sorted(a.entries().items())
     table = {}
     for i, ((p1, q1), m1) in enumerate(items):
@@ -91,49 +90,46 @@ def _square_pairwise(a, even_self, odd_self, validated):
         for (p2, q2), m2 in items[i + 1:]:
             key = (p1 + p2, q1 + q2)
             table[key] = table.get(key, 0) + m1 * m2
-    return HodgeDiamond(2 * a.dim, table, validated=validated)
+    return HodgeDiamond(2 * a.dim, table)
 
 
 def sym2_pairwise(a):
     return _square_pairwise(a, lambda m: m * (m + 1) // 2,
-                            lambda m: m * (m - 1) // 2, a.validated)
+                            lambda m: m * (m - 1) // 2)
 
 
 def alt2_pairwise(a):
     return _square_pairwise(a, lambda m: m * (m - 1) // 2,
-                            lambda m: m * (m + 1) // 2, False)
+                            lambda m: m * (m + 1) // 2)
 
 
-def _sum_tables(dim, parts, validated):
+def _sum_tables(dim, parts):
     table = {}
     for part in parts:
         for key, v in part.entries().items():
             table[key] = table.get(key, 0) + v
-    return HodgeDiamond(dim, table, validated=validated)
+    return HodgeDiamond(dim, table)
 
 
 def hilbert_square_pairwise(a):
     n = a.dim
     parts = [sym2_pairwise(a)] + [tate_twist(a, i) for i in range(1, n)]
-    return _sum_tables(2 * n, parts, a.validated)
+    return _sum_tables(2 * n, parts)
 
 
 def projective_bundle_pairwise(base, r):
     return _sum_tables(base.dim + r - 1,
-                          [tate_twist(base, i) for i in range(r)],
-                          base.validated)
+                       [tate_twist(base, i) for i in range(r)])
 
 
 def blowup_pairwise(total, center, codim):
     parts = [total] + [tate_twist(center, i) for i in range(1, codim)]
-    return _sum_tables(total.dim, parts,
-                          total.validated and center.validated)
+    return _sum_tables(total.dim, parts)
 
 
 def assert_same(got, want):
-    """Entries, dimension and the validated flag (``==`` ignores the flag)."""
-    assert (got.dim, got.entries(), got.validated) == \
-        (want.dim, want.entries(), want.validated)
+    """Entries and dimension, compared directly rather than through ``==``."""
+    assert (got.dim, got.entries()) == (want.dim, want.entries())
 
 
 @st.composite
@@ -152,7 +148,7 @@ def wide_diamonds(draw, max_dim=12, max_value=10**30):
     if shape == "corners":
         corner = draw(value)
         entries[(0, dim)] = entries[(dim, 0)] = corner
-    return HodgeDiamond(dim, entries, validated=draw(st.booleans()))
+    return HodgeDiamond(dim, entries)
 
 
 @given(wide_diamonds(), wide_diamonds())
@@ -181,8 +177,7 @@ def test_bundles_and_blowups_match_pairwise(a, r, codim):
 def test_dense_dimension_20_matches_pairwise():
     rng = random.Random(20)
     a = HodgeDiamond(20, {(p, q): rng.randint(1, 10**9)
-                          for p in range(21) for q in range(21)},
-                     validated=True)
+                          for p in range(21) for q in range(21)})
     b = HodgeDiamond(20, {(p, q): rng.randint(1, 9)
                           for p in range(21) for q in range(21)})
     assert_same(kunneth(a, b), kunneth_pairwise(a, b))
@@ -214,17 +209,18 @@ def test_validate_checks_both_symmetries():
     asym = {(0, 0): 1, (1, 0): 2, (0, 1): 2}  # Hodge-symmetric, not Serre-dual
     with pytest.raises(ValueError, match="Serre-dual"):
         HodgeDiamond(1, asym).validate()
-    assert varieties.curve(2).validated
+    curve = varieties.curve(2)
+    assert curve.validate() is curve
 
 
-def test_equality_ignores_validated_flag():
+def test_equality_by_value():
     raw = HodgeDiamond(1, {(0, 0): 1, (1, 1): 1})
     assert raw == varieties.projective_space(1)
 
 
 def test_json_round_trip():
     d = varieties.builtin("quartic-double-solid")
-    assert HodgeDiamond.from_json(d.to_json()) == d
+    assert HodgeDiamond.from_json_dict(d.to_json_dict()) == d
     with pytest.raises(ValueError):
         HodgeDiamond.from_json_dict({"dim": 1})
     with pytest.raises(ValueError):
@@ -289,7 +285,8 @@ def test_tate_twist_examples():
     q = tate_twist(varieties.builtin("quartic-double-solid"), 1)
     assert q.dim == 4
     assert (q.hodge(1, 1), q.hodge(2, 2), q.hodge(3, 2)) == (1, 1, 10)
-    assert not q.validated  # twists are raw by design
+    with pytest.raises(ValueError, match="Serre-dual"):
+        q.validate()  # a twist breaks Serre duality by design
 
 
 def test_tate_twist_rejects_negative():

@@ -13,7 +13,7 @@ from flipcheck.sod import (NegativeMultiplicityError,
                            default_rules, embedding_obstruction,
                            fano_scheme_conjecture_ledger, hilb2_ledger,
                            hilb2_two_quadrics_ledger,
-                           ledger_subtract, ogr_pencil_conjecture_ledger,
+                           ogr_pencil_conjecture_ledger,
                            substitute, sym2_ledger, tensor_atom_name,
                            two_quadrics_components)
 
@@ -26,7 +26,7 @@ ledgers = st.dictionaries(ledger_names, st.integers(1, 30), max_size=4).map(
 
 
 def test_zero_multiplicities_not_stored():
-    assert SodLedger({"DC": 0}).is_empty()
+    assert SodLedger({"DC": 0}).multiplicities == {}
     with pytest.raises(NegativeMultiplicityError):
         SodLedger({"DC": -1})
 
@@ -44,15 +44,6 @@ def test_substitute_with_empty_replacement_removes():
     assert substitute(led, "DX", SodLedger()) == SodLedger({"DC": 1})
     with pytest.raises(KeyError):
         substitute(led, "missing", SodLedger())
-
-
-def test_subtract():
-    a = SodLedger({"DC": 3, "Dpt": 1})
-    assert ledger_subtract(a, a).is_empty()
-    assert ledger_subtract(a, SodLedger({"DC": 1})) == \
-        SodLedger({"DC": 2, "Dpt": 1})
-    with pytest.raises(NegativeMultiplicityError):
-        ledger_subtract(a, SodLedger({"Dpt": 2}))
 
 
 @given(ledgers, ledgers)
@@ -104,11 +95,6 @@ def test_sym2_ledger_unresolved_pairs():
         sym2_ledger(["DC", "DX"], table)
 
 
-def test_sym2_ledger_declared_atom_fallback():
-    table = RuleTable(declared=["Sym2_DX"])
-    assert sym2_ledger(["DX"], table) == SodLedger({"Sym2_DX": 1})
-
-
 def sym2_ledger_pairwise(components, rules=None):
     """Reference: one resolution per copy and per pair i < j, folded with +."""
     rules = rules if rules is not None else default_rules()
@@ -133,24 +119,26 @@ _EXTRA_NAMES = ["DX", "DY"]
 
 @st.composite
 def ledger_tables(draw):
-    """Default rules plus random rules and declared fallbacks for DX, DY."""
+    """Default rules plus random rules for DX, DY: each pair has a rule to
+    other atoms, a rule to its own mangled atom, or no rule."""
     table = default_rules()
     names = ["DC", "Dpt"] + _EXTRA_NAMES
     for a in _EXTRA_NAMES:
-        choice = draw(st.sampled_from(["rule", "declared", "missing"]))
+        choice = draw(st.sampled_from(["rule", "mangled", "missing"]))
         if choice == "rule":
             table.add(RewriteRule("sym2", (a,), SodLedger({a: 1, "Dpt": 2})))
-        elif choice == "declared":
-            table.declare(f"Sym2_{a}")
+        elif choice == "mangled":
+            table.add(RewriteRule("sym2", (a,), SodLedger({f"Sym2_{a}": 1})))
     for i, a in enumerate(names):
         for b in names[i:]:
             if (a, b) in (("DC", "Dpt"), ("Dpt", "Dpt")):
                 continue
-            choice = draw(st.sampled_from(["rule", "declared", "missing"]))
+            choice = draw(st.sampled_from(["rule", "mangled", "missing"]))
             if choice == "rule":
                 table.add(RewriteRule("tensor", (a, b), SodLedger({b: 1, a: 3})))
-            elif choice == "declared":
-                table.declare(tensor_atom_name(a, b))
+            elif choice == "mangled":
+                table.add(RewriteRule("tensor", (a, b),
+                                      SodLedger({tensor_atom_name(a, b): 1})))
     return table
 
 
@@ -177,7 +165,11 @@ def test_sym2_ledger_default_rules_match_pairwise_fold(components):
 ])
 def test_sym2_ledger_reports_first_of_two_unresolved_pairs(components,
                                                            first_unresolved):
-    table = RuleTable(declared=["Sym2_DX", "Sym2_DY", "Tensor_DY_DY"])
+    table = RuleTable([
+        RewriteRule("sym2", ("DX",), SodLedger({"Sym2_DX": 1})),
+        RewriteRule("sym2", ("DY",), SodLedger({"Sym2_DY": 1})),
+        RewriteRule("tensor", ("DY", "DY"), SodLedger({"Tensor_DY_DY": 1})),
+    ])
     with pytest.raises(UnresolvedPairError) as got:
         sym2_ledger(components, table)
     with pytest.raises(UnresolvedPairError) as want:
@@ -197,7 +189,7 @@ def test_hilb2_ledger_n5():
         "DC": 2 * n - 2,
         "Dpt": comb(n - 1, 2) + 2 * (n - 1) + (n - 1) * (n - 2),
     })
-    assert led.count("DC") == 8 and led.count("Dpt") == 26
+    assert led.multiplicities["DC"] == 8 and led.multiplicities["Dpt"] == 26
 
 
 def test_hilb2_ledger_n3():
@@ -215,8 +207,8 @@ def test_hilb2_ledger_n2_degenerates_to_sym2():
 def test_hilb2_closed_form_all_odd_n():
     for n in range(3, 20, 2):
         led = hilb2_two_quadrics_ledger(n)
-        assert led.count("DC") == 2 * n - 2
-        assert led.count("Dpt") == \
+        assert led.multiplicities["DC"] == 2 * n - 2
+        assert led.multiplicities["Dpt"] == \
             comb(n - 1, 2) + 2 * (n - 1) + (n - 1) * (n - 2)
 
 
@@ -224,9 +216,8 @@ def test_hilb2_closed_form_all_odd_n():
 
 
 def test_pencil_subtraction_at_n5():
-    lhs = ledger_subtract(hilb2_two_quadrics_ledger(5),
-                          fano_scheme_conjecture_ledger(5))
-    assert lhs == ogr_pencil_conjecture_ledger(5)
+    assert fano_scheme_conjecture_ledger(5) + ogr_pencil_conjecture_ledger(5) \
+        == hilb2_two_quadrics_ledger(5)
     assert fano_scheme_conjecture_ledger(5) == \
         SodLedger({"DSym2C": 1, "DC": 2, "Dpt": 2})
     assert ogr_pencil_conjecture_ledger(5) == \
@@ -299,6 +290,15 @@ def test_rule_table_normalize_applies_sym2_names():
     assert got == SodLedger({"Dpt": 65})
 
 
+def test_rule_table_normalize_applies_tensor_names():
+    table = default_rules()
+    got = table.normalize(SodLedger({"Tensor_DC_Dpt": 3, "Tensor_Dpt_Dpt": 2}))
+    assert got == SodLedger({"DC": 3, "Dpt": 2})
+    table.add(RewriteRule("atom", ("Tensor_DC_Dpt",), SodLedger({"DS": 1})))
+    got = table.normalize(SodLedger({"Tensor_DC_Dpt": 3, "Tensor_Dpt_Dpt": 2}))
+    assert got == SodLedger({"DS": 3, "Dpt": 2})
+
+
 def test_rule_table_ordered_rewriting_terminates():
     table = RuleTable()
     table.add(RewriteRule("atom", ("DB",), SodLedger({"DA": 2})))
@@ -336,8 +336,11 @@ def test_normalize_atom_rule_wins_over_sym2_rule():
 
 def _normalize_by_min_scan(table, led, max_steps=10_000):
     """Reference: every step scans the whole ledger for the smallest name
-    that has a rule (atom rules win over sym2 rules for the same name)."""
+    that has a rule (atom rules win over sym2 and tensor rules for the same
+    name)."""
     rhs_for = {f"Sym2_{base}": rhs for base, rhs in table.sym2_rules.items()}
+    for (a, b), rhs in table.tensor_rules.items():
+        rhs_for[f"Tensor_{a}_{b}"] = rhs
     rhs_for.update(table.atom_rules)
     current = led
     steps = 0
@@ -372,23 +375,27 @@ def _counted_outcome(fn, *args):
     return result, calls
 
 
-_REWRITE_NAMES = ["DA", "DB", "DC", "Dpt", "Sym2_DA", "Sym2_DB"]
+_REWRITE_NAMES = ["DA", "DB", "DC", "Dpt", "Sym2_DA", "Sym2_DB",
+                  "Tensor_DA_DB", "Tensor_DB_DB"]
 
 
 @st.composite
 def rewrite_tables(draw):
-    """Atom and sym2 rules over a few names; self-rewrites, 2-cycles and
-    atom rules for mangled ``Sym2_*`` names all occur."""
+    """Atom, sym2 and tensor rules over a few names; self-rewrites, 2-cycles
+    and atom rules for mangled ``Sym2_*``/``Tensor_*`` names all occur."""
     table = RuleTable()
     rhs = st.dictionaries(st.sampled_from(_REWRITE_NAMES), st.integers(1, 3),
                           max_size=3).map(SodLedger)
+    bases = st.sampled_from(["DA", "DB", "DC"])
     for _ in range(draw(st.integers(0, 6))):
-        if draw(st.booleans()):
-            lhs = draw(st.sampled_from(_REWRITE_NAMES))
-            table.add(RewriteRule("atom", (lhs,), draw(rhs)))
+        kind = draw(st.sampled_from(["atom", "sym2", "tensor"]))
+        if kind == "atom":
+            args = (draw(st.sampled_from(_REWRITE_NAMES)),)
+        elif kind == "sym2":
+            args = (draw(bases),)
         else:
-            base = draw(st.sampled_from(["DA", "DB", "DC"]))
-            table.add(RewriteRule("sym2", (base,), draw(rhs)))
+            args = (draw(bases), draw(bases))
+        table.add(RewriteRule(kind, args, draw(rhs)))
     return table
 
 

@@ -1,0 +1,50 @@
+"""Every public function, class and method in src/flipcheck has a caller
+outside the tests, apart from three kept as test oracles."""
+
+import ast
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+SRC = sorted((REPO / "src" / "flipcheck").glob("*.py"))
+PERFBENCH = sorted((REPO / "perfbench").glob("*.py"))
+
+# tests check the rest of the package against these:
+# sym2 + alt2 == kunneth(a, a), blowup(X x X, X, n) == X^[2] + alt2(X),
+# and the Gr(2,5) dimension formula
+ORACLES = {"alt2", "blowup", "h0_quotient_dual_twist2"}
+
+
+def _public_defs(tree):
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if not node.name.startswith("_"):
+                yield node.name
+            if isinstance(node, ast.ClassDef):
+                todo.extend(node.body)
+
+
+def _references(path):
+    """Names that ``path`` reads as attributes, and in src/flipcheck also
+    as bare or imported names; perfbench's bare names are its own, and it
+    looks flipcheck names up by string to patch them."""
+    in_src = path in SRC
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute):
+            yield node.attr
+        elif in_src and isinstance(node, ast.Name):
+            yield node.id
+        elif in_src and isinstance(node, ast.alias):
+            yield node.name
+        elif (not in_src and isinstance(node, ast.Constant)
+              and isinstance(node.value, str)):
+            yield node.value
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    defined = {name for path in SRC
+               for name in _public_defs(ast.parse(path.read_text(encoding="utf-8")))}
+    referenced = {name for path in SRC + PERFBENCH
+                  for name in _references(path)}
+    assert defined - referenced == ORACLES
