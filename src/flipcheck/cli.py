@@ -92,16 +92,21 @@ def cmd_hodge(args) -> int:
 
 GRID_K_MAX = 6
 GRID_N_MAX = 30
-_GR25_CODIM_DOMAIN = [(n, 0) for n in range(2, 7)] + [(n, 1) for n in (4, 5, 6)]
+
+
+def _grid(family: Family) -> list[tuple[int, int]]:
+    """The (n, k) cells of the verification grid, k-major.  The two
+    hypersurface families start at (0, 0), a cell only the codimension
+    identities evaluate."""
+    if family is Family.GR25_SECTION:
+        return [(n, 0) for n in range(2, 7)] + [(n, 1) for n in (4, 5, 6)]
+    return [(n, k) for k in range(GRID_K_MAX + 1)
+            for n in range(k, GRID_N_MAX + 1)]
 
 
 def _codim_grid(family: Family) -> tuple[int, int, list]:
     """(passed cells, total cells, failures) over the verification grid."""
-    if family is Family.GR25_SECTION:
-        domain = _GR25_CODIM_DOMAIN
-    else:
-        domain = [(n, k) for k in range(GRID_K_MAX + 1)
-                  for n in range(k, GRID_N_MAX + 1)]
+    domain = _grid(family)
     failures = []
     for n, k in domain:
         if not fano.verify_codim_identity(family, n, k).passed:
@@ -552,16 +557,13 @@ def _check_sod_counts_cubic() -> CheckReport:
 
 def _check_flip_shapes() -> CheckReport:
     failures = []
-    for family in (Family.CUBIC, Family.TWO_QUADRICS):
-        for k in range(0, GRID_K_MAX + 1):
-            for n in range(max(k, 1), GRID_N_MAX + 1):
-                for shape in fano.flip_shapes(family, n, k):
-                    if not shape.is_degenerate() and shape.r < shape.s:
-                        failures.append([family.value, n, k])
-    for n, k in _GR25_CODIM_DOMAIN:
-        for shape in fano.flip_shapes(Family.GR25_SECTION, n, k):
-            if not shape.is_degenerate() and shape.r < shape.s:
-                failures.append(["gr25", n, k])
+    for family in Family:
+        for n, k in _grid(family):
+            if n == 0:  # flip shapes need dim X >= 1
+                continue
+            for shape in fano.flip_shapes(family, n, k):
+                if not shape.is_degenerate() and shape.r < shape.s:
+                    failures.append([family.value, n, k])
     return make_report("fano/flip-shape-r-ge-s", {}, [], failures, "derived")
 
 
@@ -581,7 +583,7 @@ def _blowup_expansion(x, z, c):
 
 
 def _check_flip_derivation() -> CheckReport:
-    X, Xp, F = (motive.atom(a) for a in ("X", "Xp", "F"))
+    X, Xp, F = (MotiveExpr.atom(a) for a in ("X", "Xp", "F"))
     failures = []
     for r in range(6):
         for s in range(6):
@@ -594,7 +596,7 @@ def _check_flip_derivation() -> CheckReport:
 
 
 def _check_flop_zero() -> CheckReport:
-    F = motive.atom("F")
+    F = MotiveExpr.atom("F")
     computed = [motive.flip_difference(F, r, r).is_zero() for r in range(6)]
     return make_report("motive/flop-difference-zero", {"r": "[0, 5]"},
                        [True] * 6, computed, "trivial")
@@ -613,7 +615,7 @@ def _check_hilb2_class() -> CheckReport:
 def _check_euler_specialization() -> CheckReport:
     qds = varieties.builtin("quartic-double-solid")
     e = hodge.euler(qds)
-    cls = motive.hilbert_square_class(motive.atom("X"), 3)
+    cls = motive.hilbert_square_class(MotiveExpr.atom("X"), 3)
     via_motive = cls.specialize({"X": e, "Sym2_X": e * (e + 1) // 2})
     via_hodge = hodge.euler(hodge.hilbert_square(qds))
     return make_report("motive/euler-specialization-quartic-double-solid",

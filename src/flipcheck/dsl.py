@@ -203,7 +203,7 @@ def tokenize(text: str) -> list[Token]:
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
-        # four more EOF tokens make every lookahead of ``at_rule`` a plain
+        # four more EOF tokens make every lookahead of ``rule_lhs`` a plain
         # index; the parser owns the list from here on
         tokens.extend(tokens[-1:] * 4)
         self.tokens = tokens
@@ -233,27 +233,14 @@ class _Parser:
 
     # statements ---------------------------------------------------------
 
-    def at_rule(self) -> bool:
-        # match the three lhs shapes exactly so that an expression statement
-        # followed by a rule is never misread as one long rule
-        toks, i = self.tokens, self.i
-        if toks[i].kind != "IDENT":
-            return False
-        second = toks[i + 1].kind
-        if second == "ARROW":
-            return True
-        if second == "TENSOR":
-            return toks[i + 2].kind == "IDENT" and toks[i + 3].kind == "ARROW"
-        return (second == "LPAREN" and toks[i].text == "Sym2"
-                and toks[i + 2].kind == "IDENT" and toks[i + 3].kind == "RPAREN"
-                and toks[i + 4].kind == "ARROW")
-
     def statement(self) -> Node:
         if self.peek().kind == "LBRACE":
             return self.ledger()
-        if self.at_rule():
-            return self.rule()
-        return self.expr()
+        lhs = self.rule_lhs()
+        if lhs is None:
+            return self.expr()
+        rhs = self.ledger()
+        return RuleDef(_join(lhs.span, rhs.span), lhs, rhs)
 
     def script(self) -> list[Node]:
         out = []
@@ -354,25 +341,31 @@ class _Parser:
         close = self.expect("RBRACE", "'}' or ','")
         return LedgerLiteral(_join(open_.span, close.span), tuple(entries))
 
-    def rule(self) -> RuleDef:
-        lhs = self.rule_lhs()
-        self.expect("ARROW", "'=>'")
-        rhs = self.ledger()
-        return RuleDef(_join(lhs.span, rhs.span), lhs, rhs)
-
-    def rule_lhs(self) -> Node:
-        tok = self.expect("IDENT", "atom or Sym2(...)")
-        if tok.text == "Sym2" and self.peek().kind == "LPAREN":
-            self.i += 1
-            inner = self.expect("IDENT", "atom name")
-            close = self.expect("RPAREN", "')'")
-            return Sym2(_join(tok.span, close.span),
-                        Atom(inner.span, inner.text))
-        if self.peek().kind == "TENSOR":
-            self.i += 1
-            right = self.expect("IDENT", "atom after '(*)'")
+    def rule_lhs(self) -> Node | None:
+        """A rule head through its '=>': ``A``, ``A (*) B`` or ``Sym2(A)``.
+        Returns None and consumes nothing on any other shape, so that an
+        expression statement followed by a rule is never misread as one
+        long rule."""
+        toks, i = self.tokens, self.i
+        tok = toks[i]
+        if tok.kind != "IDENT":
+            return None
+        second = toks[i + 1].kind
+        if second == "ARROW":
+            self.i = i + 2
+            return Atom(tok.span, tok.text)
+        if second == "TENSOR":
+            right = toks[i + 2]
+            if right.kind != "IDENT" or toks[i + 3].kind != "ARROW":
+                return None
+            self.i = i + 4
             return Tensor(_join(tok.span, right.span), tok.text, right.text)
-        return Atom(tok.span, tok.text)
+        inner, close = toks[i + 2], toks[i + 3]
+        if (second != "LPAREN" or tok.text != "Sym2" or inner.kind != "IDENT"
+                or close.kind != "RPAREN" or toks[i + 4].kind != "ARROW"):
+            return None
+        self.i = i + 5
+        return Sym2(_join(tok.span, close.span), Atom(inner.span, inner.text))
 
 
 def _int(tok: Token) -> int:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 from collections import namedtuple
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -89,23 +89,24 @@ def h0_quotient_dual_twist2(k: int) -> int:
 
 # -- expected dimensions -------------------------------------------------------
 
-# Prop-table dimensions for linear sections of Gr(2,5); None marks an empty
-# Fano scheme.  Keyed by dim X in [2, 6].
-_GR25_F1 = {2: 0, 3: 2, 4: 4, 5: 6, 6: 8}
-_GR25_F2_SIGMA = {2: None, 3: None, 4: 1, 5: 4, 6: 7}
-_GR25_F2_TAU = {2: None, 3: None, 4: 0, 5: 3, 6: 6}
-_GR25_F3 = {2: None, 3: None, 4: None, 5: 0, 6: 4}
-
-
 # one column of the dimension table for a Gr(2,5) section
 Gr25DimRow = namedtuple("Gr25DimRow", "n f1 f2_sigma f2_tau f3")
 
+# Prop-table dimensions for linear sections of Gr(2,5); None marks an empty
+# Fano scheme.  Keyed by dim X in [2, 6].
+_GR25_ROWS = {row.n: row for row in (
+    Gr25DimRow(2, 0, None, None, None),
+    Gr25DimRow(3, 2, None, None, None),
+    Gr25DimRow(4, 4, 1, 0, None),
+    Gr25DimRow(5, 6, 4, 3, 0),
+    Gr25DimRow(6, 8, 7, 6, 4),
+)}
+
 
 def gr25_dim_row(n: int) -> Gr25DimRow:
-    if not 2 <= n <= 6:
+    if n not in _GR25_ROWS:
         raise ValueError("Gr(2,5) sections have 2 <= dim X <= 6")
-    return Gr25DimRow(n, _GR25_F1[n], _GR25_F2_SIGMA[n], _GR25_F2_TAU[n],
-                      _GR25_F3[n])
+    return _GR25_ROWS[n]
 
 
 def expected_dim_fano(family: Family, n: int, k_planes: int):
@@ -303,32 +304,16 @@ def verify_codim_identity(family: Family, n: int, k: int) -> CodimReport:
     return CodimReport(family, n, k, tuple(checks))
 
 
-def _affine_in_n(f: Callable[[int], int]) -> tuple[int, int]:
-    """Slope and intercept of an integer function affine in n; raises if the
-    samples at n = 0, 1, 2 are not collinear."""
-    v0, v1, v2 = f(0), f(1), f(2)
-    if v2 - v1 != v1 - v0:
-        raise ValueError("function is not affine in n")
-    return (v1 - v0, v0)
-
-
 def verify_codim_identity_symbolic(family: Family, k: int) -> bool:
-    """Polynomial (affine-in-n) form of the identity chain for fixed ``k``,
-    for the two hypersurface-type families."""
-    rank = rank_sym2_u(k)
-    if family is Family.CUBIC:
-        lhs = _affine_in_n(
-            lambda n: expected_dim_fano(family, n, k + 1) + (k + 1))
-        rhs = _affine_in_n(
-            lambda n: expected_dim_fano(family, n, k) + (n - k) - rank)
-        return lhs == rhs
-    if family is Family.TWO_QUADRICS:
-        lhs = _affine_in_n(
-            lambda n: expected_dim_fano(family, n, k + 1) + 1)
-        rhs = _affine_in_n(
-            lambda n: (k + 2) * (n - k + 1) - 2 * rank + 1)
-        return lhs == rhs
-    raise ValueError("the Gr(2,5) table is not polynomial in n")
+    """The identity chain for fixed ``k`` as affine functions of n, for the
+    two hypersurface-type families: sampled at n = 0, 1, 2, both sides of
+    every check agree and the samples are collinear."""
+    if family is Family.GR25_SECTION:
+        raise ValueError("the Gr(2,5) table is not polynomial in n")
+    samples = [verify_codim_identity(family, n, k).checks for n in (0, 1, 2)]
+    return all(c0.passed and c1.passed and c2.passed
+               and c2.lhs - c1.lhs == c1.lhs - c0.lhs
+               for c0, c1, c2 in zip(*samples))
 
 
 # -- decomposition component counts --------------------------------------------
@@ -395,22 +380,19 @@ def brute_force_line_splittings(n: int) -> list[SplittingType]:
     return sorted(found)
 
 
-# how taking the Hilbert square of a line transforms each line-bundle summand
-_HILB2_SPLITTING = {-1: (-1, -1), 0: (-1, 0), 1: (0, 0)}
-
-
 def hilb2_normal_restriction(n: int) -> SplittingType:
     """Splitting of the normal bundle of (line)^[2] = P^2 inside X^[2].
 
-    Applies the rank-doubling table O(-1) -> O(-1)^2, O -> O + O(-1),
-    O(1) -> O^2 summand by summand to every line splitting type; both types
+    Applies the splitting of O(a)^[2] on (line)^[2] = P^2 from
+    :data:`TAUT_SPLITTINGS`, O(-1) -> O(-1)^2, O -> O + O(-1), O(1) -> O^2,
+    summand by summand to every line splitting type; both types
     collapse to the same answer O(-1)^2 + O^{2n-4}.
     """
     results = set()
     for splitting in enumerate_line_splittings(n):
         doubled: list[int] = []
         for a in splitting:
-            doubled.extend(_HILB2_SPLITTING[a])
+            doubled.extend(TAUT_SPLITTINGS[a])
         results.add(tuple(sorted(doubled)))
     if len(results) != 1:
         raise ArithmeticError(f"splitting types disagree after doubling: {results}")

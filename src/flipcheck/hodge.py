@@ -40,6 +40,10 @@ from collections.abc import Iterable, Mapping
 
 Bidegree = tuple[int, int]
 
+# largest dimension of an input diamond (JSON or builtin): the packed
+# operations size their buffers by the dimension, not by the entries
+MAX_DIM = 100_000
+
 
 class HodgeDiamond:
     """A bigraded table of nonnegative integers supported on ``[0, dim]^2``.
@@ -150,13 +154,15 @@ class HodgeDiamond:
         # bool is a subclass of int, but JSON true/false is not a number
         if type(dim) is not int:
             raise ValueError("'dim' must be an integer")
+        if dim > MAX_DIM:
+            raise ValueError(f"'dim' must be at most {MAX_DIM}")
         if not isinstance(raw, list):
             raise ValueError("'entries' must be a list of [p, q, value] rows")
         entries = []
-        for row in raw:
+        for i, row in enumerate(raw):
             if not (isinstance(row, (list, tuple)) and len(row) == 3
                     and all(type(x) is int for x in row)):
-                raise ValueError(f"bad entry row {row!r}; want [p, q, value]")
+                raise ValueError(f"bad entry row {i}; want [p, q, value]")
             entries.append(tuple(row))
         return cls(dim, entries)
 

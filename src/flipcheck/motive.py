@@ -173,10 +173,6 @@ def _coerce(value) -> MotiveExpr:
 ONE = MotiveExpr.const(1)
 
 
-def atom(name: str) -> MotiveExpr:
-    return MotiveExpr.atom(name)
-
-
 def class_of_pn(n: int) -> MotiveExpr:
     """``[P^n] = 1 + L + ... + L^n``."""
     if n < 0:

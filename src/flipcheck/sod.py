@@ -18,9 +18,10 @@ and ``Sym^2 Dpt -> {Dpt: 2}`` together with the tensor rules
 never guesses.
 
 Ledger scripts name these resolutions as atoms: ``Sym2_A`` for ``Sym^2 A``
-and ``Tensor_A_B`` (names sorted) for ``A (x) B``.  Normalizing a ledger
-rewrites each such atom by its sym2 or tensor rule, and any atom by its
-atom rule, which wins over the other two for the same name.
+and ``Tensor_A_B`` (names sorted) for ``A (x) B``.  A rule table is one map
+from the atom each rule rewrites to its right-hand side, and an atom rule
+wins over a sym2 or tensor rule for the same name.  ``sym2_ledger`` resolves
+its pairs through the same map that normalizing a ledger rewrites with.
 
 For the Hilbert square of an ``n``-fold whose derived category has the given
 components, the ledger is ``Sym^2`` of the components plus ``n - 2`` extra
@@ -155,55 +156,42 @@ def tensor_atom_name(a: str, b: str) -> str:
 
 
 class RuleTable:
-    """Rule set for resolving Sym^2 atoms, tensor pairs and substitutions.
+    """Rule set for resolving Sym^2 atoms, tensor pairs and substitutions:
+    one map from the ledger atom a rule rewrites (``A``, ``Sym2_A`` or
+    ``Tensor_A_B``) to the rule's right-hand side.
 
     A step budget guards normalization against rule systems that do not
     terminate.
     """
 
     def __init__(self, rules: Iterable[RewriteRule] = ()):
-        self.atom_rules: dict[str, SodLedger] = {}
-        self.sym2_rules: dict[str, SodLedger] = {}
-        self.tensor_rules: dict[tuple[str, str], SodLedger] = {}
+        self.rules: dict[str, SodLedger] = {}
+        self._atom_ruled: set[str] = set()
         for rule in rules:
             self.add(rule)
 
     def add(self, rule: RewriteRule) -> None:
+        """Add a rule; an atom rule wins over a sym2 or tensor rule for the
+        same atom, whichever comes first."""
         if rule.kind == "atom":
-            self.atom_rules[rule.args[0]] = rule.rhs
-        elif rule.kind == "sym2":
-            self.sym2_rules[rule.args[0]] = rule.rhs
+            name = rule.args[0]
+            self._atom_ruled.add(name)
         else:
-            self.tensor_rules[tuple(sorted(rule.args))] = rule.rhs
-
-    def resolve_sym2(self, name: str) -> SodLedger:
-        if name not in self.sym2_rules:
-            raise UnresolvedPairError(f"no rule for Sym2({name})")
-        return self.sym2_rules[name]
-
-    def resolve_tensor(self, a: str, b: str) -> SodLedger:
-        key = tuple(sorted((a, b)))
-        if key not in self.tensor_rules:
-            raise UnresolvedPairError(f"no rule for {key[0]} (x) {key[1]}")
-        return self.tensor_rules[key]
+            name = (sym2_atom_name(rule.args[0]) if rule.kind == "sym2"
+                    else tensor_atom_name(*rule.args))
+            if name in self._atom_ruled:
+                return
+        self.rules[name] = rule.rhs
 
     def normalize(self, led: SodLedger, max_steps: int = 10_000) -> SodLedger:
         """Apply atom substitutions to a fixpoint, each step rewriting the
-        smallest name that has a rule; at most ``max_steps`` substitutions.
-
-        Atom rules rewrite, and so do sym2 and tensor rules, each addressing
-        its ``Sym2_*`` or ``Tensor_*`` ledger atom; an atom rule wins over
-        either for the same name."""
+        smallest name that has a rule; at most ``max_steps`` substitutions."""
         from heapq import heapify, heappop, heappush  # only scripts rewrite
 
-        rhs_for = {sym2_atom_name(base): rhs
-                   for base, rhs in self.sym2_rules.items()}
-        rhs_for.update((tensor_atom_name(*pair), rhs)
-                       for pair, rhs in self.tensor_rules.items())
-        rhs_for.update(self.atom_rules)
+        rules = self.rules
         current = led
         # the names of ``current`` that have a rule, each once
-        pending = [name for name in current.multiplicities if name in rhs_for]
+        pending = [name for name in current.multiplicities if name in rules]
         heapify(pending)
         steps = 0
         while pending:
@@ -211,12 +199,12 @@ class RuleTable:
                 raise RewriteLoopError(
                     f"rewriting did not terminate in {max_steps} steps")
             target = heappop(pending)
-            rhs = rhs_for[target]
+            rhs = rules[target]
             present = current.multiplicities
             for name in rhs.multiplicities:
                 # the target leaves the ledger, so it counts as new when
                 # its own right-hand side brings it back
-                if name in rhs_for and (name == target or name not in present):
+                if name in rules and (name == target or name not in present):
                     heappush(pending, name)
             current = substitute(current, target, rhs)
             steps += 1
@@ -246,10 +234,11 @@ def sym2_ledger(components: Sequence[str],
 
     Each distinct name ``a`` of multiplicity ``k`` contributes
     ``k Sym^2 a + C(k, 2) a (x) a``, and each distinct pair ``a, b``
-    contributes ``k_a k_b a (x) b``.  Pairs are resolved once each, in the
-    order the pairwise expansion first meets them, so the first unresolved
-    pair is the one reported."""
-    rules = rules if rules is not None else default_rules()
+    contributes ``k_a k_b a (x) b``.  Pairs are resolved once each, through
+    the ``Sym2_a`` and ``Tensor_a_b`` entries of the rule map, in the order
+    the pairwise expansion first meets them, so the first unresolved pair is
+    the one reported."""
+    table = (rules if rules is not None else default_rules()).rules
     count: dict[str, int] = {}
     first: dict[str, int] = {}
     second: dict[str, int] = {}
@@ -262,13 +251,18 @@ def sym2_ledger(components: Sequence[str],
         count[name] = k + 1
     out: dict[str, int] = {}
 
-    def add(led: SodLedger, k: int) -> None:
-        for name, m in led.multiplicities.items():
+    def add(key: str, k: int, *names: str) -> None:
+        rhs = table.get(key)
+        if rhs is None:
+            what = (f"Sym2({names[0]})" if len(names) == 1
+                    else " (x) ".join(sorted(names)))
+            raise UnresolvedPairError(f"no rule for {what}")
+        for name, m in rhs.multiplicities.items():
             out[name] = out.get(name, 0) + k * m
 
     distinct = list(count)
     for r, a in enumerate(distinct):
-        add(rules.resolve_sym2(a), count[a])
+        add(sym2_atom_name(a), count[a], a)
         # the pairwise expansion meets each later name at its first copy,
         # and a itself at a's second copy
         partners = [(first[b], b) for b in distinct[r + 1:]]
@@ -277,7 +271,7 @@ def sym2_ledger(components: Sequence[str],
             partners.sort()
         for _, b in partners:
             k = comb(count[a], 2) if b == a else count[a] * count[b]
-            add(rules.resolve_tensor(a, b), k)
+            add(tensor_atom_name(a, b), k, a, b)
     return SodLedger(out)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 
-from .hodge import HodgeDiamond
+from .hodge import MAX_DIM, HodgeDiamond
 
 # One asset per variety whose Hodge numbers are taken from the literature
 # rather than computed here.
@@ -103,7 +103,10 @@ def builtin(name: str) -> HodgeDiamond:
         return point()
     m = re.fullmatch(r"p(\d+)", name)
     if m:
-        return projective_space(int(m.group(1)))
+        n = int(m.group(1))
+        if n > MAX_DIM:
+            raise ValueError(f"builtin p<n> needs n <= {MAX_DIM}")
+        return projective_space(n)
     m = _CURVE_RE.fullmatch(name)
     if m:
         return curve(int(m.group(1)))

@@ -146,7 +146,7 @@ def test_criterion_8_tautological_splittings():
 
 def test_criterion_9_motivic_flip_identity():
     def body():
-        x, xp, f = (motive.atom(a) for a in ("X", "Xp", "F"))
+        x, xp, f = (motive.MotiveExpr.atom(a) for a in ("X", "Xp", "F"))
 
         def blowup_expansion(total, center, c):
             return total if c == 1 else motive.blowup_class(total, center, c)

@@ -99,6 +99,33 @@ def test_hodge_diamond_booleans_are_not_integers(tmp_path, capsys):
     assert "bad entry row" in err
 
 
+def test_hodge_bad_row_error_names_its_index(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    deep = "[" * 900 + "]" * 900
+    bad.write_text('{"dim": 1, "entries": [[0, 0, 1], [1, 1, 1], %s]}' % deep)
+    code, out, err = run(capsys, "hodge", "hh0", "--diamond", str(bad))
+    assert (code, out, err) == \
+        (2, "", "error: bad entry row 2; want [p, q, value]\n")
+
+
+@pytest.mark.parametrize("entries", [[], [[0, 0, 1], [10**12, 10**12, 1]]])
+def test_hodge_diamond_dimension_bound(tmp_path, capsys, entries):
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"dim": 10**12, "entries": entries}))
+    for op in ("hh0", "sym2", "hilb2"):
+        code, out, err = run(capsys, "hodge", op, "--diamond", str(huge))
+        assert (code, out, err) == \
+            (2, "", "error: 'dim' must be at most 100000\n")
+
+
+def test_hodge_builtin_pn_dimension_bound(capsys):
+    assert varieties.builtin("p100000").dim == 100_000
+    for name in ("p100001", "p" + "9" * 30):
+        code, out, err = run(capsys, "hodge", "hh0", "--builtin", name)
+        assert (code, out, err) == \
+            (2, "", "error: builtin p<n> needs n <= 100000\n")
+
+
 def test_hodge_hilb2_rejects_point_builtin(capsys):
     code, _, err = run(capsys, "hodge", "hilb2", "--builtin", "point")
     assert code == 2 and "not modelled" in err

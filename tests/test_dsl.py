@@ -10,10 +10,11 @@ from flipcheck.dsl import (Atom, EvalError, IntLit, LedgerLiteral, LPow, Node,
                            ParseError, Product, RuleDef, SourceSpan, Sum,
                            Sym2, Tensor, evaluate, parse, parse_script,
                            print_canonical, tokenize)
-from flipcheck.motive import ONE, MotiveExpr, atom
+from flipcheck.motive import ONE, MotiveExpr
 from flipcheck.sod import RewriteRule, SodLedger
 
 L = MotiveExpr.lefschetz(1)
+atom = MotiveExpr.atom
 
 
 # -- parsing ---------------------------------------------------------------------
@@ -46,6 +47,18 @@ def test_parse_rule_forms():
                                SodLedger({"DSym2C": 1, "DC": 1}))
     assert evaluate(parse("DC (*) Dpt => {DC:1}")).kind == "tensor"
     assert evaluate(parse("DX => {}")).rhs == SodLedger()
+
+
+def test_rule_head_edge_cases():
+    """``Sym2`` and ``L`` alone head atom rules; ``Sym2((X))`` is no rule
+    head, so its statement ends before the '=>'."""
+    for name in ("Sym2", "L"):
+        assert evaluate(parse(f"{name} => {{Dpt:1}}")) == \
+            RewriteRule("atom", (name,), SodLedger({"Dpt": 1}))
+    for parser in (parse, parse_script):
+        with pytest.raises(ParseError) as info:
+            parser("Sym2((X)) => {Dpt:1}")
+        assert (info.value.span.line, info.value.span.column) == (1, 11)
 
 
 def test_precedence_and_parens():

@@ -3,11 +3,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flipcheck import hodge, varieties
-from flipcheck.motive import (ONE, FragmentError, MotiveExpr, atom,
-                              blowup_class, class_of_pn, flip_difference,
+from flipcheck.motive import (ONE, FragmentError, MotiveExpr, blowup_class,
+                              class_of_pn, flip_difference,
                               hilbert_square_class, sym2_class)
 
 L = MotiveExpr.lefschetz(1)
+atom = MotiveExpr.atom
 
 atom_names = st.sampled_from(["C", "F", "X", "Y"])
 

@@ -95,14 +95,50 @@ def test_sym2_ledger_unresolved_pairs():
         sym2_ledger(["DC", "DX"], table)
 
 
-def sym2_ledger_pairwise(components, rules=None):
+# default_rules() as a list, for the reference functions below
+DEFAULT_RULES = [
+    RewriteRule("sym2", ("DC",), SodLedger({"DSym2C": 1, "DC": 1})),
+    RewriteRule("sym2", ("Dpt",), SodLedger({"Dpt": 2})),
+    RewriteRule("tensor", ("DC", "Dpt"), SodLedger({"DC": 1})),
+    RewriteRule("tensor", ("Dpt", "Dpt"), SodLedger({"Dpt": 1})),
+]
+
+
+def test_default_rules_list():
+    assert RuleTable(DEFAULT_RULES).rules == default_rules().rules
+
+
+def _rule_map(rules):
+    """Reference map from the atom each rule rewrites to its right-hand
+    side, built from the rule list: the last rule of a kind for a name wins,
+    and atom rules win over sym2 and tensor rules."""
+    by_kind = {"atom": {}, "sym2": {}, "tensor": {}}
+    for rule in rules:
+        if rule.kind == "atom":
+            name = rule.args[0]
+        elif rule.kind == "sym2":
+            name = f"Sym2_{rule.args[0]}"
+        else:
+            name = "Tensor_{}_{}".format(*sorted(rule.args))
+        by_kind[rule.kind][name] = rule.rhs
+    return {**by_kind["sym2"], **by_kind["tensor"], **by_kind["atom"]}
+
+
+def sym2_ledger_pairwise(components, rules=DEFAULT_RULES):
     """Reference: one resolution per copy and per pair i < j, folded with +."""
-    rules = rules if rules is not None else default_rules()
+    rhs_for = _rule_map(rules)
+
+    def resolve(name, what):
+        if name not in rhs_for:
+            raise UnresolvedPairError(f"no rule for {what}")
+        return rhs_for[name]
+
     out = SodLedger()
     for i, a in enumerate(components):
-        out = out + rules.resolve_sym2(a)
+        out = out + resolve(f"Sym2_{a}", f"Sym2({a})")
         for b in components[i + 1:]:
-            out = out + rules.resolve_tensor(a, b)
+            x, y = sorted((a, b))
+            out = out + resolve(f"Tensor_{x}_{y}", f"{x} (x) {y}")
     return out
 
 
@@ -118,38 +154,46 @@ _EXTRA_NAMES = ["DX", "DY"]
 
 
 @st.composite
-def ledger_tables(draw):
+def ledger_rules(draw):
     """Default rules plus random rules for DX, DY: each pair has a rule to
-    other atoms, a rule to its own mangled atom, or no rule."""
-    table = default_rules()
+    other atoms, a rule to its own mangled atom, or no rule; an atom rule
+    for ``Sym2_DX`` or ``Sym2_DY`` may come before or after its sym2 rule."""
+    rules = list(DEFAULT_RULES)
     names = ["DC", "Dpt"] + _EXTRA_NAMES
     for a in _EXTRA_NAMES:
         choice = draw(st.sampled_from(["rule", "mangled", "missing"]))
         if choice == "rule":
-            table.add(RewriteRule("sym2", (a,), SodLedger({a: 1, "Dpt": 2})))
+            rhs = SodLedger({a: 1, "Dpt": 2})
+            rules.append(RewriteRule("sym2", (a,), rhs))
         elif choice == "mangled":
-            table.add(RewriteRule("sym2", (a,), SodLedger({f"Sym2_{a}": 1})))
+            rhs = SodLedger({f"Sym2_{a}": 1})
+            rules.append(RewriteRule("sym2", (a,), rhs))
+        if draw(st.booleans()):
+            atom_rule = RewriteRule("atom", (f"Sym2_{a}",), SodLedger({"DC": 2}))
+            rules.insert(draw(st.integers(0, len(rules))), atom_rule)
     for i, a in enumerate(names):
         for b in names[i:]:
             if (a, b) in (("DC", "Dpt"), ("Dpt", "Dpt")):
                 continue
             choice = draw(st.sampled_from(["rule", "mangled", "missing"]))
             if choice == "rule":
-                table.add(RewriteRule("tensor", (a, b), SodLedger({b: 1, a: 3})))
+                rhs = SodLedger({b: 1, a: 3})
             elif choice == "mangled":
-                table.add(RewriteRule("tensor", (a, b),
-                                      SodLedger({tensor_atom_name(a, b): 1})))
-    return table
+                rhs = SodLedger({tensor_atom_name(a, b): 1})
+            else:
+                continue
+            rules.append(RewriteRule("tensor", (a, b), rhs))
+    return rules
 
 
 component_lists = st.lists(st.sampled_from(["DC", "Dpt", "DX", "DY"]),
                            max_size=12)
 
 
-@given(component_lists, ledger_tables())
-def test_sym2_ledger_matches_pairwise_fold(components, table):
-    assert _outcome(sym2_ledger, components, table) == \
-        _outcome(sym2_ledger_pairwise, components, table)
+@given(component_lists, ledger_rules())
+def test_sym2_ledger_matches_pairwise_fold(components, rules):
+    assert _outcome(sym2_ledger, components, RuleTable(rules)) == \
+        _outcome(sym2_ledger_pairwise, components, rules)
 
 
 @given(st.lists(st.sampled_from(["DC", "Dpt"]), max_size=40))
@@ -165,15 +209,15 @@ def test_sym2_ledger_default_rules_match_pairwise_fold(components):
 ])
 def test_sym2_ledger_reports_first_of_two_unresolved_pairs(components,
                                                            first_unresolved):
-    table = RuleTable([
+    rules = [
         RewriteRule("sym2", ("DX",), SodLedger({"Sym2_DX": 1})),
         RewriteRule("sym2", ("DY",), SodLedger({"Sym2_DY": 1})),
         RewriteRule("tensor", ("DY", "DY"), SodLedger({"Tensor_DY_DY": 1})),
-    ])
+    ]
     with pytest.raises(UnresolvedPairError) as got:
-        sym2_ledger(components, table)
+        sym2_ledger(components, RuleTable(rules))
     with pytest.raises(UnresolvedPairError) as want:
-        sym2_ledger_pairwise(components, table)
+        sym2_ledger_pairwise(components, rules)
     assert str(got.value) == str(want.value)
     assert first_unresolved in str(got.value)
 
@@ -326,22 +370,45 @@ def test_normalize_step_budget_counts_substitutions(k):
         table.normalize(start, max_steps=k - 1)
 
 
+_SYM2_DX_RULES = [RewriteRule("sym2", ("DX",), SodLedger({"Dpt": 1})),
+                  RewriteRule("atom", ("Sym2_DX",), SodLedger({"Dpt": 5}))]
+
+
 def test_normalize_atom_rule_wins_over_sym2_rule():
-    table = RuleTable()
-    table.add(RewriteRule("sym2", ("DX",), SodLedger({"Dpt": 1})))
-    table.add(RewriteRule("atom", ("Sym2_DX",), SodLedger({"Dpt": 5})))
-    got = table.normalize(SodLedger({"Sym2_DX": 2, "DC": 1}))
-    assert got == SodLedger({"Dpt": 10, "DC": 1})
+    for rules in (_SYM2_DX_RULES, _SYM2_DX_RULES[::-1]):  # in either order
+        table = RuleTable()
+        for rule in rules:
+            table.add(rule)
+        got = table.normalize(SodLedger({"Sym2_DX": 2, "DC": 1}))
+        assert got == SodLedger({"Dpt": 10, "DC": 1})
 
 
-def _normalize_by_min_scan(table, led, max_steps=10_000):
+def test_sym2_ledger_atom_rule_wins_as_in_normalize():
+    for rules in (_SYM2_DX_RULES, _SYM2_DX_RULES[::-1]):
+        table = RuleTable(rules)
+        assert sym2_ledger(["DX"], table) == SodLedger({"Dpt": 5}) == \
+            table.normalize(SodLedger({"Sym2_DX": 1}))
+
+
+def test_tensor_names_join_with_underscores():
+    """``A_B (*) C`` and ``A (*) B_C`` both rewrite ``Tensor_A_B_C``; the rule
+    given last wins, in normalize and in sym2_ledger alike."""
+    first = RewriteRule("tensor", ("A_B", "C"), SodLedger({"Dpt": 1}))
+    last = RewriteRule("tensor", ("A", "B_C"), SodLedger({"Dpt": 2}))
+    table = RuleTable([first, last])
+    assert table.rules == {"Tensor_A_B_C": SodLedger({"Dpt": 2})}
+    assert table.normalize(SodLedger({"Tensor_A_B_C": 1})) == \
+        SodLedger({"Dpt": 2})
+    for name in ("A_B", "C"):
+        table.add(RewriteRule("sym2", (name,), SodLedger()))
+    assert sym2_ledger(["A_B", "C"], table) == SodLedger({"Dpt": 2})
+
+
+def _normalize_by_min_scan(rules, led, max_steps=10_000):
     """Reference: every step scans the whole ledger for the smallest name
     that has a rule (atom rules win over sym2 and tensor rules for the same
     name)."""
-    rhs_for = {f"Sym2_{base}": rhs for base, rhs in table.sym2_rules.items()}
-    for (a, b), rhs in table.tensor_rules.items():
-        rhs_for[f"Tensor_{a}_{b}"] = rhs
-    rhs_for.update(table.atom_rules)
+    rhs_for = _rule_map(rules)
     current = led
     steps = 0
     while True:
@@ -380,10 +447,10 @@ _REWRITE_NAMES = ["DA", "DB", "DC", "Dpt", "Sym2_DA", "Sym2_DB",
 
 
 @st.composite
-def rewrite_tables(draw):
+def rewrite_rules(draw):
     """Atom, sym2 and tensor rules over a few names; self-rewrites, 2-cycles
     and atom rules for mangled ``Sym2_*``/``Tensor_*`` names all occur."""
-    table = RuleTable()
+    rules = []
     rhs = st.dictionaries(st.sampled_from(_REWRITE_NAMES), st.integers(1, 3),
                           max_size=3).map(SodLedger)
     bases = st.sampled_from(["DA", "DB", "DC"])
@@ -395,17 +462,17 @@ def rewrite_tables(draw):
             args = (draw(bases),)
         else:
             args = (draw(bases), draw(bases))
-        table.add(RewriteRule(kind, args, draw(rhs)))
-    return table
+        rules.append(RewriteRule(kind, args, draw(rhs)))
+    return rules
 
 
-@given(rewrite_tables(),
+@given(rewrite_rules(),
        st.dictionaries(st.sampled_from(_REWRITE_NAMES), st.integers(1, 5),
                        max_size=5).map(SodLedger),
        st.integers(0, 25))
-def test_normalize_matches_min_scan(table, led, max_steps):
-    assert _counted_outcome(table.normalize, led, max_steps) == \
-        _counted_outcome(_normalize_by_min_scan, table, led, max_steps)
+def test_normalize_matches_min_scan(rules, led, max_steps):
+    assert _counted_outcome(RuleTable(rules).normalize, led, max_steps) == \
+        _counted_outcome(_normalize_by_min_scan, rules, led, max_steps)
 
 
 @pytest.mark.parametrize("rules", [
@@ -415,13 +482,12 @@ def test_normalize_matches_min_scan(table, led, max_steps):
     [("DA", {"DB": 2, "Dpt": 1}), ("DB", {"DA": 1, "DC": 1})],
 ])
 def test_normalize_self_rewrite_and_two_cycle_loop(rules):
-    table = RuleTable(RewriteRule("atom", (lhs,), SodLedger(rhs))
-                      for lhs, rhs in rules)
+    rules = [RewriteRule("atom", (lhs,), SodLedger(rhs)) for lhs, rhs in rules]
     led = SodLedger({"DA": 1, "DC": 1})
     for max_steps in (0, 1, 7):
-        got = _counted_outcome(table.normalize, led, max_steps)
+        got = _counted_outcome(RuleTable(rules).normalize, led, max_steps)
         assert got[0] == f"rewriting did not terminate in {max_steps} steps"
-        assert got == _counted_outcome(_normalize_by_min_scan, table, led,
+        assert got == _counted_outcome(_normalize_by_min_scan, rules, led,
                                        max_steps)
 
 

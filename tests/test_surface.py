@@ -48,3 +48,27 @@ def test_every_public_name_has_a_caller_outside_tests():
     referenced = {name for path in SRC + PERFBENCH
                   for name in _references(path)}
     assert defined - referenced == ORACLES
+
+
+# the methods of these types, which src calls by the same spelling
+BUILTIN_METHODS = {name for t in (str, bytes, tuple, list, dict, set, int)
+                   for name in dir(t)}
+
+
+def _public_methods(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")):
+                    yield item.name
+
+
+def test_no_public_method_hides_behind_a_builtin_method_name():
+    """The test above matches names by spelling, so a method named like a
+    builtin's (``count``, ``index``, ``copy``) would pass as called wherever
+    src calls the builtin's.  The one such method is ``RuleTable.add``,
+    which ``cli._sod_check`` calls."""
+    methods = {name for path in SRC for name in
+               _public_methods(ast.parse(path.read_text(encoding="utf-8")))}
+    assert methods & BUILTIN_METHODS == {"add"}
