@@ -1,0 +1,145 @@
+"""Packed polynomials: the one product and square kernel under ``hodge``
+and ``motive``.
+
+Both layers hold groups of integer polynomials in one variable: a Hodge
+diamond's diagonal ``s = q - p`` is a polynomial in ``p``, and a motive
+class's terms over one atom monomial ``g`` form a polynomial ``a_g(L)``.
+A polynomial with coefficients in ``[0, bound]`` packs into one Python
+integer (Kronecker substitution): coefficient ``p`` sits in the
+``width``-byte slot ``p``, so one big-integer multiply convolves two
+polynomials.  Slots never carry into each other because every output
+coefficient is bounded before the width is chosen.
+
+Slots are read and written in C: through ``memoryview.cast`` at the next
+power-of-two width, with strided byte copies moving between that width and
+the exact one.  Each slot keeps its exact width, since a wider slot makes
+every big multiply longer; only slots over 8 bytes (or a big-endian host)
+take the per-slot loop.
+"""
+
+from __future__ import annotations
+
+import sys
+from collections.abc import Callable, Hashable, Mapping
+
+Groups = Mapping[Hashable, Mapping[int, int]]  # {g: {exponent: coefficient}}
+
+_NATIVE = sys.byteorder == "little"
+# next power-of-two width for slot widths 1-8, and its memoryview format
+_WIDE = (0, 1, 2, 4, 4, 8, 8, 8, 8)
+_FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def width(bound: int) -> int:
+    """Bytes per slot for slot values in ``[0, bound]``."""
+    return max(1, (bound.bit_length() + 7) // 8)
+
+
+def pack(cells: Mapping[int, int], width: int, step: int = 1) -> int:
+    """One integer with ``cells[p] >= 0`` in the ``width``-byte slot
+    ``step * p``."""
+    n = step * max(cells, default=0) + 1
+    if width > 8 or not _NATIVE:
+        buf = bytearray(width * n)
+        for p, v in cells.items():
+            at = width * step * p
+            buf[at:at + width] = v.to_bytes(width, "little")
+        return int.from_bytes(buf, "little")
+    wide = _WIDE[width]
+    buf = bytearray(wide * n)
+    slots = memoryview(buf).cast(_FORMAT[wide])
+    for p, v in cells.items():
+        slots[step * p] = v
+    if wide != width:
+        exact = bytearray(width * n)
+        for j in range(width):
+            exact[j::width] = buf[j::wide]
+        buf = exact
+    return int.from_bytes(buf, "little")
+
+
+def unpack(x: int, width: int) -> list[int]:
+    """The slot values of ``x >= 0``, up to its highest nonzero slot."""
+    n = -(-((x.bit_length() + 7) // 8) // width)
+    raw = x.to_bytes(n * width, "little")
+    if width > 8 or not _NATIVE:
+        return [int.from_bytes(raw[at:at + width], "little")
+                for at in range(0, n * width, width)]
+    wide = _WIDE[width]
+    if wide != width:
+        buf = bytearray(wide * n)
+        for j in range(width):
+            buf[j::wide] = raw[j::width]
+        raw = buf
+    return memoryview(raw).cast(_FORMAT[wide]).tolist()
+
+
+def _total(groups: Groups) -> int:
+    return sum(abs(c) for cells in groups.values() for c in cells.values())
+
+
+def _signed(cells: Mapping[int, int], width: int) -> tuple[int, int]:
+    """The packed positive and negative parts of signed coefficients."""
+    if min(cells.values(), default=0) >= 0:
+        return pack(cells, width), 0
+    return (pack({p: c for p, c in cells.items() if c > 0}, width),
+            pack({p: -c for p, c in cells.items() if c < 0}, width))
+
+
+def convolve(xs: Groups, ys: Groups, merge: Callable
+             ) -> dict[Hashable, list[int]]:
+    """Grouped product: ``{merge(g, h): xs[g] * ys[h]}``, summed over the
+    pairs that merge alike, as coefficient lists.  Coefficients are signed;
+    each group multiplies as its positive part minus its negative part, and
+    every slot of either sum is at most the product of the two totals.
+    """
+    tx, ty = _total(xs), _total(ys)
+    if not (tx and ty):
+        return {}
+    w = width(tx * ty)
+    px = [(g, _signed(cells, w)) for g, cells in xs.items()]
+    py = [(h, _signed(cells, w)) for h, cells in ys.items()]
+    pos: dict[Hashable, int] = {}
+    neg: dict[Hashable, int] = {}
+    for g, (xp, xn) in px:
+        for h, (yp, yn) in py:
+            key = merge(g, h)
+            pos[key] = pos.get(key, 0) + xp * yp + xn * yn
+            if xn or yn:
+                neg[key] = neg.get(key, 0) + xp * yn + xn * yp
+    out = {}
+    for key, p in pos.items():
+        coeffs = unpack(p, w)
+        if neg.get(key):
+            minus = unpack(neg[key], w)
+            coeffs += [0] * (len(minus) - len(coeffs))
+            for i, c in enumerate(minus):
+                coeffs[i] -= c
+        out[key] = coeffs
+    return out
+
+
+def square(xs: Groups, merge: Callable, own: Callable
+           ) -> dict[Hashable, list[int]]:
+    """Symmetric square of ``sum_g xs[g] * g`` by Macdonald's formula, for
+    nonnegative coefficients, as coefficient lists.
+
+    Two groups ``g != h`` give ``xs[g] * xs[h]`` at ``merge(g, h)``.  A group
+    gives ``(c2 * a(t)^2 + c1 * a(t^2)) / 2`` at ``key`` for each
+    ``(key, c2, c1)`` in ``own(g)``, where ``a = xs[g]``; the caller's rule
+    keeps every slot of the numerator even and nonnegative, so one shift
+    halves it slot by slot.  Every numerator slot is at most ``T^2 + T``
+    for the total ``T`` of all coefficients.
+    """
+    t = _total(xs)
+    w = width(t * t + t)
+    packed = [(g, pack(cells, w), cells) for g, cells in xs.items()]
+    out: dict[Hashable, int] = {}
+    for i, (g, x, cells) in enumerate(packed):
+        xx, psi = x * x, pack(cells, w, step=2)
+        for key, c2, c1 in own(g):
+            out[key] = out.get(key, 0) + ((c2 * xx + c1 * psi) >> 1)
+        for h, y, _ in packed[i + 1:]:
+            key = merge(g, h)
+            out[key] = out.get(key, 0) + x * y
+    return {key: unpack(v, w) for key, v in out.items()}

@@ -16,6 +16,7 @@ line comment; integers are arbitrary precision):
     rule    := lhs '=>' ledger
     lhs     := ATOM | 'Sym2' '(' ATOM ')' | ATOM '(*)' ATOM
     ATOM    := [A-Za-z][A-Za-z0-9_]*
+    INT     := [0-9]+
 
 A *statement* is an expr, a ledger or a rule; script files are sequences of
 statements (``.mot`` for expression check lists, ``.sod`` for ledger/rule
@@ -143,7 +144,7 @@ class RuleDef(Node):
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<INT>\d+)
+    (?P<INT>[0-9]+)
   | (?P<IDENT>[A-Za-z][A-Za-z0-9_]*)
   | (?P<TENSOR>\(\*\))
   | (?P<ARROW>=>)

@@ -29,7 +29,6 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 from collections.abc import Sequence
-from itertools import combinations_with_replacement
 from math import comb
 
 from .sod import SodLedger
@@ -367,17 +366,27 @@ def enumerate_line_splittings(n: int) -> list[SplittingType]:
 
 
 def brute_force_line_splittings(n: int) -> list[SplittingType]:
-    """Oracle for :func:`enumerate_line_splittings`: enumerate every multiset
-    of ``n - 1`` integers in ``[-10, 1]`` summing to ``n - 3``.  Exponential
-    in ``n``; intended for small ``n``."""
+    """Oracle for :func:`enumerate_line_splittings`: every multiset of
+    ``n - 1`` integers in ``[-10, 1]`` summing to ``n - 3``, sorted.
+
+    A depth-first search over nondecreasing tuples, in increasing order,
+    cuts each branch whose remaining entries cannot reach the sum: ``k``
+    entries from ``a`` up to ``1`` sum to between ``k * a`` and ``k``.
+    """
     if n < 2:
         raise ValueError("need n >= 2")
-    found = [
-        tuple(sorted(combo))
-        for combo in combinations_with_replacement(range(-10, 2), n - 1)
-        if sum(combo) == n - 3
-    ]
-    return sorted(found)
+    found: list[SplittingType] = []
+
+    def extend(prefix: tuple[int, ...], low: int, left: int, need: int) -> None:
+        if not left:
+            found.append(prefix)
+            return
+        for a in range(low, 2):
+            if (left - 1) * a <= need - a <= left - 1:
+                extend(prefix + (a,), a, left - 1, need - a)
+
+    extend((), -10, n - 1, n - 3)
+    return found
 
 
 def hilb2_normal_restriction(n: int) -> SplittingType:

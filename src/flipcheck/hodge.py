@@ -21,22 +21,20 @@ Everything is exact integer arithmetic on sparse tables; entries are
 dimensions only (no lattice or torsion information is modelled).  Values are
 immutable after construction and all operations are pure functions.
 
-Products, squares and bundles run on packed diagonals (Kronecker
-substitution): the entries ``h^{p,p+s}`` of one diagonal ``s = q - p`` sit in
-fixed-width, byte-aligned slots ``p`` of one Python integer, so multiplying
-two such integers convolves the diagonals in ``p`` and one big-integer
-multiply per pair of diagonals does the whole Kunneth product.  ``Sym^2`` and
-``Lambda^2`` follow Macdonald's ``(a^2 +- psi^2 a) / 2``; a projective bundle
-multiplies each diagonal by the packed ``1 + X + ... + X^{r-1}``.  This is
-exact because entries are nonnegative, so no slot ever goes negative, and
-the slot width is taken from a bound on every output entry (the product of
-the totals for Kunneth, ``T^2 + T`` before halving for the squares), so no
-carry crosses into the next slot.
+Products, squares and bundles run on packed diagonals (``_packed``): the
+entries ``h^{p,p+s}`` of one diagonal ``s = q - p`` sit in fixed-width slots
+``p`` of one Python integer, and one big-integer multiply per pair of
+diagonals does the whole Kunneth product.  ``Sym^2`` and ``Lambda^2`` follow
+Macdonald's ``(a^2 +- psi^2 a) / 2``; a projective bundle multiplies each
+diagonal by the packed ``1 + X + ... + X^{r-1}``.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Mapping
+
+from . import _packed
 
 Bidegree = tuple[int, int]
 
@@ -184,20 +182,6 @@ def _total(a: HodgeDiamond) -> int:
     return sum(a._entries.values())
 
 
-def _width(bound: int) -> int:
-    """Bytes per slot for slot values in ``[0, bound]``."""
-    return max(1, (bound.bit_length() + 7) // 8)
-
-
-def _pack(cells: Mapping[int, int], width: int, step: int = 1) -> int:
-    """One integer with ``cells[p]`` in the ``width``-byte slot ``step * p``."""
-    buf = bytearray(width * (step * max(cells, default=0) + 1))
-    for p, v in cells.items():
-        at = width * step * p
-        buf[at:at + width] = v.to_bytes(width, "little")
-    return int.from_bytes(buf, "little")
-
-
 def _diagonals(a: HodgeDiamond) -> dict[int, dict[int, int]]:
     """Entries grouped by diagonal: ``{q - p: {p: h^{p,q}}}``."""
     cells: dict[int, dict[int, int]] = {}
@@ -206,48 +190,27 @@ def _diagonals(a: HodgeDiamond) -> dict[int, dict[int, int]]:
     return cells
 
 
-def _packed(a: HodgeDiamond, width: int) -> dict[int, int]:
-    return {s: _pack(c, width) for s, c in _diagonals(a).items()}
-
-
-def _unpacked(dim: int, diagonals: Mapping[int, int], width: int
-              ) -> HodgeDiamond:
-    """The diamond whose diagonal ``s`` holds the slots of ``diagonals[s]``."""
+def _unpacked(dim: int, diagonals: Mapping[int, list[int]]) -> HodgeDiamond:
+    """The diamond whose diagonal ``s`` holds the entries ``diagonals[s]``."""
     table: dict[Bidegree, int] = {}
-    for s, x in diagonals.items():
-        slots = -(-((x.bit_length() + 7) // 8) // width)
-        raw = x.to_bytes(slots * width, "little")
-        for p in range(slots):
-            v = int.from_bytes(raw[p * width:(p + 1) * width], "little")
+    for s, slots in diagonals.items():
+        for p, v in enumerate(slots):
             if v:
                 table[(p, p + s)] = v
     return HodgeDiamond._trusted(dim, table)
 
 
-def _square(a: HodgeDiamond, sign: int) -> tuple[dict[int, int], int]:
-    """Packed diagonals of ``(a^2 + sign * psi^2 a) / 2`` and their slot width.
+def _square(a: HodgeDiamond, sign: int) -> HodgeDiamond:
+    """``(a^2 + sign * psi^2 a) / 2`` on packed diagonals.
 
     ``psi^2`` doubles bidegrees with the Koszul sign ``(-1)^{p+q}``, and
-    ``p + q`` has the parity of the diagonal ``s = q - p``.  Distinct
-    diagonals pair once; within a diagonal every slot of
-    ``x^2 + sign * (-1)^s * psi`` is even and nonnegative, so one shift halves
-    it slot by slot.
+    ``p + q`` has the parity of the diagonal ``s = q - p``; within a
+    diagonal every slot of ``x^2 + sign * (-1)^s * psi`` is even and
+    nonnegative.
     """
-    total = _total(a)
-    width = _width(total * total + total)
-    cells = _diagonals(a)
-    packed = {s: _pack(c, width) for s, c in cells.items()}
-    order = sorted(packed)
-    out: dict[int, int] = {}
-    for i, s1 in enumerate(order):
-        x1 = packed[s1]
-        psi = _pack(cells[s1], width, step=2)
-        koszul = -1 if s1 % 2 else 1
-        own = (x1 * x1 + sign * koszul * psi) >> 1
-        out[2 * s1] = out.get(2 * s1, 0) + own
-        for s2 in order[i + 1:]:
-            out[s1 + s2] = out.get(s1 + s2, 0) + x1 * packed[s2]
-    return out, width
+    out = _packed.square(_diagonals(a), operator.add,
+                         lambda s: ((2 * s, 1, -sign if s % 2 else sign),))
+    return _unpacked(2 * a.dim, out)
 
 
 # -- operations --------------------------------------------------------------
@@ -255,14 +218,8 @@ def _square(a: HodgeDiamond, sign: int) -> tuple[dict[int, int], int]:
 
 def kunneth(a: HodgeDiamond, b: HodgeDiamond) -> HodgeDiamond:
     """Hodge diamond of a product: bigraded convolution of the two tables."""
-    ta, tb = _total(a), _total(b)
-    width = _width(max(ta * tb, ta, tb))  # an empty factor still packs the other
-    xb = _packed(b, width)
-    out: dict[int, int] = {}
-    for s1, x1 in _packed(a, width).items():
-        for s2, x2 in xb.items():
-            out[s1 + s2] = out.get(s1 + s2, 0) + x1 * x2
-    return _unpacked(a.dim + b.dim, out, width)
+    out = _packed.convolve(_diagonals(a), _diagonals(b), operator.add)
+    return _unpacked(a.dim + b.dim, out)
 
 
 def tate_twist(a: HodgeDiamond, i: int) -> HodgeDiamond:
@@ -285,8 +242,7 @@ def sym2(a: HodgeDiamond) -> HodgeDiamond:
     ``m(m+1)/2`` in even total degree and ``m(m-1)/2`` in odd total degree
     (Sym^2 of the even part, even (x) odd, and Lambda^2 of the odd part).
     """
-    out, width = _square(a, 1)
-    return _unpacked(2 * a.dim, out, width)
+    return _square(a, 1)
 
 
 def alt2(a: HodgeDiamond) -> HodgeDiamond:
@@ -295,8 +251,7 @@ def alt2(a: HodgeDiamond) -> HodgeDiamond:
     Same pairing rule with the parities exchanged, so that
     ``sym2(a) + alt2(a) == kunneth(a, a)`` entry by entry.
     """
-    out, width = _square(a, -1)
-    return _unpacked(2 * a.dim, out, width)
+    return _square(a, -1)
 
 
 def hilbert_square(a: HodgeDiamond) -> HodgeDiamond:
@@ -323,10 +278,11 @@ def projective_bundle(base: HodgeDiamond, fiber_rank: int) -> HodgeDiamond:
     """
     if fiber_rank < 1:
         raise ValueError(f"fiber rank must be positive, got {fiber_rank}")
-    width = _width(_total(base))
+    width = _packed.width(_total(base))
     series = int.from_bytes((b"\x01" + bytes(width - 1)) * fiber_rank, "little")
-    out = {s: x * series for s, x in _packed(base, width).items()}
-    return _unpacked(base.dim + fiber_rank - 1, out, width)
+    out = {s: _packed.unpack(_packed.pack(cells, width) * series, width)
+           for s, cells in _diagonals(base).items()}
+    return _unpacked(base.dim + fiber_rank - 1, out)
 
 
 def blowup(total: HodgeDiamond, center: HodgeDiamond, codim: int) -> HodgeDiamond:

@@ -45,7 +45,7 @@ _ASSETS: dict[str, str] = {
     """,
 }
 
-_CURVE_RE = re.compile(r"^curve-g(\d+)$")
+_CURVE_RE = re.compile(r"^curve-g([0-9]+)$")
 
 
 def point() -> HodgeDiamond:
@@ -101,7 +101,7 @@ def builtin(name: str) -> HodgeDiamond:
     """Look up a diamond by CLI name; raises ``KeyError`` for unknown names."""
     if name == "point":
         return point()
-    m = re.fullmatch(r"p(\d+)", name)
+    m = re.fullmatch(r"p([0-9]+)", name)
     if m:
         n = int(m.group(1))
         if n > MAX_DIM:

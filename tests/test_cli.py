@@ -53,6 +53,14 @@ def test_hodge_unknown_builtin_is_usage_error(capsys):
     assert code == 2 and "unknown builtin" in err
 
 
+def test_hodge_builtin_names_take_ascii_digits_only(capsys):
+    # U+0663 and U+0662 are Arabic-Indic digits, which a str \d matches
+    for name in ("p\u0663", "curve-g\u0662"):
+        code, out, err = run(capsys, "hodge", "hh0", "--builtin", name)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: unknown builtin {name!r}")
+
+
 def test_hodge_diamond_file(tmp_path, capsys):
     path = tmp_path / "curve.json"
     path.write_text(json.dumps(varieties.curve(2).to_json_dict()))

@@ -171,6 +171,16 @@ def test_error_on_unknown_character():
         parse("DC => {DC:1}" + "=")
 
 
+def test_integers_take_ascii_digits_only():
+    # U+0663, an Arabic-Indic three, is a decimal digit to a str \d
+    for text, line, column in (("\u0663*X - 3*X", 1, 1),
+                               ("Dpt => {Dpt:1}\n{Dpt:\u0663}", 2, 6)):
+        with pytest.raises(ParseError) as info:
+            parse_script(text)
+        assert str(info.value) == \
+            f"line {line}, column {column}: unexpected character '\u0663'"
+
+
 def test_error_line_numbers_multiline():
     with pytest.raises(ParseError) as info:
         parse("1 +\n+ 2")

@@ -1,3 +1,4 @@
+from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
@@ -295,6 +296,15 @@ def test_line_splittings_small_cases():
 @pytest.mark.parametrize("n", range(2, 10))
 def test_line_splittings_against_oracle(n):
     assert enumerate_line_splittings(n) == brute_force_line_splittings(n)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_pruned_oracle_matches_full_enumeration(n):
+    """The unpruned filter over every multiset in the box, as reference."""
+    want = sorted(combo for combo in
+                  combinations_with_replacement(range(-10, 2), n - 1)
+                  if sum(combo) == n - 3)
+    assert brute_force_line_splittings(n) == want
 
 
 @given(st.integers(2, 30))

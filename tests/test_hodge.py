@@ -1,10 +1,11 @@
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flipcheck import hodge, varieties
+from flipcheck import hodge, sod, varieties
 from flipcheck.hodge import (HodgeDiamond, alt2, blowup, diagonal, euler,
                              hh0, hilbert_square, kunneth, projective_bundle,
                              sym2, tate_twist)
@@ -368,6 +369,34 @@ def test_hilbert_square_serre_dual_for_geometric_input():
                  "curve-g3", "p3"):
         h = hilbert_square(varieties.builtin(name))
         assert h.is_hodge_symmetric() and h.is_serre_dual()
+
+
+def _graded_hh(d):
+    """Hochschild homology by HKR: ``HH_i = sum of h^{p,q} over q - p = i``."""
+    out = {}
+    for (p, q), v in d.entries().items():
+        out[q - p] = out.get(q - p, 0) + v
+    return out
+
+
+@pytest.mark.parametrize("n", range(5, 30, 2))
+def test_hilbert_square_hh_matches_two_quadrics_ledger(n):
+    """HH_* is additive over a semiorthogonal decomposition, so the ledger
+    weighted by HH_* of a point, of the genus-g curve C and of Sym^2 C
+    (Macdonald: h^{1,1} = g^2 + 1, h^{2,0} = C(g, 2)) gives HH_*(X^[2])."""
+    g = (n + 1) // 2
+    component_hh = {
+        "Dpt": {0: 1},
+        "DC": {-1: g, 0: 2, 1: g},
+        "DSym2C": {-2: comb(g, 2), -1: 2 * g, 0: g * g + 3, 1: 2 * g,
+                   2: comb(g, 2)},
+    }
+    want = {}
+    for name, m in sod.hilb2_two_quadrics_ledger(n).multiplicities.items():
+        for i, v in component_hh[name].items():
+            want[i] = want.get(i, 0) + m * v
+    x = varieties.intersection_of_two_quadrics(n)
+    assert _graded_hh(hilbert_square(x)) == want
 
 
 def test_hilbert_square_is_invariant_part_of_diagonal_blowup():

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flipcheck import hodge, varieties
@@ -198,6 +198,86 @@ def test_sym2_class_matches_pairwise_fold(coeffs):
     _assert_canonical(got)
 
 
+# -- term-by-term references for the grouped kernel ----------------------------
+#
+# The loops that grouped, packed products and squares replaced, kept as
+# references.
+
+
+def mul_pairwise(a, b):
+    terms = {}
+    for (l1, m1), c1 in a.terms.items():
+        for (l2, m2), c2 in b.terms.items():
+            key = (l1 + l2, tuple(sorted(m1 + m2)))
+            terms[key] = terms.get(key, 0) + c1 * c2
+    return {key: c for key, c in terms.items() if c}
+
+
+def sym2_class_pairwise(x):
+    items = sorted(x.terms.items())
+    for (lp, mono), c in items:
+        if c < 0:
+            raise FragmentError(
+                f"negative coefficient {c} at L^{lp}: not an effective class")
+        if len(mono) > 1:
+            raise FragmentError(f"monomial {'*'.join(mono)} is not a single atom")
+    result = {}
+    for i, ((lp, mono), m) in enumerate(items):
+        if mono:
+            sym_key = (2 * lp, (f"Sym2_{mono[0]}",))
+            square_key = (2 * lp, mono + mono)
+        else:
+            sym_key = square_key = (2 * lp, ())
+        result[sym_key] = result.get(sym_key, 0) + m
+        result[square_key] = result.get(square_key, 0) + m * (m - 1) // 2
+        for (lp2, mono2), m2 in items[i + 1:]:
+            key = (lp + lp2, tuple(sorted(mono + mono2)))
+            result[key] = result.get(key, 0) + m * m2
+    return {key: c for key, c in result.items() if c}
+
+
+@st.composite
+def grouped_motives(draw, signed=True, max_atoms=2):
+    """Classes with up to 4 monomials of up to ``max_atoms`` atoms, each over
+    1 to 24 powers of L, so that groups fall on both sides of the packing
+    threshold; coefficients up to 1 to 10**30 put the kernel's slots at
+    widths from 1 to over 8 bytes."""
+    top = draw(st.sampled_from([1, 3, 100, 10**4, 10**8, 10**9, 10**30]))
+    coeff = st.integers(-top if signed else 1, top)
+    monos = draw(st.lists(st.lists(atom_names, max_size=max_atoms).map(
+        lambda names: tuple(sorted(names))), max_size=4, unique=True))
+    terms = {}
+    for mono in monos:
+        size = draw(st.sampled_from([1, 2, 7, 8, 16, 24]))
+        for lp in draw(st.sets(st.integers(0, 30), min_size=size, max_size=size)):
+            terms[(lp, mono)] = draw(coeff)
+    return MotiveExpr(terms)
+
+
+@given(grouped_motives(), grouped_motives())
+@settings(max_examples=150)
+def test_mul_matches_pairwise(a, b):
+    for x, y in ((a, b), (b, a), (a, a), (a, MotiveExpr())):
+        got = x * y
+        assert got.terms == mul_pairwise(x, y)
+        _assert_canonical(got)
+
+
+@given(st.one_of(grouped_motives(signed=False, max_atoms=1), grouped_motives()))
+@settings(max_examples=150)
+def test_sym2_class_matches_pairwise(x):
+    try:
+        want = sym2_class_pairwise(x)
+    except FragmentError as exc:
+        with pytest.raises(FragmentError) as info:
+            sym2_class(x)
+        assert str(info.value) == str(exc)
+        return
+    got = sym2_class(x)
+    assert got.terms == want
+    _assert_canonical(got)
+
+
 # -- hilbert square classes -------------------------------------------------------------
 
 
@@ -208,6 +288,15 @@ def test_hilbert_square_class_p1():
 def test_hilbert_square_class_p2():
     got = hilbert_square_class(class_of_pn(2), 2)
     assert got.l_coefficients() == [1, 2, 3, 2, 1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 4000])
+def test_hilbert_square_class_of_pn_matches_hodge(n):
+    # P^4000 squares as one packed group; term by term it took seconds
+    got = hilbert_square_class(class_of_pn(n), n)
+    want = hodge.hilbert_square(varieties.projective_space(n))
+    assert got.l_coefficients() == hodge.diagonal(want)
+    assert all(not mono for _, mono in got.terms)
 
 
 def test_hilbert_square_class_atomic_threefold():
