@@ -47,9 +47,11 @@ def _mul_monomials(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(sorted(m1 + m2))
 
 
-# Monomial groups of fewer terms multiply term by term: a packed product
-# costs about as much as a flat one of 6 x 6 to 8 x 8 terms.
-_PACK_MIN = 8
+# Monomial groups of fewer terms multiply and square term by term.  On
+# groups of n terms with coefficients 1 to 3 in L, packed and flat products
+# of two groups break even at about n = 10, as do packed and flat squares;
+# signed products break even at n = 12, and squares of an atom's group at 7.
+_PACK_MIN = 10
 
 
 def _grouped(terms: Mapping[TermKey, int]
@@ -293,12 +295,21 @@ def sym2_class(x: MotiveExpr) -> MotiveExpr:
                 "not an effective class"
             )
         raise FragmentError(f"monomial {'*'.join(mono)} is not a single atom")
-    flat, groups = _grouped(x.terms)
+    if len(x.terms) < _PACK_MIN:
+        flat, groups = list(x.terms.items()), {}
+    else:
+        flat, groups = _grouped(x.terms)
     terms: dict[TermKey, int] = {}
+    get = terms.get
     for i, ((lp, mono), m) in enumerate(flat):
-        for key, c2, c1 in _sym2_rule(mono):
-            k = (2 * lp, key)
-            terms[k] = terms.get(k, 0) + ((c2 * m * m + c1 * m) >> 1)
+        if mono:
+            key = (2 * lp, (sym2_atom_name(mono[0]),))
+            terms[key] = get(key, 0) + m
+            key = (2 * lp, mono + mono)
+            terms[key] = get(key, 0) + m * (m - 1) // 2
+        else:
+            key = (2 * lp, ())
+            terms[key] = get(key, 0) + m * (m + 1) // 2
         _mul_flat(terms, flat[i:i + 1], flat[i + 1:])
     if groups:
         _mul_flat(terms, flat, list(_items(groups)))

@@ -3,8 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flipcheck import hodge, varieties
-from flipcheck.motive import (ONE, FragmentError, MotiveExpr, blowup_class,
-                              class_of_pn, flip_difference,
+from flipcheck.motive import (_PACK_MIN, ONE, FragmentError, MotiveExpr,
+                              blowup_class, class_of_pn, flip_difference,
                               hilbert_square_class, sym2_class)
 
 L = MotiveExpr.lefschetz(1)
@@ -248,7 +248,7 @@ def grouped_motives(draw, signed=True, max_atoms=2):
         lambda names: tuple(sorted(names))), max_size=4, unique=True))
     terms = {}
     for mono in monos:
-        size = draw(st.sampled_from([1, 2, 7, 8, 16, 24]))
+        size = draw(st.sampled_from([1, 2, _PACK_MIN - 1, _PACK_MIN, 16, 24]))
         for lp in draw(st.sets(st.integers(0, 30), min_size=size, max_size=size)):
             terms[(lp, mono)] = draw(coeff)
     return MotiveExpr(terms)
