@@ -31,14 +31,16 @@ def make_report(name: str, inputs: dict, expected, computed,
                        expected == computed, provenance)
 
 
-def _err(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
-# Python turns no int of over 4300 digits (by default) into text, so script
-# results are formatted in full before any line is printed.
-_TOO_LONG = "result holds an integer too long to print"
+def _print_built(build) -> None:
+    """Print the lines ``build()`` returns, all built before the first is
+    printed: Python turns no int of over 4300 digits (by default) into
+    text, so a result holding one prints nothing."""
+    try:
+        lines = build()
+    except ValueError:
+        raise ValueError("result holds an integer too long to print") from None
+    for line in lines:
+        print(line)
 
 
 # -- diamond loading ----------------------------------------------------------
@@ -64,28 +66,24 @@ def _load_diamond(args) -> hodge.HodgeDiamond:
 # -- hodge subcommand ----------------------------------------------------------
 
 
-def _print_diamond(d: hodge.HodgeDiamond, args) -> None:
+def _diamond_text(d: hodge.HodgeDiamond, args) -> str:
     if args.json:
-        print(json.dumps(d.to_json_dict(), sort_keys=True, indent=2))
-    elif getattr(args, "column", False):
-        print(" ".join(str(v) for v in hodge.diagonal(d)))
-    else:
-        print(hodge.format_diamond(d))
+        return json.dumps(d.to_json_dict(), sort_keys=True, indent=2)
+    if args.column:
+        return " ".join(str(v) for v in hodge.diagonal(d))
+    return hodge.format_diamond(d)
 
 
 def cmd_hodge(args) -> int:
-    try:
-        d = _load_diamond(args)
-        if args.hodge_op == "hilb2":
-            _print_diamond(hodge.hilbert_square(d), args)
-        elif args.hodge_op == "sym2":
-            _print_diamond(hodge.sym2(d), args)
-        else:  # hh0
-            value = hodge.hh0(d)
-            print(json.dumps({"hh0": value}) if args.json else value)
+    d = _load_diamond(args)
+    if args.hodge_op == "hh0":
+        value = hodge.hh0(d)
+        _print_built(lambda: [json.dumps({"hh0": value}) if args.json
+                              else str(value)])
         return 0
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        return _err(str(exc))
+    d = hodge.hilbert_square(d) if args.hodge_op == "hilb2" else hodge.sym2(d)
+    _print_built(lambda: [_diamond_text(d, args)])
+    return 0
 
 
 # -- fano subcommand -----------------------------------------------------------
@@ -122,37 +120,34 @@ def _symbolic_failures(family: Family) -> list:
 
 
 def cmd_fano(args) -> int:
-    try:
-        if args.fano_op == "dims":
-            return _fano_dims(args)
-        if args.fano_op == "codim":
-            return _fano_codim(args)
-        if args.fano_op == "splittings":
-            types = fano.enumerate_line_splittings(args.n)
-            if args.json:
-                print(json.dumps({"n": args.n,
-                                  "types": [list(t) for t in types]}))
-            else:
-                plural = "s" if len(types) != 1 else ""
-                print(f"n={args.n}: {len(types)} splitting type{plural}")
-                for t in types:
-                    print(f"  {fano.format_splitting(t)}")
-            return 0
-        # sodcounts
-        family = _family(args)
-        counts = fano.sod_counts(family, args.n, _plane_dim(args))
+    if args.fano_op == "dims":
+        return _fano_dims(args)
+    if args.fano_op == "codim":
+        return _fano_codim(args)
+    if args.fano_op == "splittings":
+        types = fano.enumerate_line_splittings(args.n)
         if args.json:
-            payload = {"flip_form": counts.flip_form.to_json_dict()}
-            if counts.expanded_form is not None:
-                payload["expanded_form"] = counts.expanded_form.to_json_dict()
-            print(json.dumps(payload, sort_keys=True, indent=2))
+            print(json.dumps({"n": args.n,
+                              "types": [list(t) for t in types]}))
         else:
-            print(f"flip form:     {dsl.print_canonical(counts.flip_form)}")
-            if counts.expanded_form is not None:
-                print(f"expanded form: {dsl.print_canonical(counts.expanded_form)}")
+            plural = "s" if len(types) != 1 else ""
+            print(f"n={args.n}: {len(types)} splitting type{plural}")
+            for t in types:
+                print(f"  {fano.format_splitting(t)}")
         return 0
-    except ValueError as exc:
-        return _err(str(exc))
+    # sodcounts
+    family = _family(args)
+    counts = fano.sod_counts(family, args.n, _plane_dim(args))
+    if args.json:
+        payload = {"flip_form": counts.flip_form.to_json_dict()}
+        if counts.expanded_form is not None:
+            payload["expanded_form"] = counts.expanded_form.to_json_dict()
+        print(json.dumps(payload, sort_keys=True, indent=2))
+    else:
+        print(f"flip form:     {dsl.print_canonical(counts.flip_form)}")
+        if counts.expanded_form is not None:
+            print(f"expanded form: {dsl.print_canonical(counts.expanded_form)}")
+    return 0
 
 
 def _family(args) -> Family:
@@ -233,72 +228,46 @@ def _fano_codim(args) -> int:
 # -- sod subcommand --------------------------------------------------------------
 
 
-def cmd_sod(args) -> int:
-    if args.sod_op == "check":
-        return _sod_check(args)
-    if args.sod_op == "conjecture-consistency":
-        return _sod_consistency(args)
-    return _sod_obstruction(args)
-
-
-def _read_script(path: str) -> list | None:
-    """The statements of the script at ``path``; None, after an ``error:``
-    line, when the file cannot be read, decoded or parsed."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return dsl.parse_script(fh.read())
-    except (OSError, ValueError) as exc:  # ParseError, UnicodeDecodeError
-        _err(str(exc))
-        return None
+def _read_script(path: str) -> list:
+    """The statements of the script at ``path``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return dsl.parse_script(fh.read())
 
 
 def _sod_check(args) -> int:
-    statements = _read_script(args.file)
-    if statements is None:
-        return 2
     table = sod.default_rules()
     ledgers: list[SodLedger] = []
-    for node in statements:
-        try:
-            value = dsl.evaluate(node)
-        except (dsl.EvalError, ValueError) as exc:
-            return _err(str(exc))
+    for node in _read_script(args.file):
+        value = dsl.evaluate(node)
         if isinstance(value, RewriteRule):
             table.add(value)
         elif isinstance(value, SodLedger):
             ledgers.append(value)
         else:
-            return _err("sod scripts may only contain rules and ledgers")
+            raise ValueError("sod scripts may only contain rules and ledgers")
     if len(ledgers) != 2:
-        return _err(
+        raise ValueError(
             f"expected exactly two ledgers (ambient then candidate), "
             f"found {len(ledgers)}"
         )
-    try:
-        ambient = table.normalize(ledgers[0])
-        candidate = table.normalize(ledgers[1])
-        ambient_hh0 = sod.additive_invariant(ambient, {"Dpt": 1})
-        candidate_hh0 = sod.additive_invariant(candidate, {"Dpt": 1})
-    except (sod.UnassignedAtomError, sod.RewriteLoopError) as exc:
-        return _err(str(exc))
+    ambient = table.normalize(ledgers[0])
+    candidate = table.normalize(ledgers[1])
+    ambient_hh0 = sod.additive_invariant(ambient, {"Dpt": 1})
+    candidate_hh0 = sod.additive_invariant(candidate, {"Dpt": 1})
     verdict = sod.embedding_obstruction(candidate_hh0, ambient_hh0)
-    try:
-        out = (json.dumps({"ambient_hh0": ambient_hh0,
-                           "candidate_hh0": candidate_hh0,
-                           "verdict": str(verdict)}, sort_keys=True)
-               if args.json else
-               f"ambient hh0 = {ambient_hh0}\ncandidate hh0 = {candidate_hh0}\n"
-               f"{ambient_hh0} vs {candidate_hh0} {verdict}")
-    except ValueError:
-        return _err(_TOO_LONG)
-    print(out)
+    _print_built(lambda: [
+        json.dumps({"ambient_hh0": ambient_hh0, "candidate_hh0": candidate_hh0,
+                    "verdict": str(verdict)}, sort_keys=True)
+        if args.json else
+        f"ambient hh0 = {ambient_hh0}\ncandidate hh0 = {candidate_hh0}\n"
+        f"{ambient_hh0} vs {candidate_hh0} {verdict}"])
     return 0
 
 
 def _sod_consistency(args) -> int:
     n_max = args.n_odd_max
     if n_max < 3:
-        return _err(f"--n-odd-max must be at least 3, got {n_max}")
+        raise ValueError(f"--n-odd-max must be at least 3, got {n_max}")
     results = [sod.conjecture_consistency(n) for n in range(3, n_max + 1, 2)]
     failed = [r.n for r in results if r.in_stated_range and not r.holds]
     if args.json:
@@ -343,8 +312,8 @@ def _check_obstruction(ambient_name: str) -> CheckReport:
 
 def _sod_obstruction(args) -> int:
     if args.builtin not in _OBSTRUCTION_SCENARIOS:
-        return _err(f"unknown obstruction scenario {args.builtin!r}; known: "
-                    + ", ".join(sorted(_OBSTRUCTION_SCENARIOS)))
+        raise ValueError(f"unknown obstruction scenario {args.builtin!r}; "
+                         "known: " + ", ".join(sorted(_OBSTRUCTION_SCENARIOS)))
     report = _check_obstruction(args.builtin)
     if args.json:
         print(json.dumps({**report.inputs, "verdict": report.computed},
@@ -360,28 +329,17 @@ def _sod_obstruction(args) -> int:
 
 
 def cmd_motive(args) -> int:
-    statements = _read_script(args.file)
-    if statements is None:
-        return 2
-    try:
-        values = [dsl.evaluate(node) for node in statements]
-    except ValueError as exc:  # EvalError and the value layers' errors
-        return _err(str(exc))
+    values = [dsl.evaluate(node) for node in _read_script(args.file)]
     if not all(isinstance(v, MotiveExpr) for v in values):
-        return _err("motive scripts may only contain expressions")
-    try:
-        if args.motive_op == "eval":
-            lines = [dsl.print_canonical(value) for value in values]
-        else:  # check: every statement must vanish
-            lines = [f"PASS statement {i}: 0" if value.is_zero() else
-                     f"FAIL statement {i}: {dsl.print_canonical(value)}"
-                     for i, value in enumerate(values, start=1)]
-    except ValueError:
-        return _err(_TOO_LONG)
-    for line in lines:
-        print(line)
-    return 0 if args.motive_op == "eval" or all(
-        value.is_zero() for value in values) else 1
+        raise ValueError("motive scripts may only contain expressions")
+    if args.motive_op == "eval":
+        _print_built(lambda: [dsl.print_canonical(value) for value in values])
+        return 0
+    # check: every statement must vanish
+    _print_built(lambda: [f"PASS statement {i}: 0" if value.is_zero() else
+                          f"FAIL statement {i}: {dsl.print_canonical(value)}"
+                          for i, value in enumerate(values, start=1)])
+    return 0 if all(value.is_zero() for value in values) else 1
 
 
 # -- the golden suite ------------------------------------------------------------
@@ -774,13 +732,15 @@ def build_parser() -> argparse.ArgumentParser:
     check_p = sod_sub.add_parser("check", help="run a .sod script")
     check_p.add_argument("file")
     check_p.add_argument("--json", action="store_true")
+    check_p.set_defaults(func=_sod_check)
     cons_p = sod_sub.add_parser("conjecture-consistency")
     cons_p.add_argument("--n-odd-max", type=int, default=15)
     cons_p.add_argument("--json", action="store_true")
+    cons_p.set_defaults(func=_sod_consistency)
     obs_p = sod_sub.add_parser("obstruction")
     obs_p.add_argument("--builtin", required=True)
     obs_p.add_argument("--json", action="store_true")
-    sod_p.set_defaults(func=cmd_sod)
+    obs_p.set_defaults(func=_sod_obstruction)
 
     motive_p = sub.add_parser("motive", help="motive expression scripts")
     motive_p.add_argument("motive_op", choices=["eval", "check"])
@@ -795,8 +755,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command.  Every usage, parse and validation error a command
+    raises is a ``ValueError`` (``ParseError``, ``EvalError``,
+    ``JSONDecodeError``, ``UnicodeDecodeError``, ``FragmentError``, sod's
+    typed errors), an ``OSError`` or ``sod.RewriteLoopError``: each ends
+    here as one ``error:`` line and exit 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError, sod.RewriteLoopError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -31,6 +31,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from math import comb
 
+from .hodge import MAX_DIM
 from .sod import SodLedger
 
 
@@ -78,12 +79,6 @@ class FlipShape(namedtuple("FlipShape", "r s")):
 def rank_sym2_u(k: int) -> int:
     """Rank of Sym^2 of the rank-(k+2) tautological subbundle: C(k+3, 2)."""
     return comb(k + 3, 2)
-
-
-def h0_quotient_dual_twist2(k: int) -> int:
-    """h^0 of the twisted dual quotient bundle Q^v(2) on P^{k+1}:
-    (k+1)(k+2)(k+3)/3."""
-    return (k + 1) * (k + 2) * (k + 3) // 3
 
 
 # -- expected dimensions -------------------------------------------------------
@@ -163,38 +158,30 @@ class Regime(enum.Enum):
 
 def emptiness_threshold(family: Family, n: int, k: int) -> Regime:
     """Classify ``G_k(X)`` by the emptiness thresholds of the two Fano
-    schemes involved.  All inequalities are exact (cleared denominators)."""
+    schemes involved: a Fano scheme of negative expected dimension is
+    empty, and the Gr(2,5) table marks its empty ones."""
     if k < 0 or n < 1:
         raise ValueError("need n >= 1 and k >= 0")
+    if family is Family.GR25_SECTION:
+        row = gr25_dim_row(n)
+        if k == 0:
+            return Regime.NONEMPTY_EXPECTED  # F_1 nonempty for every 2 <= n <= 6
+        if k == 1:
+            if row.f2_sigma is None and row.f2_tau is None:
+                return Regime.F_K1_EMPTY_FLIP_DEGENERATES
+            return Regime.NONEMPTY_EXPECTED
+        if k == 2 and row.f3 is not None:
+            return Regime.DISJOINT_UNION
+        return Regime.F_K1_EMPTY_FLIP_DEGENERATES  # no (k+1)-planes
     if family is Family.CUBIC:
-        # F_k empty iff n < k + (k+3)(k+2)/6 - 1
-        if 6 * n < 6 * k + (k + 3) * (k + 2) - 6:
-            return Regime.F_K_EMPTY
-        # F_{k+1} empty iff n < k + (k+4)(k+3)/6
-        if 6 * n < 6 * k + (k + 4) * (k + 3):
-            return Regime.F_K1_EMPTY_FLIP_DEGENERATES
-        return Regime.NONEMPTY_EXPECTED
-    if family is Family.TWO_QUADRICS:
-        # isotropic side empty iff n < k - 1 + (k+3)/2
-        if 2 * n < 3 * k + 1:
-            return Regime.F_K_EMPTY
-        # F_{k+1} empty iff n < k - 1 + (k+3) = 2k + 2
-        if n < 2 * k + 2:
-            return Regime.F_K1_EMPTY_FLIP_DEGENERATES
-        return Regime.NONEMPTY_EXPECTED
-    # Gr(2,5) sections: table-driven
-    row = gr25_dim_row(n)
-    if k == 0:
-        return Regime.NONEMPTY_EXPECTED  # F_1 nonempty for every 2 <= n <= 6
-    if k == 1:
-        if row.f2_sigma is None and row.f2_tau is None:
-            return Regime.F_K1_EMPTY_FLIP_DEGENERATES
-        return Regime.NONEMPTY_EXPECTED
-    if k == 2:
-        if row.f3 is None:
-            return Regime.F_K1_EMPTY_FLIP_DEGENERATES
-        return Regime.DISJOINT_UNION
-    return Regime.F_K1_EMPTY_FLIP_DEGENERATES  # no (k+1)-planes for k >= 3
+        f_k_empty = expected_dim_fano(family, n, k) < 0
+    else:  # the pencil's isotropic side is empty iff n < k - 1 + (k+3)/2
+        f_k_empty = 2 * n < 3 * k + 1
+    if f_k_empty:
+        return Regime.F_K_EMPTY
+    if expected_dim_fano(family, n, k + 1) < 0:
+        return Regime.F_K1_EMPTY_FLIP_DEGENERATES
+    return Regime.NONEMPTY_EXPECTED
 
 
 # -- flip shapes ---------------------------------------------------------------
@@ -358,6 +345,8 @@ def enumerate_line_splittings(n: int) -> list[SplittingType]:
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    if n > MAX_DIM:
+        raise ValueError(f"need n <= {MAX_DIM}")
     types: list[SplittingType] = []
     if n >= 3:  # deficit pattern {1, 1} needs two summands
         types.append(tuple(sorted((0, 0) + (1,) * (n - 3))))

@@ -9,7 +9,7 @@ diamonds satisfy two symmetries:
 
 The operations here are the numerical shadows of standard constructions:
 products (Kunneth), Tate twists (multiplication by a power of the Lefschetz
-class, shifting bidegree by ``(i, i)``), projective bundles, blowups, graded
+class, shifting bidegree by ``(i, i)``), projective bundles, graded
 symmetric squares with the Koszul sign rule, and the Hilbert square
 
     H*(X^[2]) = Sym^2 H*(X)  (+)  H*(X)(1)  (+) ... (+)  H*(X)(n-1),
@@ -24,9 +24,9 @@ immutable after construction and all operations are pure functions.
 Products, squares and bundles run on packed diagonals (``_packed``): the
 entries ``h^{p,p+s}`` of one diagonal ``s = q - p`` sit in fixed-width slots
 ``p`` of one Python integer, and one big-integer multiply per pair of
-diagonals does the whole Kunneth product.  ``Sym^2`` and ``Lambda^2`` follow
-Macdonald's ``(a^2 +- psi^2 a) / 2``; a projective bundle multiplies each
-diagonal by the packed ``1 + X + ... + X^{r-1}``.
+diagonals does the whole Kunneth product.  ``Sym^2`` follows Macdonald's
+``(a^2 + psi^2 a) / 2``; a projective bundle multiplies each diagonal by the
+packed ``1 + X + ... + X^{r-1}``.
 """
 
 from __future__ import annotations
@@ -178,10 +178,6 @@ def _accumulate(dim: int, parts: Iterable[HodgeDiamond]) -> HodgeDiamond:
 # -- packed diagonals ----------------------------------------------------------
 
 
-def _total(a: HodgeDiamond) -> int:
-    return sum(a._entries.values())
-
-
 def _diagonals(a: HodgeDiamond) -> dict[int, dict[int, int]]:
     """Entries grouped by diagonal: ``{q - p: {p: h^{p,q}}}``."""
     cells: dict[int, dict[int, int]] = {}
@@ -198,19 +194,6 @@ def _unpacked(dim: int, diagonals: Mapping[int, list[int]]) -> HodgeDiamond:
             if v:
                 table[(p, p + s)] = v
     return HodgeDiamond._trusted(dim, table)
-
-
-def _square(a: HodgeDiamond, sign: int) -> HodgeDiamond:
-    """``(a^2 + sign * psi^2 a) / 2`` on packed diagonals.
-
-    ``psi^2`` doubles bidegrees with the Koszul sign ``(-1)^{p+q}``, and
-    ``p + q`` has the parity of the diagonal ``s = q - p``; within a
-    diagonal every slot of ``x^2 + sign * (-1)^s * psi`` is even and
-    nonnegative.
-    """
-    out = _packed.square(_diagonals(a), operator.add,
-                         lambda s: ((2 * s, 1, -sign if s % 2 else sign),))
-    return _unpacked(2 * a.dim, out)
 
 
 # -- operations --------------------------------------------------------------
@@ -241,17 +224,15 @@ def sym2(a: HodgeDiamond) -> HodgeDiamond:
     product of their entries; a bidegree paired with itself contributes
     ``m(m+1)/2`` in even total degree and ``m(m-1)/2`` in odd total degree
     (Sym^2 of the even part, even (x) odd, and Lambda^2 of the odd part).
+
+    On packed diagonals this is ``(a^2 + psi^2 a) / 2``: ``psi^2`` doubles
+    bidegrees with the Koszul sign ``(-1)^{p+q}``, and ``p + q`` has the
+    parity of the diagonal ``s = q - p``; within a diagonal every slot of
+    ``x^2 + (-1)^s * psi`` is even and nonnegative.
     """
-    return _square(a, 1)
-
-
-def alt2(a: HodgeDiamond) -> HodgeDiamond:
-    """Anti-invariant complement of :func:`sym2` inside the self-product.
-
-    Same pairing rule with the parities exchanged, so that
-    ``sym2(a) + alt2(a) == kunneth(a, a)`` entry by entry.
-    """
-    return _square(a, -1)
+    out = _packed.square(_diagonals(a), operator.add,
+                         lambda s: ((2 * s, 1, -1 if s % 2 else 1),))
+    return _unpacked(2 * a.dim, out)
 
 
 def hilbert_square(a: HodgeDiamond) -> HodgeDiamond:
@@ -278,26 +259,11 @@ def projective_bundle(base: HodgeDiamond, fiber_rank: int) -> HodgeDiamond:
     """
     if fiber_rank < 1:
         raise ValueError(f"fiber rank must be positive, got {fiber_rank}")
-    width = _packed.width(_total(base))
+    width = _packed.width(sum(base._entries.values()))
     series = int.from_bytes((b"\x01" + bytes(width - 1)) * fiber_rank, "little")
     out = {s: _packed.unpack(_packed.pack(cells, width) * series, width)
            for s, cells in _diagonals(base).items()}
     return _unpacked(base.dim + fiber_rank - 1, out)
-
-
-def blowup(total: HodgeDiamond, center: HodgeDiamond, codim: int) -> HodgeDiamond:
-    """Diamond of the blowup of ``total`` along a ``center`` of codimension
-    ``codim >= 2``: adds ``center(i)`` for ``i = 1, ..., codim - 1``.
-    """
-    if codim < 2:
-        raise ValueError(f"blowup codimension must be >= 2, got {codim}")
-    if center.dim + codim != total.dim:
-        raise ValueError(
-            f"dimension mismatch: center dim {center.dim} + codim {codim} "
-            f"!= total dim {total.dim}"
-        )
-    exceptional = tate_twist(projective_bundle(center, codim - 1), 1)
-    return _accumulate(total.dim, [total, exceptional])
 
 
 def hh0(a: HodgeDiamond) -> int:

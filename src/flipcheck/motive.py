@@ -167,13 +167,16 @@ class MotiveExpr:
 
     def __mul__(self, other) -> "MotiveExpr":
         """Grouped by atom monomial: two groups of ``_PACK_MIN`` or more
-        terms multiply as one packed product, other pairs term by term."""
+        terms multiply as one packed product, other pairs term by term.
+        ``other`` is grouped only when ``self`` has such a group."""
         other = _coerce(other)
         terms: dict[TermKey, int] = {}
-        if len(self.terms) < _PACK_MIN or len(other.terms) < _PACK_MIN:
+        groups = {}
+        if len(self.terms) >= _PACK_MIN and len(other.terms) >= _PACK_MIN:
+            flat, groups = _grouped(self.terms)
+        if not groups:
             _mul_flat(terms, self.terms.items(), other.terms.items())
             return MotiveExpr._trusted(terms)
-        flat, groups = _grouped(self.terms)
         other_flat, other_groups = _grouped(other.terms)
         _mul_flat(terms, flat, other.terms.items())
         _mul_flat(terms, _items(groups), other_flat)

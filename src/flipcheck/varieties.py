@@ -101,15 +101,21 @@ def builtin(name: str) -> HodgeDiamond:
     """Look up a diamond by CLI name; raises ``KeyError`` for unknown names."""
     if name == "point":
         return point()
-    m = re.fullmatch(r"p([0-9]+)", name)
+    m = re.fullmatch(r"p0*([0-9]+)", name)
     if m:
-        n = int(m.group(1))
-        if n > MAX_DIM:
+        # longer than MAX_DIM is larger, and maybe too long for int()
+        digits = m.group(1)
+        if len(digits) > len(str(MAX_DIM)) or int(digits) > MAX_DIM:
             raise ValueError(f"builtin p<n> needs n <= {MAX_DIM}")
-        return projective_space(n)
+        return projective_space(int(digits))
     m = _CURVE_RE.fullmatch(name)
     if m:
-        return curve(int(m.group(1)))
+        try:
+            g = int(m.group(1))
+        except ValueError:  # more digits than Python converts
+            raise ValueError(f"builtin curve-g<g>: genus too long "
+                             f"({len(m.group(1))} digits)") from None
+        return curve(g)
     if name in _ASSETS:
         return _load_asset(name)
     raise KeyError(name)

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -128,10 +129,31 @@ def test_hodge_diamond_dimension_bound(tmp_path, capsys, entries):
 
 def test_hodge_builtin_pn_dimension_bound(capsys):
     assert varieties.builtin("p100000").dim == 100_000
-    for name in ("p100001", "p" + "9" * 30):
+    assert varieties.builtin("p" + "0" * 5000 + "7").dim == 7
+    # 5001 digits are more than Python turns into an int
+    for name in ("p100001", "p" + "9" * 30, "p1" + "0" * 5000):
         code, out, err = run(capsys, "hodge", "hh0", "--builtin", name)
         assert (code, out, err) == \
             (2, "", "error: builtin p<n> needs n <= 100000\n")
+
+
+def test_hodge_builtin_genus_too_long_exits_2(capsys):
+    # 5001 digits are more than Python turns into an int
+    code, out, err = run(capsys, "hodge", "hh0", "--builtin",
+                         "curve-g1" + "0" * 5000)
+    assert (code, out, err) == \
+        (2, "", "error: builtin curve-g<g>: genus too long (5001 digits)\n")
+
+
+@pytest.mark.parametrize("op", ["sym2", "hilb2"])
+@pytest.mark.parametrize("extra", [(), ("--json",), ("--column",)],
+                         ids=["text", "json", "column"])
+def test_hodge_result_too_long_to_print_exits_2(capsys, op, extra):
+    # h^{1,0} of 4000 digits parses; h^{1,1} of Sym^2 has 8000
+    code, out, err = run(capsys, "hodge", op, "--builtin",
+                         "curve-g" + "9" * 4000, *extra)
+    assert (code, out, err) == \
+        (2, "", "error: result holds an integer too long to print\n")
 
 
 def test_hodge_hilb2_rejects_point_builtin(capsys):
@@ -196,6 +218,14 @@ def test_fano_splittings(capsys):
     code, out, _ = run(capsys, "fano", "splittings", "--n", "2")
     assert code == 0
     assert "1 splitting type" in out and "O(-1)" in out
+
+
+def test_fano_splittings_dimension_bound(capsys):
+    code, out, _ = run(capsys, "fano", "splittings", "--n", "100000")
+    assert code == 0 and out.startswith("n=100000: 2 splitting types\n")
+    for n in ("100001", "1000000000"):
+        code, out, err = run(capsys, "fano", "splittings", "--n", n)
+        assert (code, out, err) == (2, "", "error: need n <= 100000\n")
 
 
 def test_fano_sodcounts(capsys):
@@ -457,6 +487,43 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as info:
         main(["nope"])
     assert info.value.code == 2
+
+
+# one case per subcommand; ``{file}`` is a file holding the text, or a
+# missing one when the text is None
+_PROCESS_ERRORS = {
+    "missing-file": (("motive", "check", "{file}"), None),
+    "parse-error": (("motive", "eval", "{file}"), "1 + * L\n"),
+    "bad-diamond-json": (("hodge", "hh0", "--diamond", "{file}"), "{not json"),
+    "unknown-builtin": (("hodge", "sym2", "--builtin", "nope"), None),
+    "rewrite-loop": (("sod", "check", "{file}"),
+                     "A => {B:1}\nB => {A:1}\n{A:1}\n{Dpt:1}\n"),
+    "oversized-n": (("fano", "splittings", "--n", "1000000000"), None),
+}
+
+
+def _cap_address_space():
+    # without its bound, ``--n 1000000000`` builds tuples of gigabytes; under
+    # this cap that is a MemoryError, not a host out of memory
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("case", sorted(_PROCESS_ERRORS))
+def test_error_exits_2_with_one_line_as_a_process(tmp_path, case):
+    """``python -m flipcheck`` prints nothing on stdout and one ``error:``
+    line on stderr, with no traceback, and exits 2."""
+    argv, text = _PROCESS_ERRORS[case]
+    path = tmp_path / "input.txt"
+    if text is not None:
+        path.write_text(text)
+    argv = [arg.replace("{file}", str(path)) for arg in argv]
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-m", "flipcheck", *argv], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=_cap_address_space)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 # -- snapshots -----------------------------------------------------------------------

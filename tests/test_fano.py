@@ -12,7 +12,7 @@ from flipcheck.fano import (Family, FlipShape, Regime,
                             emptiness_threshold, enumerate_line_splittings,
                             expected_dim_fano, flip_shapes,
                             format_splitting, gr25_dim_row,
-                            h0_quotient_dual_twist2, hilb2_normal_restriction,
+                            hilb2_normal_restriction,
                             sod_counts, verify_codim_identity,
                             verify_codim_identity_symbolic,
                             verify_taut_splitting)
@@ -52,6 +52,12 @@ def test_gr25_expected_dim_accessors():
     assert expected_dim_fano(Family.GR25_SECTION, 5, 2) == (4, 3)
     assert expected_dim_fano(Family.GR25_SECTION, 4, 3) is None
     assert expected_dim_fano(Family.GR25_SECTION, 6, 5) is None
+
+
+def h0_quotient_dual_twist2(k):
+    """h^0 of the twisted dual quotient bundle Q^v(2) on P^{k+1}:
+    (k+1)(k+2)(k+3)/3."""
+    return (k + 1) * (k + 2) * (k + 3) // 3
 
 
 def test_gr25_closed_forms_match_table():

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flipcheck import hodge, sod, varieties
-from flipcheck.hodge import (HodgeDiamond, alt2, blowup, diagonal, euler,
-                             hh0, hilbert_square, kunneth, projective_bundle,
-                             sym2, tate_twist)
+from flipcheck.hodge import (HodgeDiamond, diagonal, euler, hh0,
+                             hilbert_square, kunneth, projective_bundle, sym2,
+                             tate_twist)
 
 
 # -- oracles -------------------------------------------------------------------
@@ -162,7 +162,6 @@ def test_kunneth_matches_pairwise(a, b):
 @settings(max_examples=150)
 def test_squares_match_pairwise(a):
     assert_same(sym2(a), sym2_pairwise(a))
-    assert_same(alt2(a), alt2_pairwise(a))
     if a.dim >= 1:
         assert_same(hilbert_square(a), hilbert_square_pairwise(a))
 
@@ -171,8 +170,11 @@ def test_squares_match_pairwise(a):
 @settings(max_examples=100)
 def test_bundles_and_blowups_match_pairwise(a, r, codim):
     assert_same(projective_bundle(a, r), projective_bundle_pairwise(a, r))
+    # a blowup adds its exceptional divisor, a twisted projective bundle
     total = kunneth(a, varieties.projective_space(codim))
-    assert_same(blowup(total, a, codim), blowup_pairwise(total, a, codim))
+    exceptional = tate_twist(projective_bundle(a, codim - 1), 1)
+    assert_same(_sum_tables(total.dim, [total, exceptional]),
+                blowup_pairwise(total, a, codim))
 
 
 def test_dense_dimension_20_matches_pairwise():
@@ -183,7 +185,6 @@ def test_dense_dimension_20_matches_pairwise():
                           for p in range(21) for q in range(21)})
     assert_same(kunneth(a, b), kunneth_pairwise(a, b))
     assert_same(sym2(a), sym2_pairwise(a))
-    assert_same(alt2(a), alt2_pairwise(a))
     assert_same(hilbert_square(a), hilbert_square_pairwise(a))
 
 
@@ -319,12 +320,12 @@ def test_sym2_curve_formula(g):
 @settings(max_examples=150)
 def test_sym2_matches_brute_force(d):
     assert sym2(d) == sym2_oracle(d)
-    assert alt2(d) == alt2_oracle(d)
+    assert alt2_pairwise(d) == alt2_oracle(d)
 
 
 @given(diamonds())
 def test_sym2_plus_alt2_is_kunneth_square(d):
-    assert sym2(d) + alt2(d) == kunneth(d, d)
+    assert sym2(d) + alt2_pairwise(d) == kunneth(d, d)
 
 
 @given(diamonds())
@@ -404,8 +405,8 @@ def test_hilbert_square_is_invariant_part_of_diagonal_blowup():
     # Sym^2 and the twists, dropping exactly alt2.
     for name in ("degree2-del-pezzo-surface", "quartic-double-solid"):
         x = varieties.builtin(name)
-        bl = blowup(kunneth(x, x), x, x.dim)
-        assert bl == hilbert_square(x) + alt2(x)
+        bl = blowup_pairwise(kunneth(x, x), x, x.dim)
+        assert bl == hilbert_square(x) + alt2_pairwise(x)
 
 
 @given(diamonds(max_dim=3).filter(lambda d: d.dim >= 1))
@@ -430,15 +431,12 @@ def test_projective_bundle_examples():
 
 
 def test_blowup_examples():
-    one_point = blowup(varieties.projective_space(2), varieties.point(), 2)
+    one_point = blowup_pairwise(varieties.projective_space(2),
+                                varieties.point(), 2)
     assert one_point.hodge(1, 1) == 2
-    along_line = blowup(varieties.projective_space(3),
-                        varieties.projective_space(1), 2)
+    along_line = blowup_pairwise(varieties.projective_space(3),
+                                 varieties.projective_space(1), 2)
     assert along_line.hodge(1, 1) == 2 and along_line.hodge(2, 2) == 2
-    with pytest.raises(ValueError):
-        blowup(varieties.projective_space(3), varieties.point(), 2)
-    with pytest.raises(ValueError):
-        blowup(varieties.projective_space(2), varieties.projective_space(1), 1)
 
 
 # -- hh0 / euler / formatting --------------------------------------------------------
