@@ -57,10 +57,18 @@ def _load_diamond(args) -> hodge.HodgeDiamond:
             )
     with open(args.diamond, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, parse_int=_json_int)
         except RecursionError:
             raise ValueError("diamond JSON is nested too deeply") from None
     return hodge.HodgeDiamond.from_json_dict(data).validate()
+
+
+def _json_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # more digits than the interpreter converts
+        raise ValueError(f"diamond JSON integer too long "
+                         f"({len(text.lstrip('-'))} digits)") from None
 
 
 # -- hodge subcommand ----------------------------------------------------------
@@ -76,6 +84,9 @@ def _diamond_text(d: hodge.HodgeDiamond, args) -> str:
 
 def cmd_hodge(args) -> int:
     d = _load_diamond(args)
+    if args.builtin in varieties.DIAGONAL_ONLY and args.hodge_op != "hh0":
+        raise ValueError(f"builtin {args.builtin!r} tabulates only the "
+                         f"diagonal h^(p,p), so only hh0 is defined on it")
     if args.hodge_op == "hh0":
         value = hodge.hh0(d)
         _print_built(lambda: [json.dumps({"hh0": value}) if args.json
@@ -661,10 +672,7 @@ def random_motive(rng: random.Random) -> MotiveExpr:
         lp = rng.randint(0, 5)
         mono = tuple(rng.choice(_ATOM_POOL)
                      for _ in range(rng.randint(0, 3)))
-        term = MotiveExpr.const(coeff) * MotiveExpr.lefschetz(lp)
-        for name in mono:
-            term = term * MotiveExpr.atom(name)
-        expr = expr + term
+        expr = expr + MotiveExpr({(lp, tuple(sorted(mono))): coeff})
     return expr
 
 

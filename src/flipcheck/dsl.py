@@ -32,7 +32,7 @@ from collections import namedtuple
 from .motive import MotiveExpr, TermKey, sym2_class
 from .sod import RewriteRule, SodLedger
 
-MAX_NESTING = 400
+MAX_NESTING = 200  # expression levels
 
 
 class SourceSpan(namedtuple("SourceSpan", "start end line column")):
@@ -227,11 +227,6 @@ class _Parser:
         self.i += 1
         return tok
 
-    def _enter(self):
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise ParseError("expression nesting too deep", self.peek().span)
-
     # statements ---------------------------------------------------------
 
     def statement(self) -> Node:
@@ -252,9 +247,12 @@ class _Parser:
     # expressions ----------------------------------------------------------
 
     def expr(self) -> Node:
-        self._enter()
+        # the one place nesting is counted: every "(" and "Sym2(" opens an expr
+        toks = self.tokens
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError("expression nesting too deep", toks[self.i].span)
         try:
-            toks = self.tokens
             start = toks[self.i].span
             first = self.term()
             kind = toks[self.i].kind
@@ -296,11 +294,7 @@ class _Parser:
                 return LPow(tok.span, 1)
             if text == "Sym2":
                 self.expect("LPAREN", "'(' after Sym2")
-                self._enter()
-                try:
-                    inner = self.expr()
-                finally:
-                    self.depth -= 1
+                inner = self.expr()
                 close = self.expect("RPAREN", "')'")
                 return Sym2(_join(tok.span, close.span), inner)
             if toks[self.i].kind == "TENSOR":
@@ -312,16 +306,12 @@ class _Parser:
             self.i += 1
             return IntLit(tok.span, _int(tok))
         if kind == "LPAREN":
-            self._enter()
-            try:
-                self.i += 1
-                inner = self.expr()
-                close = self.expect("RPAREN", "')'")
-                # the node is new and not shared: widen its span in place
-                inner.span = _join(tok.span, close.span)
-                return inner
-            finally:
-                self.depth -= 1
+            self.i += 1
+            inner = self.expr()
+            close = self.expect("RPAREN", "')'")
+            # the node is new and not shared: widen its span in place
+            inner.span = _join(tok.span, close.span)
+            return inner
         raise self.fail(("integer", "'L'", "atom", "Sym2(...)", "'('"))
 
     # ledgers and rules ---------------------------------------------------

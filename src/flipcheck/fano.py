@@ -40,9 +40,6 @@ class Family(enum.Enum):
     TWO_QUADRICS = "two-quadrics"
     GR25_SECTION = "gr25"
 
-    def __str__(self) -> str:
-        return self.value
-
 
 def parse_family(text: str) -> Family:
     for fam in Family:
@@ -103,32 +100,19 @@ def gr25_dim_row(n: int) -> Gr25DimRow:
     return _GR25_ROWS[n]
 
 
-def expected_dim_fano(family: Family, n: int, k_planes: int):
-    """Expected dimension of the Fano scheme of ``k_planes``-planes.
-
-    Cubics and intersections of two quadrics are closed formulas and may be
-    negative (empty is a separate classification, never silently clamped).
-    Gr(2,5) sections are table-driven: ``None`` marks an empty scheme, and
-    for 2-planes the pair (sigma, tau) of component dimensions is returned.
-    """
+def expected_dim_fano(family: Family, n: int, k_planes: int) -> int:
+    """Expected dimension of the Fano scheme of ``k_planes``-planes on a
+    cubic or an intersection of two quadrics; it may be negative (empty is a
+    separate classification, never silently clamped).  Gr(2,5) sections
+    read :func:`gr25_dim_row` instead."""
     if k_planes < 0:
         raise ValueError("k_planes must be nonnegative")
+    j = k_planes
     if family is Family.CUBIC:
-        j = k_planes
         return (j + 1) * (n + 1 - j) - comb(j + 3, 3)
     if family is Family.TWO_QUADRICS:
-        j = k_planes
         return (j + 1) * (n - j + 2) - 2 * comb(j + 2, 2)
-    row = gr25_dim_row(n)
-    if k_planes == 0:
-        return n
-    if k_planes == 1:
-        return row.f1
-    if k_planes == 2:
-        return (row.f2_sigma, row.f2_tau)
-    if k_planes == 3:
-        return row.f3
-    return None  # no planes of dimension >= 4 on a Gr(2,5) section
+    raise ValueError("Gr(2,5) dimensions come from its table, not a formula")
 
 
 # -- emptiness regimes ---------------------------------------------------------
@@ -151,9 +135,6 @@ class Regime(enum.Enum):
     F_K_EMPTY = "F_k_empty"
     F_K1_EMPTY_FLIP_DEGENERATES = "F_k1_empty_flip_degenerates"
     DISJOINT_UNION = "disjoint_union"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 def emptiness_threshold(family: Family, n: int, k: int) -> Regime:

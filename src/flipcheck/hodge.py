@@ -54,28 +54,15 @@ class HodgeDiamond:
 
     __slots__ = ("dim", "_entries")
 
-    def __init__(
-        self,
-        dim: int,
-        entries: Mapping[Bidegree, int] | Iterable[tuple[int, int, int]] = (),
-    ):
+    def __init__(self, dim: int, entries: Mapping[Bidegree, int] = {}):
         if dim < 0:
             raise ValueError(f"dimension must be nonnegative, got {dim}")
-        table: dict[Bidegree, int] = {}
-        items: Iterable
-        if isinstance(entries, Mapping):
-            items = (((p, q), v) for (p, q), v in entries.items())
-        else:
-            items = (((p, q), v) for p, q, v in entries)
-        for (p, q), v in items:
-            if v < 0:
-                raise ValueError(f"negative entry h^({p},{q}) = {v}")
+        for (p, q), v in entries.items():
+            _check_entry(p, q, v)
             if v and not (0 <= p <= dim and 0 <= q <= dim):
                 raise ValueError(f"entry h^({p},{q}) outside [0,{dim}]^2")
-            if v:
-                table[(p, q)] = table.get((p, q), 0) + v
         self.dim = dim
-        self._entries = table
+        self._entries = {key: v for key, v in entries.items() if v}
 
     @classmethod
     def _trusted(cls, dim: int, table: dict[Bidegree, int]) -> "HodgeDiamond":
@@ -156,13 +143,21 @@ class HodgeDiamond:
             raise ValueError(f"'dim' must be at most {MAX_DIM}")
         if not isinstance(raw, list):
             raise ValueError("'entries' must be a list of [p, q, value] rows")
-        entries = []
+        # repeated rows add up; each row is refused on its own when negative
+        entries: dict[Bidegree, int] = {}
         for i, row in enumerate(raw):
             if not (isinstance(row, (list, tuple)) and len(row) == 3
                     and all(type(x) is int for x in row)):
                 raise ValueError(f"bad entry row {i}; want [p, q, value]")
-            entries.append(tuple(row))
+            p, q, v = row
+            _check_entry(p, q, v)
+            entries[(p, q)] = entries.get((p, q), 0) + v
         return cls(dim, entries)
+
+
+def _check_entry(p: int, q: int, v: int) -> None:
+    if v < 0:
+        raise ValueError(f"negative entry h^({p},{q}) = {v}")
 
 
 def _accumulate(dim: int, parts: Iterable[HodgeDiamond]) -> HodgeDiamond:

@@ -60,17 +60,14 @@ class SodLedger:
 
     __slots__ = ("multiplicities",)
 
-    def __init__(self, multiplicities: Mapping[str, int] | None = None):
-        clean: dict[str, int] = {}
-        if multiplicities:
-            for name, m in multiplicities.items():
-                if m < 0:
-                    raise NegativeMultiplicityError(
-                        f"negative multiplicity {m} for {name!r}"
-                    )
-                if m:
-                    clean[name] = clean.get(name, 0) + m
-        self.multiplicities = clean
+    def __init__(self, multiplicities: Mapping[str, int] = {}):
+        for name, m in multiplicities.items():
+            if m < 0:
+                raise NegativeMultiplicityError(
+                    f"negative multiplicity {m} for {name!r}"
+                )
+        self.multiplicities = {name: m for name, m in multiplicities.items()
+                               if m}
 
     @classmethod
     def _trusted(cls, multiplicities: dict[str, int]) -> "SodLedger":
@@ -91,7 +88,7 @@ class SodLedger:
         out = dict(self.multiplicities)
         for name, m in other.multiplicities.items():
             out[name] = out.get(name, 0) + m
-        return SodLedger(out)
+        return SodLedger._trusted(out)  # sums of positive multiplicities
 
     def __rmul__(self, k: int) -> "SodLedger":
         if k < 0:
@@ -215,12 +212,12 @@ def default_rules() -> RuleTable:
     """The rules the symmetric-square calculus of curve-plus-exceptional
     decompositions needs: root-stack rewrites for Sym^2 and the two standard
     tensor rules."""
-    table = RuleTable()
-    table.add(RewriteRule("sym2", ("DC",), SodLedger({"DSym2C": 1, "DC": 1})))
-    table.add(RewriteRule("sym2", ("Dpt",), SodLedger({"Dpt": 2})))
-    table.add(RewriteRule("tensor", ("DC", "Dpt"), SodLedger({"DC": 1})))
-    table.add(RewriteRule("tensor", ("Dpt", "Dpt"), SodLedger({"Dpt": 1})))
-    return table
+    return RuleTable([
+        RewriteRule("sym2", ("DC",), SodLedger({"DSym2C": 1, "DC": 1})),
+        RewriteRule("sym2", ("Dpt",), SodLedger({"Dpt": 2})),
+        RewriteRule("tensor", ("DC", "Dpt"), SodLedger({"DC": 1})),
+        RewriteRule("tensor", ("Dpt", "Dpt"), SodLedger({"Dpt": 1})),
+    ])
 
 
 # -- symmetric squares and Hilbert squares of component lists -----------------

@@ -1,49 +1,33 @@
 """Built-in Hodge diamonds.
 
-The three hand-entered tables ship as embedded JSON assets in the interchange
-schema ``{"dim": n, "entries": [[p, q, value], ...]}`` with a ``provenance``
-field saying where the numbers come from; the loader ignores unknown keys.
-Everything else (projective spaces, curves, products) is generated.
+The three hand-entered tables are Python data, ``{name: (dim, {(p, q): h})}``,
+each with a comment saying where the numbers come from.  Everything else
+(projective spaces, curves, products) is generated.
 """
 
 from __future__ import annotations
 
-import json
 import re
 
 from .hodge import MAX_DIM, HodgeDiamond
 
-# One asset per variety whose Hodge numbers are taken from the literature
+# One table per variety whose Hodge numbers are taken from the literature
 # rather than computed here.
-_ASSETS: dict[str, str] = {
+_TABLES: dict[str, tuple[int, dict[tuple[int, int], int]]] = {
     # Smooth del Pezzo threefold of degree 2: double cover of P^3 branched
     # over a quartic surface.  b_3 = 20 with h^{2,1} = h^{1,2} = 10.
-    "quartic-double-solid": """
-    {
-      "provenance": "quartic double solid (degree-2 del Pezzo threefold); h^{1,1}=1, h^{2,1}=10, classical",
-      "dim": 3,
-      "entries": [[0, 0, 1], [1, 1, 1], [1, 2, 10], [2, 1, 10], [2, 2, 1], [3, 3, 1]]
-    }
-    """,
+    "quartic-double-solid": (3, {(0, 0): 1, (1, 1): 1, (1, 2): 10,
+                                 (2, 1): 10, (2, 2): 1, (3, 3): 1}),
     # Surface of lines on a general quartic double solid (branch quartic
     # containing no lines); irregular surface with h^1(Omega) = 220 after
-    # Welters' cohomological study.
-    "f1-quartic-double-solid": """
-    {
-      "provenance": "Fano surface of lines on a general quartic double solid; h^{1,1}=220 per Welters (1981)",
-      "dim": 2,
-      "entries": [[0, 0, 1], [1, 1, 220], [2, 2, 1]]
-    }
-    """,
+    # Welters' cohomological study (1981).
+    "f1-quartic-double-solid": (2, {(0, 0): 1, (1, 1): 220, (2, 2): 1}),
     # Degree-2 del Pezzo surface: blowup of P^2 in 7 points, Picard rank 8.
-    "degree2-del-pezzo-surface": """
-    {
-      "provenance": "degree-2 del Pezzo surface (P^2 blown up in 7 points); h^{1,1} = 8",
-      "dim": 2,
-      "entries": [[0, 0, 1], [1, 1, 8], [2, 2, 1]]
-    }
-    """,
+    "degree2-del-pezzo-surface": (2, {(0, 0): 1, (1, 1): 8, (2, 2): 1}),
 }
+
+# tables of h^{p,p} alone (f1 lacks its h^{1,0} = 10): they answer hh0 only
+DIAGONAL_ONLY = frozenset({"f1-quartic-double-solid"})
 
 _CURVE_RE = re.compile(r"^curve-g([0-9]+)$")
 
@@ -86,14 +70,9 @@ def intersection_of_two_quadrics(n: int) -> HodgeDiamond:
     return HodgeDiamond(n, entries)
 
 
-def _load_asset(name: str) -> HodgeDiamond:
-    data = json.loads(_ASSETS[name])
-    return HodgeDiamond.from_json_dict(data).validate()
-
-
 def builtin_names() -> list[str]:
     names = ["point", "p1", "p2", "p3", "curve-g<g>"]
-    names.extend(sorted(_ASSETS))
+    names.extend(sorted(_TABLES))
     return names
 
 
@@ -116,6 +95,6 @@ def builtin(name: str) -> HodgeDiamond:
             raise ValueError(f"builtin curve-g<g>: genus too long "
                              f"({len(m.group(1))} digits)") from None
         return curve(g)
-    if name in _ASSETS:
-        return _load_asset(name)
+    if name in _TABLES:
+        return HodgeDiamond(*_TABLES[name]).validate()
     raise KeyError(name)

@@ -43,6 +43,17 @@ def test_hodge_sym2_p1_prints_p2(capsys):
     assert data == {"dim": 2, "entries": [[0, 0, 1], [1, 1, 1], [2, 2, 1]]}
 
 
+@pytest.mark.parametrize("op", ["sym2", "hilb2"])
+def test_hodge_diagonal_only_builtin_answers_hh0_alone(capsys, op):
+    # h^{1,0} = 10 is missing from the table, so Sym^2 would drop 10 * 10
+    for extra in ((), ("--json",), ("--column",)):
+        code, out, err = run(capsys, "hodge", op, "--builtin",
+                             "f1-quartic-double-solid", *extra)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "only hh0" in err
+
+
 def test_hodge_hh0_json(capsys):
     code, out, _ = run(capsys, "hodge", "hh0",
                        "--builtin", "quartic-double-solid", "--json")
@@ -115,6 +126,37 @@ def test_hodge_bad_row_error_names_its_index(tmp_path, capsys):
     code, out, err = run(capsys, "hodge", "hh0", "--diamond", str(bad))
     assert (code, out, err) == \
         (2, "", "error: bad entry row 2; want [p, q, value]\n")
+
+
+def test_hodge_diamond_repeated_rows_add_up(tmp_path, capsys):
+    path = tmp_path / "rows.json"
+    path.write_text('{"dim": 1, "entries": [[0, 0, 1], [1, 1, 1], [0, 0, 2],'
+                    ' [1, 1, 2]]}')
+    code, out, _ = run(capsys, "hodge", "sym2", "--diamond", str(path),
+                       "--column")
+    assert (code, out) == (0, "6 9 6\n")  # Sym^2 of the column 3 3
+
+
+def test_hodge_diamond_negative_row_is_refused_before_summing(tmp_path,
+                                                              capsys):
+    path = tmp_path / "rows.json"
+    path.write_text('{"dim": 1, "entries": [[0, 0, 1], [1, 1, 2], [1, 1, -1],'
+                    ' [1, 1, 1]]}')
+    code, out, err = run(capsys, "hodge", "hh0", "--diamond", str(path))
+    assert (code, out, err) == (2, "", "error: negative entry h^(1,1) = -1\n")
+
+
+@pytest.mark.parametrize("text", [
+    '{"dim": 0, "entries": [[0, 0, 1%s]]}' % ("0" * 5000),
+    '{"dim": 1%s, "entries": []}' % ("0" * 5000),
+], ids=["entry", "dim"])
+def test_hodge_diamond_integer_too_long_exits_2(tmp_path, capsys, text):
+    # 5001 digits are more than Python turns into an int
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "hodge", "hh0", "--diamond", str(path))
+    assert (code, out, err) == \
+        (2, "", "error: diamond JSON integer too long (5001 digits)\n")
 
 
 @pytest.mark.parametrize("entries", [[], [[0, 0, 1], [10**12, 10**12, 1]]])
@@ -464,14 +506,9 @@ def test_verify_all_json(capsys):
 
 
 def test_verify_all_fault_injection(monkeypatch, capsys):
-    corrupted = """
-    {
-      "provenance": "corrupted for the fault-injection test",
-      "dim": 3,
-      "entries": [[0, 0, 1], [1, 1, 1], [1, 2, 9], [2, 1, 9], [2, 2, 1], [3, 3, 1]]
-    }
-    """
-    monkeypatch.setitem(varieties._ASSETS, "quartic-double-solid", corrupted)
+    corrupted = (3, {(0, 0): 1, (1, 1): 1, (1, 2): 9, (2, 1): 9, (2, 2): 1,
+                     (3, 3): 1})
+    monkeypatch.setitem(varieties._TABLES, "quartic-double-solid", corrupted)
     code, out, _ = run(capsys, "verify-all")
     assert code == 1
     assert "FAIL hodge/hilb2-quartic-double-solid-column" in out

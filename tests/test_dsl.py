@@ -207,6 +207,20 @@ def test_deep_nesting_is_a_parse_error_not_a_crash():
         parse("(" * 2000 + "1" + ")" * 2000)
 
 
+@pytest.mark.parametrize("opener, closer, column", [
+    ("(", ")", 201), ("Sym2(", ")", 1001), ("(Sym2(", "))", 601)],
+    ids=["paren", "sym2", "mixed"])
+def test_nesting_is_refused_at_exactly_200_levels(opener, closer, column):
+    repeats = 200 // opener.count("(")
+    deepest = opener * repeats + "L" + closer * repeats
+    first = opener[:opener.index("(") + 1]
+    parse(deepest[len(first):-1])  # one level less parses
+    with pytest.raises(ParseError) as info:
+        parse("\n" + deepest)
+    assert str(info.value) == \
+        f"line 2, column {column}: expression nesting too deep"
+
+
 def test_spans_are_one_based():
     tokens = tokenize("1 + L")
     assert tokens[0].span.line == 1 and tokens[0].span.column == 1

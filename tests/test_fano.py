@@ -46,12 +46,8 @@ def test_gr25_dim_table_verbatim():
     assert [rows[n].f3 for n in range(2, 7)] == [None, None, None, 0, 4]
     with pytest.raises(ValueError):
         gr25_dim_row(7)
-
-
-def test_gr25_expected_dim_accessors():
-    assert expected_dim_fano(Family.GR25_SECTION, 5, 2) == (4, 3)
-    assert expected_dim_fano(Family.GR25_SECTION, 4, 3) is None
-    assert expected_dim_fano(Family.GR25_SECTION, 6, 5) is None
+    with pytest.raises(ValueError, match="table"):
+        expected_dim_fano(Family.GR25_SECTION, 5, 2)
 
 
 def h0_quotient_dual_twist2(k):
