@@ -78,6 +78,10 @@ def _total(groups: Groups) -> int:
     return sum(abs(c) for cells in groups.values() for c in cells.values())
 
 
+def _top(groups: Groups) -> int:
+    return max(abs(c) for cells in groups.values() for c in cells.values())
+
+
 def _signed(cells: Mapping[int, int], width: int) -> tuple[int, int]:
     """The packed positive and negative parts of signed coefficients."""
     if min(cells.values(), default=0) >= 0:
@@ -90,13 +94,16 @@ def convolve(xs: Groups, ys: Groups, merge: Callable
              ) -> dict[Hashable, list[int]]:
     """Grouped product: ``{merge(g, h): xs[g] * ys[h]}``, summed over the
     pairs that merge alike, as coefficient lists.  Coefficients are signed;
-    each group multiplies as its positive part minus its negative part, and
-    every slot of either sum is at most the product of the two totals.
+    each group multiplies as its positive part minus its negative part.
+    ``merge(g, h)`` must determine ``h`` from ``g`` and the result, as both
+    ``+`` and a product of monomials do: then each term of one side meets
+    at most one term of the other in a slot, so every slot of either sum is
+    at most the total of one side times the largest term of the other.
     """
     tx, ty = _total(xs), _total(ys)
     if not (tx and ty):
         return {}
-    w = width(tx * ty)
+    w = width(min(tx * _top(ys), ty * _top(xs)))
     px = [(g, _signed(cells, w)) for g, cells in xs.items()]
     py = [(h, _signed(cells, w)) for h, cells in ys.items()]
     pos: dict[Hashable, int] = {}

@@ -546,18 +546,13 @@ def _check_degree_table() -> CheckReport:
                        expected, computed, "paper")
 
 
-def _blowup_expansion(x, z, c):
-    """[Bl_Z X] for codim c >= 1; a codim-1 center leaves the class alone."""
-    return x if c == 1 else motive.blowup_class(x, z, c)
-
-
 def _check_flip_derivation() -> CheckReport:
     X, Xp, F = (MotiveExpr.atom(a) for a in ("X", "Xp", "F"))
     failures = []
     for r in range(6):
         for s in range(6):
-            left = _blowup_expansion(X, F * motive.class_of_pn(r), s + 1)
-            right = _blowup_expansion(Xp, F * motive.class_of_pn(s), r + 1)
+            left = motive.blowup_class(X, F * motive.class_of_pn(r), s + 1)
+            right = motive.blowup_class(Xp, F * motive.class_of_pn(s), r + 1)
             if left - right != (X - Xp) - motive.flip_difference(F, r, s):
                 failures.append([r, s])
     return make_report("motive/flip-derivation", {"r,s": "[0, 5]^2"},

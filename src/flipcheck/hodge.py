@@ -8,31 +8,31 @@ diamonds satisfy two symmetries:
 * Serre duality:   ``h^{p,q} = h^{n-p,n-q}``
 
 The operations here are the numerical shadows of standard constructions:
-products (Kunneth), Tate twists (multiplication by a power of the Lefschetz
-class, shifting bidegree by ``(i, i)``), projective bundles, graded
-symmetric squares with the Koszul sign rule, and the Hilbert square
+products (Kunneth), graded symmetric squares with the Koszul sign rule, and
+the Hilbert square by the formula of the Grothendieck ring (``motive``):
 
-    H*(X^[2]) = Sym^2 H*(X)  (+)  H*(X)(1)  (+) ... (+)  H*(X)(n-1),
+    h(X^[2]) = Sym^2 h(X)  +  ([P^{n-1}] - [pt]) h(X),
 
-the twisted summands coming from the exceptional divisor of the blowup of
-``X x X`` along the diagonal, which is a ``P^{n-1}``-bundle over ``X``.
+one symmetric square and one Kunneth product with the raw table of ones at
+``(i, i)``, ``1 <= i <= n-1``.  The product is the exceptional divisor of
+the blowup of ``X x X`` along the diagonal, a ``P^{n-1}``-bundle over ``X``,
+less the diagonal it replaces.
 
 Everything is exact integer arithmetic on sparse tables; entries are
 dimensions only (no lattice or torsion information is modelled).  Values are
 immutable after construction and all operations are pure functions.
 
-Products, squares and bundles run on packed diagonals (``_packed``): the
-entries ``h^{p,p+s}`` of one diagonal ``s = q - p`` sit in fixed-width slots
-``p`` of one Python integer, and one big-integer multiply per pair of
-diagonals does the whole Kunneth product.  ``Sym^2`` follows Macdonald's
-``(a^2 + psi^2 a) / 2``; a projective bundle multiplies each diagonal by the
-packed ``1 + X + ... + X^{r-1}``.
+Products and squares run on packed diagonals (``_packed``): the entries
+``h^{p,p+s}`` of one diagonal ``s = q - p`` sit in fixed-width slots ``p`` of
+one Python integer, and one big-integer multiply per pair of diagonals does
+the whole Kunneth product.  ``Sym^2`` follows Macdonald's
+``(a^2 + psi^2 a) / 2``.
 """
 
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 
 from . import _packed
 
@@ -47,9 +47,8 @@ class HodgeDiamond:
     """A bigraded table of nonnegative integers supported on ``[0, dim]^2``.
 
     Any nonnegative table is a diamond; :meth:`validate` checks the two
-    symmetries of a geometric one.  Intermediate results such as Tate twists
-    need not satisfy them: Serre duality is relative to a dimension that a
-    twist intentionally breaks.
+    symmetries of a geometric one.  Intermediate tables such as
+    ``[P^{n-1}] - [pt]`` need not satisfy them.
     """
 
     __slots__ = ("dim", "_entries")
@@ -84,23 +83,11 @@ class HodgeDiamond:
             return NotImplemented
         return self.dim == other.dim and self._entries == other._entries
 
-    def __hash__(self):
-        return hash((self.dim, frozenset(self._entries.items())))
-
     def __repr__(self) -> str:
         cells = ", ".join(
             f"({p},{q}): {v}" for (p, q), v in sorted(self._entries.items())
         )
         return f"HodgeDiamond(dim={self.dim}, {{{cells}}})"
-
-    def __add__(self, other: "HodgeDiamond") -> "HodgeDiamond":
-        """Entrywise sum (disjoint union); dimensions must agree."""
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} != {other.dim}")
-        return _accumulate(self.dim, [self, other])
-
-    def __mul__(self, other: "HodgeDiamond") -> "HodgeDiamond":
-        return kunneth(self, other)
 
     # -- symmetry checks ---------------------------------------------------
 
@@ -160,16 +147,6 @@ def _check_entry(p: int, q: int, v: int) -> None:
         raise ValueError(f"negative entry h^({p},{q}) = {v}")
 
 
-def _accumulate(dim: int, parts: Iterable[HodgeDiamond]) -> HodgeDiamond:
-    """Sum entry tables into a fresh diamond of the given dimension, which is
-    at least that of every part."""
-    table: dict[Bidegree, int] = {}
-    for part in parts:
-        for key, v in part._entries.items():
-            table[key] = table.get(key, 0) + v
-    return HodgeDiamond._trusted(dim, table)
-
-
 # -- packed diagonals ----------------------------------------------------------
 
 
@@ -200,17 +177,6 @@ def kunneth(a: HodgeDiamond, b: HodgeDiamond) -> HodgeDiamond:
     return _unpacked(a.dim + b.dim, out)
 
 
-def tate_twist(a: HodgeDiamond, i: int) -> HodgeDiamond:
-    """Shift every entry by ``(i, i)``: multiplication by the i-th power of
-    the Lefschetz class.  The result is a raw table of dimension ``dim + i``
-    (Serre duality relative to the new dimension is intentionally broken).
-    """
-    if i < 0:
-        raise ValueError(f"twist must be nonnegative, got {i}")
-    return HodgeDiamond._trusted(
-        a.dim + i, {(p + i, q + i): v for (p, q), v in a._entries.items()})
-
-
 def sym2(a: HodgeDiamond) -> HodgeDiamond:
     """Graded symmetric square with the Koszul sign rule.
 
@@ -231,34 +197,20 @@ def sym2(a: HodgeDiamond) -> HodgeDiamond:
 
 
 def hilbert_square(a: HodgeDiamond) -> HodgeDiamond:
-    """Hodge diamond of the Hilbert scheme of two points.
-
-    For ``n = dim >= 1`` this is ``sym2(a)`` plus one Tate twist of ``a`` for
-    each ``i = 1, ..., n-1``.  The twists account for the exceptional divisor
-    of ``Bl_diag(X x X)``, a ``P^{n-1}``-bundle over the diagonal; for a
-    curve there is no correction and ``(P^1)^[2] = P^2`` comes out of the
-    symmetric square alone.
+    """Hodge diamond of the Hilbert scheme of two points:
+    ``Sym^2 X + ([P^{n-1}] - [pt]) X`` for ``n = dim >= 1``, the formula of
+    ``motive.hilbert_square_class``.  For a curve the correction is empty
+    and ``(P^1)^[2] = P^2`` comes out of the symmetric square alone.
     """
     n = a.dim
     if n < 1:
         raise ValueError("Hilbert square of a 0-dimensional variety is not modelled")
-    parts = [sym2(a)]
-    if n >= 2:
-        parts.append(tate_twist(projective_bundle(a, n - 1), 1))
-    return _accumulate(2 * n, parts)
-
-
-def projective_bundle(base: HodgeDiamond, fiber_rank: int) -> HodgeDiamond:
-    """Diamond of a projectivized rank-``fiber_rank`` bundle over ``base``:
-    the direct sum of twists ``base(i)`` for ``i = 0, ..., fiber_rank - 1``.
-    """
-    if fiber_rank < 1:
-        raise ValueError(f"fiber rank must be positive, got {fiber_rank}")
-    width = _packed.width(sum(base._entries.values()))
-    series = int.from_bytes((b"\x01" + bytes(width - 1)) * fiber_rank, "little")
-    out = {s: _packed.unpack(_packed.pack(cells, width) * series, width)
-           for s, cells in _diagonals(base).items()}
-    return _unpacked(base.dim + fiber_rank - 1, out)
+    square = sym2(a)
+    exceptional = HodgeDiamond._trusted(n - 1, {(i, i): 1 for i in range(1, n)})
+    table = square._entries  # a fresh table, summed into in place
+    for key, v in kunneth(a, exceptional)._entries.items():
+        table[key] = table.get(key, 0) + v
+    return square
 
 
 def hh0(a: HodgeDiamond) -> int:

@@ -56,14 +56,22 @@ _PACK_MIN = 10
 
 def _grouped(terms: Mapping[TermKey, int]
              ) -> tuple[list[tuple[TermKey, int]], dict[Monomial, dict[int, int]]]:
-    """The terms of monomial groups shorter than ``_PACK_MIN``, and the
-    other groups as ``{monomial: {power of L: coefficient}}``."""
+    """The terms of the monomial groups that stay term by term, and the
+    groups that pack as ``{monomial: {power of L: coefficient}}``.
+
+    A group packs when it has ``_PACK_MIN`` terms or more and fewer slots,
+    one per power of L up to its highest, than term-by-term products: a
+    sparse group of high degree would allocate a slot per power."""
     groups: dict[Monomial, dict[int, int]] = {}
     for (lp, mono), c in terms.items():
         groups.setdefault(mono, {})[lp] = c
-    flat = [((lp, mono), c) for mono, g in groups.items() if len(g) < _PACK_MIN
-            for lp, c in g.items()]
-    return flat, {mono: g for mono, g in groups.items() if len(g) >= _PACK_MIN}
+    flat, packed = [], {}
+    for mono, g in groups.items():
+        if len(g) >= _PACK_MIN and max(g) < len(g) ** 2:
+            packed[mono] = g
+        else:
+            flat.extend(((lp, mono), c) for lp, c in g.items())
+    return flat, packed
 
 
 def _items(groups: Mapping[Monomial, Mapping[int, int]]):
@@ -162,12 +170,9 @@ class MotiveExpr:
     def __sub__(self, other) -> "MotiveExpr":
         return self + (-_coerce(other))
 
-    def __rsub__(self, other) -> "MotiveExpr":
-        return _coerce(other) + (-self)
-
     def __mul__(self, other) -> "MotiveExpr":
-        """Grouped by atom monomial: two groups of ``_PACK_MIN`` or more
-        terms multiply as one packed product, other pairs term by term.
+        """Grouped by atom monomial: two groups that pack (:func:`_grouped`)
+        multiply as one packed product, other pairs term by term.
         ``other`` is grouped only when ``self`` has such a group."""
         other = _coerce(other)
         terms: dict[TermKey, int] = {}
@@ -191,9 +196,6 @@ class MotiveExpr:
         if not isinstance(other, MotiveExpr):
             return NotImplemented
         return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -247,9 +249,10 @@ def class_of_pn(n: int) -> MotiveExpr:
 
 
 def blowup_class(x: MotiveExpr, z: MotiveExpr, c: int) -> MotiveExpr:
-    """``[Bl_Z X] = [X] + [Z] ([P^{c-1}] - 1)`` for codimension ``c >= 2``."""
-    if c < 2:
-        raise ValueError(f"blowup codimension must be >= 2, got {c}")
+    """``[Bl_Z X] = [X] + [Z] ([P^{c-1}] - 1)`` for codimension ``c >= 1``;
+    a divisor (``c = 1``) leaves ``[X]`` as it is."""
+    if c < 1:
+        raise ValueError(f"blowup codimension must be >= 1, got {c}")
     return x + z * (class_of_pn(c - 1) - ONE)
 
 
@@ -284,7 +287,7 @@ def sym2_class(x: MotiveExpr) -> MotiveExpr:
     copies of the term); each monomial must be empty or one atom to the
     first power.  Squares of single copies become declared ``Sym2_*`` atoms,
     ``Sym^2(L^i) = L^{2i}``, and cross terms multiply out.  Terms are
-    grouped by monomial: a group of ``_PACK_MIN`` or more terms squares
+    grouped by monomial: a group that packs (:func:`_grouped`) squares
     packed, by Macdonald's formula (:func:`_sym2_rule`), and two such
     groups multiply packed; the other terms square and multiply one by
     one.

@@ -81,9 +81,6 @@ class SodLedger:
             return NotImplemented
         return self.multiplicities == other.multiplicities
 
-    def __hash__(self):
-        return hash(frozenset(self.multiplicities.items()))
-
     def __add__(self, other: "SodLedger") -> "SodLedger":
         out = dict(self.multiplicities)
         for name, m in other.multiplicities.items():
@@ -94,11 +91,6 @@ class SodLedger:
         if k < 0:
             raise NegativeMultiplicityError("cannot scale a ledger negatively")
         return SodLedger({name: k * m for name, m in self.multiplicities.items()})
-
-    __mul__ = __rmul__
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.multiplicities
 
     def total(self) -> int:
         return sum(self.multiplicities.values())

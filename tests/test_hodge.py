@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from flipcheck import hodge, sod, varieties
 from flipcheck.hodge import (HodgeDiamond, diagonal, euler, hh0,
-                             hilbert_square, kunneth, projective_bundle, sym2,
-                             tate_twist)
+                             hilbert_square, kunneth, sym2)
 
 
 # -- oracles -------------------------------------------------------------------
@@ -104,6 +103,12 @@ def alt2_pairwise(a):
                             lambda m: m * (m + 1) // 2)
 
 
+def tate_twist(a, i):
+    """Shift every entry by ``(i, i)``: a raw table of dimension ``dim + i``."""
+    return HodgeDiamond(a.dim + i, {(p + i, q + i): v
+                                    for (p, q), v in a.entries().items()})
+
+
 def _sum_tables(dim, parts):
     table = {}
     for part in parts:
@@ -169,10 +174,12 @@ def test_squares_match_pairwise(a):
 @given(wide_diamonds(), st.integers(1, 15), st.integers(2, 6))
 @settings(max_examples=100)
 def test_bundles_and_blowups_match_pairwise(a, r, codim):
-    assert_same(projective_bundle(a, r), projective_bundle_pairwise(a, r))
+    # a P^{r-1}-bundle has the diamond of the product with P^{r-1}
+    bundle = kunneth(a, varieties.projective_space(r - 1))
+    assert_same(bundle, projective_bundle_pairwise(a, r))
     # a blowup adds its exceptional divisor, a twisted projective bundle
     total = kunneth(a, varieties.projective_space(codim))
-    exceptional = tate_twist(projective_bundle(a, codim - 1), 1)
+    exceptional = tate_twist(kunneth(a, varieties.projective_space(codim - 2)), 1)
     assert_same(_sum_tables(total.dim, [total, exceptional]),
                 blowup_pairwise(total, a, codim))
 
@@ -291,11 +298,6 @@ def test_tate_twist_examples():
         q.validate()  # a twist breaks Serre duality by design
 
 
-def test_tate_twist_rejects_negative():
-    with pytest.raises(ValueError):
-        tate_twist(varieties.point(), -1)
-
-
 # -- sym2 / alt2 -------------------------------------------------------------------
 
 
@@ -325,7 +327,7 @@ def test_sym2_matches_brute_force(d):
 
 @given(diamonds())
 def test_sym2_plus_alt2_is_kunneth_square(d):
-    assert sym2(d) + alt2_pairwise(d) == kunneth(d, d)
+    assert _sum_tables(2 * d.dim, [sym2(d), alt2_pairwise(d)]) == kunneth(d, d)
 
 
 @given(diamonds())
@@ -406,7 +408,42 @@ def test_hilbert_square_is_invariant_part_of_diagonal_blowup():
     for name in ("degree2-del-pezzo-surface", "quartic-double-solid"):
         x = varieties.builtin(name)
         bl = blowup_pairwise(kunneth(x, x), x, x.dim)
-        assert bl == hilbert_square(x) + alt2_pairwise(x)
+        assert bl == _sum_tables(bl.dim, [hilbert_square(x), alt2_pairwise(x)])
+
+
+def _symmetric(dim, upper):
+    """The geometric diamond whose entries with ``p >= q`` are ``upper``."""
+    table = {}
+    for (p, q), v in upper.items():
+        for key in ((p, q), (q, p), (dim - p, dim - q), (dim - q, dim - p)):
+            table[key] = v
+    return HodgeDiamond(dim, table).validate()
+
+
+_K3 = _symmetric(2, {(0, 0): 1, (2, 0): 1, (1, 1): 20})
+# a cubic n-fold X and its Fano variety of lines F: 27 lines on the cubic
+# surface, the Fano surface of the cubic threefold (Clemens-Griffiths), and
+# a variety of K3^[2] type for the cubic fourfold (Beauville-Donagi)
+GALKIN_SHINDER_CUBICS = {
+    "surface": (_symmetric(2, {(0, 0): 1, (1, 1): 7}),
+                HodgeDiamond(0, {(0, 0): 27})),
+    "threefold": (_symmetric(3, {(0, 0): 1, (1, 1): 1, (2, 1): 5}),
+                  _symmetric(2, {(0, 0): 1, (1, 0): 5, (2, 0): 10, (1, 1): 25})),
+    "fourfold": (_symmetric(4, {(0, 0): 1, (1, 1): 1, (2, 2): 21, (3, 1): 1}),
+                 hilbert_square(_K3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GALKIN_SHINDER_CUBICS))
+def test_galkin_shinder_cubics(name):
+    """``[X^[2]] = [P^n][X] + L^2 [F(X)]`` for a cubic n-fold X
+    (Galkin-Shinder, arXiv:1405.5154): the Hilbert square less the product
+    with ``P^n`` is F twisted by ``(2, 2)``."""
+    x, f = GALKIN_SHINDER_CUBICS[name]
+    rest = hilbert_square(x).entries()
+    for key, v in kunneth(varieties.projective_space(x.dim), x).entries().items():
+        rest[key] = rest.get(key, 0) - v
+    assert {key: v for key, v in rest.items() if v} == tate_twist(f, 2).entries()
 
 
 @given(diamonds(max_dim=3).filter(lambda d: d.dim >= 1))
@@ -419,15 +456,18 @@ def test_euler_identity_for_hilbert_square(d):
 
 
 def test_projective_bundle_examples():
-    assert projective_bundle(varieties.point(), 3) == \
-        varieties.projective_space(2)
-    hirzebruch = projective_bundle(varieties.projective_space(1), 2)
+    """A P^{r-1}-bundle over a base is ``kunneth(base, P^{r-1})``."""
+    def bundle(base, r):
+        got = kunneth(base, varieties.projective_space(r - 1))
+        assert_same(got, projective_bundle_pairwise(base, r))
+        return got
+
+    assert bundle(varieties.point(), 3) == varieties.projective_space(2)
+    hirzebruch = bundle(varieties.projective_space(1), 2)
     assert hirzebruch.hodge(1, 1) == 2
-    pb = projective_bundle(varieties.curve(2), 2)
+    pb = bundle(varieties.curve(2), 2)
     assert pb.entries() == {(0, 0): 1, (1, 0): 2, (0, 1): 2, (1, 1): 2,
                             (2, 1): 2, (1, 2): 2, (2, 2): 1}
-    with pytest.raises(ValueError):
-        projective_bundle(varieties.point(), 0)
 
 
 def test_blowup_examples():

@@ -77,13 +77,19 @@ def test_pack_round_trip(width, step):
     assert _packed.unpack(0, width) == []
 
 
+def top(groups):
+    return max(abs(c) for a in groups.values() for c in a.values())
+
+
 @pytest.mark.parametrize("width", WIDTHS)
 def test_convolve_at_every_width(width):
-    """Totals whose product just fits ``width`` bytes, with signed terms."""
-    t = isqrt(256**width - 1)
-    xs = {(): {0: t - 3, 3: -1, 4: 1}, ("X",): {1: -1}}
-    ys = {(): {0: 1, 2: t - 2}, ("Y",): {0: -1}}
-    assert _packed.width(total(xs) * total(ys)) == width
+    """Signed terms whose slot bound, each side's total times the other's
+    largest term, is ``256**width - 1``; slot 0 of ``()`` reaches ``t^2``."""
+    t = 16**width - 1
+    xs = {(): {0: t, 3: -1, 4: 1}, ("X",): {1: -1}}
+    ys = {(): {0: t, 2: 1}, ("Y",): {0: -1}}
+    bound = min(total(xs) * top(ys), total(ys) * top(xs))
+    assert bound == 256**width - 1 and _packed.width(bound) == width
     got = _packed.convolve(xs, ys, merge_names)
     assert nonzero(as_tables(got)) == nonzero(convolve_loop(xs, ys, merge_names))
 
