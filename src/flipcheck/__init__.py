@@ -2,8 +2,8 @@
 
 Submodules:
 
-* :mod:`flipcheck.hodge` - Hodge diamond arithmetic (Kunneth, twists,
-  symmetric squares, projective bundles, Hilbert squares, hh0)
+* :mod:`flipcheck.hodge` - Hodge diamond arithmetic (Kunneth products,
+  symmetric squares, Hilbert squares, hh0)
 * :mod:`flipcheck.varieties` - built-in diamonds
 * :mod:`flipcheck.motive` - Grothendieck-ring fragment with the Lefschetz
   class, blowup relation, standard-flip difference and Sym^2 calculus

@@ -31,18 +31,6 @@ def make_report(name: str, inputs: dict, expected, computed,
                        expected == computed, provenance)
 
 
-def _print_built(build) -> None:
-    """Print the lines ``build()`` returns, all built before the first is
-    printed: Python turns no int of over 4300 digits (by default) into
-    text, so a result holding one prints nothing."""
-    try:
-        lines = build()
-    except ValueError:
-        raise ValueError("result holds an integer too long to print") from None
-    for line in lines:
-        print(line)
-
-
 # -- diamond loading ----------------------------------------------------------
 
 
@@ -74,27 +62,29 @@ def _json_int(text: str) -> int:
 # -- hodge subcommand ----------------------------------------------------------
 
 
-def _diamond_text(d: hodge.HodgeDiamond, args) -> str:
-    if args.json:
-        return json.dumps(d.to_json_dict(), sort_keys=True, indent=2)
-    if args.column:
-        return " ".join(str(v) for v in hodge.diagonal(d))
-    return hodge.format_diamond(d)
+FULL_VIEW_MAX_DIM = 1000  # of the result; the view is quadratic in it
 
 
-def cmd_hodge(args) -> int:
+def cmd_hodge(args):
     d = _load_diamond(args)
     if args.builtin in varieties.DIAGONAL_ONLY and args.hodge_op != "hh0":
         raise ValueError(f"builtin {args.builtin!r} tabulates only the "
                          f"diagonal h^(p,p), so only hh0 is defined on it")
     if args.hodge_op == "hh0":
         value = hodge.hh0(d)
-        _print_built(lambda: [json.dumps({"hh0": value}) if args.json
-                              else str(value)])
-        return 0
+        return 0, lambda: [json.dumps({"hh0": value}) if args.json
+                           else str(value)]
+    if not (args.json or args.column) and 2 * d.dim > FULL_VIEW_MAX_DIM:
+        raise ValueError(f"the full view of a diamond of dimension "
+                         f"{2 * d.dim} exceeds {FULL_VIEW_MAX_DIM}; "
+                         f"use --column or --json")
     d = hodge.hilbert_square(d) if args.hodge_op == "hilb2" else hodge.sym2(d)
-    _print_built(lambda: [_diamond_text(d, args)])
-    return 0
+    if args.json:
+        return 0, lambda: [json.dumps(d.to_json_dict(), sort_keys=True,
+                                      indent=2)]
+    if args.column:
+        return 0, lambda: [" ".join(str(v) for v in hodge.diagonal(d))]
+    return 0, lambda: [hodge.format_diamond(d)]
 
 
 # -- fano subcommand -----------------------------------------------------------
@@ -113,24 +103,21 @@ def _grid(family: Family) -> list[tuple[int, int]]:
             for n in range(k, GRID_N_MAX + 1)]
 
 
-def _codim_grid(family: Family) -> tuple[int, int, list]:
-    """(passed cells, total cells, failures) over the verification grid."""
+def _codim_grid(family: Family) -> dict:
+    """The verification grid's passed and total cells, its failed cells,
+    and the k whose identity in n fails (none for the table-driven gr25)."""
     domain = _grid(family)
-    failures = []
-    for n, k in domain:
-        if not fano.verify_codim_identity(family, n, k).passed:
-            failures.append([family.value, n, k])
-    return len(domain) - len(failures), len(domain), failures
+    failures = [[family.value, n, k] for n, k in domain
+                if not fano.verify_codim_identity(family, n, k).passed]
+    symbolic = [k for k in range(GRID_K_MAX + 1)
+                if family is not Family.GR25_SECTION
+                and not fano.verify_codim_identity_symbolic(family, k)]
+    return {"family": family.value, "passed": len(domain) - len(failures),
+            "total": len(domain), "failures": failures,
+            "symbolic_failures": symbolic}
 
 
-def _symbolic_failures(family: Family) -> list:
-    if family is Family.GR25_SECTION:  # table-driven, no polynomial in n
-        return []
-    return [k for k in range(GRID_K_MAX + 1)
-            if not fano.verify_codim_identity_symbolic(family, k)]
-
-
-def cmd_fano(args) -> int:
+def cmd_fano(args):
     if args.fano_op == "dims":
         return _fano_dims(args)
     if args.fano_op == "codim":
@@ -138,27 +125,23 @@ def cmd_fano(args) -> int:
     if args.fano_op == "splittings":
         types = fano.enumerate_line_splittings(args.n)
         if args.json:
-            print(json.dumps({"n": args.n,
-                              "types": [list(t) for t in types]}))
-        else:
-            plural = "s" if len(types) != 1 else ""
-            print(f"n={args.n}: {len(types)} splitting type{plural}")
-            for t in types:
-                print(f"  {fano.format_splitting(t)}")
-        return 0
+            return 0, lambda: [json.dumps({"n": args.n,
+                                           "types": [list(t) for t in types]})]
+        plural = "s" if len(types) != 1 else ""
+        return 0, lambda: ([f"n={args.n}: {len(types)} splitting type{plural}"]
+                           + [f"  {fano.format_splitting(t)}" for t in types])
     # sodcounts
-    family = _family(args)
-    counts = fano.sod_counts(family, args.n, _plane_dim(args))
+    counts = fano.sod_counts(_family(args), args.n, _plane_dim(args))
+    forms = {"flip_form": counts.flip_form,
+             "expanded_form": counts.expanded_form}
+    forms = {name: form for name, form in forms.items() if form is not None}
     if args.json:
-        payload = {"flip_form": counts.flip_form.to_json_dict()}
-        if counts.expanded_form is not None:
-            payload["expanded_form"] = counts.expanded_form.to_json_dict()
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        print(f"flip form:     {dsl.print_canonical(counts.flip_form)}")
-        if counts.expanded_form is not None:
-            print(f"expanded form: {dsl.print_canonical(counts.expanded_form)}")
-    return 0
+        return 0, lambda: [json.dumps(
+            {name: form.to_json_dict() for name, form in forms.items()},
+            sort_keys=True, indent=2)]
+    return 0, lambda: [f"{name.replace('_', ' ') + ':':<15}"
+                       f"{dsl.print_canonical(form)}"
+                       for name, form in forms.items()]
 
 
 def _family(args) -> Family:
@@ -173,67 +156,60 @@ def _plane_dim(args) -> int:
     return args.k
 
 
-def _fano_dims(args) -> int:
+def _fano_dims(args):
     family = _family(args)
     if family is Family.GR25_SECTION:
         row = fano.gr25_dim_row(args.n)
         if args.json:
-            print(json.dumps(row._asdict(), sort_keys=True))
-        else:
-            cells = [("dim F_1(X)", row.f1), ("dim F_2^sigma(X)", row.f2_sigma),
-                     ("dim F_2^tau(X)", row.f2_tau), ("dim F_3(X)", row.f3)]
-            for label, value in cells:
-                shown = "empty" if value is None else value
-                print(f"{label:<17}= {shown}")
-        return 0
+            return 0, lambda: [json.dumps(row._asdict(), sort_keys=True)]
+        cells = [("dim F_1(X)", row.f1), ("dim F_2^sigma(X)", row.f2_sigma),
+                 ("dim F_2^tau(X)", row.f2_tau), ("dim F_3(X)", row.f3)]
+        return 0, lambda: [f"{label:<17}= {'empty' if value is None else value}"
+                           for label, value in cells]
     fano.check_cell(family, args.n, _plane_dim(args))
     dim = fano.expected_dim_fano(family, args.n, args.k)
     if args.json:
-        print(json.dumps({"family": family.value, "n": args.n,
-                          "k_planes": args.k, "expected_dim": dim,
-                          "empty": dim < 0}, sort_keys=True))
-    else:
-        note = "  (negative: empty)" if dim < 0 else ""
-        print(f"expected dim F_{args.k}(X) = {dim}{note}")
-    return 0
+        return 0, lambda: [json.dumps(
+            {"family": family.value, "n": args.n, "k_planes": args.k,
+             "expected_dim": dim, "empty": dim < 0}, sort_keys=True)]
+    note = "  (negative: empty)" if dim < 0 else ""
+    return 0, lambda: [f"expected dim F_{args.k}(X) = {dim}{note}"]
 
 
-def _fano_codim(args) -> int:
+def _fano_codim(args):
     if args.grid:
         families = ([fano.parse_family(args.family)] if args.family
                     else list(Family))
-        all_ok = True
-        payload = []
-        for family in families:
-            passed, total, failures = _codim_grid(family)
-            symbolic = _symbolic_failures(family)
-            ok = not failures and not symbolic
-            all_ok = all_ok and ok
-            payload.append({"family": family.value, "passed": passed,
-                            "total": total, "failures": failures,
-                            "symbolic_failures": symbolic})
-            if not args.json:
-                print(f"{family.value}: {passed}/{total} identity cells pass")
-                if family is not Family.GR25_SECTION:
-                    word = ("pass" if not symbolic
-                            else f"FAIL at k={symbolic}")
-                    print(f"{family.value}: symbolic identity in n: {word}")
+        payload = [_codim_grid(family) for family in families]
+        code = 1 if any(row["failures"] or row["symbolic_failures"]
+                        for row in payload) else 0
         if args.json:
-            print(json.dumps(payload, sort_keys=True, indent=2))
-        return 0 if all_ok else 1
+            return code, lambda: [json.dumps(payload, sort_keys=True, indent=2)]
+
+        def render():
+            lines = []
+            for row in payload:
+                name, symbolic = row["family"], row["symbolic_failures"]
+                lines.append(f"{name}: {row['passed']}/{row['total']} "
+                             f"identity cells pass")
+                if name != Family.GR25_SECTION.value:
+                    word = "pass" if not symbolic else f"FAIL at k={symbolic}"
+                    lines.append(f"{name}: symbolic identity in n: {word}")
+            return lines
+        return code, render
     family = _family(args)
     if args.k is None:
         raise ValueError("--k is required without --grid")
     if family is not Family.GR25_SECTION:  # the gr25 table checks its cells
         fano.check_cell(family, args.n, args.k)
     report = fano.verify_codim_identity(family, args.n, args.k)
+    code = 0 if report.passed else 1
     if args.json:
-        print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
-    else:
-        for check in report.checks:
-            word = "PASS" if check.passed else "FAIL"
-            print(f"{word} {check.name}: lhs={check.lhs} rhs={check.rhs}")
-    return 0 if report.passed else 1
+        return code, lambda: [json.dumps(report.to_json_dict(),
+                                         sort_keys=True, indent=2)]
+    return code, lambda: [f"{'PASS' if check.passed else 'FAIL'} {check.name}: "
+                          f"lhs={check.lhs} rhs={check.rhs}"
+                          for check in report.checks]
 
 
 # -- sod subcommand --------------------------------------------------------------
@@ -245,7 +221,7 @@ def _read_script(path: str) -> list:
         return dsl.parse_script(fh.read())
 
 
-def _sod_check(args) -> int:
+def _sod_check(args):
     table = sod.default_rules()
     ledgers: list[SodLedger] = []
     for node in _read_script(args.file):
@@ -266,33 +242,35 @@ def _sod_check(args) -> int:
     ambient_hh0 = sod.additive_invariant(ambient, {"Dpt": 1})
     candidate_hh0 = sod.additive_invariant(candidate, {"Dpt": 1})
     verdict = sod.embedding_obstruction(candidate_hh0, ambient_hh0)
-    _print_built(lambda: [
+    return 0, lambda: [
         json.dumps({"ambient_hh0": ambient_hh0, "candidate_hh0": candidate_hh0,
                     "verdict": str(verdict)}, sort_keys=True)
         if args.json else
         f"ambient hh0 = {ambient_hh0}\ncandidate hh0 = {candidate_hh0}\n"
-        f"{ambient_hh0} vs {candidate_hh0} {verdict}"])
-    return 0
+        f"{ambient_hh0} vs {candidate_hh0} {verdict}"]
 
 
-def _sod_consistency(args) -> int:
+CONSISTENCY_N_MAX = 1001  # each odd n walks a ledger of about n components
+
+
+def _sod_consistency(args):
     n_max = args.n_odd_max
     if n_max < 3:
         raise ValueError(f"--n-odd-max must be at least 3, got {n_max}")
+    if n_max > CONSISTENCY_N_MAX:
+        raise ValueError(f"--n-odd-max must be at most {CONSISTENCY_N_MAX}, "
+                         f"got {n_max}")
     results = [sod.conjecture_consistency(n) for n in range(3, n_max + 1, 2)]
-    failed = [r.n for r in results if r.in_stated_range and not r.holds]
+    code = 1 if any(r.in_stated_range and not r.holds for r in results) else 0
     if args.json:
-        payload = [{"n": r.n, "holds": r.holds,
-                    "in_stated_range": r.in_stated_range} for r in results]
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for r in results:
-            if not r.in_stated_range:
-                print(f"SKIP n={r.n} (outside stated range; counts clamped)")
-            else:
-                word = "PASS" if r.holds else "FAIL"
-                print(f"{word} n={r.n}: {dsl.print_canonical(r.hilb2)}")
-    return 1 if failed else 0
+        return code, lambda: [json.dumps(
+            [{"n": r.n, "holds": r.holds, "in_stated_range": r.in_stated_range}
+             for r in results], sort_keys=True)]
+    return code, lambda: [
+        f"{'PASS' if r.holds else 'FAIL'} n={r.n}: "
+        f"{dsl.print_canonical(r.hilb2)}" if r.in_stated_range else
+        f"SKIP n={r.n} (outside stated range; counts clamped)"
+        for r in results]
 
 
 # the paper's embedding-obstruction verdicts, keyed by the builtin whose
@@ -321,36 +299,35 @@ def _check_obstruction(ambient_name: str) -> CheckReport:
                        str(expected), str(verdict), "paper")
 
 
-def _sod_obstruction(args) -> int:
+def _sod_obstruction(args):
     if args.builtin not in _OBSTRUCTION_SCENARIOS:
         raise ValueError(f"unknown obstruction scenario {args.builtin!r}; "
                          "known: " + ", ".join(sorted(_OBSTRUCTION_SCENARIOS)))
     report = _check_obstruction(args.builtin)
+    code = 0 if report.passed else 1
     if args.json:
-        print(json.dumps({**report.inputs, "verdict": report.computed},
-                         sort_keys=True))
-    else:
-        relation = ">" if report.computed == "OBSTRUCTED" else "<="
-        print(f"{report.computed} ({report.inputs['candidate_hh0']} "
-              f"{relation} {report.inputs['ambient_hh0']})")
-    return 0 if report.passed else 1
+        return code, lambda: [json.dumps(
+            {**report.inputs, "verdict": report.computed}, sort_keys=True)]
+    relation = ">" if report.computed == "OBSTRUCTED" else "<="
+    return code, lambda: [f"{report.computed} "
+                          f"({report.inputs['candidate_hh0']} {relation} "
+                          f"{report.inputs['ambient_hh0']})"]
 
 
 # -- motive subcommand -----------------------------------------------------------
 
 
-def cmd_motive(args) -> int:
+def cmd_motive(args):
     values = [dsl.evaluate(node) for node in _read_script(args.file)]
     if not all(isinstance(v, MotiveExpr) for v in values):
         raise ValueError("motive scripts may only contain expressions")
     if args.motive_op == "eval":
-        _print_built(lambda: [dsl.print_canonical(value) for value in values])
-        return 0
+        return 0, lambda: [dsl.print_canonical(value) for value in values]
     # check: every statement must vanish
-    _print_built(lambda: [f"PASS statement {i}: 0" if value.is_zero() else
+    code = 0 if all(value.is_zero() for value in values) else 1
+    return code, lambda: [f"PASS statement {i}: 0" if value.is_zero() else
                           f"FAIL statement {i}: {dsl.print_canonical(value)}"
-                          for i, value in enumerate(values, start=1)])
-    return 0 if all(value.is_zero() for value in values) else 1
+                          for i, value in enumerate(values, start=1)]
 
 
 # -- the golden suite ------------------------------------------------------------
@@ -449,11 +426,11 @@ def _check_cross_module_hh0() -> CheckReport:
 
 
 def _check_codim_grid(family: Family) -> CheckReport:
-    _, total, failures = _codim_grid(family)
-    symbolic = _symbolic_failures(family)
+    grid = _codim_grid(family)
     provenance = "paper" if family is Family.GR25_SECTION else "derived"
     return make_report(f"fano/codim-grid-{family.value}",
-                       {"cells": total}, [[], []], [failures, symbolic],
+                       {"cells": grid["total"]}, [[], []],
+                       [grid["failures"], grid["symbolic_failures"]],
                        provenance)
 
 
@@ -637,21 +614,17 @@ def run_all_checks() -> list[CheckReport]:
     return [check() for check in ALL_CHECKS]
 
 
-def cmd_verify_all(args) -> int:
+def cmd_verify_all(args):
     reports = run_all_checks()
+    passed = sum(r.passed for r in reports)
+    code = 0 if passed == len(reports) else 1
     if args.json:
-        print(json.dumps([r._asdict() for r in reports], sort_keys=True,
-                         indent=2))
-    else:
-        for r in reports:
-            if r.passed:
-                print(f"PASS {r.name}")
-            else:
-                print(f"FAIL {r.name} expected={r.expected!r} "
-                      f"computed={r.computed!r}")
-        passed = sum(r.passed for r in reports)
-        print(f"{passed}/{len(reports)} checks passed")
-    return 0 if all(r.passed for r in reports) else 1
+        return code, lambda: [json.dumps([r._asdict() for r in reports],
+                                         sort_keys=True, indent=2)]
+    return code, lambda: [
+        f"PASS {r.name}" if r.passed else
+        f"FAIL {r.name} expected={r.expected!r} computed={r.computed!r}"
+        for r in reports] + [f"{passed}/{len(reports)} checks passed"]
 
 
 # -- random value generator (round-trip checks) ---------------------------------
@@ -758,17 +731,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command.  Every usage, parse and validation error a command
-    raises is a ``ValueError`` (``ParseError``, ``EvalError``,
-    ``JSONDecodeError``, ``UnicodeDecodeError``, ``FragmentError``, sod's
-    typed errors), an ``OSError`` or ``sod.RewriteLoopError``: each ends
-    here as one ``error:`` line and exit 2."""
+    """Run one command, which returns its exit code and ``render``, and print
+    the lines ``render()`` builds: the only code that writes stdout.  Every
+    error a command raises is a ``ValueError`` (``ParseError``, sod's typed
+    errors, bad JSON or UTF-8, ...) or an ``OSError``; ``render`` raises one
+    only for an int of over 4300 digits, which Python will not print.  Each
+    ends here as one ``error:`` line, exit 2 and no output."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, OSError, sod.RewriteLoopError) as exc:
+        code, render = args.func(args)
+        try:
+            lines = render()
+        except ValueError:
+            raise ValueError("result holds an integer too long to print") from None
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    for line in lines:
+        print(line)
+    return code
 
 
 if __name__ == "__main__":

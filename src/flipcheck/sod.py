@@ -51,7 +51,7 @@ class UnassignedAtomError(ValueError):
     """An additive-invariant evaluation met an atom without a value."""
 
 
-class RewriteLoopError(RuntimeError):
+class RewriteLoopError(ValueError):
     """Rewriting exceeded the step budget; the rule system does not terminate."""
 
 

@@ -198,6 +198,21 @@ def test_hodge_result_too_long_to_print_exits_2(capsys, op, extra):
         (2, "", "error: result holds an integer too long to print\n")
 
 
+def test_hodge_full_view_budget(capsys):
+    """The full view is quadratic in the result's dimension, so it stops at
+    1,000; --column and --json are linear and have no such bound."""
+    code, out, _ = run(capsys, "hodge", "hilb2", "--builtin", "p500")
+    assert code == 0 and out.count("\n") == 2 * 1000 + 1
+    for op in ("hilb2", "sym2"):
+        code, out, err = run(capsys, "hodge", op, "--builtin", "p501")
+        assert (code, out, err) == (2, "", "error: the full view of a diamond "
+                                    "of dimension 1002 exceeds 1000; use "
+                                    "--column or --json\n")
+        for extra in ("--column", "--json"):
+            code, out, _ = run(capsys, "hodge", op, "--builtin", "p501", extra)
+            assert code == 0 and out
+
+
 def test_hodge_hilb2_rejects_point_builtin(capsys):
     code, _, err = run(capsys, "hodge", "hilb2", "--builtin", "point")
     assert code == 2 and "not modelled" in err
@@ -361,6 +376,16 @@ def test_sod_conjecture_consistency_rejects_small_n_max(capsys):
                                  "--n-odd-max", n_max, *extra)
             assert code == 2 and out == ""
             assert err == f"error: --n-odd-max must be at least 3, got {n_max}\n"
+
+
+def test_sod_conjecture_consistency_budget(capsys):
+    code, out, _ = run(capsys, "sod", "conjecture-consistency",
+                       "--n-odd-max", "1001")
+    assert code == 0 and out.count("\n") == len(range(3, 1002, 2))
+    code, out, err = run(capsys, "sod", "conjecture-consistency",
+                         "--n-odd-max", "1003")
+    assert (code, out, err) == \
+        (2, "", "error: --n-odd-max must be at most 1001, got 1003\n")
 
 
 def test_sod_obstruction_quartic_double_solid(capsys):
@@ -536,6 +561,13 @@ _PROCESS_ERRORS = {
     "rewrite-loop": (("sod", "check", "{file}"),
                      "A => {B:1}\nB => {A:1}\n{A:1}\n{Dpt:1}\n"),
     "oversized-n": (("fano", "splittings", "--n", "1000000000"), None),
+    "oversized-n-odd-max": (("sod", "conjecture-consistency",
+                             "--n-odd-max", "1000000000"), None),
+    "oversized-full-view": (("hodge", "hilb2", "--builtin", "p10000"), None),
+    # results of over 4,300 digits, which Python refuses to print
+    **{f"fano-{op}-too-long-to-print": (
+        ("fano", op, "--family", "cubic", "--n", "7" * 4001,
+         "--k", "3" * 3001), None) for op in ("dims", "codim", "sodcounts")},
 }
 
 
@@ -561,6 +593,7 @@ def test_error_exits_2_with_one_line_as_a_process(tmp_path, case):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+    assert "set_int_max_str_digits" not in proc.stderr
 
 
 # -- snapshots -----------------------------------------------------------------------
