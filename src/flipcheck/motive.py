@@ -49,8 +49,8 @@ def _mul_monomials(m1: Monomial, m2: Monomial) -> Monomial:
 
 # Monomial groups of fewer terms multiply and square term by term.  On
 # groups of n terms with coefficients 1 to 3 in L, packed and flat products
-# of two groups break even at about n = 10, as do packed and flat squares;
-# signed products break even at n = 12, and squares of an atom's group at 7.
+# of two groups break even at about n = 10; signed products at 11 to 12,
+# squares at 9, and squares of an atom's group at 8.
 _PACK_MIN = 10
 
 
@@ -78,24 +78,30 @@ def _items(groups: Mapping[Monomial, Mapping[int, int]]):
     return (((lp, mono), c) for mono, g in groups.items() for lp, c in g.items())
 
 
-def _mul_flat(terms: dict[TermKey, int], xs, ys) -> None:
-    """Add the product of two sequences of ``(key, coefficient)`` terms.
+def _records(items) -> list[tuple[int, Monomial, str | None, int]]:
+    """Right-hand terms for :func:`_mul_flat`: ``(power, monomial, name,
+    coefficient)``, with ``name`` the atom of a one-atom monomial, else None.
+    Most products in scripts have one term on the right, and on Python 3.11
+    this loop builds that list faster than a comprehension does."""
+    records = []
+    for (lp, m), c in items:
+        records.append((lp, m, m[0] if len(m) == 1 else None, c))
+    return records
 
-    This loop runs once per pair of terms, so it merges the monomials
-    inline rather than through :func:`_mul_monomials`, and two one-atom
-    monomials by comparing the names rather than by sorting.
-    """
+
+def _mul_flat(terms: dict[TermKey, int], xs, ys) -> None:
+    """Add the product of ``(key, coefficient)`` terms ``xs`` and records
+    ``ys`` (:func:`_records`).  A one-atom term times a one-atom record
+    merges the two names by one comparison; every other pair merges by
+    :func:`_mul_monomials`."""
     get = terms.get
     for (l1, m1), c1 in xs:
-        for (l2, m2), c2 in ys:
-            if not m2:
-                mono = m1
-            elif not m1:
-                mono = m2
-            elif len(m1) == 1 == len(m2):
-                mono = m1 + m2 if m1 <= m2 else m2 + m1
+        a = m1[0] if len(m1) == 1 else None
+        for l2, m2, b, c2 in ys:
+            if a is None or b is None:
+                mono = _mul_monomials(m1, m2)
             else:
-                mono = tuple(sorted(m1 + m2))
+                mono = (a, b) if a <= b else (b, a)
             key = (l1 + l2, mono)
             terms[key] = get(key, 0) + c1 * c2
 
@@ -180,11 +186,11 @@ class MotiveExpr:
         if len(self.terms) >= _PACK_MIN and len(other.terms) >= _PACK_MIN:
             flat, groups = _grouped(self.terms)
         if not groups:
-            _mul_flat(terms, self.terms.items(), other.terms.items())
+            _mul_flat(terms, self.terms.items(), _records(other.terms.items()))
             return MotiveExpr._trusted(terms)
         other_flat, other_groups = _grouped(other.terms)
-        _mul_flat(terms, flat, other.terms.items())
-        _mul_flat(terms, _items(groups), other_flat)
+        _mul_flat(terms, flat, _records(other.terms.items()))
+        _mul_flat(terms, _items(groups), _records(other_flat))
         _add_packed(terms, _packed.convolve(groups, other_groups, _mul_monomials))
         return MotiveExpr._trusted(terms)
 
@@ -307,6 +313,7 @@ def sym2_class(x: MotiveExpr) -> MotiveExpr:
         flat, groups = _grouped(x.terms)
     terms: dict[TermKey, int] = {}
     get = terms.get
+    records = _records(flat)
     for i, ((lp, mono), m) in enumerate(flat):
         if mono:
             key = (2 * lp, (sym2_atom_name(mono[0]),))
@@ -316,9 +323,9 @@ def sym2_class(x: MotiveExpr) -> MotiveExpr:
         else:
             key = (2 * lp, ())
             terms[key] = get(key, 0) + m * (m + 1) // 2
-        _mul_flat(terms, flat[i:i + 1], flat[i + 1:])
+        _mul_flat(terms, flat[i:i + 1], records[i + 1:])
     if groups:
-        _mul_flat(terms, flat, list(_items(groups)))
+        _mul_flat(terms, flat, _records(_items(groups)))
         _add_packed(terms, _packed.square(groups, _mul_monomials, _sym2_rule))
     return MotiveExpr._trusted(terms)
 

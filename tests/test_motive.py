@@ -1,5 +1,7 @@
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from flipcheck import hodge, varieties
@@ -291,6 +293,55 @@ def test_sparse_high_degree_groups_stay_term_by_term(name):
     assert _grouped(x.terms)[1] == {}
     assert (x * x).terms == mul_pairwise(x, x)
     assert sym2_class(x).terms == sym2_class_pairwise(x)
+
+
+@st.composite
+def wide_motive_pairs(draw, signed=True, shapes=(0, 1, 1, 1, 1, 1, 1, 1, 2)):
+    """Two classes of 20 to 300 terms each over L^0 to L^4, so that no
+    monomial group packs and every pair multiplies term by term.  Each
+    term's monomial has a number of atoms drawn from ``shapes`` (mostly one,
+    some none, some two), its names drawn from one pool that both classes
+    share, so that products meet ``(a, a)`` and both orders of two names.
+    Signed coefficients are small, so that some product coefficients
+    cancel to zero."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    sizes = draw(st.lists(st.integers(20, 300), min_size=2, max_size=2))
+    names = [f"a{i}" for i in range(draw(st.integers(max(sizes) // 4,
+                                                      2 * max(sizes))))]
+    coeffs = [-3, -2, -1, 1, 2, 3] if signed else [1, 2, 3]
+    classes = []
+    for size in sizes:
+        terms = {}
+        while len(terms) < size:
+            mono = tuple(sorted(rng.choices(names, k=rng.choice(shapes))))
+            terms[(rng.randrange(5), mono)] = rng.choice(coeffs)
+        classes.append(MotiveExpr(terms))
+    return classes
+
+
+# no shrinking: each example multiplies up to 300 x 300 terms, and shrinking
+# a planted merge bug ran for minutes
+_WIDE = settings(max_examples=20, deadline=None,
+                 phases=[Phase.explicit, Phase.reuse, Phase.generate])
+
+
+@given(wide_motive_pairs())
+@_WIDE
+def test_wide_mul_matches_pairwise(pair):
+    x, y = pair
+    for a, b in ((x, y), (y, x), (x, x)):
+        got = a * b
+        assert got.terms == mul_pairwise(a, b)
+        _assert_canonical(got)
+
+
+@given(wide_motive_pairs(signed=False, shapes=(0, 1, 1, 1, 1, 1, 1, 1)))
+@_WIDE
+def test_wide_sym2_class_matches_pairwise(pair):
+    for x in pair:
+        got = sym2_class(x)
+        assert got.terms == sym2_class_pairwise(x)
+        _assert_canonical(got)
 
 
 # -- hilbert square classes -------------------------------------------------------------
