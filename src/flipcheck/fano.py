@@ -346,17 +346,18 @@ def brute_force_line_splittings(n: int) -> list[SplittingType]:
     if n < 2:
         raise ValueError("need n >= 2")
     found: list[SplittingType] = []
-
-    def extend(prefix: tuple[int, ...], low: int, left: int, need: int) -> None:
-        if not left:
-            found.append(prefix)
-            return
-        for a in range(low, 2):
-            if (left - 1) * a <= need - a <= left - 1:
-                extend(prefix + (a,), a, left - 1, need - a)
-
-    extend((), -10, n - 1, n - 3)
+    _extend_splittings(found, (), -10, n - 1, n - 3)
     return found
+
+
+def _extend_splittings(found: list[SplittingType], prefix: tuple[int, ...],
+                       low: int, left: int, need: int) -> None:
+    if not left:
+        found.append(prefix)
+        return
+    for a in range(low, 2):
+        if (left - 1) * a <= need - a <= left - 1:
+            _extend_splittings(found, prefix + (a,), a, left - 1, need - a)
 
 
 def hilb2_normal_restriction(n: int) -> SplittingType:

@@ -52,7 +52,7 @@ class UnassignedAtomError(ValueError):
 
 
 class RewriteLoopError(ValueError):
-    """Rewriting exceeded the step budget; the rule system does not terminate."""
+    """The rules reachable from a ledger rewrite some atom back to itself."""
 
 
 class SodLedger:
@@ -147,11 +147,7 @@ def tensor_atom_name(a: str, b: str) -> str:
 class RuleTable:
     """Rule set for resolving Sym^2 atoms, tensor pairs and substitutions:
     one map from the ledger atom a rule rewrites (``A``, ``Sym2_A`` or
-    ``Tensor_A_B``) to the rule's right-hand side.
-
-    A step budget guards normalization against rule systems that do not
-    terminate.
-    """
+    ``Tensor_A_B``) to the rule's right-hand side."""
 
     def __init__(self, rules: Iterable[RewriteRule] = ()):
         self.rules: dict[str, SodLedger] = {}
@@ -172,32 +168,34 @@ class RuleTable:
                 return
         self.rules[name] = rule.rhs
 
-    def normalize(self, led: SodLedger, max_steps: int = 10_000) -> SodLedger:
-        """Apply atom substitutions to a fixpoint, each step rewriting the
-        smallest name that has a rule; at most ``max_steps`` substitutions."""
-        from heapq import heapify, heappop, heappush  # only scripts rewrite
-
+    def normalize(self, led: SodLedger) -> SodLedger:
+        """Rewrite until no atom with a rule is left.  Each atom has one rule
+        and rewriting is additive, so one pass over the rules a depth-first
+        search reaches from the ledger, in reverse finishing order, applies
+        each after every rule that reaches it.  An edge back onto the search
+        path is a loop."""
         rules = self.rules
-        current = led
-        # the names of ``current`` that have a rule, each once
-        pending = [name for name in current.multiplicities if name in rules]
-        heapify(pending)
-        steps = 0
-        while pending:
-            if steps >= max_steps:
-                raise RewriteLoopError(
-                    f"rewriting did not terminate in {max_steps} steps")
-            target = heappop(pending)
-            rhs = rules[target]
-            present = current.multiplicities
-            for name in rhs.multiplicities:
-                # the target leaves the ledger, so it counts as new when
-                # its own right-hand side brings it back
-                if name in rules and (name == target or name not in present):
-                    heappush(pending, name)
-            current = substitute(current, target, rhs)
-            steps += 1
-        return current
+        done: dict[str, bool] = {}  # False while on the search path
+        order: list[str] = []
+        stack = [(name, False) for name in led.multiplicities if name in rules]
+        while stack:
+            name, finish = stack.pop()
+            if finish:
+                done[name] = True
+                order.append(name)
+            elif name not in done:
+                done[name] = False
+                stack.append((name, True))
+                stack.extend((k, False) for k in rules[name].multiplicities
+                             if k in rules)
+            elif not done[name]:
+                raise RewriteLoopError(f"rewrite rules loop through {name!r}")
+        out = dict(led.multiplicities)
+        for name in reversed(order):
+            m = out.pop(name)  # final and positive: the rules reaching it ran
+            for k, v in rules[name].multiplicities.items():
+                out[k] = out.get(k, 0) + m * v
+        return SodLedger._trusted(out)
 
 
 def default_rules() -> RuleTable:
@@ -283,12 +281,11 @@ def hilb2_ledger(x_components: Sequence[str],
 
 def additive_invariant(led: SodLedger, assignment: Mapping[str, int]) -> int:
     """Evaluate an additive invariant: sum of multiplicity times value."""
-    total = 0
-    for name, m in led.multiplicities.items():
-        if name not in assignment:
-            raise UnassignedAtomError(f"no invariant assigned to atom {name!r}")
-        total += m * assignment[name]
-    return total
+    missing = [name for name in led.multiplicities if name not in assignment]
+    if missing:
+        raise UnassignedAtomError(
+            f"no invariant assigned to atom {min(missing)!r}")
+    return sum(m * assignment[name] for name, m in led.multiplicities.items())
 
 
 class Verdict(enum.Enum):

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import resource
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from flipcheck import varieties
+from flipcheck import cli, dsl, sod, varieties
 from flipcheck.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -639,3 +640,37 @@ def test_import_leaves_out_typing_and_random():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
+
+
+# -- cyclic garbage ------------------------------------------------------------------
+
+
+def test_checks_and_scripts_leave_no_cyclic_garbage():
+    """The golden checks, the scripts under checks/ and a rule script of a
+    few hundred rules free everything they drop by reference counting, so
+    a change that makes a reference cycle fails here instead of growing
+    memory and collector time.  ``main`` is left out: argparse makes
+    cycles of its own."""
+    rules = "".join(f"D{i} => {{Dpt:{i % 3 + 1}, D{i // 2}:1}}\n"
+                    for i in range(1, 300))
+    script = rules + "{D299:2, D150:1}\n{Dpt:1, D7:3}\n"
+    gc.collect()
+    saved, flags = len(gc.garbage), gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        cli.run_all_checks()
+        for text in [p.read_text(encoding="utf-8")
+                     for p in sorted(CHECKS.iterdir())] + [script]:
+            table = sod.default_rules()
+            for node in dsl.parse_script(text):
+                value = dsl.evaluate(node)
+                if isinstance(value, sod.RewriteRule):
+                    table.add(value)
+                elif isinstance(value, sod.SodLedger):
+                    table.normalize(value)
+        gc.collect()
+        garbage = gc.garbage[saved:]
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[saved:]
+    assert [type(obj).__name__ for obj in garbage] == []

@@ -1,3 +1,4 @@
+import re
 from math import comb
 
 import pytest
@@ -56,8 +57,12 @@ def test_additive_invariant_is_linear(a, b):
 def test_additive_invariant_examples():
     assert additive_invariant(SodLedger(), {}) == 0
     assert additive_invariant(SodLedger({"Dpt": 65}), {"Dpt": 1}) == 65
-    with pytest.raises(UnassignedAtomError):
+    with pytest.raises(UnassignedAtomError,
+                       match="^no invariant assigned to atom 'DX'$"):
         additive_invariant(SodLedger({"DX": 1}), {})
+    # the smallest unassigned name, whatever order normalizing left them in
+    with pytest.raises(UnassignedAtomError, match="'DC'"):
+        additive_invariant(SodLedger({"DZ": 1, "DC": 1}), {"Dpt": 1})
 
 
 # -- symmetric squares of component lists -------------------------------------------
@@ -359,15 +364,34 @@ def test_rule_table_loop_detection():
         table.normalize(SodLedger({"DA": 1}))
 
 
-@pytest.mark.parametrize("k", [1, 5])
-def test_normalize_step_budget_counts_substitutions(k):
-    table = RuleTable()
-    for i in range(1, k + 1):
-        table.add(RewriteRule("atom", (f"D{i}",), SodLedger({f"D{i - 1}": 1})))
-    start = SodLedger({f"D{k}": 1})
-    assert table.normalize(start, max_steps=k) == SodLedger({"D0": 1})
-    with pytest.raises(RewriteLoopError, match=f"in {k - 1} steps"):
-        table.normalize(start, max_steps=k - 1)
+def _atom_rules(pairs):
+    return [RewriteRule("atom", (lhs,), SodLedger(rhs)) for lhs, rhs in pairs]
+
+
+def test_normalize_long_chain_terminates():
+    """10,001 rules in a chain: deeper than Python's recursion limit."""
+    table = RuleTable(_atom_rules((f"A{i}", {f"A{i + 1}": 1})
+                                  for i in range(10_001)))
+    assert table.normalize(SodLedger({"A0": 3, "B": 1})) == \
+        SodLedger({"A10001": 3, "B": 1})
+
+
+def test_normalize_ladder_doubles_per_level():
+    table = RuleTable(_atom_rules(
+        (f"{x}_{i}", {f"D_{i + 1}": 1, f"E_{i + 1}": 1})
+        for i in range(2000) for x in "DE"))
+    assert len(table.rules) == 4000
+    assert table.normalize(SodLedger({"D_0": 1})) == \
+        SodLedger({"D_2000": 2 ** 1999, "E_2000": 2 ** 1999})
+
+
+def test_normalize_long_ring_is_a_loop():
+    n = 10_001
+    table = RuleTable(_atom_rules((f"A{i}", {f"A{(i + 1) % n}": 1})
+                                  for i in range(n)))
+    with pytest.raises(RewriteLoopError,
+                       match=r"^rewrite rules loop through 'A\d+'$"):
+        table.normalize(SodLedger({"A5": 1}))
 
 
 _SYM2_DX_RULES = [RewriteRule("sym2", ("DX",), SodLedger({"Dpt": 1})),
@@ -407,39 +431,39 @@ def test_tensor_names_join_with_underscores():
 def _normalize_by_min_scan(rules, led, max_steps=10_000):
     """Reference: every step scans the whole ledger for the smallest name
     that has a rule (atom rules win over sym2 and tensor rules for the same
-    name)."""
+    name), and gives up after ``max_steps`` substitutions."""
     rhs_for = _rule_map(rules)
     current = led
-    steps = 0
-    while True:
+    for _ in range(max_steps):
         target = min((name for name in current.multiplicities
                       if name in rhs_for), default=None)
         if target is None:
             return current
-        if steps >= max_steps:
-            raise RewriteLoopError(
-                f"rewriting did not terminate in {max_steps} steps")
         current = sod.substitute(current, target, rhs_for[target])
-        steps += 1
+    raise RewriteLoopError(f"rewriting did not terminate in {max_steps} steps")
 
 
-def _counted_outcome(fn, *args):
-    """(multiplicities in insertion order or the loop message, number of
-    ``sod.substitute`` calls)."""
-    calls = []
-    original = sod.substitute
+def _normal_form_or_loop(fn, *args):
+    """The result ledger, or the ``RewriteLoopError`` raised."""
+    try:
+        return fn(*args)
+    except RewriteLoopError as exc:
+        return exc
 
-    def counting(*a):
-        calls.append(a[1])
-        return original(*a)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sod, "substitute", counting)
-        try:
-            result = list(fn(*args).multiplicities.items())
-        except RewriteLoopError as exc:
-            result = str(exc)
-    return result, calls
+def _loop_atom(rules, exc):
+    """The atom a loop error names; asserts that the rules rewrite it, by
+    one or more steps, back into a ledger that holds it."""
+    name = re.fullmatch(r"rewrite rules loop through '(.*)'", str(exc))[1]
+    rhs_for = _rule_map(rules)
+    seen, todo = set(), [name]
+    while todo:
+        for k in rhs_for.get(todo.pop(), SodLedger()).multiplicities:
+            if k not in seen:
+                seen.add(k)
+                todo.append(k)
+    assert name in seen, f"{name!r} is not on a loop"
+    return name
 
 
 _REWRITE_NAMES = ["DA", "DB", "DC", "Dpt", "Sym2_DA", "Sym2_DB",
@@ -468,11 +492,15 @@ def rewrite_rules(draw):
 
 @given(rewrite_rules(),
        st.dictionaries(st.sampled_from(_REWRITE_NAMES), st.integers(1, 5),
-                       max_size=5).map(SodLedger),
-       st.integers(0, 25))
-def test_normalize_matches_min_scan(rules, led, max_steps):
-    assert _counted_outcome(RuleTable(rules).normalize, led, max_steps) == \
-        _counted_outcome(_normalize_by_min_scan, rules, led, max_steps)
+                       max_size=5).map(SodLedger))
+def test_normalize_matches_min_scan(rules, led):
+    got = _normal_form_or_loop(RuleTable(rules).normalize, led)
+    want = _normal_form_or_loop(_normalize_by_min_scan, rules, led)
+    if isinstance(want, RewriteLoopError):
+        assert isinstance(got, RewriteLoopError)
+        _loop_atom(rules, got)
+    else:
+        assert got == want
 
 
 @pytest.mark.parametrize("rules", [
@@ -480,15 +508,16 @@ def test_normalize_matches_min_scan(rules, led, max_steps):
     [("DA", {"DA": 1, "Dpt": 2})],
     [("DA", {"DB": 1}), ("DB", {"DA": 1})],
     [("DA", {"DB": 2, "Dpt": 1}), ("DB", {"DA": 1, "DC": 1})],
+    [("DC", {"DA": 1}), ("DA", {"DB": 1}), ("DB", {"DA": 1})],
 ])
 def test_normalize_self_rewrite_and_two_cycle_loop(rules):
-    rules = [RewriteRule("atom", (lhs,), SodLedger(rhs)) for lhs, rhs in rules]
+    rules = _atom_rules(rules)
     led = SodLedger({"DA": 1, "DC": 1})
-    for max_steps in (0, 1, 7):
-        got = _counted_outcome(RuleTable(rules).normalize, led, max_steps)
-        assert got[0] == f"rewriting did not terminate in {max_steps} steps"
-        assert got == _counted_outcome(_normalize_by_min_scan, rules, led,
-                                       max_steps)
+    assert isinstance(_normal_form_or_loop(_normalize_by_min_scan, rules, led),
+                      RewriteLoopError)
+    with pytest.raises(RewriteLoopError) as info:
+        RuleTable(rules).normalize(led)
+    assert _loop_atom(rules, info.value) in ("DA", "DB")
 
 
 @given(ledgers, ledgers)
