@@ -216,9 +216,17 @@ def _fano_codim(args):
 
 
 def _read_script(path: str) -> list:
-    """The statements of the script at ``path``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return dsl.parse_script(fh.read())
+    """The statements of the script at ``path``; a decoding or parse error
+    names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return dsl.parse_script(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 at byte {exc.start}: "
+                         f"{exc.reason}") from None
+    except dsl.ParseError as exc:
+        raise ValueError(f"{path}:{exc.line}:{exc.column}: "
+                         f"{exc.message}") from None
 
 
 def _sod_check(args):

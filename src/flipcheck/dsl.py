@@ -35,27 +35,21 @@ from .sod import RewriteRule, SodLedger
 MAX_NESTING = 200  # expression levels
 
 
-class SourceSpan(namedtuple("SourceSpan", "start end line column")):
-    """``start``/``end`` are byte offsets into the input; ``line`` and
-    ``column`` the 1-based position of ``start``."""
-
-    __slots__ = ()
-
-    def __new__(cls, start: int, end: int, line: int, column: int):
-        if start > end or line < 1 or column < 1:
-            raise ValueError("malformed span")
-        return tuple.__new__(cls, (start, end, line, column))
-
-
 class ParseError(ValueError):
-    def __init__(self, message: str, span: SourceSpan):
-        self.span = span
-        super().__init__(f"line {span.line}, column {span.column}: {message}")
+    """A syntax error at ``offset`` into ``text``.  Its 1-based ``line`` and
+    ``column`` are worked out here, once: only an error needs them."""
+
+    def __init__(self, message: str, text: str, offset: int):
+        self.message, self.offset = message, offset
+        self.line = text.count("\n", 0, offset) + 1
+        self.column = offset - text.rfind("\n", 0, offset)
+        super().__init__(f"line {self.line}, column {self.column}: {message}")
 
 
 # -- AST ----------------------------------------------------------------------
 # Plain ``__slots__`` classes with identity equality; ``_fields`` is ``span``
-# and then the constructor's other arguments, in order.
+# and then the constructor's other arguments, in order.  A span is the
+# ``(start, end)`` pair of offsets into the parsed text.
 
 
 class Node:
@@ -63,7 +57,7 @@ class Node:
     # perfbench's AST-node counter walks __dataclass_fields__: keep it _fields
     _fields = __dataclass_fields__ = ("span",)
 
-    def __init__(self, span: SourceSpan):
+    def __init__(self, span: tuple[int, int]):
         self.span = span
 
 
@@ -71,7 +65,7 @@ class IntLit(Node):
     __slots__ = ("value",)
     _fields = __dataclass_fields__ = ("span", "value")
 
-    def __init__(self, span: SourceSpan, value: int):
+    def __init__(self, span: tuple[int, int], value: int):
         self.span, self.value = span, value
 
 
@@ -79,7 +73,7 @@ class LPow(Node):
     __slots__ = ("power",)
     _fields = __dataclass_fields__ = ("span", "power")
 
-    def __init__(self, span: SourceSpan, power: int):
+    def __init__(self, span: tuple[int, int], power: int):
         self.span, self.power = span, power
 
 
@@ -87,7 +81,7 @@ class Atom(Node):
     __slots__ = ("name",)
     _fields = __dataclass_fields__ = ("span", "name")
 
-    def __init__(self, span: SourceSpan, name: str):
+    def __init__(self, span: tuple[int, int], name: str):
         self.span, self.name = span, name
 
 
@@ -95,7 +89,7 @@ class Sym2(Node):
     __slots__ = ("arg",)
     _fields = __dataclass_fields__ = ("span", "arg")
 
-    def __init__(self, span: SourceSpan, arg: Node):
+    def __init__(self, span: tuple[int, int], arg: Node):
         self.span, self.arg = span, arg
 
 
@@ -103,7 +97,7 @@ class Tensor(Node):
     __slots__ = ("left", "right")
     _fields = __dataclass_fields__ = ("span", "left", "right")
 
-    def __init__(self, span: SourceSpan, left: str, right: str):
+    def __init__(self, span: tuple[int, int], left: str, right: str):
         self.span, self.left, self.right = span, left, right
 
 
@@ -111,7 +105,7 @@ class Sum(Node):
     __slots__ = ("terms",)
     _fields = __dataclass_fields__ = ("span", "terms")
 
-    def __init__(self, span: SourceSpan, terms: tuple[tuple[int, Node], ...]):
+    def __init__(self, span: tuple[int, int], terms: tuple[tuple[int, Node], ...]):
         self.span, self.terms = span, terms  # terms: (+1 or -1, node) pairs
 
 
@@ -119,7 +113,7 @@ class Product(Node):
     __slots__ = ("factors",)
     _fields = __dataclass_fields__ = ("span", "factors")
 
-    def __init__(self, span: SourceSpan, factors: tuple[Node, ...]):
+    def __init__(self, span: tuple[int, int], factors: tuple[Node, ...]):
         self.span, self.factors = span, factors
 
 
@@ -127,7 +121,7 @@ class LedgerLiteral(Node):
     __slots__ = ("entries",)
     _fields = __dataclass_fields__ = ("span", "entries")
 
-    def __init__(self, span: SourceSpan, entries: tuple[tuple[str, int], ...]):
+    def __init__(self, span: tuple[int, int], entries: tuple[tuple[str, int], ...]):
         self.span, self.entries = span, entries
 
 
@@ -135,7 +129,7 @@ class RuleDef(Node):
     __slots__ = ("lhs", "rhs")
     _fields = __dataclass_fields__ = ("span", "lhs", "rhs")
 
-    def __init__(self, span: SourceSpan, lhs: Node, rhs: LedgerLiteral):
+    def __init__(self, span: tuple[int, int], lhs: Node, rhs: LedgerLiteral):
         # lhs is an Atom, Sym2(Atom) or Tensor
         self.span, self.lhs, self.rhs = span, lhs, rhs
 
@@ -163,39 +157,28 @@ _KINDS.insert(0, "")
 _SKIP = _TOKEN_RE.groupindex["SKIP"]
 
 
-Token = namedtuple("Token", "kind text span")
+Token = namedtuple("Token", "kind text start end")
 
 
 def tokenize(text: str) -> list[Token]:
     # Every character starts a match (BAD catches the rest), so the matches
     # tile the text and each one starts where the previous one ended.  That
-    # end is reused as the next start, one int object for both.  Spans and
-    # tokens are built by ``tuple.__new__``, skipping ``SourceSpan``'s check:
-    # start <= end and line, column >= 1 hold by construction.
+    # end is reused as the next start, one int object for both.  Tokens are
+    # built by ``tuple.__new__``, skipping the namedtuple's Python ``__new__``.
     tokens: list[Token] = []
     append = tokens.append
     new = tuple.__new__
     kinds = _KINDS
     pos = 0
-    # line of ``pos`` and the offset of the newline that opened it (-1 on
-    # line 1), so column = pos - last_nl; only skipped runs hold newlines
-    line, last_nl = 1, -1
     for m in _TOKEN_RE.finditer(text):
         end = m.end()
         i = m.lastindex
         if i < _SKIP:
-            append(new(Token, (kinds[i], m.group(),
-                               new(SourceSpan, (pos, end, line, pos - last_nl)))))
-        elif i == _SKIP:
-            newlines = text.count("\n", pos, end)
-            if newlines:
-                line += newlines
-                last_nl = text.rfind("\n", pos, end)
-        else:
-            span = SourceSpan(pos, end, line, pos - last_nl)
-            raise ParseError(f"unexpected character {text[pos]!r}", span)
+            append(new(Token, (kinds[i], m.group(), pos, end)))
+        elif i > _SKIP:
+            raise ParseError(f"unexpected character {text[pos]!r}", text, pos)
         pos = end
-    append(Token("EOF", "", SourceSpan(pos, pos, line, pos - last_nl)))
+    append(Token("EOF", "", pos, pos))
     return tokens
 
 
@@ -203,10 +186,12 @@ def tokenize(text: str) -> list[Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, text: str):
+        tokens = tokenize(text)
         # four more EOF tokens make every lookahead of ``rule_lhs`` a plain
-        # index; the parser owns the list from here on
+        # index
         tokens.extend(tokens[-1:] * 4)
+        self.text = text
         self.tokens = tokens
         self.i = 0
         self.depth = 0
@@ -218,7 +203,7 @@ class _Parser:
         tok = self.peek()
         found = tok.text or "end of input"
         return ParseError(f"expected {' or '.join(expected)}; found {found!r}",
-                          tok.span)
+                          self.text, tok.start)
 
     def expect(self, kind: str, what: str) -> Token:
         tok = self.tokens[self.i]
@@ -226,6 +211,13 @@ class _Parser:
             raise self.fail((what,))
         self.i += 1
         return tok
+
+    def integer(self, tok: Token) -> int:
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than the interpreter converts
+            raise ParseError(f"integer literal too long ({len(tok.text)} "
+                             f"digits)", self.text, tok.start) from None
 
     # statements ---------------------------------------------------------
 
@@ -236,7 +228,7 @@ class _Parser:
         if lhs is None:
             return self.expr()
         rhs = self.ledger()
-        return RuleDef(_join(lhs.span, rhs.span), lhs, rhs)
+        return RuleDef((lhs.span[0], rhs.span[1]), lhs, rhs)
 
     def script(self) -> list[Node]:
         out = []
@@ -249,11 +241,11 @@ class _Parser:
     def expr(self) -> Node:
         # the one place nesting is counted: every "(" and "Sym2(" opens an expr
         toks = self.tokens
+        start = toks[self.i].start
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ParseError("expression nesting too deep", toks[self.i].span)
+            raise ParseError("expression nesting too deep", self.text, start)
         try:
-            start = toks[self.i].span
             first = self.term()
             kind = toks[self.i].kind
             if kind != "PLUS" and kind != "MINUS":
@@ -263,13 +255,13 @@ class _Parser:
                 self.i += 1
                 terms.append((1 if kind == "PLUS" else -1, self.term()))
                 kind = toks[self.i].kind
-            return Sum(_join(start, terms[-1][1].span), tuple(terms))
+            return Sum((start, terms[-1][1].span[1]), tuple(terms))
         finally:
             self.depth -= 1
 
     def term(self) -> Node:
         toks = self.tokens
-        start = toks[self.i].span
+        start = toks[self.i].start
         first = self.factor()
         if toks[self.i].kind != "STAR":
             return first
@@ -277,7 +269,7 @@ class _Parser:
         while toks[self.i].kind == "STAR":
             self.i += 1
             factors.append(self.factor())
-        return Product(_join(start, factors[-1].span), tuple(factors))
+        return Product((start, factors[-1].span[1]), tuple(factors))
 
     def factor(self) -> Node:
         toks = self.tokens
@@ -290,27 +282,27 @@ class _Parser:
                 if toks[self.i].kind == "CARET":
                     self.i += 1
                     exp = self.expect("INT", "integer exponent")
-                    return LPow(_join(tok.span, exp.span), _int(exp))
-                return LPow(tok.span, 1)
+                    return LPow((tok.start, exp.end), self.integer(exp))
+                return LPow((tok.start, tok.end), 1)
             if text == "Sym2":
                 self.expect("LPAREN", "'(' after Sym2")
                 inner = self.expr()
                 close = self.expect("RPAREN", "')'")
-                return Sym2(_join(tok.span, close.span), inner)
+                return Sym2((tok.start, close.end), inner)
             if toks[self.i].kind == "TENSOR":
                 self.i += 1
                 right = self.expect("IDENT", "atom after '(*)'")
-                return Tensor(_join(tok.span, right.span), text, right.text)
-            return Atom(tok.span, text)
+                return Tensor((tok.start, right.end), text, right.text)
+            return Atom((tok.start, tok.end), text)
         if kind == "INT":
             self.i += 1
-            return IntLit(tok.span, _int(tok))
+            return IntLit((tok.start, tok.end), self.integer(tok))
         if kind == "LPAREN":
             self.i += 1
             inner = self.expr()
             close = self.expect("RPAREN", "')'")
             # the node is new and not shared: widen its span in place
-            inner.span = _join(tok.span, close.span)
+            inner.span = (tok.start, close.end)
             return inner
         raise self.fail(("integer", "'L'", "atom", "Sym2(...)", "'('"))
 
@@ -324,13 +316,13 @@ class _Parser:
                 name = self.expect("IDENT", "atom name")
                 self.expect("COLON", "':'")
                 count = self.expect("INT", "multiplicity")
-                entries.append((name.text, _int(count)))
+                entries.append((name.text, self.integer(count)))
                 if self.peek().kind == "COMMA":
                     self.i += 1
                     continue
                 break
         close = self.expect("RBRACE", "'}' or ','")
-        return LedgerLiteral(_join(open_.span, close.span), tuple(entries))
+        return LedgerLiteral((open_.start, close.end), tuple(entries))
 
     def rule_lhs(self) -> Node | None:
         """A rule head through its '=>': ``A``, ``A (*) B`` or ``Sym2(A)``.
@@ -344,39 +336,26 @@ class _Parser:
         second = toks[i + 1].kind
         if second == "ARROW":
             self.i = i + 2
-            return Atom(tok.span, tok.text)
+            return Atom((tok.start, tok.end), tok.text)
         if second == "TENSOR":
             right = toks[i + 2]
             if right.kind != "IDENT" or toks[i + 3].kind != "ARROW":
                 return None
             self.i = i + 4
-            return Tensor(_join(tok.span, right.span), tok.text, right.text)
+            return Tensor((tok.start, right.end), tok.text, right.text)
         inner, close = toks[i + 2], toks[i + 3]
         if (second != "LPAREN" or tok.text != "Sym2" or inner.kind != "IDENT"
                 or close.kind != "RPAREN" or toks[i + 4].kind != "ARROW"):
             return None
         self.i = i + 5
-        return Sym2(_join(tok.span, close.span), Atom(inner.span, inner.text))
-
-
-def _int(tok: Token) -> int:
-    try:
-        return int(tok.text)
-    except ValueError:  # more digits than the interpreter converts
-        raise ParseError(f"integer literal too long ({len(tok.text)} digits)",
-                         tok.span) from None
-
-
-def _join(a: SourceSpan, b: SourceSpan) -> SourceSpan:
-    # both spans are already valid and ``b`` does not start before ``a``
-    return tuple.__new__(SourceSpan,
-                         (a.start, max(a.end, b.end), a.line, a.column))
+        return Sym2((tok.start, close.end),
+                    Atom((inner.start, inner.end), inner.text))
 
 
 def parse(text: str) -> Node:
     """Parse a single statement (expr, ledger or rule), requiring the whole
     input to be consumed."""
-    parser = _Parser(tokenize(text))
+    parser = _Parser(text)
     if parser.peek().kind == "EOF":
         raise parser.fail(("statement",))
     node = parser.statement()
@@ -387,7 +366,7 @@ def parse(text: str) -> Node:
 
 def parse_script(text: str) -> list[Node]:
     """Parse a file as a sequence of statements."""
-    return _Parser(tokenize(text)).script()
+    return _Parser(text).script()
 
 
 # -- evaluation ---------------------------------------------------------------

@@ -118,11 +118,11 @@ class HodgeDiamond:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "HodgeDiamond":
-        try:
-            dim = data["dim"]
-            raw = data["entries"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"diamond JSON needs 'dim' and 'entries': {exc}")
+        if not (isinstance(data, Mapping) and "dim" in data
+                and "entries" in data):
+            raise ValueError("diamond JSON must be an object with 'dim' and "
+                             "'entries'")
+        dim, raw = data["dim"], data["entries"]
         # bool is a subclass of int, but JSON true/false is not a number
         if type(dim) is not int:
             raise ValueError("'dim' must be an integer")

@@ -108,6 +108,16 @@ def test_hodge_diamond_entries_not_a_list_is_usage_error(tmp_path, capsys):
     assert "'entries' must be a list" in err
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", '"dim"', "null", "3"],
+                         ids=["list", "string", "null", "number"])
+def test_hodge_diamond_not_an_object_is_usage_error(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, out, err = run(capsys, "hodge", "hh0", "--diamond", str(bad))
+    assert (code, out, err) == (2, "", "error: diamond JSON must be an object "
+                                "with 'dim' and 'entries'\n")
+
+
 def test_hodge_diamond_booleans_are_not_integers(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"dim": true, "entries": [[0, 0, true], [1, 1, true]]}')
@@ -457,10 +467,10 @@ def test_motive_rejects_ledger_statements(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["sod", "motive"])
 def test_script_not_utf8_exits_2(tmp_path, capsys, command):
     script = tmp_path / "latin1.txt"
-    script.write_bytes(b"\xff{Dpt:1}\n")
+    script.write_bytes(b"{Dpt:1}\n\xff{Dpt:1}\n")
     code, out, err = run(capsys, command, "check", str(script))
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert (code, out) == (2, "")
+    assert err == f"error: {script}: not UTF-8 at byte 8: invalid start byte\n"
 
 
 # Python converts no int of over 4300 digits (by default) to text: a literal of
@@ -489,9 +499,9 @@ _ONES = "1" * 5000
 
 
 @pytest.mark.parametrize("text, command, where", [
-    (f"1 +\n  {_ONES}*L\n", "motive", "line 2, column 3"),
-    (f"L^{_ONES}\n", "motive", "line 1, column 3"),
-    (f"{{Dpt:1}}\n{{Dpt: {_ONES}}}\n", "sod", "line 2, column 7"),
+    (f"1 +\n  {_ONES}*L\n", "motive", "2:3"),
+    (f"L^{_ONES}\n", "motive", "1:3"),
+    (f"{{Dpt:1}}\n{{Dpt: {_ONES}}}\n", "sod", "2:7"),
 ], ids=["coefficient", "exponent", "multiplicity"])
 def test_integer_literal_too_long_exits_2_at_its_position(
         tmp_path, capsys, text, command, where):
@@ -499,7 +509,17 @@ def test_integer_literal_too_long_exits_2_at_its_position(
     script.write_text(text)
     code, out, err = run(capsys, command, "check", str(script))
     assert code == 2 and out == ""
-    assert err == f"error: {where}: integer literal too long (5000 digits)\n"
+    assert err == \
+        f"error: {script}:{where}: integer literal too long (5000 digits)\n"
+
+
+@pytest.mark.parametrize("command", ["sod", "motive"])
+def test_parse_error_names_file_line_and_column(tmp_path, capsys, command):
+    script = tmp_path / "bad.txt"
+    script.write_text("# first\r\n{Dpt:1}  $\n")
+    code, out, err = run(capsys, command, "check", str(script))
+    assert (code, out) == (2, "")
+    assert err == f"error: {script}:2:10: unexpected character '$'\n"
 
 
 # -- verify-all ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 from flipcheck.cli import random_value
 from flipcheck.dsl import (Atom, EvalError, IntLit, LedgerLiteral, LPow, Node,
-                           ParseError, Product, RuleDef, SourceSpan, Sum,
-                           Sym2, Tensor, evaluate, parse, parse_script,
+                           ParseError, Product, RuleDef, Sum, Sym2, Tensor,
+                           Token, evaluate, parse, parse_script,
                            print_canonical, tokenize)
 from flipcheck.motive import ONE, MotiveExpr
 from flipcheck.sod import RewriteRule, SodLedger
@@ -58,7 +59,7 @@ def test_rule_head_edge_cases():
     for parser in (parse, parse_script):
         with pytest.raises(ParseError) as info:
             parser("Sym2((X)) => {Dpt:1}")
-        assert (info.value.span.line, info.value.span.column) == (1, 11)
+        assert (info.value.line, info.value.column) == (1, 11)
 
 
 def test_precedence_and_parens():
@@ -154,7 +155,7 @@ def test_error_reports_position_and_expectation():
     with pytest.raises(ParseError) as info:
         parse("1 + ")
     err = info.value
-    assert err.span.line == 1 and err.span.column == 5
+    assert err.line == 1 and err.column == 5 and err.offset == 4
     assert str(err) == ("line 1, column 5: expected integer or 'L' or atom "
                         "or Sym2(...) or '('; found 'end of input'")
 
@@ -184,8 +185,8 @@ def test_integers_take_ascii_digits_only():
 def test_error_line_numbers_multiline():
     with pytest.raises(ParseError) as info:
         parse("1 +\n+ 2")
-    assert info.value.span.line == 2
-    assert info.value.span.column == 1
+    assert info.value.line == 2
+    assert info.value.column == 1
 
 
 def test_error_on_unterminated_ledger():
@@ -221,11 +222,14 @@ def test_nesting_is_refused_at_exactly_200_levels(opener, closer, column):
         f"line 2, column {column}: expression nesting too deep"
 
 
-def test_spans_are_one_based():
+def test_spans_are_offsets_and_positions_one_based():
     tokens = tokenize("1 + L")
-    assert tokens[0].span.line == 1 and tokens[0].span.column == 1
-    assert tokens[2].span.column == 5
-    assert tokens[0].span.start == 0 and tokens[0].span.end == 1
+    assert (tokens[0].start, tokens[0].end) == (0, 1)
+    assert (tokens[2].start, tokens[2].end) == (4, 5)
+    assert parse("1 + L").span == (0, 5)
+    with pytest.raises(ParseError) as info:
+        parse("$")
+    assert (info.value.offset, info.value.line, info.value.column) == (0, 1, 1)
 
 
 def _line_col(text: str, pos: int) -> tuple[int, int]:
@@ -244,15 +248,24 @@ token_texts = st.lists(
 ).map("".join)
 
 
+_GAP = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")
+
+
+def _assert_tokens_tile(text, tokens):
+    """Each token is its slice of the text, EOF sits at the end, and only
+    whitespace and comments lie between tokens."""
+    assert tokens[-1].kind == "EOF" and tokens[-1].start == len(text)
+    pos = 0
+    for tok in tokens:
+        assert _GAP.fullmatch(text, pos, tok.start)
+        assert text[tok.start:tok.end] == tok.text
+        pos = tok.end
+
+
 @given(token_texts)
 @settings(max_examples=300)
 def test_token_spans_match_recount_from_start(text):
-    tokens = tokenize(text)
-    assert tokens[-1].kind == "EOF" and tokens[-1].span.start == len(text)
-    for tok in tokens:
-        assert tok.span.end == tok.span.start + len(tok.text)
-        assert (tok.span.line, tok.span.column) == \
-            _line_col(text, tok.span.start)
+    _assert_tokens_tile(text, tokenize(text))
 
 
 @given(token_texts, st.sampled_from("$?;!@~"))
@@ -262,8 +275,8 @@ def test_unexpected_character_span_matches_recount(prefix, bad):
     pos = len(prefix) + 1
     with pytest.raises(ParseError) as info:
         tokenize(text)
-    line, column = _line_col(text, pos)
-    assert info.value.span == SourceSpan(pos, pos + 1, line, column)
+    err = info.value
+    assert (err.offset, err.line, err.column) == (pos, *_line_col(text, pos))
 
 
 def test_token_spans_on_long_lines_and_files():
@@ -271,20 +284,48 @@ def test_token_spans_on_long_lines_and_files():
             + " + ".join(f"{i}*A{i}" for i in range(400)))
     tokens = tokenize(text)
     assert len(tokens) == 40 * 18 + 400 * 4
-    for tok in tokens:
-        assert text[tok.span.start:tok.span.end] == tok.text
-        assert (tok.span.line, tok.span.column) == \
-            _line_col(text, tok.span.start)
+    _assert_tokens_tile(text, tokens)
 
 
 def test_unexpected_character_after_many_lines():
     text = "1 + L  # one\n\n" * 500 + "  X ? 1"
     with pytest.raises(ParseError) as info:
         parse_script(text)
-    span = info.value.span
-    assert (span.line, span.column) == (1001, 5)
-    assert (span.line, span.column) == _line_col(text, span.start)
-    assert str(info.value).startswith("line 1001, column 5:")
+    err = info.value
+    assert (err.line, err.column) == (1001, 5)
+    assert (err.line, err.column) == _line_col(text, err.offset)
+    assert str(err).startswith("line 1001, column 5:")
+
+
+_error_prefixes = st.lists(
+    st.sampled_from(["\r", "\n", "\r\n", " ", "\t", "# note\n", "#x(\r\n",
+                     "{Dpt:1}\n", "1 + L\r\n"]),
+    max_size=40,
+).map("".join)
+
+# each ParseError site, by a phrase of its message, as a statement and the
+# offset of its error in it
+_ERROR_SITES = {
+    "unexpected character": ("1 + $", 4),
+    "expected integer": ("1 +\r\n  )", 7),
+    "nesting too deep": ("(" * 200 + "1" + ")" * 200, 200),
+    "integer literal too long": ("2*" + "1" * 5000, 2),
+}
+
+
+@given(_error_prefixes, st.sampled_from(sorted(_ERROR_SITES)))
+@settings(max_examples=200)
+def test_error_positions_match_recount_after_any_prefix(prefix, site):
+    statement, at = _ERROR_SITES[site]
+    text = prefix + statement + "\n"
+    pos = len(prefix) + at
+    with pytest.raises(ParseError) as info:
+        parse_script(text)
+    err = info.value
+    line, column = _line_col(text, pos)
+    assert (err.offset, err.line, err.column) == (pos, line, column)
+    assert str(err) == f"line {line}, column {column}: {err.message}"
+    assert site in err.message
 
 
 def _expressions():
@@ -330,17 +371,20 @@ def _nodes(node):
 @settings(max_examples=300)
 def test_ast_spans_match_recount_and_cover_parentheses(text):
     nodes = [n for statement in parse_script(text) for n in _nodes(statement)]
+    tokens = tokenize(text)
+    starts = {tok.start for tok in tokens}
+    ends = {tok.end for tok in tokens}
     spans = set()
     for node in nodes:
-        start, end, line, column = node.span
-        assert type(node.span) is SourceSpan
-        assert 0 <= start <= end <= len(text)
-        assert (line, column) == _line_col(text, start)
-        spans.add((start, end))
+        start, end = node.span
+        assert type(node.span) is tuple
+        # a node runs from the start of a token to the end of a token
+        assert 0 <= start < end <= len(text)
+        assert start in starts and end in ends
+        spans.add(node.span)
     # each parenthesised factor is a node from its '(' to the matching ')',
     # and Sym2's node runs from the name to its ')'; parentheses directly
     # around a node widen it, so directly nested pairs give one node
-    tokens = tokenize(text)
     match, open_at = {}, []
     for j, tok in enumerate(tokens):
         if tok.kind == "LPAREN":
@@ -356,7 +400,7 @@ def test_ast_spans_match_recount_and_cover_parentheses(text):
             a -= 1
         while match.get(a - 1) == b + 1 and not after_sym2(a - 1):
             a, b = a - 1, b + 1
-        assert (tokens[a].span.start, tokens[b].span.end) in spans
+        assert (tokens[a].start, tokens[b].end) in spans
 
 
 # -- scripts ---------------------------------------------------------------------
@@ -459,20 +503,13 @@ def test_parser_never_crashes_on_token_soup(text):
 # -- value records -----------------------------------------------------------------
 
 
-def test_malformed_span_rejected():
-    with pytest.raises(ValueError, match="^malformed span$"):
-        SourceSpan(5, 3, 1, 1)
-    for args in ((0, 1, 0, 1), (0, 1, 1, 0)):
-        with pytest.raises(ValueError, match="^malformed span$"):
-            SourceSpan(*args)
-
-
 def test_spans_and_tokens_compare_and_hash_by_value():
     a, b = tokenize("L + L")[0], tokenize("L")[0]
     assert a == b and hash(a) == hash(b)
-    assert a.span == SourceSpan(0, 1, 1, 1)
-    assert repr(a.span) == "SourceSpan(start=0, end=1, line=1, column=1)"
+    assert a == Token("IDENT", "L", 0, 1)
+    assert repr(a) == "Token(kind='IDENT', text='L', start=0, end=1)"
     assert tokenize("1")[0] != a
+    assert parse("L + L").terms[0][1].span == parse("L").span == (0, 1)
 
 
 # -- AST shape ---------------------------------------------------------------------
