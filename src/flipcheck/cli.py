@@ -10,7 +10,6 @@ color), so identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections import namedtuple
 
@@ -43,12 +42,19 @@ def _load_diamond(args) -> hodge.HodgeDiamond:
                 f"unknown builtin {args.builtin!r}; known: "
                 + ", ".join(varieties.builtin_names())
             )
+    import json  # only --diamond input needs it; keeps it out of start-up
+
     with open(args.diamond, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh, parse_int=_json_int)
         except RecursionError:
             raise ValueError("diamond JSON is nested too deeply") from None
     return hodge.HodgeDiamond.from_json_dict(data).validate()
+
+
+def _dumps(value, **options) -> str:
+    import json  # only --json output needs it; keeps it out of start-up
+    return json.dumps(value, **options)
 
 
 def _json_int(text: str) -> int:
@@ -72,7 +78,7 @@ def cmd_hodge(args):
                          f"diagonal h^(p,p), so only hh0 is defined on it")
     if args.hodge_op == "hh0":
         value = hodge.hh0(d)
-        return 0, lambda: [json.dumps({"hh0": value}) if args.json
+        return 0, lambda: [_dumps({"hh0": value}) if args.json
                            else str(value)]
     if not (args.json or args.column) and 2 * d.dim > FULL_VIEW_MAX_DIM:
         raise ValueError(f"the full view of a diamond of dimension "
@@ -80,8 +86,8 @@ def cmd_hodge(args):
                          f"use --column or --json")
     d = hodge.hilbert_square(d) if args.hodge_op == "hilb2" else hodge.sym2(d)
     if args.json:
-        return 0, lambda: [json.dumps(d.to_json_dict(), sort_keys=True,
-                                      indent=2)]
+        return 0, lambda: [_dumps(d.to_json_dict(), sort_keys=True,
+                                  indent=2)]
     if args.column:
         return 0, lambda: [" ".join(str(v) for v in hodge.diagonal(d))]
     return 0, lambda: [hodge.format_diamond(d)]
@@ -125,8 +131,8 @@ def cmd_fano(args):
     if args.fano_op == "splittings":
         types = fano.enumerate_line_splittings(args.n)
         if args.json:
-            return 0, lambda: [json.dumps({"n": args.n,
-                                           "types": [list(t) for t in types]})]
+            return 0, lambda: [_dumps({"n": args.n,
+                                       "types": [list(t) for t in types]})]
         plural = "s" if len(types) != 1 else ""
         return 0, lambda: ([f"n={args.n}: {len(types)} splitting type{plural}"]
                            + [f"  {fano.format_splitting(t)}" for t in types])
@@ -136,7 +142,7 @@ def cmd_fano(args):
              "expanded_form": counts.expanded_form}
     forms = {name: form for name, form in forms.items() if form is not None}
     if args.json:
-        return 0, lambda: [json.dumps(
+        return 0, lambda: [_dumps(
             {name: form.to_json_dict() for name, form in forms.items()},
             sort_keys=True, indent=2)]
     return 0, lambda: [f"{name.replace('_', ' ') + ':':<15}"
@@ -161,7 +167,7 @@ def _fano_dims(args):
     if family is Family.GR25_SECTION:
         row = fano.gr25_dim_row(args.n)
         if args.json:
-            return 0, lambda: [json.dumps(row._asdict(), sort_keys=True)]
+            return 0, lambda: [_dumps(row._asdict(), sort_keys=True)]
         cells = [("dim F_1(X)", row.f1), ("dim F_2^sigma(X)", row.f2_sigma),
                  ("dim F_2^tau(X)", row.f2_tau), ("dim F_3(X)", row.f3)]
         return 0, lambda: [f"{label:<17}= {'empty' if value is None else value}"
@@ -169,7 +175,7 @@ def _fano_dims(args):
     fano.check_cell(family, args.n, _plane_dim(args))
     dim = fano.expected_dim_fano(family, args.n, args.k)
     if args.json:
-        return 0, lambda: [json.dumps(
+        return 0, lambda: [_dumps(
             {"family": family.value, "n": args.n, "k_planes": args.k,
              "expected_dim": dim, "empty": dim < 0}, sort_keys=True)]
     note = "  (negative: empty)" if dim < 0 else ""
@@ -184,7 +190,7 @@ def _fano_codim(args):
         code = 1 if any(row["failures"] or row["symbolic_failures"]
                         for row in payload) else 0
         if args.json:
-            return code, lambda: [json.dumps(payload, sort_keys=True, indent=2)]
+            return code, lambda: [_dumps(payload, sort_keys=True, indent=2)]
 
         def render():
             lines = []
@@ -205,8 +211,8 @@ def _fano_codim(args):
     report = fano.verify_codim_identity(family, args.n, args.k)
     code = 0 if report.passed else 1
     if args.json:
-        return code, lambda: [json.dumps(report.to_json_dict(),
-                                         sort_keys=True, indent=2)]
+        return code, lambda: [_dumps(report.to_json_dict(),
+                                     sort_keys=True, indent=2)]
     return code, lambda: [f"{'PASS' if check.passed else 'FAIL'} {check.name}: "
                           f"lhs={check.lhs} rhs={check.rhs}"
                           for check in report.checks]
@@ -219,7 +225,8 @@ def _read_script(path: str) -> list:
     """The statements of the script at ``path``; a decoding or parse error
     names the file."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # newline="": offsets index the file as written, as dsl counts lines
+        with open(path, "r", encoding="utf-8", newline="") as fh:
             return dsl.parse_script(fh.read())
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 at byte {exc.start}: "
@@ -251,8 +258,8 @@ def _sod_check(args):
     candidate_hh0 = sod.additive_invariant(candidate, {"Dpt": 1})
     verdict = sod.embedding_obstruction(candidate_hh0, ambient_hh0)
     return 0, lambda: [
-        json.dumps({"ambient_hh0": ambient_hh0, "candidate_hh0": candidate_hh0,
-                    "verdict": str(verdict)}, sort_keys=True)
+        _dumps({"ambient_hh0": ambient_hh0, "candidate_hh0": candidate_hh0,
+                "verdict": str(verdict)}, sort_keys=True)
         if args.json else
         f"ambient hh0 = {ambient_hh0}\ncandidate hh0 = {candidate_hh0}\n"
         f"{ambient_hh0} vs {candidate_hh0} {verdict}"]
@@ -271,7 +278,7 @@ def _sod_consistency(args):
     results = [sod.conjecture_consistency(n) for n in range(3, n_max + 1, 2)]
     code = 1 if any(r.in_stated_range and not r.holds for r in results) else 0
     if args.json:
-        return code, lambda: [json.dumps(
+        return code, lambda: [_dumps(
             [{"n": r.n, "holds": r.holds, "in_stated_range": r.in_stated_range}
              for r in results], sort_keys=True)]
     return code, lambda: [
@@ -314,7 +321,7 @@ def _sod_obstruction(args):
     report = _check_obstruction(args.builtin)
     code = 0 if report.passed else 1
     if args.json:
-        return code, lambda: [json.dumps(
+        return code, lambda: [_dumps(
             {**report.inputs, "verdict": report.computed}, sort_keys=True)]
     relation = ">" if report.computed == "OBSTRUCTED" else "<="
     return code, lambda: [f"{report.computed} "
@@ -627,8 +634,8 @@ def cmd_verify_all(args):
     passed = sum(r.passed for r in reports)
     code = 0 if passed == len(reports) else 1
     if args.json:
-        return code, lambda: [json.dumps([r._asdict() for r in reports],
-                                         sort_keys=True, indent=2)]
+        return code, lambda: [_dumps([r._asdict() for r in reports],
+                                     sort_keys=True, indent=2)]
     return code, lambda: [
         f"PASS {r.name}" if r.passed else
         f"FAIL {r.name} expected={r.expected!r} computed={r.computed!r}"
@@ -679,8 +686,15 @@ def random_value(rng: random.Random):
 # -- argument parsing ------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    # help at 78 columns on every terminal, argparse's width off one, so
+    # argparse never imports shutil to ask a terminal for its size
+    def _get_formatter(self):
+        return self.formatter_class(prog=self.prog, width=78)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="flipcheck",
         description="Exact checks for Hilbert-square flip arithmetic: Hodge "
                     "diamonds, Grothendieck-ring classes and "

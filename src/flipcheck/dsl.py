@@ -146,7 +146,7 @@ _TOKEN_RE = re.compile(
   | (?P<LPAREN>\() | (?P<RPAREN>\))
   | (?P<LBRACE>\{) | (?P<RBRACE>\})
   | (?P<COLON>:) | (?P<COMMA>,)
-  | (?P<SKIP>(?:[ \t\r\n]+|\#[^\n]*)+)
+  | (?P<SKIP>(?:[ \t\r\n]+|\#[^\r\n]*)+)
   | (?P<BAD>.)
     """,
     re.VERBOSE | re.DOTALL,

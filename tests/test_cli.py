@@ -449,6 +449,15 @@ def test_motive_check_nonzero_statement(tmp_path, capsys):
     assert code == 1 and "FAIL statement 1: L" in out
 
 
+def test_comment_ends_at_a_lone_cr(tmp_path, capsys):
+    """In a file with CR line endings a comment ends at its CR, so the
+    statement after it is checked, not swallowed into the comment."""
+    script = tmp_path / "cr.mot"
+    script.write_bytes(b"# check\r1\r")
+    code, out, err = run(capsys, "motive", "check", str(script))
+    assert (code, out, err) == (1, "FAIL statement 1: 1\n", "")
+
+
 def test_motive_eval(tmp_path, capsys):
     script = tmp_path / "eval.mot"
     script.write_text("Sym2(1 + L)\n(1+L)*(1+L)\n")
@@ -520,6 +529,25 @@ def test_parse_error_names_file_line_and_column(tmp_path, capsys, command):
     code, out, err = run(capsys, command, "check", str(script))
     assert (code, out) == (2, "")
     assert err == f"error: {script}:2:10: unexpected character '$'\n"
+
+
+@pytest.mark.parametrize("data, line, column", [
+    (b"1 +\r)\n", 1, 5),
+    (b"L + 1\r\nC +\r\n)\r\n", 3, 1),
+], ids=["lone-cr", "crlf"])
+def test_parse_error_location_agrees_with_dsl(tmp_path, capsys, data, line,
+                                              column):
+    """The CLI reads a script as written, so only a line feed starts a line
+    there as in ``dsl``: a lone CR does not, and CRLF files keep theirs."""
+    script = tmp_path / "bad.mot"
+    script.write_bytes(data)
+    code, out, err = run(capsys, "motive", "eval", str(script))
+    assert (code, out) == (2, "")
+    assert err == (f"error: {script}:{line}:{column}: expected integer or 'L' "
+                   f"or atom or Sym2(...) or '('; found ')'\n")
+    with pytest.raises(dsl.ParseError) as info:
+        dsl.parse_script(data.decode())
+    assert (info.value.line, info.value.column) == (line, column)
 
 
 # -- verify-all ----------------------------------------------------------------------
@@ -660,6 +688,46 @@ def test_import_leaves_out_typing_and_random():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_commands_load_json_and_shutil_only_when_they_need_them():
+    """A command without ``--json`` loads neither ``json`` nor ``shutil``
+    (nor the compression modules ``shutil`` brings): help is laid out at a
+    fixed width, and only JSON input and output import ``json``."""
+    code = (
+        "import sys\n"
+        "from flipcheck import cli\n"
+        f"cli.main(['motive', 'check', {str(CHECKS / 'flip-derivation.mot')!r}])\n"
+        "cli.main(['verify-all'])\n"
+        "before = sorted({'json', 'shutil', 'zlib', 'bz2', 'lzma'}"
+        " & set(sys.modules))\n"
+        "cli.main(['verify-all', '--json'])\n"
+        "print(before, 'json' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "[] True"
+
+
+@pytest.mark.parametrize("snapshot, argv", [
+    ("help.txt", ("--help",)),
+    ("sod-check-help.txt", ("sod", "check", "--help")),
+    ("fano-codim-usage-error.txt", ("fano", "codim", "--n", "x")),
+])
+def test_help_and_usage_errors_ignore_the_terminal_width(snapshot, argv):
+    """Help (on stdout, exit 0) and usage errors (on stderr, exit 2) are
+    laid out at 78 columns whatever ``COLUMNS`` says, byte for byte the
+    text committed under tests/golden/."""
+    text = (GOLDEN / snapshot).read_bytes()
+    want = (0, text, b"") if "--help" in argv else (2, b"", text)
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    env.pop("COLUMNS", None)
+    for columns in (None, "40", "200"):
+        if columns is not None:
+            env["COLUMNS"] = columns
+        proc = subprocess.run([sys.executable, "-m", "flipcheck", *argv],
+                              env=env, capture_output=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == want, columns
 
 
 # -- cyclic garbage ------------------------------------------------------------------

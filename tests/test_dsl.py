@@ -71,6 +71,8 @@ def test_precedence_and_parens():
 def test_comments_and_whitespace():
     assert evaluate(parse("1 +\n  L  # trailing comment\n + L^2")) == \
         ONE + L + L * L
+    # a comment ends at a lone CR as at LF
+    assert evaluate(parse("1 +  # c\r L")) == ONE + L
 
 
 def test_sym2_factor_evaluates():
@@ -248,7 +250,7 @@ token_texts = st.lists(
 ).map("".join)
 
 
-_GAP = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")
+_GAP = re.compile(r"(?:[ \t\r\n]+|#[^\r\n]*)*")
 
 
 def _assert_tokens_tile(text, tokens):
