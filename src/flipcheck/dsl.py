@@ -1,8 +1,10 @@
 """Text format for motive expressions, ledgers and rewrite rules.
 
-Grammar (LL(1) recursive descent, single-token lookahead; precedence
-``^`` over ``*`` over ``+``/``-``; whitespace-insensitive; ``#`` starts a
-line comment; integers are arbitrary precision):
+Grammar (recursive descent with one token of lookahead, except a rule's
+``lhs``, which is read up to five tokens ahead to find its ``=>``;
+precedence ``^`` over ``*`` over ``+``/``-``; whitespace-insensitive; ``#``
+starts a comment that runs to the next CR or LF; integers are arbitrary
+precision):
 
     expr    := term (('+' | '-') term)*
     term    := factor ('*' factor)*
@@ -28,8 +30,10 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
+from itertools import accumulate, compress, islice
+from operator import itemgetter
 
-from .motive import MotiveExpr, TermKey, sym2_class
+from .motive import RESERVED_ATOMS, MotiveExpr, TermKey, sym2_class
 from .sod import RewriteRule, SodLedger
 
 MAX_NESTING = 200  # expression levels
@@ -136,50 +140,74 @@ class RuleDef(Node):
 
 # -- lexer --------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<INT>[0-9]+)
-  | (?P<IDENT>[A-Za-z][A-Za-z0-9_]*)
-  | (?P<TENSOR>\(\*\))
-  | (?P<ARROW>=>)
-  | (?P<PLUS>\+) | (?P<MINUS>-) | (?P<STAR>\*) | (?P<CARET>\^)
-  | (?P<LPAREN>\() | (?P<RPAREN>\))
-  | (?P<LBRACE>\{) | (?P<RBRACE>\})
-  | (?P<COLON>:) | (?P<COMMA>,)
-  | (?P<SKIP>(?:[ \t\r\n]+|\#[^\r\n]*)+)
-  | (?P<BAD>.)
-    """,
-    re.VERBOSE | re.DOTALL,
-)
-# token kind by group number; every group above is one alternative
-_KINDS = sorted(_TOKEN_RE.groupindex, key=_TOKEN_RE.groupindex.get)
-_KINDS.insert(0, "")
-_SKIP = _TOKEN_RE.groupindex["SKIP"]
+# One capture group: ``split`` returns the gaps between tokens at even
+# indices and the tokens (comments among them) at odd ones.
+_SPLIT_RE = re.compile(r"(#[^\r\n]*|[0-9]+|[A-Za-z][A-Za-z0-9_]*|\(\*\)|=>"
+                       r"|[-+*^(){}:,])")
+_WHITESPACE = " \t\r\n"
+# a token's kind by its text, else by its first character
+_KIND = {"(*)": "TENSOR", "=>": "ARROW", "+": "PLUS", "-": "MINUS",
+         "*": "STAR", "^": "CARET", "(": "LPAREN", ")": "RPAREN",
+         "{": "LBRACE", "}": "RBRACE", ":": "COLON", ",": "COMMA"}
+_FIRST_KIND = {"#": "COMMENT",
+               **dict.fromkeys("0123456789", "INT"),
+               **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                               "abcdefghijklmnopqrstuvwxyz", "IDENT")}
 
 
 Token = namedtuple("Token", "kind text start end")
 
 
-def tokenize(text: str) -> list[Token]:
-    # Every character starts a match (BAD catches the rest), so the matches
-    # tile the text and each one starts where the previous one ended.  That
-    # end is reused as the next start, one int object for both.  Tokens are
-    # built by ``tuple.__new__``, skipping the namedtuple's Python ``__new__``.
-    tokens: list[Token] = []
-    append = tokens.append
-    new = tuple.__new__
-    kinds = _KINDS
-    pos = 0
-    for m in _TOKEN_RE.finditer(text):
-        end = m.end()
-        i = m.lastindex
-        if i < _SKIP:
-            append(new(Token, (kinds[i], m.group(), pos, end)))
-        elif i > _SKIP:
-            raise ParseError(f"unexpected character {text[pos]!r}", text, pos)
-        pos = end
-    append(Token("EOF", "", pos, pos))
-    return tokens
+class Tokens:
+    """The tokens of a text as four parallel lists, the last entry of each
+    the EOF token.  Indexing or iterating yields ``Token`` records."""
+
+    __slots__ = ("kinds", "texts", "starts", "ends")
+
+    def __init__(self, kinds: list[str], texts: list[str], starts: list[int],
+                 ends: list[int]):
+        self.kinds, self.texts, self.starts, self.ends = kinds, texts, starts, ends
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, i: int) -> Token:
+        return Token(self.kinds[i], self.texts[i], self.starts[i], self.ends[i])
+
+    def __iter__(self):
+        return map(Token, self.kinds, self.texts, self.starts, self.ends)
+
+
+def tokenize(text: str) -> Tokens:
+    # Whole-list operations only: no tuple or other container per token.
+    parts = _SPLIT_RE.split(text)
+    if "".join(parts[0::2]).strip(_WHITESPACE):
+        raise _unexpected_character(text, parts)
+    offsets = list(accumulate(map(len, parts)))  # the end of each part
+    texts = parts[1::2]
+    starts = offsets[0:-1:2]
+    ends = offsets[1::2]
+    kinds = list(map(_KIND.get, texts,
+                     map(_FIRST_KIND.get, map(itemgetter(0), texts))))
+    if "#" in text:
+        keep = list(map("COMMENT".__ne__, kinds))
+        kinds, texts, starts, ends = (list(compress(column, keep)) for column
+                                      in (kinds, texts, starts, ends))
+    end = len(text)
+    kinds.append("EOF")
+    texts.append("")
+    starts.append(end)
+    ends.append(end)
+    return Tokens(kinds, texts, starts, ends)
+
+
+def _unexpected_character(text: str, parts: list[str]) -> ParseError:
+    """The error at the first character of a gap that is not whitespace."""
+    gap_starts = islice(accumulate(map(len, parts), initial=0), 0, None, 2)
+    pos = next(start + len(gap) - len(gap.lstrip(_WHITESPACE))
+               for start, gap in zip(gap_starts, parts[0::2])
+               if gap.strip(_WHITESPACE))
+    return ParseError(f"unexpected character {text[pos]!r}", text, pos)
 
 
 # -- parser -------------------------------------------------------------------
@@ -188,41 +216,44 @@ def tokenize(text: str) -> list[Token]:
 class _Parser:
     def __init__(self, text: str):
         tokens = tokenize(text)
+        self.text = text
+        self.kinds, self.texts, self.starts, self.ends = columns = (
+            tokens.kinds, tokens.texts, tokens.starts, tokens.ends)
         # four more EOF tokens make every lookahead of ``rule_lhs`` a plain
         # index
-        tokens.extend(tokens[-1:] * 4)
-        self.text = text
-        self.tokens = tokens
+        for column in columns:
+            column.extend(column[-1:] * 4)
         self.i = 0
         self.depth = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.i]
+    def peek(self) -> str:
+        return self.kinds[self.i]
 
     def fail(self, expected: tuple[str, ...]) -> ParseError:
-        tok = self.peek()
-        found = tok.text or "end of input"
+        found = self.texts[self.i] or "end of input"
         return ParseError(f"expected {' or '.join(expected)}; found {found!r}",
-                          self.text, tok.start)
+                          self.text, self.starts[self.i])
 
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.tokens[self.i]
-        if tok.kind != kind:
+    def expect(self, kind: str, what: str) -> int:
+        """The index of the next token, which must be of ``kind``."""
+        i = self.i
+        if self.kinds[i] != kind:
             raise self.fail((what,))
-        self.i += 1
-        return tok
+        self.i = i + 1
+        return i
 
-    def integer(self, tok: Token) -> int:
+    def integer(self, i: int) -> int:
+        text = self.texts[i]
         try:
-            return int(tok.text)
+            return int(text)
         except ValueError:  # more digits than the interpreter converts
-            raise ParseError(f"integer literal too long ({len(tok.text)} "
-                             f"digits)", self.text, tok.start) from None
+            raise ParseError(f"integer literal too long ({len(text)} "
+                             f"digits)", self.text, self.starts[i]) from None
 
     # statements ---------------------------------------------------------
 
     def statement(self) -> Node:
-        if self.peek().kind == "LBRACE":
+        if self.peek() == "LBRACE":
             return self.ledger()
         lhs = self.rule_lhs()
         if lhs is None:
@@ -232,7 +263,7 @@ class _Parser:
 
     def script(self) -> list[Node]:
         out = []
-        while self.peek().kind != "EOF":
+        while self.peek() != "EOF":
             out.append(self.statement())
         return out
 
@@ -240,69 +271,69 @@ class _Parser:
 
     def expr(self) -> Node:
         # the one place nesting is counted: every "(" and "Sym2(" opens an expr
-        toks = self.tokens
-        start = toks[self.i].start
+        kinds = self.kinds
+        start = self.starts[self.i]
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise ParseError("expression nesting too deep", self.text, start)
         try:
             first = self.term()
-            kind = toks[self.i].kind
+            kind = kinds[self.i]
             if kind != "PLUS" and kind != "MINUS":
                 return first
             terms = [(1, first)]
             while kind == "PLUS" or kind == "MINUS":
                 self.i += 1
                 terms.append((1 if kind == "PLUS" else -1, self.term()))
-                kind = toks[self.i].kind
+                kind = kinds[self.i]
             return Sum((start, terms[-1][1].span[1]), tuple(terms))
         finally:
             self.depth -= 1
 
     def term(self) -> Node:
-        toks = self.tokens
-        start = toks[self.i].start
+        kinds = self.kinds
+        start = self.starts[self.i]
         first = self.factor()
-        if toks[self.i].kind != "STAR":
+        if kinds[self.i] != "STAR":
             return first
         factors = [first]
-        while toks[self.i].kind == "STAR":
+        while kinds[self.i] == "STAR":
             self.i += 1
             factors.append(self.factor())
         return Product((start, factors[-1].span[1]), tuple(factors))
 
     def factor(self) -> Node:
-        toks = self.tokens
-        tok = toks[self.i]
-        kind = tok.kind
+        kinds, i = self.kinds, self.i
+        kind = kinds[i]
+        start = self.starts[i]
         if kind == "IDENT":
-            text = tok.text
-            self.i += 1
+            text = self.texts[i]
+            self.i = i + 1
             if text == "L":
-                if toks[self.i].kind == "CARET":
-                    self.i += 1
+                if kinds[i + 1] == "CARET":
+                    self.i = i + 2
                     exp = self.expect("INT", "integer exponent")
-                    return LPow((tok.start, exp.end), self.integer(exp))
-                return LPow((tok.start, tok.end), 1)
+                    return LPow((start, self.ends[exp]), self.integer(exp))
+                return LPow((start, self.ends[i]), 1)
             if text == "Sym2":
                 self.expect("LPAREN", "'(' after Sym2")
                 inner = self.expr()
                 close = self.expect("RPAREN", "')'")
-                return Sym2((tok.start, close.end), inner)
-            if toks[self.i].kind == "TENSOR":
-                self.i += 1
+                return Sym2((start, self.ends[close]), inner)
+            if kinds[i + 1] == "TENSOR":
+                self.i = i + 2
                 right = self.expect("IDENT", "atom after '(*)'")
-                return Tensor((tok.start, right.end), text, right.text)
-            return Atom((tok.start, tok.end), text)
+                return Tensor((start, self.ends[right]), text, self.texts[right])
+            return Atom((start, self.ends[i]), text)
         if kind == "INT":
-            self.i += 1
-            return IntLit((tok.start, tok.end), self.integer(tok))
+            self.i = i + 1
+            return IntLit((start, self.ends[i]), self.integer(i))
         if kind == "LPAREN":
-            self.i += 1
+            self.i = i + 1
             inner = self.expr()
             close = self.expect("RPAREN", "')'")
             # the node is new and not shared: widen its span in place
-            inner.span = (tok.start, close.end)
+            inner.span = (start, self.ends[close])
             return inner
         raise self.fail(("integer", "'L'", "atom", "Sym2(...)", "'('"))
 
@@ -311,55 +342,54 @@ class _Parser:
     def ledger(self) -> LedgerLiteral:
         open_ = self.expect("LBRACE", "'{'")
         entries: list[tuple[str, int]] = []
-        if self.peek().kind != "RBRACE":
+        if self.peek() != "RBRACE":
             while True:
                 name = self.expect("IDENT", "atom name")
                 self.expect("COLON", "':'")
                 count = self.expect("INT", "multiplicity")
-                entries.append((name.text, self.integer(count)))
-                if self.peek().kind == "COMMA":
+                entries.append((self.texts[name], self.integer(count)))
+                if self.peek() == "COMMA":
                     self.i += 1
                     continue
                 break
         close = self.expect("RBRACE", "'}' or ','")
-        return LedgerLiteral((open_.start, close.end), tuple(entries))
+        return LedgerLiteral((self.starts[open_], self.ends[close]),
+                             tuple(entries))
 
     def rule_lhs(self) -> Node | None:
         """A rule head through its '=>': ``A``, ``A (*) B`` or ``Sym2(A)``.
         Returns None and consumes nothing on any other shape, so that an
         expression statement followed by a rule is never misread as one
         long rule."""
-        toks, i = self.tokens, self.i
-        tok = toks[i]
-        if tok.kind != "IDENT":
+        kinds, texts, starts, ends = self.kinds, self.texts, self.starts, self.ends
+        i = self.i
+        if kinds[i] != "IDENT":
             return None
-        second = toks[i + 1].kind
+        second = kinds[i + 1]
         if second == "ARROW":
             self.i = i + 2
-            return Atom((tok.start, tok.end), tok.text)
+            return Atom((starts[i], ends[i]), texts[i])
         if second == "TENSOR":
-            right = toks[i + 2]
-            if right.kind != "IDENT" or toks[i + 3].kind != "ARROW":
+            if kinds[i + 2] != "IDENT" or kinds[i + 3] != "ARROW":
                 return None
             self.i = i + 4
-            return Tensor((tok.start, right.end), tok.text, right.text)
-        inner, close = toks[i + 2], toks[i + 3]
-        if (second != "LPAREN" or tok.text != "Sym2" or inner.kind != "IDENT"
-                or close.kind != "RPAREN" or toks[i + 4].kind != "ARROW"):
+            return Tensor((starts[i], ends[i + 2]), texts[i], texts[i + 2])
+        if (second != "LPAREN" or texts[i] != "Sym2" or kinds[i + 2] != "IDENT"
+                or kinds[i + 3] != "RPAREN" or kinds[i + 4] != "ARROW"):
             return None
         self.i = i + 5
-        return Sym2((tok.start, close.end),
-                    Atom((inner.start, inner.end), inner.text))
+        return Sym2((starts[i], ends[i + 3]),
+                    Atom((starts[i + 2], ends[i + 2]), texts[i + 2]))
 
 
 def parse(text: str) -> Node:
     """Parse a single statement (expr, ledger or rule), requiring the whole
     input to be consumed."""
     parser = _Parser(text)
-    if parser.peek().kind == "EOF":
+    if parser.peek() == "EOF":
         raise parser.fail(("statement",))
     node = parser.statement()
-    if parser.peek().kind != "EOF":
+    if parser.peek() != "EOF":
         raise parser.fail(("end of input",))
     return node
 
@@ -414,11 +444,19 @@ def _eval_expr(node: Node) -> MotiveExpr:
         return sym2_class(_eval_expr(node.arg))
     if isinstance(node, Sum):
         total: dict[TermKey, int] = {}
+        get = total.get
         for sign, term in node.terms:
-            for key, c in _eval_expr(term).terms.items():
-                total[key] = total.get(key, 0) + sign * c
+            plain = _plain_term(term.factors if type(term) is Product
+                                else (term,))
+            items = (plain,) if plain else _eval_expr(term).terms.items()
+            for key, c in items:
+                total[key] = get(key, 0) + sign * c
         return MotiveExpr._trusted(total)
     if isinstance(node, Product):
+        plain = _plain_term(node.factors)
+        if plain is not None:
+            key, c = plain
+            return MotiveExpr._trusted({key: c})
         factors = iter(node.factors)
         out = _eval_expr(next(factors))
         for factor in factors:
@@ -427,6 +465,30 @@ def _eval_expr(node: Node) -> MotiveExpr:
     if isinstance(node, Tensor):
         raise EvalError("tensor factors only make sense on rule left-hand sides")
     raise EvalError(f"cannot evaluate {type(node).__name__} as an expression")
+
+
+def _plain_term(factors) -> tuple[TermKey, int] | None:
+    """A product of integers, powers of L and atoms other than the reserved
+    ones as one ``(key, coefficient)`` term; ``pt`` is the unit.  None if
+    any other factor is present: the caller folds such a product factor by
+    factor, which raises each factor's error in order."""
+    coeff, power, names = 1, 0, []
+    for factor in factors:
+        cls = type(factor)
+        if cls is Atom:
+            name = factor.name
+            if name in RESERVED_ATOMS:
+                return None
+            if name != "pt":
+                names.append(name)
+        elif cls is IntLit:
+            coeff *= factor.value
+        elif cls is LPow:
+            power += factor.power
+        else:
+            return None
+    names.sort()
+    return (power, tuple(names)), coeff
 
 
 # -- canonical printing -------------------------------------------------------

@@ -1,3 +1,4 @@
+import gc
 import random
 import re
 from pathlib import Path
@@ -128,6 +129,53 @@ def test_product_equals_fold_from_one(factors):
     got = evaluate(node)
     assert got == want
     _assert_canonical(got)
+
+
+# the plain factors, each with its own value
+_PLAIN_FACTORS = {
+    "0": MotiveExpr.const(0), "1": ONE, "2": MotiveExpr.const(2),
+    "12345678901234567890": MotiveExpr.const(12345678901234567890),
+    "L": L, "L^0": MotiveExpr.lefschetz(0), "L^1": L,
+    "L^3": MotiveExpr.lefschetz(3), "X": atom("X"), "Y": atom("Y"),
+    "A_1": atom("A_1"), "pt": atom("pt"),
+}
+
+
+@given(st.lists(st.tuples(st.sampled_from("+-"),
+                          st.lists(st.sampled_from(sorted(_PLAIN_FACTORS)),
+                                   min_size=1, max_size=6)),
+                min_size=1, max_size=30))
+@settings(max_examples=300)
+def test_plain_products_and_sums_equal_the_fold_of_their_factors(terms):
+    products = ["*".join(factors) for _sign, factors in terms]
+    text = products[0] + "".join(f" {sign} {product}" for (sign, _), product
+                                 in zip(terms[1:], products[1:]))
+    want = MotiveExpr()
+    for k, (sign, factors) in enumerate(terms):
+        value = _PLAIN_FACTORS[factors[0]]
+        for factor in factors[1:]:
+            value = value * _PLAIN_FACTORS[factor]
+        want = want - value if k and sign == "-" else want + value
+    got = evaluate(parse(text))
+    assert got == want
+    _assert_canonical(got)
+
+
+def test_products_keep_the_errors_of_their_factors_in_order():
+    span = (0, 1)
+    reserved, x = Atom(span, "Sym2"), Atom(span, "X")
+    tensor = Tensor(span, "A", "B")
+    with pytest.raises(EvalError) as info:
+        evaluate(reserved)
+    message = str(info.value)
+    for node in (Product(span, (IntLit(span, 2), reserved, x)),
+                 Sum(span, ((1, x), (-1, Product(span, (x, reserved))))),
+                 Product(span, (reserved, tensor))):
+        with pytest.raises(EvalError) as info:
+            evaluate(node)
+        assert str(info.value) == message
+    with pytest.raises(EvalError, match="tensor factors"):
+        evaluate(Product(span, (x, tensor, reserved)))
 
 
 def test_long_sum_cancellations_leave_no_zero_terms():
@@ -281,12 +329,82 @@ def test_unexpected_character_span_matches_recount(prefix, bad):
     assert (err.offset, err.line, err.column) == (pos, *_line_col(text, pos))
 
 
+# The lexer as one ``finditer`` over named groups, one ``Token`` per match:
+# every character starts a match, so the matches tile the text.
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+    (?P<INT>[0-9]+)
+  | (?P<IDENT>[A-Za-z][A-Za-z0-9_]*)
+  | (?P<TENSOR>\(\*\))
+  | (?P<ARROW>=>)
+  | (?P<PLUS>\+) | (?P<MINUS>-) | (?P<STAR>\*) | (?P<CARET>\^)
+  | (?P<LPAREN>\() | (?P<RPAREN>\))
+  | (?P<LBRACE>\{) | (?P<RBRACE>\})
+  | (?P<COLON>:) | (?P<COMMA>,)
+  | (?P<SKIP>(?:[ \t\r\n]+|\#[^\r\n]*)+)
+  | (?P<BAD>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+
+def _reference_tokenize(text: str) -> list[Token]:
+    """Reference lexer: the tokens of ``text`` and then EOF."""
+    tokens = []
+    for m in _REFERENCE_TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "BAD":
+            raise ParseError(f"unexpected character {m.group()!r}", text,
+                             m.start())
+        if kind != "SKIP":
+            tokens.append(Token(kind, m.group(), m.start(), m.end()))
+    tokens.append(Token("EOF", "", len(text), len(text)))
+    return tokens
+
+
+@given(st.lists(st.one_of(token_texts, st.text(max_size=3)), max_size=6)
+       .map("".join))
+@settings(max_examples=500)
+def test_tokens_and_errors_match_the_reference_lexer(text):
+    try:
+        want = _reference_tokenize(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as info:
+            tokenize(text)
+        assert (str(info.value), info.value.offset) == (str(exc), exc.offset)
+        return
+    tokens = tokenize(text)
+    assert len(tokens) == len(want)
+    assert list(tokens) == want
+    assert [tokens[i] for i in range(-len(want), len(want))] == want + want
+    assert all(type(tok) is Token for tok in tokens)
+
+
 def test_token_spans_on_long_lines_and_files():
     text = ("Sym2(X1 + L^2*Y) - 12*(1 + L) # c\r\n\n" * 40
             + " + ".join(f"{i}*A{i}" for i in range(400)))
     tokens = tokenize(text)
     assert len(tokens) == 40 * 18 + 400 * 4
     _assert_tokens_tile(text, tokens)
+
+
+def test_lexing_allocates_nothing_per_token():
+    """The lexer makes no GC-tracked object per token: with the collector
+    off, its count of such allocations stays far below the token count."""
+    text = "\n".join(f"{i}*L^2*A{i} - Sym2(X{i}) # note {i}"
+                     for i in range(2500))
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        tokens = tokenize(text)
+        allocated = gc.get_count()[0] - before
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(tokens) == 2500 * 12 + 1
+    assert allocated < 100
 
 
 def test_unexpected_character_after_many_lines():
