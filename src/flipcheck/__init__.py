@@ -16,9 +16,18 @@ Submodules:
 * :mod:`flipcheck.cli` - the `flipcheck` command
 """
 
-from . import dsl, fano, hodge, motive, sod, varieties
-
 __version__ = "0.1.0"
 
 __all__ = ["dsl", "fano", "hodge", "motive", "sod", "varieties",
            "__version__"]
+
+
+def __getattr__(name: str):
+    """Import a submodule on its first access (PEP 562), so that a process
+    loads only the modules its command runs."""
+    if name in __all__:
+        # the import statement's own path, which -X importtime reports, and
+        # which binds the submodule here as an attribute
+        __import__(f"{__name__}.{name}")
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,18 +5,17 @@ exit-code-bearing check: ``flipcheck verify-all`` runs the whole golden
 suite.  Exit codes: 0 all checks pass, 1 a check failed, 2 usage, parse or
 validation error.  Output is deterministic (sorted keys, no timestamps, no
 color), so identical invocations produce byte-identical output.
+
+A process loads only what its command runs: each command and each golden
+check imports its modules at its top, and ``argparse`` is imported only
+for help and usage errors, which ``_read_argv`` leaves to it.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from collections import namedtuple
-
-from . import dsl, fano, hodge, motive, sod, varieties
-from .fano import Family
-from .motive import MotiveExpr
-from .sod import RewriteRule, SodLedger
+from types import SimpleNamespace
 
 
 # provenance is "paper", "derived" or "trivial"
@@ -34,6 +33,8 @@ def make_report(name: str, inputs: dict, expected, computed,
 
 
 def _load_diamond(args) -> hodge.HodgeDiamond:
+    from . import hodge, varieties
+
     if args.builtin:
         try:
             return varieties.builtin(args.builtin)
@@ -72,6 +73,8 @@ FULL_VIEW_MAX_DIM = 1000  # of the result; the view is quadratic in it
 
 
 def cmd_hodge(args):
+    from . import hodge, varieties
+
     d = _load_diamond(args)
     if args.builtin in varieties.DIAGONAL_ONLY and args.hodge_op != "hh0":
         raise ValueError(f"builtin {args.builtin!r} tabulates only the "
@@ -103,6 +106,8 @@ def _grid(family: Family) -> list[tuple[int, int]]:
     """The (n, k) cells of the verification grid, k-major.  The two
     hypersurface families start at (0, 0), a cell only the codimension
     identities evaluate."""
+    from .fano import Family
+
     if family is Family.GR25_SECTION:
         return [(n, 0) for n in range(2, 7)] + [(n, 1) for n in (4, 5, 6)]
     return [(n, k) for k in range(GRID_K_MAX + 1)
@@ -112,11 +117,13 @@ def _grid(family: Family) -> list[tuple[int, int]]:
 def _codim_grid(family: Family) -> dict:
     """The verification grid's passed and total cells, its failed cells,
     and the k whose identity in n fails (none for the table-driven gr25)."""
+    from . import fano
+
     domain = _grid(family)
     failures = [[family.value, n, k] for n, k in domain
                 if not fano.verify_codim_identity(family, n, k).passed]
     symbolic = [k for k in range(GRID_K_MAX + 1)
-                if family is not Family.GR25_SECTION
+                if family is not fano.Family.GR25_SECTION
                 and not fano.verify_codim_identity_symbolic(family, k)]
     return {"family": family.value, "passed": len(domain) - len(failures),
             "total": len(domain), "failures": failures,
@@ -124,6 +131,8 @@ def _codim_grid(family: Family) -> dict:
 
 
 def cmd_fano(args):
+    from . import fano
+
     if args.fano_op == "dims":
         return _fano_dims(args)
     if args.fano_op == "codim":
@@ -136,7 +145,8 @@ def cmd_fano(args):
         plural = "s" if len(types) != 1 else ""
         return 0, lambda: ([f"n={args.n}: {len(types)} splitting type{plural}"]
                            + [f"  {fano.format_splitting(t)}" for t in types])
-    # sodcounts
+    from . import dsl  # sodcounts alone prints a ledger
+
     counts = fano.sod_counts(_family(args), args.n, _plane_dim(args))
     forms = {"flip_form": counts.flip_form,
              "expanded_form": counts.expanded_form}
@@ -151,6 +161,8 @@ def cmd_fano(args):
 
 
 def _family(args) -> Family:
+    from . import fano
+
     if not args.family:
         raise ValueError("--family is required here")
     return fano.parse_family(args.family)
@@ -163,8 +175,10 @@ def _plane_dim(args) -> int:
 
 
 def _fano_dims(args):
+    from . import fano
+
     family = _family(args)
-    if family is Family.GR25_SECTION:
+    if family is fano.Family.GR25_SECTION:
         row = fano.gr25_dim_row(args.n)
         if args.json:
             return 0, lambda: [_dumps(row._asdict(), sort_keys=True)]
@@ -183,6 +197,9 @@ def _fano_dims(args):
 
 
 def _fano_codim(args):
+    from . import fano
+    from .fano import Family
+
     if args.grid:
         families = ([fano.parse_family(args.family)] if args.family
                     else list(Family))
@@ -224,6 +241,8 @@ def _fano_codim(args):
 def _read_script(path: str) -> list:
     """The statements of the script at ``path``; a decoding or parse error
     names the file."""
+    from . import dsl
+
     try:
         # newline="": offsets index the file as written, as dsl counts lines
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -237,6 +256,9 @@ def _read_script(path: str) -> list:
 
 
 def _sod_check(args):
+    from . import dsl, sod
+    from .sod import RewriteRule, SodLedger
+
     table = sod.default_rules()
     ledgers: list[SodLedger] = []
     for node in _read_script(args.file):
@@ -269,6 +291,8 @@ CONSISTENCY_N_MAX = 1001  # each odd n walks a ledger of about n components
 
 
 def _sod_consistency(args):
+    from . import dsl, sod
+
     n_max = args.n_odd_max
     if n_max < 3:
         raise ValueError(f"--n-odd-max must be at least 3, got {n_max}")
@@ -289,29 +313,30 @@ def _sod_consistency(args):
 
 
 # the paper's embedding-obstruction verdicts, keyed by the builtin whose
-# Hilbert square is the ambient: golden check name, candidate hh0 source,
-# the verdict the numbers are known to give
+# Hilbert square is the ambient: golden check name, the candidate's hh0 or
+# the builtin whose hh0 it is, the sod.Verdict the numbers are known to give
 _OBSTRUCTION_SCENARIOS = {
     "quartic-double-solid": (
-        "sod/obstruction-quartic-double-solid",
-        lambda: hodge.hh0(varieties.builtin("f1-quartic-double-solid")),
-        sod.Verdict.OBSTRUCTED),
+        "sod/obstruction-quartic-double-solid", "f1-quartic-double-solid",
+        "OBSTRUCTED"),
     # 56 lines on a degree-2 del Pezzo surface vs the 65 exceptional
     # objects of the Hilbert square
     "degree2-del-pezzo-surface": (
-        "sod/degree2-surface-obstruction", lambda: 56,
-        sod.Verdict.INCONCLUSIVE),
+        "sod/degree2-surface-obstruction", 56, "INCONCLUSIVE"),
 }
 
 
 def _check_obstruction(ambient_name: str) -> CheckReport:
-    name, candidate_source, expected = _OBSTRUCTION_SCENARIOS[ambient_name]
-    candidate = candidate_source()
+    from . import hodge, sod, varieties
+
+    name, candidate, expected = _OBSTRUCTION_SCENARIOS[ambient_name]
+    if isinstance(candidate, str):
+        candidate = hodge.hh0(varieties.builtin(candidate))
     ambient = hodge.hh0(hodge.hilbert_square(varieties.builtin(ambient_name)))
     verdict = sod.embedding_obstruction(candidate, ambient)
     return make_report(name, {"candidate_hh0": candidate,
                               "ambient_hh0": ambient},
-                       str(expected), str(verdict), "paper")
+                       expected, str(verdict), "paper")
 
 
 def _sod_obstruction(args):
@@ -333,6 +358,9 @@ def _sod_obstruction(args):
 
 
 def cmd_motive(args):
+    from . import dsl
+    from .motive import MotiveExpr
+
     values = [dsl.evaluate(node) for node in _read_script(args.file)]
     if not all(isinstance(v, MotiveExpr) for v in values):
         raise ValueError("motive scripts may only contain expressions")
@@ -349,6 +377,8 @@ def cmd_motive(args):
 
 
 def _check_qds_column() -> CheckReport:
+    from . import hodge, varieties
+
     d = hodge.hilbert_square(varieties.builtin("quartic-double-solid"))
     return make_report(
         "hodge/hilb2-quartic-double-solid-column",
@@ -357,6 +387,8 @@ def _check_qds_column() -> CheckReport:
 
 
 def _check_qds_hh0() -> CheckReport:
+    from . import hodge, varieties
+
     d = hodge.hilbert_square(varieties.builtin("quartic-double-solid"))
     return make_report("hodge/hilb2-quartic-double-solid-hh0",
                        {"builtin": "quartic-double-solid"},
@@ -364,6 +396,8 @@ def _check_qds_hh0() -> CheckReport:
 
 
 def _check_f1_hh0() -> CheckReport:
+    from . import hodge, varieties
+
     d = varieties.builtin("f1-quartic-double-solid")
     return make_report("hodge/f1-surface-hh0",
                        {"builtin": "f1-quartic-double-solid"},
@@ -371,6 +405,8 @@ def _check_f1_hh0() -> CheckReport:
 
 
 def _check_degree2_hilb2_hh0() -> CheckReport:
+    from . import hodge, varieties
+
     d = hodge.hilbert_square(varieties.builtin("degree2-del-pezzo-surface"))
     return make_report("hodge/degree2-surface-hilb2-hh0",
                        {"builtin": "degree2-del-pezzo-surface"},
@@ -378,6 +414,8 @@ def _check_degree2_hilb2_hh0() -> CheckReport:
 
 
 def _check_euler_identity() -> CheckReport:
+    from . import hodge, varieties
+
     lhs, rhs = [], []
     names = ["quartic-double-solid", "degree2-del-pezzo-surface",
              "curve-g0", "curve-g2", "p3"]
@@ -391,6 +429,8 @@ def _check_euler_identity() -> CheckReport:
 
 
 def _check_degree2_count() -> CheckReport:
+    from . import sod
+
     total = sod.sym2_ledger(["Dpt"] * 10).total()
     return make_report("sod/degree2-surface-sym2-count",
                        {"components": "10 exceptional objects"},
@@ -398,6 +438,8 @@ def _check_degree2_count() -> CheckReport:
 
 
 def _check_hilb2_ledger_n5() -> CheckReport:
+    from . import sod
+
     led = sod.hilb2_two_quadrics_ledger(5)
     return make_report("sod/hilb2-ledger-n5", {"n": 5},
                        {"DC": 8, "DSym2C": 1, "Dpt": 26},
@@ -405,6 +447,8 @@ def _check_hilb2_ledger_n5() -> CheckReport:
 
 
 def _check_consistency() -> CheckReport:
+    from . import sod
+
     computed = [[n, sod.conjecture_consistency(n).holds]
                 for n in range(5, 16, 2)]
     expected = [[n, True] for n in range(5, 16, 2)]
@@ -413,11 +457,13 @@ def _check_consistency() -> CheckReport:
 
 
 def _check_clifford_reduction() -> CheckReport:
+    from . import sod
+
     failures = []
     for n in range(5, 16, 2):
         led = sod.clifford_conjecture_ledger(n)
-        led = sod.substitute(led, "DCl0", SodLedger({"DC": 1}))
-        led = sod.substitute(led, "DS", SodLedger({"Dpt": 2}))
+        led = sod.substitute(led, "DCl0", sod.SodLedger({"DC": 1}))
+        led = sod.substitute(led, "DS", sod.SodLedger({"Dpt": 2}))
         if led != sod.ogr_pencil_conjecture_ledger(n):
             failures.append(n)
     return make_report("sod/clifford-reduces-to-pencil",
@@ -425,6 +471,8 @@ def _check_clifford_reduction() -> CheckReport:
 
 
 def _check_cross_module_hh0() -> CheckReport:
+    from . import hodge, sod, varieties
+
     n = 5
     g = (n + 1) // 2
     assignment = {
@@ -440,7 +488,10 @@ def _check_cross_module_hh0() -> CheckReport:
                        [54, 54], [via_ledger, via_hodge], "derived")
 
 
-def _check_codim_grid(family: Family) -> CheckReport:
+def _check_codim_grid(family_name: str) -> CheckReport:
+    from .fano import Family
+
+    family = Family(family_name)
     grid = _codim_grid(family)
     provenance = "paper" if family is Family.GR25_SECTION else "derived"
     return make_report(f"fano/codim-grid-{family.value}",
@@ -450,6 +501,8 @@ def _check_codim_grid(family: Family) -> CheckReport:
 
 
 def _check_gr25_table() -> CheckReport:
+    from . import fano
+
     expected = [[2, 0, None, None, None], [3, 2, None, None, None],
                 [4, 4, 1, 0, None], [5, 6, 4, 3, 0], [6, 8, 7, 6, 4]]
     computed = []
@@ -461,6 +514,8 @@ def _check_gr25_table() -> CheckReport:
 
 
 def _check_line_splittings() -> CheckReport:
+    from . import fano
+
     failures = []
     for n in range(2, 31):
         types = fano.enumerate_line_splittings(n)
@@ -480,6 +535,8 @@ def _check_line_splittings() -> CheckReport:
 
 
 def _check_hilb2_normal() -> CheckReport:
+    from . import fano
+
     failures = []
     for n in range(2, 31):
         try:
@@ -491,6 +548,8 @@ def _check_hilb2_normal() -> CheckReport:
 
 
 def _check_taut_splitting() -> CheckReport:
+    from . import fano
+
     failures = []
     for d in (-1, 0, 1):
         rows = fano.verify_taut_splitting(d, range(-5, 6))
@@ -501,12 +560,14 @@ def _check_taut_splitting() -> CheckReport:
 
 
 def _check_sod_counts_cubic() -> CheckReport:
+    from . import fano, sod
+
     failures = []
     for k in range(0, 4):
         for n in range(k if k > 0 else 1, 11):
-            counts = fano.sod_counts(Family.CUBIC, n, k)
+            counts = fano.sod_counts(fano.Family.CUBIC, n, k)
             traded = sod.substitute(counts.flip_form, "D_PQ",
-                                    SodLedger({f"D_F{k}": n - k + 2}))
+                                    sod.SodLedger({f"D_F{k}": n - k + 2}))
             if traded != counts.expanded_form:
                 failures.append([n, k, "substitution"])
             diff = counts.expanded_form.total() - counts.flip_form.total()
@@ -517,8 +578,10 @@ def _check_sod_counts_cubic() -> CheckReport:
 
 
 def _check_flip_shapes() -> CheckReport:
+    from . import fano
+
     failures = []
-    for family in Family:
+    for family in fano.Family:
         for n, k in _grid(family):
             if n == 0:  # flip shapes need dim X >= 1
                 continue
@@ -529,6 +592,8 @@ def _check_flip_shapes() -> CheckReport:
 
 
 def _check_degree_table() -> CheckReport:
+    from . import fano
+
     expected = ["cubic hypersurface in P^{n+1}",
                 "linear section of Gr(2,5) in P^9 via the Pluecker embedding, "
                 "with 2 <= dim X <= 6",
@@ -539,7 +604,9 @@ def _check_degree_table() -> CheckReport:
 
 
 def _check_flip_derivation() -> CheckReport:
-    X, Xp, F = (MotiveExpr.atom(a) for a in ("X", "Xp", "F"))
+    from . import motive
+
+    X, Xp, F = (motive.MotiveExpr.atom(a) for a in ("X", "Xp", "F"))
     failures = []
     for r in range(6):
         for s in range(6):
@@ -552,13 +619,17 @@ def _check_flip_derivation() -> CheckReport:
 
 
 def _check_flop_zero() -> CheckReport:
-    F = MotiveExpr.atom("F")
+    from . import motive
+
+    F = motive.MotiveExpr.atom("F")
     computed = [motive.flip_difference(F, r, r).is_zero() for r in range(6)]
     return make_report("motive/flop-difference-zero", {"r": "[0, 5]"},
                        [True] * 6, computed, "trivial")
 
 
 def _check_hilb2_class() -> CheckReport:
+    from . import motive
+
     p1 = motive.class_of_pn(1)
     p2 = motive.class_of_pn(2)
     got_p1 = motive.hilbert_square_class(p1, 1) == p2
@@ -569,9 +640,11 @@ def _check_hilb2_class() -> CheckReport:
 
 
 def _check_euler_specialization() -> CheckReport:
+    from . import hodge, motive, varieties
+
     qds = varieties.builtin("quartic-double-solid")
     e = hodge.euler(qds)
-    cls = motive.hilbert_square_class(MotiveExpr.atom("X"), 3)
+    cls = motive.hilbert_square_class(motive.MotiveExpr.atom("X"), 3)
     via_motive = cls.specialize({"X": e, "Sym2_X": e * (e + 1) // 2})
     via_hodge = hodge.euler(hodge.hilbert_square(qds))
     return make_report("motive/euler-specialization-quartic-double-solid",
@@ -581,6 +654,8 @@ def _check_euler_specialization() -> CheckReport:
 
 def _check_round_trip() -> CheckReport:
     import random  # only this check needs it; keeps it out of start-up
+
+    from . import dsl
 
     rng = random.Random(20240815)
     failures = []
@@ -607,9 +682,9 @@ ALL_CHECKS = [
     _check_consistency,
     _check_clifford_reduction,
     _check_cross_module_hh0,
-    lambda: _check_codim_grid(Family.CUBIC),
-    lambda: _check_codim_grid(Family.TWO_QUADRICS),
-    lambda: _check_codim_grid(Family.GR25_SECTION),
+    lambda: _check_codim_grid("cubic"),
+    lambda: _check_codim_grid("two-quadrics"),
+    lambda: _check_codim_grid("gr25"),
     _check_gr25_table,
     _check_line_splittings,
     _check_hilb2_normal,
@@ -649,6 +724,8 @@ _LEDGER_POOL = ["DC", "DSym2C", "Dpt", "DCl0", "DS", "D_F1"]
 
 
 def random_motive(rng: random.Random) -> MotiveExpr:
+    from .motive import MotiveExpr
+
     expr = MotiveExpr()
     for _ in range(rng.randint(0, 6)):
         coeff = rng.choice([c for c in range(-9, 10) if c])
@@ -660,11 +737,15 @@ def random_motive(rng: random.Random) -> MotiveExpr:
 
 
 def random_ledger(rng: random.Random) -> SodLedger:
+    from .sod import SodLedger
+
     names = rng.sample(_LEDGER_POOL, rng.randint(0, len(_LEDGER_POOL)))
     return SodLedger({name: rng.randint(1, 99) for name in names})
 
 
 def random_rule(rng: random.Random) -> RewriteRule:
+    from .sod import RewriteRule
+
     kind = rng.choice(["atom", "sym2", "tensor"])
     if kind == "tensor":
         args = (rng.choice(_LEDGER_POOL), rng.choice(_LEDGER_POOL))
@@ -686,14 +767,22 @@ def random_value(rng: random.Random):
 # -- argument parsing ------------------------------------------------------------
 
 
-class _Parser(argparse.ArgumentParser):
-    # help at 78 columns on every terminal, argparse's width off one, so
-    # argparse never imports shutil to ask a terminal for its size
-    def _get_formatter(self):
-        return self.formatter_class(prog=self.prog, width=78)
+_HODGE_OPS = ("hilb2", "sym2", "hh0")
+_FANO_OPS = ("dims", "codim", "splittings", "sodcounts")
+_MOTIVE_OPS = ("eval", "check")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # help and usage errors only: _read_argv reads the rest
+
+    from .fano import Family
+
+    class _Parser(argparse.ArgumentParser):
+        # help at 78 columns on every terminal, argparse's width off one, so
+        # argparse never imports shutil to ask a terminal for its size
+        def _get_formatter(self):
+            return self.formatter_class(prog=self.prog, width=78)
+
     parser = _Parser(
         prog="flipcheck",
         description="Exact checks for Hilbert-square flip arithmetic: Hodge "
@@ -703,7 +792,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     hodge_p = sub.add_parser("hodge", help="Hodge diamond computations")
-    hodge_p.add_argument("hodge_op", choices=["hilb2", "sym2", "hh0"])
+    hodge_p.add_argument("hodge_op", choices=_HODGE_OPS)
     source = hodge_p.add_mutually_exclusive_group(required=True)
     source.add_argument("--builtin", help="name of a built-in diamond")
     source.add_argument("--diamond", help="path to a diamond JSON file")
@@ -713,8 +802,7 @@ def build_parser() -> argparse.ArgumentParser:
     hodge_p.set_defaults(func=cmd_hodge)
 
     fano_p = sub.add_parser("fano", help="del Pezzo family bookkeeping")
-    fano_p.add_argument("fano_op",
-                        choices=["dims", "codim", "splittings", "sodcounts"])
+    fano_p.add_argument("fano_op", choices=_FANO_OPS)
     fano_p.add_argument("--family",
                         choices=[f.value for f in Family])
     fano_p.add_argument("--n", type=int, default=3, help="dim X")
@@ -741,7 +829,7 @@ def build_parser() -> argparse.ArgumentParser:
     obs_p.set_defaults(func=_sod_obstruction)
 
     motive_p = sub.add_parser("motive", help="motive expression scripts")
-    motive_p.add_argument("motive_op", choices=["eval", "check"])
+    motive_p.add_argument("motive_op", choices=_MOTIVE_OPS)
     motive_p.add_argument("file")
     motive_p.set_defaults(func=cmd_motive)
 
@@ -752,6 +840,77 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _family_name(text: str) -> str:
+    from . import fano
+
+    return fano.parse_family(text).value
+
+
+# the exactly valid forms _read_argv reads, as build_parser defines them:
+# command words -> (handler, positionals as (dest, choices), options as
+# {spelling: (dest, default, convert)} with None for a flag, and options
+# of which exactly one is required)
+_JSON = {"--json": ("json", False, None)}
+_FORMS = {
+    ("hodge",): (cmd_hodge, [("hodge_op", _HODGE_OPS)], {
+        "--builtin": ("builtin", None, str), "--diamond": ("diamond", None, str),
+        "--column": ("column", False, None), **_JSON}, ("--builtin", "--diamond")),
+    ("fano",): (cmd_fano, [("fano_op", _FANO_OPS)], {
+        "--family": ("family", None, _family_name), "--n": ("n", 3, int),
+        "--k": ("k", None, int), "--grid": ("grid", False, None), **_JSON}, ()),
+    ("sod", "check"): (_sod_check, [("file", None)], _JSON, ()),
+    ("sod", "conjecture-consistency"): (_sod_consistency, [], {
+        "--n-odd-max": ("n_odd_max", 15, int), **_JSON}, ()),
+    ("sod", "obstruction"): (_sod_obstruction, [], {
+        "--builtin": ("builtin", None, str), **_JSON}, ("--builtin",)),
+    ("motive",): (cmd_motive, [("motive_op", _MOTIVE_OPS), ("file", None)], {}, ()),
+    ("verify-all",): (cmd_verify_all, [], _JSON, ()),
+}
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """``vars(build_parser().parse_args(argv))`` as a namespace, read
+    without argparse; None unless ``argv`` is exactly valid: exact option
+    spellings, each at most once, and no value or file name starting with
+    ``-``.  Help, abbreviations, ``--opt=value`` and every error are left
+    to argparse, so every byte of help and usage text stays argparse's."""
+    words = tuple(argv[:2] if argv[:1] == ["sod"] else argv[:1])
+    if words not in _FORMS:
+        return None
+    func, positionals, options, one_of = _FORMS[words]
+    args = {dest: default for dest, default, _ in options.values()}
+    args.update(command=words[0], func=func)
+    if len(words) == 2:
+        args["sod_op"] = words[1]
+    positionals, given, rest = list(positionals), set(), iter(argv[len(words):])
+    for arg in rest:
+        if not arg.startswith("-"):
+            if not positionals:
+                return None
+            dest, choices = positionals.pop(0)
+            if choices is not None and arg not in choices:
+                return None
+            args[dest] = arg
+        elif arg in options and arg not in given:
+            given.add(arg)
+            dest, _, convert = options[arg]
+            if convert is None:
+                args[dest] = True
+                continue
+            value = next(rest, "-")
+            if value.startswith("-"):
+                return None
+            try:
+                args[dest] = convert(value)
+            except ValueError:
+                return None
+        else:
+            return None
+    if positionals or (one_of and len(given.intersection(one_of)) != 1):
+        return None
+    return SimpleNamespace(**args)
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command, which returns its exit code and ``render``, and print
     the lines ``render()`` builds: the only code that writes stdout.  Every
@@ -759,7 +918,9 @@ def main(argv: list[str] | None = None) -> int:
     errors, bad JSON or UTF-8, ...) or an ``OSError``; ``render`` raises one
     only for an int of over 4300 digits, which Python will not print.  Each
     ends here as one ``error:`` line, exit 2 and no output."""
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv) or build_parser().parse_args(argv)
     try:
         code, render = args.func(args)
         try:

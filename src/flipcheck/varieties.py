@@ -7,8 +7,6 @@ each with a comment saying where the numbers come from.  Everything else
 
 from __future__ import annotations
 
-import re
-
 from .hodge import MAX_DIM, HodgeDiamond
 
 # One table per variety whose Hodge numbers are taken from the literature
@@ -28,8 +26,6 @@ _TABLES: dict[str, tuple[int, dict[tuple[int, int], int]]] = {
 
 # tables of h^{p,p} alone (f1 lacks its h^{1,0} = 10): they answer hh0 only
 DIAGONAL_ONLY = frozenset({"f1-quartic-double-solid"})
-
-_CURVE_RE = re.compile(r"^curve-g([0-9]+)$")
 
 
 def point() -> HodgeDiamond:
@@ -80,21 +76,27 @@ def builtin(name: str) -> HodgeDiamond:
     """Look up a diamond by CLI name; raises ``KeyError`` for unknown names."""
     if name == "point":
         return point()
-    m = re.fullmatch(r"p0*([0-9]+)", name)
-    if m:
+    digits = name[1:]
+    if name[:1] == "p" and _is_digits(digits):
         # longer than MAX_DIM is larger, and maybe too long for int()
-        digits = m.group(1)
+        digits = digits.lstrip("0") or "0"
         if len(digits) > len(str(MAX_DIM)) or int(digits) > MAX_DIM:
             raise ValueError(f"builtin p<n> needs n <= {MAX_DIM}")
         return projective_space(int(digits))
-    m = _CURVE_RE.fullmatch(name)
-    if m:
+    digits = name.removeprefix("curve-g")
+    if name.startswith("curve-g") and _is_digits(digits):
         try:
-            g = int(m.group(1))
+            g = int(digits)
         except ValueError:  # more digits than Python converts
             raise ValueError(f"builtin curve-g<g>: genus too long "
-                             f"({len(m.group(1))} digits)") from None
+                             f"({len(digits)} digits)") from None
         return curve(g)
     if name in _TABLES:
         return HodgeDiamond(*_TABLES[name]).validate()
     raise KeyError(name)
+
+
+def _is_digits(text: str) -> bool:
+    """One or more of 0-9 alone, as ``[0-9]+`` matches: ``str.isdigit``
+    also takes other scripts' digits."""
+    return text.isascii() and text.isdigit()

@@ -1,4 +1,6 @@
+import contextlib
 import gc
+import io
 import json
 import os
 import resource
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flipcheck import cli, dsl, sod, varieties
 from flipcheck.cli import main
@@ -677,17 +681,57 @@ def test_output_matches_committed_snapshot(capsys, snapshot, argv):
 # -- start-up ------------------------------------------------------------------------
 
 
+# the golden workload's ten command lines, and a script command it leaves out
+_COMMAND_LINES = [
+    ("verify-all",), ("verify-all", "--json"),
+    ("hodge", "hilb2", "--builtin", "quartic-double-solid", "--column"),
+    ("hodge", "hh0", "--builtin", "f1-quartic-double-solid"),
+    ("sod", "obstruction", "--builtin", "quartic-double-solid"),
+    ("sod", "conjecture-consistency", "--n-odd-max", "15"),
+    ("fano", "codim", "--grid"),
+    ("motive", "check", str(CHECKS / "flip-derivation.mot")),
+    ("motive", "check", str(CHECKS / "hilbert-square-classes.mot")),
+    ("sod", "check", str(CHECKS / "degree2-surface.sod")),
+    ("motive", "eval", str(CHECKS / "hilbert-square-classes.mot")),
+]
+_SCRIPT_COMMANDS = {("motive", "check"), ("motive", "eval"), ("sod", "check")}
+
+
 def test_import_leaves_out_typing_and_random():
     """Importing the CLI loads none of ``typing``, ``random``,
     ``dataclasses`` and ``inspect``: the annotations are strings, only the
     round-trip check draws random values, and the AST nodes are plain
-    slotted classes, so a process pays for none of them at start-up."""
+    slotted classes, so a process pays for none of them at start-up.  Nor
+    does it load ``argparse`` or any other flipcheck module.
+
+    Run as ``python -S -m flipcheck``, as the benchmark runs them, the
+    command lines above load no ``argparse``, ``gettext`` or ``locale``,
+    because ``_read_argv`` reads them; ``hodge`` commands load no ``re``,
+    ``enum`` or module outside hodge and varieties, and script commands
+    none of fano, hodge and varieties."""
     code = ("import sys, flipcheck.cli; print(sorted({'typing', 'random', "
-            "'dataclasses', 'inspect'} & set(sys.modules)))")
+            "'dataclasses', 'inspect', 'argparse', 're', 'enum', "
+            "'flipcheck.dsl', 'flipcheck.fano', 'flipcheck.hodge', "
+            "'flipcheck.motive', 'flipcheck.sod', 'flipcheck.varieties'} "
+            "& set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
+    for argv in _COMMAND_LINES:
+        banned = {"argparse", "gettext", "locale"}
+        if argv[0] == "hodge":
+            banned |= {"re", "enum", "flipcheck.dsl", "flipcheck.fano",
+                       "flipcheck.sod", "flipcheck.motive"}
+        if argv[:2] in _SCRIPT_COMMANDS:
+            banned |= {"flipcheck.fano", "flipcheck.hodge",
+                       "flipcheck.varieties"}
+        err = subprocess.run(
+            [sys.executable, "-S", "-X", "importtime", "-m", "flipcheck", *argv],
+            env=env, capture_output=True, text=True, check=True).stderr
+        loaded = {line.rsplit("|", 1)[1].strip() for line in err.splitlines()
+                  if line.startswith("import time:")}
+        assert "flipcheck.cli" in loaded and loaded & banned == set(), argv
 
 
 def test_commands_load_json_and_shutil_only_when_they_need_them():
@@ -730,15 +774,100 @@ def test_help_and_usage_errors_ignore_the_terminal_width(snapshot, argv):
         assert (proc.returncode, proc.stdout, proc.stderr) == want, columns
 
 
+# -- the argv reader ---------------------------------------------------------------
+
+# the exact forms of the five commands, as the help describes them:
+# command words, each positional's choices, each option's values (none for
+# a flag); values argparse's int() takes however they are written
+_EXACT_FORMS = [
+    (["hodge"], [["hilb2", "sym2", "hh0"]],
+     {"--builtin": ["p1", "quartic-double-solid"], "--diamond": ["d.json"],
+      "--column": [], "--json": []}),
+    (["fano"], [["dims", "codim", "splittings", "sodcounts"]],
+     {"--family": ["cubic", "two-quadrics", "gr25"], "--n": ["5", "007", "+3"],
+      "--k": ["1", " 2"], "--grid": [], "--json": []}),
+    (["sod", "check"], [["f.sod"]], {"--json": []}),
+    (["sod", "conjecture-consistency"], [],
+     {"--n-odd-max": ["9", "1_5"], "--json": []}),
+    (["sod", "obstruction"], [], {"--builtin": ["x"], "--json": []}),
+    (["motive"], [["eval", "check"], ["f.mot"]], {}),
+    (["verify-all"], [], {"--json": []}),
+]
+# tokens to put into them: command words, choices, exact, abbreviated and
+# ``--x=y`` option spellings, ints that int() refuses, names starting with
+# ``-``, and the tokens argparse treats apart
+_ARGV_TOKENS = [
+    "hodge", "fano", "sod", "motive", "verify-all", "check", "obstruction",
+    "hh0", "dims", "--builtin", "--diamond", "--json", "--family", "--n",
+    "--k", "--grid", "--n-odd-max", "--bui", "--fam", "--js", "--n-odd",
+    "--json=1", "--n=3", "--family=cubic", "gr25", "gr25-section", "p1", "3",
+    "-3", "x", "9" * 4301, "", "-f.mot", "-h", "--help", "--", "-",
+]
+
+
+@st.composite
+def _argvs(draw):
+    """An exact form with its options in any order and any of them left
+    out, then up to two tokens replaced or put in from ``_ARGV_TOKENS``."""
+    words, positionals, options = draw(st.sampled_from(_EXACT_FORMS))
+    items = [[draw(st.sampled_from(choices))] for choices in positionals]
+    names = draw(st.permutations(sorted(options)))
+    for name in names[:draw(st.integers(0, len(names)))]:
+        items.append([name, *([draw(st.sampled_from(options[name]))]
+                              if options[name] else [])])
+    argv = words + [token for item in draw(st.permutations(items))
+                    for token in item]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(argv)))
+        argv[at:at + draw(st.integers(0, 1))] = [draw(st.sampled_from(_ARGV_TOKENS))]
+    return argv
+
+
+def _argparse_vars(argv):
+    """vars() of argparse's namespace for ``argv``, or None where it exits."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@given(_argvs())
+@settings(max_examples=500, deadline=None)
+@example(["fano", "dims", "--family", "gr25", "--n", "5"])
+def test_argv_reader_agrees_with_argparse(argv):
+    """``_read_argv`` returns None or the namespace argparse builds, and
+    None wherever argparse exits, for help or for an error."""
+    read = cli._read_argv(argv)
+    if read is not None:
+        assert vars(read) == _argparse_vars(argv)
+
+
+def test_argv_reader_reads_the_exact_forms():
+    """The golden command lines and exact forms with their options in any
+    order are read without argparse, as argparse reads them."""
+    for argv in _COMMAND_LINES + [
+            ("fano", "dims", "--family", "cubic", "--n", "3", "--k", "1"),
+            ("hodge", "sym2", "--json", "--diamond", "d.json", "--column"),
+            ("sod", "check", "--json", "x.sod"),
+            ("sod", "obstruction", "--json", "--builtin", "x"),
+            ("fano", "--n", "5", "--k", "2", "--family", "gr25", "sodcounts")]:
+        read = cli._read_argv(list(argv))
+        assert read is not None and vars(read) == _argparse_vars(list(argv))
+
+
 # -- cyclic garbage ------------------------------------------------------------------
 
 
 def test_checks_and_scripts_leave_no_cyclic_garbage():
-    """The golden checks, the scripts under checks/ and a rule script of a
-    few hundred rules free everything they drop by reference counting, so
-    a change that makes a reference cycle fails here instead of growing
-    memory and collector time.  ``main`` is left out: argparse makes
-    cycles of its own."""
+    """The golden checks, the scripts under checks/, a rule script of a few
+    hundred rules and ``main`` on the golden command lines free everything
+    they drop by reference counting, so a change that makes a reference
+    cycle fails here instead of growing memory and collector time.  Left
+    out are ``--json``, because the standard library's pure-Python encoder
+    for indented output makes closure cycles, and argparse, which makes
+    cycles of its own and runs only for help and usage errors."""
     rules = "".join(f"D{i} => {{Dpt:{i % 3 + 1}, D{i // 2}:1}}\n"
                     for i in range(1, 300))
     script = rules + "{D299:2, D150:1}\n{Dpt:1, D7:3}\n"
@@ -747,6 +876,9 @@ def test_checks_and_scripts_leave_no_cyclic_garbage():
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
         cli.run_all_checks()
+        for argv in _COMMAND_LINES:
+            if "--json" not in argv:
+                main(list(argv))
         for text in [p.read_text(encoding="utf-8")
                      for p in sorted(CHECKS.iterdir())] + [script]:
             table = sod.default_rules()
