@@ -17,8 +17,6 @@ every big multiply longer; only slots over 8 bytes (or a big-endian host)
 take the per-slot loop.
 """
 
-from __future__ import annotations
-
 import sys
 from collections.abc import Callable, Hashable, Mapping
 

@@ -11,8 +11,6 @@ check imports its modules at its top, and ``argparse`` is imported only
 for help and usage errors, which ``_read_argv`` leaves to it.
 """
 
-from __future__ import annotations
-
 import sys
 from collections import namedtuple
 from types import SimpleNamespace
@@ -32,10 +30,10 @@ def make_report(name: str, inputs: dict, expected, computed,
 # -- diamond loading ----------------------------------------------------------
 
 
-def _load_diamond(args) -> hodge.HodgeDiamond:
+def _load_diamond(args) -> "hodge.HodgeDiamond":
     from . import hodge, varieties
 
-    if args.builtin:
+    if args.builtin is not None:
         try:
             return varieties.builtin(args.builtin)
         except KeyError:
@@ -102,7 +100,7 @@ GRID_K_MAX = 6
 GRID_N_MAX = 30
 
 
-def _grid(family: Family) -> list[tuple[int, int]]:
+def _grid(family: "Family") -> list[tuple[int, int]]:
     """The (n, k) cells of the verification grid, k-major.  The two
     hypersurface families start at (0, 0), a cell only the codimension
     identities evaluate."""
@@ -114,7 +112,7 @@ def _grid(family: Family) -> list[tuple[int, int]]:
             for n in range(k, GRID_N_MAX + 1)]
 
 
-def _codim_grid(family: Family) -> dict:
+def _codim_grid(family: "Family") -> dict:
     """The verification grid's passed and total cells, its failed cells,
     and the k whose identity in n fails (none for the table-driven gr25)."""
     from . import fano
@@ -160,7 +158,7 @@ def cmd_fano(args):
                        for name, form in forms.items()]
 
 
-def _family(args) -> Family:
+def _family(args) -> "Family":
     from . import fano
 
     if not args.family:
@@ -723,7 +721,7 @@ _ATOM_POOL = ["C", "F", "X", "Y2", "Sym2_C", "a_1"]
 _LEDGER_POOL = ["DC", "DSym2C", "Dpt", "DCl0", "DS", "D_F1"]
 
 
-def random_motive(rng: random.Random) -> MotiveExpr:
+def random_motive(rng: "random.Random") -> "MotiveExpr":
     from .motive import MotiveExpr
 
     expr = MotiveExpr()
@@ -736,14 +734,14 @@ def random_motive(rng: random.Random) -> MotiveExpr:
     return expr
 
 
-def random_ledger(rng: random.Random) -> SodLedger:
+def random_ledger(rng: "random.Random") -> "SodLedger":
     from .sod import SodLedger
 
     names = rng.sample(_LEDGER_POOL, rng.randint(0, len(_LEDGER_POOL)))
     return SodLedger({name: rng.randint(1, 99) for name in names})
 
 
-def random_rule(rng: random.Random) -> RewriteRule:
+def random_rule(rng: "random.Random") -> "RewriteRule":
     from .sod import RewriteRule
 
     kind = rng.choice(["atom", "sym2", "tensor"])
@@ -755,7 +753,7 @@ def random_rule(rng: random.Random) -> RewriteRule:
     return RewriteRule(kind, args, rhs)
 
 
-def random_value(rng: random.Random):
+def random_value(rng: "random.Random"):
     pick = rng.random()
     if pick < 0.4:
         return random_motive(rng)
@@ -770,12 +768,45 @@ def random_value(rng: random.Random):
 _HODGE_OPS = ("hilb2", "sym2", "hh0")
 _FANO_OPS = ("dims", "codim", "splittings", "sodcounts")
 _MOTIVE_OPS = ("eval", "check")
+# fano.Family's values, in order: reading them there would import fano and
+# enum into every process, hodge commands included
+_FAMILIES = ("cubic", "two-quadrics", "gr25")
+
+# the command grammar, stated once: build_parser builds argparse's parser
+# from it, and _read_argv reads the exactly valid forms by it.  Command
+# words -> (handler, help, positionals as (dest, choices), options as
+# {spelling: (default, type, help)}, and options of which exactly one is
+# required).  An option's type is None for a flag, a tuple of choices or a
+# conversion, and its dest is its spelling without the dashes, as argparse
+# makes it.  A row without a handler is a group word: its subcommands follow.
+_JSON = {"--json": (False, None, None)}
+_FORMS = {
+    ("hodge",): (cmd_hodge, "Hodge diamond computations",
+                 [("hodge_op", _HODGE_OPS)], {
+        "--builtin": (None, str, "name of a built-in diamond"),
+        "--diamond": (None, str, "path to a diamond JSON file"),
+        "--column": (False, None, "print the diagonal h^{p,p} column"),
+        **_JSON}, ("--builtin", "--diamond")),
+    ("fano",): (cmd_fano, "del Pezzo family bookkeeping",
+                [("fano_op", _FANO_OPS)], {
+        "--family": (None, _FAMILIES, None), "--n": (3, int, "dim X"),
+        "--k": (None, int, "quadric or plane dimension"),
+        "--grid": (False, None, "verify the whole (n, k) grid"), **_JSON}, ()),
+    ("sod",): (None, "decomposition ledger checks", [], {}, ()),
+    ("sod", "check"): (_sod_check, "run a .sod script", [("file", None)], _JSON, ()),
+    ("sod", "conjecture-consistency"): (_sod_consistency, None, [], {
+        "--n-odd-max": (15, int, None), **_JSON}, ()),
+    ("sod", "obstruction"): (_sod_obstruction, None, [], {
+        "--builtin": (None, str, None), **_JSON}, ("--builtin",)),
+    ("motive",): (cmd_motive, "motive expression scripts",
+                  [("motive_op", _MOTIVE_OPS), ("file", None)], {}, ()),
+    ("verify-all",): (cmd_verify_all, "run the golden check suite", [],
+                      _JSON, ()),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> "argparse.ArgumentParser":
     import argparse  # help and usage errors only: _read_argv reads the rest
-
-    from .fano import Family
 
     class _Parser(argparse.ArgumentParser):
         # help at 78 columns on every terminal, argparse's width off one, so
@@ -789,83 +820,28 @@ def build_parser() -> argparse.ArgumentParser:
                     "diamonds, Grothendieck-ring classes and "
                     "semiorthogonal-decomposition ledgers.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    hodge_p = sub.add_parser("hodge", help="Hodge diamond computations")
-    hodge_p.add_argument("hodge_op", choices=_HODGE_OPS)
-    source = hodge_p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--builtin", help="name of a built-in diamond")
-    source.add_argument("--diamond", help="path to a diamond JSON file")
-    hodge_p.add_argument("--column", action="store_true",
-                         help="print the diagonal h^{p,p} column")
-    hodge_p.add_argument("--json", action="store_true")
-    hodge_p.set_defaults(func=cmd_hodge)
-
-    fano_p = sub.add_parser("fano", help="del Pezzo family bookkeeping")
-    fano_p.add_argument("fano_op", choices=_FANO_OPS)
-    fano_p.add_argument("--family",
-                        choices=[f.value for f in Family])
-    fano_p.add_argument("--n", type=int, default=3, help="dim X")
-    fano_p.add_argument("--k", type=int, default=None,
-                        help="quadric or plane dimension")
-    fano_p.add_argument("--grid", action="store_true",
-                        help="verify the whole (n, k) grid")
-    fano_p.add_argument("--json", action="store_true")
-    fano_p.set_defaults(func=cmd_fano)
-
-    sod_p = sub.add_parser("sod", help="decomposition ledger checks")
-    sod_sub = sod_p.add_subparsers(dest="sod_op", required=True)
-    check_p = sod_sub.add_parser("check", help="run a .sod script")
-    check_p.add_argument("file")
-    check_p.add_argument("--json", action="store_true")
-    check_p.set_defaults(func=_sod_check)
-    cons_p = sod_sub.add_parser("conjecture-consistency")
-    cons_p.add_argument("--n-odd-max", type=int, default=15)
-    cons_p.add_argument("--json", action="store_true")
-    cons_p.set_defaults(func=_sod_consistency)
-    obs_p = sod_sub.add_parser("obstruction")
-    obs_p.add_argument("--builtin", required=True)
-    obs_p.add_argument("--json", action="store_true")
-    obs_p.set_defaults(func=_sod_obstruction)
-
-    motive_p = sub.add_parser("motive", help="motive expression scripts")
-    motive_p.add_argument("motive_op", choices=_MOTIVE_OPS)
-    motive_p.add_argument("file")
-    motive_p.set_defaults(func=cmd_motive)
-
-    verify_p = sub.add_parser("verify-all", help="run the golden check suite")
-    verify_p.add_argument("--json", action="store_true")
-    verify_p.set_defaults(func=cmd_verify_all)
-
+    subparsers = {(): parser.add_subparsers(dest="command", required=True)}
+    for words, (func, help_, positionals, options, one_of) in _FORMS.items():
+        # argparse lists a subcommand in its parent's help only if given help
+        sub = subparsers[words[:-1]].add_parser(
+            words[-1], **({"help": help_} if help_ else {}))
+        if func is None:
+            subparsers[words] = sub.add_subparsers(dest=f"{words[0]}_op",
+                                                   required=True)
+            continue
+        sub.set_defaults(func=func)
+        for dest, choices in positionals:
+            sub.add_argument(dest, choices=choices)
+        group = (sub.add_mutually_exclusive_group(required=True)
+                 if len(one_of) > 1 else sub)
+        for spelling, (default, kind, help_) in options.items():
+            form = ({"action": "store_true"} if kind is None else
+                    {"choices": kind} if isinstance(kind, tuple) else
+                    {"type": kind})
+            (group if spelling in one_of else sub).add_argument(
+                spelling, default=default, help=help_,
+                required=one_of == (spelling,), **form)
     return parser
-
-
-def _family_name(text: str) -> str:
-    from . import fano
-
-    return fano.parse_family(text).value
-
-
-# the exactly valid forms _read_argv reads, as build_parser defines them:
-# command words -> (handler, positionals as (dest, choices), options as
-# {spelling: (dest, default, convert)} with None for a flag, and options
-# of which exactly one is required)
-_JSON = {"--json": ("json", False, None)}
-_FORMS = {
-    ("hodge",): (cmd_hodge, [("hodge_op", _HODGE_OPS)], {
-        "--builtin": ("builtin", None, str), "--diamond": ("diamond", None, str),
-        "--column": ("column", False, None), **_JSON}, ("--builtin", "--diamond")),
-    ("fano",): (cmd_fano, [("fano_op", _FANO_OPS)], {
-        "--family": ("family", None, _family_name), "--n": ("n", 3, int),
-        "--k": ("k", None, int), "--grid": ("grid", False, None), **_JSON}, ()),
-    ("sod", "check"): (_sod_check, [("file", None)], _JSON, ()),
-    ("sod", "conjecture-consistency"): (_sod_consistency, [], {
-        "--n-odd-max": ("n_odd_max", 15, int), **_JSON}, ()),
-    ("sod", "obstruction"): (_sod_obstruction, [], {
-        "--builtin": ("builtin", None, str), **_JSON}, ("--builtin",)),
-    ("motive",): (cmd_motive, [("motive_op", _MOTIVE_OPS), ("file", None)], {}, ()),
-    ("verify-all",): (cmd_verify_all, [], _JSON, ()),
-}
 
 
 def _read_argv(argv: list[str]) -> SimpleNamespace | None:
@@ -874,15 +850,16 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
     spellings, each at most once, and no value or file name starting with
     ``-``.  Help, abbreviations, ``--opt=value`` and every error are left
     to argparse, so every byte of help and usage text stays argparse's."""
-    words = tuple(argv[:2] if argv[:1] == ["sod"] else argv[:1])
-    if words not in _FORMS:
+    words = tuple(argv[:1])
+    if words in _FORMS and _FORMS[words][0] is None:  # a group word
+        words = tuple(argv[:2])
+    if words not in _FORMS or _FORMS[words][0] is None:
         return None
-    func, positionals, options, one_of = _FORMS[words]
-    args = {dest: default for dest, default, _ in options.values()}
-    args.update(command=words[0], func=func)
+    func, _, positionals, options, one_of = _FORMS[words]
+    args = {"command": words[0], "func": func}
     if len(words) == 2:
-        args["sod_op"] = words[1]
-    positionals, given, rest = list(positionals), set(), iter(argv[len(words):])
+        args[f"{words[0]}_op"] = words[1]
+    positionals, values, rest = list(positionals), {}, iter(argv[len(words):])
     for arg in rest:
         if not arg.startswith("-"):
             if not positionals:
@@ -891,23 +868,29 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
             if choices is not None and arg not in choices:
                 return None
             args[dest] = arg
-        elif arg in options and arg not in given:
-            given.add(arg)
-            dest, _, convert = options[arg]
-            if convert is None:
-                args[dest] = True
+        elif arg in options and arg not in values:
+            kind = options[arg][1]
+            if kind is None:
+                values[arg] = True
                 continue
             value = next(rest, "-")
             if value.startswith("-"):
                 return None
+            if isinstance(kind, tuple):
+                if value not in kind:
+                    return None
+                values[arg] = value
+                continue
             try:
-                args[dest] = convert(value)
+                values[arg] = kind(value)
             except ValueError:
                 return None
         else:
             return None
-    if positionals or (one_of and len(given.intersection(one_of)) != 1):
+    if positionals or (one_of and len(values.keys() & set(one_of)) != 1):
         return None
+    args.update((spelling[2:].replace("-", "_"), values.get(spelling, default))
+                for spelling, (default, _, _) in options.items())
     return SimpleNamespace(**args)
 
 

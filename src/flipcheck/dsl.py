@@ -26,8 +26,6 @@ scripts).  Canonical printing sorts everything, so printing is independent
 of construction history and ``parse(print(v))`` returns an equal value.
 """
 
-from __future__ import annotations
-
 import re
 from collections import namedtuple
 from itertools import accumulate, compress, islice

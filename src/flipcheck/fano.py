@@ -24,8 +24,6 @@ module computes is integer arithmetic about that picture:
   P^2 via Kunneth cohomology on P^1 x P^1.
 """
 
-from __future__ import annotations
-
 import enum
 from collections import namedtuple
 from collections.abc import Sequence

@@ -29,8 +29,6 @@ the whole Kunneth product.  ``Sym^2`` follows Macdonald's
 ``(a^2 + psi^2 a) / 2``.
 """
 
-from __future__ import annotations
-
 import operator
 from collections.abc import Mapping
 

@@ -22,8 +22,6 @@ The Hilbert-square class is then
 ``[X^[2]] = Sym^2 [X] + ([P^{n-1}] - 1) [X]``.
 """
 
-from __future__ import annotations
-
 from collections.abc import Mapping
 
 from . import _packed

@@ -29,8 +29,6 @@ copies of each component (the projective-bundle part of the exceptional
 divisor).
 """
 
-from __future__ import annotations
-
 import enum
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence

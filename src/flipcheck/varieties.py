@@ -5,8 +5,6 @@ each with a comment saying where the numbers come from.  Everything else
 (projective spaces, curves, products) is generated.
 """
 
-from __future__ import annotations
-
 from .hodge import MAX_DIM, HodgeDiamond
 
 # One table per variety whose Hodge numbers are taken from the literature

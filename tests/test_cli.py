@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flipcheck import cli, dsl, sod, varieties
+from flipcheck import cli, dsl, fano, sod, varieties
 from flipcheck.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -611,6 +611,7 @@ _PROCESS_ERRORS = {
     "parse-error": (("motive", "eval", "{file}"), "1 + * L\n"),
     "bad-diamond-json": (("hodge", "hh0", "--diamond", "{file}"), "{not json"),
     "unknown-builtin": (("hodge", "sym2", "--builtin", "nope"), None),
+    "empty-builtin": (("hodge", "hh0", "--builtin", ""), None),
     "rewrite-loop": (("sod", "check", "{file}"),
                      "A => {B:1}\nB => {A:1}\n{A:1}\n{Dpt:1}\n"),
     "oversized-n": (("fano", "splittings", "--n", "1000000000"), None),
@@ -699,10 +700,11 @@ _SCRIPT_COMMANDS = {("motive", "check"), ("motive", "eval"), ("sod", "check")}
 
 def test_import_leaves_out_typing_and_random():
     """Importing the CLI loads none of ``typing``, ``random``,
-    ``dataclasses`` and ``inspect``: the annotations are strings, only the
-    round-trip check draws random values, and the AST nodes are plain
-    slotted classes, so a process pays for none of them at start-up.  Nor
-    does it load ``argparse`` or any other flipcheck module.
+    ``dataclasses`` and ``inspect``: annotations name only builtins and
+    ``collections.abc``, only the round-trip check draws random values,
+    and the AST nodes are plain slotted classes, so a process pays for none
+    of them at start-up.  Nor does it load ``argparse`` or any other
+    flipcheck module.
 
     Run as ``python -S -m flipcheck``, as the benchmark runs them, the
     command lines above load no ``argparse``, ``gettext`` or ``locale``,
@@ -755,10 +757,11 @@ def test_commands_load_json_and_shutil_only_when_they_need_them():
 
 @pytest.mark.parametrize("snapshot, argv", [
     ("help.txt", ("--help",)),
+    ("sod-check-help.txt", ("sod", "check", "--help")),
+    ("fano-codim-usage-error.txt", ("fano", "codim", "--n", "x")),
     ("hodge-help.txt", ("hodge", "-h")),
     ("fano-help.txt", ("fano", "-h")),
     ("sod-help.txt", ("sod", "-h")),
-    ("sod-check-help.txt", ("sod", "check", "--help")),
     ("sod-conjecture-consistency-help.txt",
      ("sod", "conjecture-consistency", "-h")),
     ("sod-obstruction-help.txt", ("sod", "obstruction", "-h")),
@@ -767,7 +770,6 @@ def test_commands_load_json_and_shutil_only_when_they_need_them():
     ("hodge-usage-error.txt", ("hodge", "hh0")),
     ("hodge-two-sources-usage-error.txt",
      ("hodge", "hh0", "--builtin", "x", "--diamond", "y")),
-    ("fano-codim-usage-error.txt", ("fano", "codim", "--n", "x")),
     ("fano-dims-usage-error.txt", ("fano", "dims", "--family")),
     ("sod-usage-error.txt", ("sod",)),
     ("sod-obstruction-usage-error.txt", ("sod", "obstruction")),
@@ -858,6 +860,51 @@ def test_argv_reader_agrees_with_argparse(argv):
     read = cli._read_argv(argv)
     if read is not None:
         assert vars(read) == _argparse_vars(argv)
+
+
+# the namespace each command's shortest exactly valid form gives, stated
+# here apart from cli._FORMS, so that a wrong default, dest or handler in
+# that table fails here even though both readers read it
+_MINIMAL_FORMS = [
+    (("hodge", "hh0", "--builtin", "p1"),
+     {"command": "hodge", "func": cli.cmd_hodge, "hodge_op": "hh0",
+      "builtin": "p1", "diamond": None, "column": False, "json": False}),
+    (("hodge", "sym2", "--diamond", "d.json"),
+     {"command": "hodge", "func": cli.cmd_hodge, "hodge_op": "sym2",
+      "builtin": None, "diamond": "d.json", "column": False, "json": False}),
+    (("fano", "dims"),
+     {"command": "fano", "func": cli.cmd_fano, "fano_op": "dims",
+      "family": None, "n": 3, "k": None, "grid": False, "json": False}),
+    (("sod", "check", "f.sod"),
+     {"command": "sod", "sod_op": "check", "func": cli._sod_check,
+      "file": "f.sod", "json": False}),
+    (("sod", "conjecture-consistency"),
+     {"command": "sod", "sod_op": "conjecture-consistency",
+      "func": cli._sod_consistency, "n_odd_max": 15, "json": False}),
+    (("sod", "obstruction", "--builtin", "x"),
+     {"command": "sod", "sod_op": "obstruction", "func": cli._sod_obstruction,
+      "builtin": "x", "json": False}),
+    (("motive", "eval", "f.mot"),
+     {"command": "motive", "func": cli.cmd_motive, "motive_op": "eval",
+      "file": "f.mot"}),
+    (("verify-all",),
+     {"command": "verify-all", "func": cli.cmd_verify_all, "json": False}),
+]
+
+
+@pytest.mark.parametrize("argv, namespace", _MINIMAL_FORMS,
+                         ids=[" ".join(argv[:2]) for argv, _ in _MINIMAL_FORMS])
+def test_minimal_forms_give_the_stated_namespace(argv, namespace):
+    """Both readers give each shortest form exactly the namespace stated
+    above: every default, and no attribute more or less."""
+    assert vars(cli._read_argv(list(argv))) == namespace
+    assert _argparse_vars(list(argv)) == namespace
+
+
+def test_family_choices_are_the_fano_families():
+    """``--family`` takes fano's family names, in fano's order; the CLI
+    states them apart so that reading argv never imports fano."""
+    assert cli._FAMILIES == tuple(family.value for family in fano.Family)
 
 
 def test_argv_reader_reads_the_exact_forms():
