@@ -736,6 +736,74 @@ def test_import_leaves_out_typing_and_random():
         assert "flipcheck.cli" in loaded and loaded & banned == set(), argv
 
 
+# the flipcheck modules each command line loads, as ``python -S`` runs it:
+# README's "Start-up" table, each fano op, JSON output and two usage errors
+_MODULE_SETS = {
+    "hodge hh0": (("hodge", "hh0", "--builtin", "f1-quartic-double-solid"),
+                  "_packed cli hodge varieties"),
+    "hodge hilb2 --column": (
+        ("hodge", "hilb2", "--builtin", "quartic-double-solid", "--column"),
+        "_packed cli hodge varieties"),
+    "hodge hh0 --diamond": (("hodge", "hh0", "--diamond", "{diamond}"),
+                            "_packed cli hodge varieties"),
+    "sod obstruction": (("sod", "obstruction", "--builtin",
+                         "quartic-double-solid"),
+                        "_packed cli hodge motive sod varieties"),
+    "fano codim --grid": (("fano", "codim", "--grid"),
+                          "_packed cli fano hodge motive sod"),
+    "fano dims": (("fano", "dims", "--family", "cubic", "--n", "3", "--k", "1"),
+                  "_packed cli fano hodge motive sod"),
+    "fano dims no family": (("fano", "dims"),
+                            "_packed cli fano hodge motive sod"),
+    "fano splittings": (("fano", "splittings", "--n", "5"),
+                        "_packed cli fano hodge motive sod"),
+    "fano sodcounts": (("fano", "sodcounts", "--family", "cubic", "--n", "3",
+                        "--k", "1"),
+                       "_packed cli dsl fano hodge motive sod"),
+    "fano sodcounts --json": (("fano", "sodcounts", "--family", "cubic",
+                               "--n", "3", "--k", "1", "--json"),
+                              "_packed cli dsl fano hodge motive sod"),
+    "fano sodcounts no k": (("fano", "sodcounts", "--family", "gr25"),
+                            "_packed cli dsl fano hodge motive sod"),
+    "motive check": (("motive", "check", str(CHECKS / "flip-derivation.mot")),
+                     "_packed cli dsl motive sod"),
+    "motive eval": (("motive", "eval",
+                     str(CHECKS / "hilbert-square-classes.mot")),
+                    "_packed cli dsl motive sod"),
+    "sod check": (("sod", "check", str(CHECKS / "degree2-surface.sod")),
+                  "_packed cli dsl motive sod"),
+    "sod conjecture-consistency": (
+        ("sod", "conjecture-consistency", "--n-odd-max", "15"),
+        "_packed cli dsl motive sod"),
+    "sod conjecture-consistency --json": (
+        ("sod", "conjecture-consistency", "--n-odd-max", "15", "--json"),
+        "_packed cli dsl motive sod"),
+    "verify-all": (("verify-all",),
+                   "_packed cli dsl fano hodge motive sod varieties"),
+    "verify-all --json": (("verify-all", "--json"),
+                          "_packed cli dsl fano hodge motive sod varieties"),
+}
+
+
+@pytest.mark.parametrize("argv, modules", _MODULE_SETS.values(),
+                         ids=_MODULE_SETS.keys())
+def test_each_command_loads_exactly_its_modules(tmp_path, argv, modules):
+    """A command line loads exactly the flipcheck modules stated above, no
+    more, so that a module a command does not run costs it nothing, and no
+    fewer, so that a change in what it loads shows here first."""
+    diamond = tmp_path / "d.json"
+    diamond.write_text('{"dim": 1, "entries": [[0, 0, 1], [1, 1, 1]]}')
+    argv = [arg.replace("{diamond}", str(diamond)) for arg in argv]
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    err = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "flipcheck", *argv],
+        env=env, capture_output=True, text=True, timeout=60).stderr
+    loaded = {line.rsplit("|", 1)[1].strip() for line in err.splitlines()
+              if line.startswith("import time:")}
+    assert {name for name in loaded if name.startswith("flipcheck.")} == {
+        f"flipcheck.{name}" for name in modules.split()}
+
+
 def test_commands_load_json_and_shutil_only_when_they_need_them():
     """A command without ``--json`` loads neither ``json`` nor ``shutil``
     (nor the compression modules ``shutil`` brings): help is laid out at a
