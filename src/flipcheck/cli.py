@@ -6,14 +6,17 @@ suite.  Exit codes: 0 all checks pass, 1 a check failed, 2 usage, parse or
 validation error.  Output is deterministic (sorted keys, no timestamps, no
 color), so identical invocations produce byte-identical output.
 
-A process loads only what its command runs: each command and each golden
-check imports its modules at its top, and ``argparse`` is imported only
-for help and usage errors, which ``_read_argv`` leaves to it.
+A process loads only what its command runs: commands and golden checks
+reach each submodule as ``fc.<module>``, which the package imports on
+first access, and ``argparse`` is imported only for help and usage
+errors, which ``_read_argv`` leaves to it.
 """
 
 import sys
 from collections import namedtuple
 from types import SimpleNamespace
+
+import flipcheck as fc
 
 
 # provenance is "paper", "derived" or "trivial"
@@ -30,16 +33,14 @@ def make_report(name: str, inputs: dict, expected, computed,
 # -- diamond loading ----------------------------------------------------------
 
 
-def _load_diamond(args) -> "hodge.HodgeDiamond":
-    from . import hodge, varieties
-
+def _load_diamond(args) -> "fc.hodge.HodgeDiamond":
     if args.builtin is not None:
         try:
-            return varieties.builtin(args.builtin)
+            return fc.varieties.builtin(args.builtin)
         except KeyError:
             raise ValueError(
                 f"unknown builtin {args.builtin!r}; known: "
-                + ", ".join(varieties.builtin_names())
+                + ", ".join(fc.varieties.builtin_names())
             )
     import json  # only --diamond input needs it; keeps it out of start-up
 
@@ -48,7 +49,7 @@ def _load_diamond(args) -> "hodge.HodgeDiamond":
             data = json.load(fh, parse_int=_json_int)
         except RecursionError:
             raise ValueError("diamond JSON is nested too deeply") from None
-    return hodge.HodgeDiamond.from_json_dict(data).validate()
+    return fc.hodge.HodgeDiamond.from_json_dict(data).validate()
 
 
 def _dumps(value, **options) -> str:
@@ -71,27 +72,26 @@ FULL_VIEW_MAX_DIM = 1000  # of the result; the view is quadratic in it
 
 
 def cmd_hodge(args):
-    from . import hodge, varieties
-
     d = _load_diamond(args)
-    if args.builtin in varieties.DIAGONAL_ONLY and args.hodge_op != "hh0":
+    if args.builtin in fc.varieties.DIAGONAL_ONLY and args.hodge_op != "hh0":
         raise ValueError(f"builtin {args.builtin!r} tabulates only the "
                          f"diagonal h^(p,p), so only hh0 is defined on it")
     if args.hodge_op == "hh0":
-        value = hodge.hh0(d)
+        value = fc.hodge.hh0(d)
         return 0, lambda: [_dumps({"hh0": value}) if args.json
                            else str(value)]
     if not (args.json or args.column) and 2 * d.dim > FULL_VIEW_MAX_DIM:
         raise ValueError(f"the full view of a diamond of dimension "
                          f"{2 * d.dim} exceeds {FULL_VIEW_MAX_DIM}; "
                          f"use --column or --json")
-    d = hodge.hilbert_square(d) if args.hodge_op == "hilb2" else hodge.sym2(d)
+    d = (fc.hodge.hilbert_square(d) if args.hodge_op == "hilb2"
+         else fc.hodge.sym2(d))
     if args.json:
         return 0, lambda: [_dumps(d.to_json_dict(), sort_keys=True,
                                   indent=2)]
     if args.column:
-        return 0, lambda: [" ".join(str(v) for v in hodge.diagonal(d))]
-    return 0, lambda: [hodge.format_diamond(d)]
+        return 0, lambda: [" ".join(str(v) for v in fc.hodge.diagonal(d))]
+    return 0, lambda: [fc.hodge.format_diamond(d)]
 
 
 # -- fano subcommand -----------------------------------------------------------
@@ -100,52 +100,45 @@ GRID_K_MAX = 6
 GRID_N_MAX = 30
 
 
-def _grid(family: "Family") -> list[tuple[int, int]]:
+def _grid(family: "fc.fano.Family") -> list[tuple[int, int]]:
     """The (n, k) cells of the verification grid, k-major.  The two
     hypersurface families start at (0, 0), a cell only the codimension
     identities evaluate."""
-    from .fano import Family
-
-    if family is Family.GR25_SECTION:
+    if family is fc.fano.Family.GR25_SECTION:
         return [(n, 0) for n in range(2, 7)] + [(n, 1) for n in (4, 5, 6)]
     return [(n, k) for k in range(GRID_K_MAX + 1)
             for n in range(k, GRID_N_MAX + 1)]
 
 
-def _codim_grid(family: "Family") -> dict:
+def _codim_grid(family: "fc.fano.Family") -> dict:
     """The verification grid's passed and total cells, its failed cells,
     and the k whose identity in n fails (none for the table-driven gr25)."""
-    from . import fano
-
     domain = _grid(family)
     failures = [[family.value, n, k] for n, k in domain
-                if not fano.verify_codim_identity(family, n, k).passed]
+                if not fc.fano.verify_codim_identity(family, n, k).passed]
     symbolic = [k for k in range(GRID_K_MAX + 1)
-                if family is not fano.Family.GR25_SECTION
-                and not fano.verify_codim_identity_symbolic(family, k)]
+                if family is not fc.fano.Family.GR25_SECTION
+                and not fc.fano.verify_codim_identity_symbolic(family, k)]
     return {"family": family.value, "passed": len(domain) - len(failures),
             "total": len(domain), "failures": failures,
             "symbolic_failures": symbolic}
 
 
 def cmd_fano(args):
-    from . import fano
-
     if args.fano_op == "dims":
         return _fano_dims(args)
     if args.fano_op == "codim":
         return _fano_codim(args)
     if args.fano_op == "splittings":
-        types = fano.enumerate_line_splittings(args.n)
+        types = fc.fano.enumerate_line_splittings(args.n)
         if args.json:
             return 0, lambda: [_dumps({"n": args.n,
                                        "types": [list(t) for t in types]})]
         plural = "s" if len(types) != 1 else ""
         return 0, lambda: ([f"n={args.n}: {len(types)} splitting type{plural}"]
-                           + [f"  {fano.format_splitting(t)}" for t in types])
-    from . import dsl  # sodcounts alone prints a ledger
-
-    counts = fano.sod_counts(_family(args), args.n, _plane_dim(args))
+                           + [f"  {fc.fano.format_splitting(t)}"
+                              for t in types])
+    counts = fc.fano.sod_counts(_family(args), args.n, _plane_dim(args))
     forms = {"flip_form": counts.flip_form,
              "expanded_form": counts.expanded_form}
     forms = {name: form for name, form in forms.items() if form is not None}
@@ -154,16 +147,14 @@ def cmd_fano(args):
             {name: form.to_json_dict() for name, form in forms.items()},
             sort_keys=True, indent=2)]
     return 0, lambda: [f"{name.replace('_', ' ') + ':':<15}"
-                       f"{dsl.print_canonical(form)}"
+                       f"{fc.dsl.print_canonical(form)}"
                        for name, form in forms.items()]
 
 
-def _family(args) -> "Family":
-    from . import fano
-
+def _family(args) -> "fc.fano.Family":
     if not args.family:
         raise ValueError("--family is required here")
-    return fano.parse_family(args.family)
+    return fc.fano.parse_family(args.family)
 
 
 def _plane_dim(args) -> int:
@@ -173,19 +164,17 @@ def _plane_dim(args) -> int:
 
 
 def _fano_dims(args):
-    from . import fano
-
     family = _family(args)
-    if family is fano.Family.GR25_SECTION:
-        row = fano.gr25_dim_row(args.n)
+    if family is fc.fano.Family.GR25_SECTION:
+        row = fc.fano.gr25_dim_row(args.n)
         if args.json:
             return 0, lambda: [_dumps(row._asdict(), sort_keys=True)]
         cells = [("dim F_1(X)", row.f1), ("dim F_2^sigma(X)", row.f2_sigma),
                  ("dim F_2^tau(X)", row.f2_tau), ("dim F_3(X)", row.f3)]
         return 0, lambda: [f"{label:<17}= {'empty' if value is None else value}"
                            for label, value in cells]
-    fano.check_cell(family, args.n, _plane_dim(args))
-    dim = fano.expected_dim_fano(family, args.n, args.k)
+    fc.fano.check_cell(family, args.n, _plane_dim(args))
+    dim = fc.fano.expected_dim_fano(family, args.n, args.k)
     if args.json:
         return 0, lambda: [_dumps(
             {"family": family.value, "n": args.n, "k_planes": args.k,
@@ -195,12 +184,9 @@ def _fano_dims(args):
 
 
 def _fano_codim(args):
-    from . import fano
-    from .fano import Family
-
     if args.grid:
-        families = ([fano.parse_family(args.family)] if args.family
-                    else list(Family))
+        families = ([fc.fano.parse_family(args.family)] if args.family
+                    else list(fc.fano.Family))
         payload = [_codim_grid(family) for family in families]
         code = 1 if any(row["failures"] or row["symbolic_failures"]
                         for row in payload) else 0
@@ -213,7 +199,7 @@ def _fano_codim(args):
                 name, symbolic = row["family"], row["symbolic_failures"]
                 lines.append(f"{name}: {row['passed']}/{row['total']} "
                              f"identity cells pass")
-                if name != Family.GR25_SECTION.value:
+                if name != fc.fano.Family.GR25_SECTION.value:
                     word = "pass" if not symbolic else f"FAIL at k={symbolic}"
                     lines.append(f"{name}: symbolic identity in n: {word}")
             return lines
@@ -221,9 +207,9 @@ def _fano_codim(args):
     family = _family(args)
     if args.k is None:
         raise ValueError("--k is required without --grid")
-    if family is not Family.GR25_SECTION:  # the gr25 table checks its cells
-        fano.check_cell(family, args.n, args.k)
-    report = fano.verify_codim_identity(family, args.n, args.k)
+    if family is not fc.fano.Family.GR25_SECTION:  # gr25 checks its own cells
+        fc.fano.check_cell(family, args.n, args.k)
+    report = fc.fano.verify_codim_identity(family, args.n, args.k)
     code = 0 if report.passed else 1
     if args.json:
         return code, lambda: [_dumps(report.to_json_dict(),
@@ -239,31 +225,26 @@ def _fano_codim(args):
 def _read_script(path: str) -> list:
     """The statements of the script at ``path``; a decoding or parse error
     names the file."""
-    from . import dsl
-
     try:
         # newline="": offsets index the file as written, as dsl counts lines
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            return dsl.parse_script(fh.read())
+            return fc.dsl.parse_script(fh.read())
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 at byte {exc.start}: "
                          f"{exc.reason}") from None
-    except dsl.ParseError as exc:
+    except fc.dsl.ParseError as exc:
         raise ValueError(f"{path}:{exc.line}:{exc.column}: "
                          f"{exc.message}") from None
 
 
 def _sod_check(args):
-    from . import dsl, sod
-    from .sod import RewriteRule, SodLedger
-
-    table = sod.default_rules()
-    ledgers: list[SodLedger] = []
+    table = fc.sod.default_rules()
+    ledgers: list[fc.sod.SodLedger] = []
     for node in _read_script(args.file):
-        value = dsl.evaluate(node)
-        if isinstance(value, RewriteRule):
+        value = fc.dsl.evaluate(node)
+        if isinstance(value, fc.sod.RewriteRule):
             table.add(value)
-        elif isinstance(value, SodLedger):
+        elif isinstance(value, fc.sod.SodLedger):
             ledgers.append(value)
         else:
             raise ValueError("sod scripts may only contain rules and ledgers")
@@ -274,9 +255,9 @@ def _sod_check(args):
         )
     ambient = table.normalize(ledgers[0])
     candidate = table.normalize(ledgers[1])
-    ambient_hh0 = sod.additive_invariant(ambient, {"Dpt": 1})
-    candidate_hh0 = sod.additive_invariant(candidate, {"Dpt": 1})
-    verdict = sod.embedding_obstruction(candidate_hh0, ambient_hh0)
+    ambient_hh0 = fc.sod.additive_invariant(ambient, {"Dpt": 1})
+    candidate_hh0 = fc.sod.additive_invariant(candidate, {"Dpt": 1})
+    verdict = fc.sod.embedding_obstruction(candidate_hh0, ambient_hh0)
     return 0, lambda: [
         _dumps({"ambient_hh0": ambient_hh0, "candidate_hh0": candidate_hh0,
                 "verdict": str(verdict)}, sort_keys=True)
@@ -289,15 +270,14 @@ CONSISTENCY_N_MAX = 1001  # each odd n walks a ledger of about n components
 
 
 def _sod_consistency(args):
-    from . import dsl, sod
-
     n_max = args.n_odd_max
     if n_max < 3:
         raise ValueError(f"--n-odd-max must be at least 3, got {n_max}")
     if n_max > CONSISTENCY_N_MAX:
         raise ValueError(f"--n-odd-max must be at most {CONSISTENCY_N_MAX}, "
                          f"got {n_max}")
-    results = [sod.conjecture_consistency(n) for n in range(3, n_max + 1, 2)]
+    results = [fc.sod.conjecture_consistency(n)
+               for n in range(3, n_max + 1, 2)]
     code = 1 if any(r.in_stated_range and not r.holds for r in results) else 0
     if args.json:
         return code, lambda: [_dumps(
@@ -305,7 +285,7 @@ def _sod_consistency(args):
              for r in results], sort_keys=True)]
     return code, lambda: [
         f"{'PASS' if r.holds else 'FAIL'} n={r.n}: "
-        f"{dsl.print_canonical(r.hilb2)}" if r.in_stated_range else
+        f"{fc.dsl.print_canonical(r.hilb2)}" if r.in_stated_range else
         f"SKIP n={r.n} (outside stated range; counts clamped)"
         for r in results]
 
@@ -325,13 +305,12 @@ _OBSTRUCTION_SCENARIOS = {
 
 
 def _check_obstruction(ambient_name: str) -> CheckReport:
-    from . import hodge, sod, varieties
-
     name, candidate, expected = _OBSTRUCTION_SCENARIOS[ambient_name]
     if isinstance(candidate, str):
-        candidate = hodge.hh0(varieties.builtin(candidate))
-    ambient = hodge.hh0(hodge.hilbert_square(varieties.builtin(ambient_name)))
-    verdict = sod.embedding_obstruction(candidate, ambient)
+        candidate = fc.hodge.hh0(fc.varieties.builtin(candidate))
+    ambient = fc.hodge.hh0(fc.hodge.hilbert_square(
+        fc.varieties.builtin(ambient_name)))
+    verdict = fc.sod.embedding_obstruction(candidate, ambient)
     return make_report(name, {"candidate_hh0": candidate,
                               "ambient_hh0": ambient},
                        expected, str(verdict), "paper")
@@ -356,18 +335,16 @@ def _sod_obstruction(args):
 
 
 def cmd_motive(args):
-    from . import dsl
-    from .motive import MotiveExpr
-
-    values = [dsl.evaluate(node) for node in _read_script(args.file)]
-    if not all(isinstance(v, MotiveExpr) for v in values):
+    values = [fc.dsl.evaluate(node) for node in _read_script(args.file)]
+    if not all(isinstance(v, fc.motive.MotiveExpr) for v in values):
         raise ValueError("motive scripts may only contain expressions")
     if args.motive_op == "eval":
-        return 0, lambda: [dsl.print_canonical(value) for value in values]
+        return 0, lambda: [fc.dsl.print_canonical(value) for value in values]
     # check: every statement must vanish
     code = 0 if all(value.is_zero() for value in values) else 1
     return code, lambda: [f"PASS statement {i}: 0" if value.is_zero() else
-                          f"FAIL statement {i}: {dsl.print_canonical(value)}"
+                          f"FAIL statement {i}: "
+                          f"{fc.dsl.print_canonical(value)}"
                           for i, value in enumerate(values, start=1)]
 
 
@@ -375,79 +352,64 @@ def cmd_motive(args):
 
 
 def _check_qds_column() -> CheckReport:
-    from . import hodge, varieties
-
-    d = hodge.hilbert_square(varieties.builtin("quartic-double-solid"))
+    d = fc.hodge.hilbert_square(fc.varieties.builtin("quartic-double-solid"))
     return make_report(
         "hodge/hilb2-quartic-double-solid-column",
         {"builtin": "quartic-double-solid"},
-        [1, 2, 4, 104, 4, 2, 1], hodge.diagonal(d), "paper")
+        [1, 2, 4, 104, 4, 2, 1], fc.hodge.diagonal(d), "paper")
 
 
 def _check_qds_hh0() -> CheckReport:
-    from . import hodge, varieties
-
-    d = hodge.hilbert_square(varieties.builtin("quartic-double-solid"))
+    d = fc.hodge.hilbert_square(fc.varieties.builtin("quartic-double-solid"))
     return make_report("hodge/hilb2-quartic-double-solid-hh0",
                        {"builtin": "quartic-double-solid"},
-                       118, hodge.hh0(d), "paper")
+                       118, fc.hodge.hh0(d), "paper")
 
 
 def _check_f1_hh0() -> CheckReport:
-    from . import hodge, varieties
-
-    d = varieties.builtin("f1-quartic-double-solid")
+    d = fc.varieties.builtin("f1-quartic-double-solid")
     return make_report("hodge/f1-surface-hh0",
                        {"builtin": "f1-quartic-double-solid"},
-                       222, hodge.hh0(d), "paper")
+                       222, fc.hodge.hh0(d), "paper")
 
 
 def _check_degree2_hilb2_hh0() -> CheckReport:
-    from . import hodge, varieties
-
-    d = hodge.hilbert_square(varieties.builtin("degree2-del-pezzo-surface"))
+    d = fc.hodge.hilbert_square(
+        fc.varieties.builtin("degree2-del-pezzo-surface"))
     return make_report("hodge/degree2-surface-hilb2-hh0",
                        {"builtin": "degree2-del-pezzo-surface"},
-                       65, hodge.hh0(d), "paper")
+                       65, fc.hodge.hh0(d), "paper")
 
 
 def _check_euler_identity() -> CheckReport:
-    from . import hodge, varieties
-
     lhs, rhs = [], []
     names = ["quartic-double-solid", "degree2-del-pezzo-surface",
              "curve-g0", "curve-g2", "p3"]
     for name in names:
-        d = varieties.builtin(name)
-        e = hodge.euler(d)
-        lhs.append(hodge.euler(hodge.hilbert_square(d)))
+        d = fc.varieties.builtin(name)
+        e = fc.hodge.euler(d)
+        lhs.append(fc.hodge.euler(fc.hodge.hilbert_square(d)))
         rhs.append(e * (e + 1) // 2 + (d.dim - 1) * e)
     return make_report("hodge/euler-identity-hilbert-square",
                        {"builtins": names}, lhs, rhs, "derived")
 
 
 def _check_degree2_count() -> CheckReport:
-    from . import sod
-
-    total = sod.sym2_ledger(["Dpt"] * 10).total()
+    total = fc.sod.sym2_ledger(["Dpt"] * 10).total()
     return make_report("sod/degree2-surface-sym2-count",
                        {"components": "10 exceptional objects"},
                        65, total, "paper")
 
 
 def _check_hilb2_ledger_n5() -> CheckReport:
-    from . import sod
-
-    led = sod.hilb2_two_quadrics_ledger(5)
+    led = fc.sod.hilb2_two_quadrics_ledger(5)
     return make_report("sod/hilb2-ledger-n5", {"n": 5},
                        {"DC": 8, "DSym2C": 1, "Dpt": 26},
                        dict(sorted(led.multiplicities.items())), "paper")
 
 
 def _check_consistency() -> CheckReport:
-    from . import sod
-
-    computed = [[n, sod.conjecture_consistency(n).holds]
+    computed = [[n, fc.sod.conjecture_consistency(n).holds]
                 for n in range(5, 16, 2)]
     expected = [[n, True] for n in range(5, 16, 2)]
     return make_report("sod/conjecture-consistency-odd-5-15",
@@ -455,43 +417,38 @@ def _check_consistency() -> CheckReport:
 
 
 def _check_clifford_reduction() -> CheckReport:
-    from . import sod
-
     failures = []
     for n in range(5, 16, 2):
-        led = sod.clifford_conjecture_ledger(n)
-        led = sod.substitute(led, "DCl0", sod.SodLedger({"DC": 1}))
-        led = sod.substitute(led, "DS", sod.SodLedger({"Dpt": 2}))
-        if led != sod.ogr_pencil_conjecture_ledger(n):
+        led = fc.sod.clifford_conjecture_ledger(n)
+        led = fc.sod.substitute(led, "DCl0", fc.sod.SodLedger({"DC": 1}))
+        led = fc.sod.substitute(led, "DS", fc.sod.SodLedger({"Dpt": 2}))
+        if led != fc.sod.ogr_pencil_conjecture_ledger(n):
             failures.append(n)
     return make_report("sod/clifford-reduces-to-pencil",
                        {"n": "odd in [5, 15]"}, [], failures, "derived")
 
 
 def _check_cross_module_hh0() -> CheckReport:
-    from . import hodge, sod, varieties
-
     n = 5
     g = (n + 1) // 2
     assignment = {
         "Dpt": 1,
-        "DC": hodge.hh0(varieties.curve(g)),
-        "DSym2C": hodge.hh0(hodge.sym2(varieties.curve(g))),
+        "DC": fc.hodge.hh0(fc.varieties.curve(g)),
+        "DSym2C": fc.hodge.hh0(fc.hodge.sym2(fc.varieties.curve(g))),
     }
-    via_ledger = sod.additive_invariant(sod.hilb2_two_quadrics_ledger(n),
-                                        assignment)
-    via_hodge = hodge.hh0(hodge.hilbert_square(
-        varieties.intersection_of_two_quadrics(n)))
+    via_ledger = fc.sod.additive_invariant(
+        fc.sod.hilb2_two_quadrics_ledger(n), assignment)
+    via_hodge = fc.hodge.hh0(fc.hodge.hilbert_square(
+        fc.varieties.intersection_of_two_quadrics(n)))
     return make_report("sod/hh0-cross-module-n5", {"n": n, "genus": g},
                        [54, 54], [via_ledger, via_hodge], "derived")
 
 
 def _check_codim_grid(family_name: str) -> CheckReport:
-    from .fano import Family
-
-    family = Family(family_name)
+    family = fc.fano.Family(family_name)
     grid = _codim_grid(family)
-    provenance = "paper" if family is Family.GR25_SECTION else "derived"
+    provenance = ("paper" if family is fc.fano.Family.GR25_SECTION
+                  else "derived")
     return make_report(f"fano/codim-grid-{family.value}",
                        {"cells": grid["total"]}, [[], []],
                        [grid["failures"], grid["symbolic_failures"]],
@@ -499,24 +456,20 @@ def _check_codim_grid(family_name: str) -> CheckReport:
 
 
 def _check_gr25_table() -> CheckReport:
-    from . import fano
-
     expected = [[2, 0, None, None, None], [3, 2, None, None, None],
                 [4, 4, 1, 0, None], [5, 6, 4, 3, 0], [6, 8, 7, 6, 4]]
     computed = []
     for n in range(2, 7):
-        row = fano.gr25_dim_row(n)
+        row = fc.fano.gr25_dim_row(n)
         computed.append([row.n, row.f1, row.f2_sigma, row.f2_tau, row.f3])
     return make_report("fano/gr25-dimension-table", {"n": "[2, 6]"},
                        expected, computed, "paper")
 
 
 def _check_line_splittings() -> CheckReport:
-    from . import fano
-
     failures = []
     for n in range(2, 31):
-        types = fano.enumerate_line_splittings(n)
+        types = fc.fano.enumerate_line_splittings(n)
         want = ([tuple(sorted((-1,) + (1,) * (n - 2)))] if n == 2 else
                 sorted([tuple(sorted((0, 0) + (1,) * (n - 3))),
                         tuple(sorted((-1,) + (1,) * (n - 2)))]))
@@ -525,7 +478,8 @@ def _check_line_splittings() -> CheckReport:
         if any(len(t) != n - 1 or sum(t) != n - 3 for t in types):
             failures.append(["shape", n])
     for n in range(2, 10):
-        if fano.enumerate_line_splittings(n) != fano.brute_force_line_splittings(n):
+        if (fc.fano.enumerate_line_splittings(n)
+                != fc.fano.brute_force_line_splittings(n)):
             failures.append(["oracle", n])
     return make_report("fano/line-splittings",
                        {"n": "[2, 30]", "oracle_n": "[2, 9]"},
@@ -533,12 +487,10 @@ def _check_line_splittings() -> CheckReport:
 
 
 def _check_hilb2_normal() -> CheckReport:
-    from . import fano
-
     failures = []
     for n in range(2, 31):
         try:
-            fano.hilb2_normal_restriction(n)
+            fc.fano.hilb2_normal_restriction(n)
         except ArithmeticError:
             failures.append(n)
     return make_report("fano/hilb2-normal-restriction", {"n": "[2, 30]"},
@@ -546,11 +498,9 @@ def _check_hilb2_normal() -> CheckReport:
 
 
 def _check_taut_splitting() -> CheckReport:
-    from . import fano
-
     failures = []
     for d in (-1, 0, 1):
-        rows = fano.verify_taut_splitting(d, range(-5, 6))
+        rows = fc.fano.verify_taut_splitting(d, range(-5, 6))
         failures.extend([d, row.twist] for row in rows if not row.passed)
     return make_report("fano/taut-splitting",
                        {"d": [-1, 0, 1], "twists": "[-5, 5]"},
@@ -558,14 +508,13 @@ def _check_taut_splitting() -> CheckReport:
 
 
 def _check_sod_counts_cubic() -> CheckReport:
-    from . import fano, sod
-
     failures = []
     for k in range(0, 4):
         for n in range(k if k > 0 else 1, 11):
-            counts = fano.sod_counts(fano.Family.CUBIC, n, k)
-            traded = sod.substitute(counts.flip_form, "D_PQ",
-                                    sod.SodLedger({f"D_F{k}": n - k + 2}))
+            counts = fc.fano.sod_counts(fc.fano.Family.CUBIC, n, k)
+            traded = fc.sod.substitute(
+                counts.flip_form, "D_PQ",
+                fc.sod.SodLedger({f"D_F{k}": n - k + 2}))
             if traded != counts.expanded_form:
                 failures.append([n, k, "substitution"])
             diff = counts.expanded_form.total() - counts.flip_form.total()
@@ -576,75 +525,65 @@ def _check_sod_counts_cubic() -> CheckReport:
 
 
 def _check_flip_shapes() -> CheckReport:
-    from . import fano
-
     failures = []
-    for family in fano.Family:
+    for family in fc.fano.Family:
         for n, k in _grid(family):
             if n == 0:  # flip shapes need dim X >= 1
                 continue
-            for shape in fano.flip_shapes(family, n, k):
+            for shape in fc.fano.flip_shapes(family, n, k):
                 if not shape.is_degenerate() and shape.r < shape.s:
                     failures.append([family.value, n, k])
     return make_report("fano/flip-shape-r-ge-s", {}, [], failures, "derived")
 
 
 def _check_degree_table() -> CheckReport:
-    from . import fano
-
     expected = ["cubic hypersurface in P^{n+1}",
                 "linear section of Gr(2,5) in P^9 via the Pluecker embedding, "
                 "with 2 <= dim X <= 6",
                 "P^2"]
-    computed = [fano.degree_classification(d) for d in (3, 5, 9)]
+    computed = [fc.fano.degree_classification(d) for d in (3, 5, 9)]
     return make_report("fano/degree-classification", {"d": [3, 5, 9]},
                        expected, computed, "paper")
 
 
 def _check_flip_derivation() -> CheckReport:
-    from . import motive
-
-    X, Xp, F = (motive.MotiveExpr.atom(a) for a in ("X", "Xp", "F"))
+    X, Xp, F = (fc.motive.MotiveExpr.atom(a) for a in ("X", "Xp", "F"))
     failures = []
     for r in range(6):
         for s in range(6):
-            left = motive.blowup_class(X, F * motive.class_of_pn(r), s + 1)
-            right = motive.blowup_class(Xp, F * motive.class_of_pn(s), r + 1)
-            if left - right != (X - Xp) - motive.flip_difference(F, r, s):
+            left = fc.motive.blowup_class(
+                X, F * fc.motive.class_of_pn(r), s + 1)
+            right = fc.motive.blowup_class(
+                Xp, F * fc.motive.class_of_pn(s), r + 1)
+            if left - right != (X - Xp) - fc.motive.flip_difference(F, r, s):
                 failures.append([r, s])
     return make_report("motive/flip-derivation", {"r,s": "[0, 5]^2"},
                        [], failures, "derived")
 
 
 def _check_flop_zero() -> CheckReport:
-    from . import motive
-
-    F = motive.MotiveExpr.atom("F")
-    computed = [motive.flip_difference(F, r, r).is_zero() for r in range(6)]
+    F = fc.motive.MotiveExpr.atom("F")
+    computed = [fc.motive.flip_difference(F, r, r).is_zero() for r in range(6)]
     return make_report("motive/flop-difference-zero", {"r": "[0, 5]"},
                        [True] * 6, computed, "trivial")
 
 
 def _check_hilb2_class() -> CheckReport:
-    from . import motive
-
-    p1 = motive.class_of_pn(1)
-    p2 = motive.class_of_pn(2)
-    got_p1 = motive.hilbert_square_class(p1, 1) == p2
-    coeffs = motive.hilbert_square_class(p2, 2).l_coefficients()
+    p1 = fc.motive.class_of_pn(1)
+    p2 = fc.motive.class_of_pn(2)
+    got_p1 = fc.motive.hilbert_square_class(p1, 1) == p2
+    coeffs = fc.motive.hilbert_square_class(p2, 2).l_coefficients()
     return make_report("motive/hilbert-square-classes",
                        {"inputs": ["[P^1]", "[P^2]"]},
                        [True, [1, 2, 3, 2, 1]], [got_p1, coeffs], "derived")
 
 
 def _check_euler_specialization() -> CheckReport:
-    from . import hodge, motive, varieties
-
-    qds = varieties.builtin("quartic-double-solid")
-    e = hodge.euler(qds)
-    cls = motive.hilbert_square_class(motive.MotiveExpr.atom("X"), 3)
+    qds = fc.varieties.builtin("quartic-double-solid")
+    e = fc.hodge.euler(qds)
+    cls = fc.motive.hilbert_square_class(fc.motive.MotiveExpr.atom("X"), 3)
     via_motive = cls.specialize({"X": e, "Sym2_X": e * (e + 1) // 2})
-    via_hodge = hodge.euler(hodge.hilbert_square(qds))
+    via_hodge = fc.hodge.euler(fc.hodge.hilbert_square(qds))
     return make_report("motive/euler-specialization-quartic-double-solid",
                        {"e(X)": e}, [88, 88], [via_motive, via_hodge],
                        "derived")
@@ -652,15 +591,12 @@ def _check_euler_specialization() -> CheckReport:
 
 def _check_round_trip() -> CheckReport:
     import random  # only this check needs it; keeps it out of start-up
-
-    from . import dsl
-
     rng = random.Random(20240815)
     failures = []
     for i in range(200):
         value = random_value(rng)
-        text = dsl.print_canonical(value)
-        back = dsl.evaluate(dsl.parse(text))
+        text = fc.dsl.print_canonical(value)
+        back = fc.dsl.evaluate(fc.dsl.parse(text))
         if back != value:
             failures.append(i)
     return make_report("dsl/round-trip-sample", {"count": 200},
@@ -721,36 +657,31 @@ _ATOM_POOL = ["C", "F", "X", "Y2", "Sym2_C", "a_1"]
 _LEDGER_POOL = ["DC", "DSym2C", "Dpt", "DCl0", "DS", "D_F1"]
 
 
-def random_motive(rng: "random.Random") -> "MotiveExpr":
-    from .motive import MotiveExpr
-
-    expr = MotiveExpr()
+def random_motive(rng: "random.Random") -> "fc.motive.MotiveExpr":
+    expr = fc.motive.MotiveExpr()
     for _ in range(rng.randint(0, 6)):
         coeff = rng.choice([c for c in range(-9, 10) if c])
         lp = rng.randint(0, 5)
         mono = tuple(rng.choice(_ATOM_POOL)
                      for _ in range(rng.randint(0, 3)))
-        expr = expr + MotiveExpr({(lp, tuple(sorted(mono))): coeff})
+        expr = expr + fc.motive.MotiveExpr(
+            {(lp, tuple(sorted(mono))): coeff})
     return expr
 
 
-def random_ledger(rng: "random.Random") -> "SodLedger":
-    from .sod import SodLedger
-
+def random_ledger(rng: "random.Random") -> "fc.sod.SodLedger":
     names = rng.sample(_LEDGER_POOL, rng.randint(0, len(_LEDGER_POOL)))
-    return SodLedger({name: rng.randint(1, 99) for name in names})
+    return fc.sod.SodLedger({name: rng.randint(1, 99) for name in names})
 
 
-def random_rule(rng: "random.Random") -> "RewriteRule":
-    from .sod import RewriteRule
-
+def random_rule(rng: "random.Random") -> "fc.sod.RewriteRule":
     kind = rng.choice(["atom", "sym2", "tensor"])
     if kind == "tensor":
         args = (rng.choice(_LEDGER_POOL), rng.choice(_LEDGER_POOL))
     else:
         args = (rng.choice(_LEDGER_POOL),)
     rhs = random_ledger(rng)
-    return RewriteRule(kind, args, rhs)
+    return fc.sod.RewriteRule(kind, args, rhs)
 
 
 def random_value(rng: "random.Random"):

@@ -27,7 +27,6 @@ of construction history and ``parse(print(v))`` returns an equal value.
 """
 
 import re
-from collections import namedtuple
 from itertools import accumulate, compress, islice
 from operator import itemgetter
 
@@ -153,12 +152,9 @@ _FIRST_KIND = {"#": "COMMENT",
                                "abcdefghijklmnopqrstuvwxyz", "IDENT")}
 
 
-Token = namedtuple("Token", "kind text start end")
-
-
 class Tokens:
     """The tokens of a text as four parallel lists, the last entry of each
-    the EOF token.  Indexing or iterating yields ``Token`` records."""
+    the EOF token."""
 
     __slots__ = ("kinds", "texts", "starts", "ends")
 
@@ -168,12 +164,6 @@ class Tokens:
 
     def __len__(self) -> int:
         return len(self.kinds)
-
-    def __getitem__(self, i: int) -> Token:
-        return Token(self.kinds[i], self.texts[i], self.starts[i], self.ends[i])
-
-    def __iter__(self):
-        return map(Token, self.kinds, self.texts, self.starts, self.ends)
 
 
 def tokenize(text: str) -> Tokens:
@@ -185,6 +175,7 @@ def tokenize(text: str) -> Tokens:
     texts = parts[1::2]
     starts = offsets[0:-1:2]
     ends = offsets[1::2]
+    del parts, offsets  # only the columns are returned: free the rest now
     kinds = list(map(_KIND.get, texts,
                      map(_FIRST_KIND.get, map(itemgetter(0), texts))))
     if "#" in text:

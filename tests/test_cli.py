@@ -655,22 +655,36 @@ def test_error_exits_2_with_one_line_as_a_process(tmp_path, case):
 GOLDEN = REPO / "tests" / "golden"
 
 
-@pytest.mark.parametrize("snapshot, argv", [
-    ("verify-all.txt", ("verify-all",)),
-    ("verify-all.json", ("verify-all", "--json")),
-    ("motive-check-flip-derivation.txt",
+# (snapshot, number, argv): a case is named by its snapshot and the number
+# it was first collected under, fixed in its row, so that a case put in
+# anywhere renames no other
+_OUTPUT_SNAPSHOTS = [
+    ("verify-all.txt", 0, ("verify-all",)),
+    ("verify-all.json", 1, ("verify-all", "--json")),
+    ("motive-check-flip-derivation.txt", 2,
      ("motive", "check", str(CHECKS / "flip-derivation.mot"))),
-    ("motive-check-hilbert-square-classes.txt",
+    ("motive-check-hilbert-square-classes.txt", 3,
      ("motive", "check", str(CHECKS / "hilbert-square-classes.mot"))),
-    ("sod-check-degree2-surface.txt",
+    ("sod-check-degree2-surface.txt", 4,
      ("sod", "check", str(CHECKS / "degree2-surface.sod"))),
-    ("fano-dims-gr25-n5.json",
+    ("fano-dims-gr25-n5.json", 5,
      ("fano", "dims", "--family", "gr25", "--n", "5", "--json")),
-    ("fano-codim-cubic-n3-k0.json",
+    ("fano-codim-cubic-n3-k0.json", 6,
      ("fano", "codim", "--family", "cubic", "--n", "3", "--k", "0", "--json")),
-    ("sod-conjecture-consistency-15.json",
+    ("sod-conjecture-consistency-15.json", 7,
      ("sod", "conjecture-consistency", "--n-odd-max", "15", "--json")),
-])
+]
+
+
+def _snapshot_cases(rows):
+    """``parametrize``'s arguments for ``rows``: their cases and ids."""
+    return {"argvalues": [(snapshot, argv) for snapshot, _, argv in rows],
+            "ids": [f"{snapshot}-argv{number}"
+                    for snapshot, number, _ in rows]}
+
+
+@pytest.mark.parametrize("snapshot, argv",
+                         **_snapshot_cases(_OUTPUT_SNAPSHOTS))
 def test_output_matches_committed_snapshot(capsys, snapshot, argv):
     """Stdout is byte-identical to the output committed under
     tests/golden/, so a change to any layer cannot alter it unnoticed."""
@@ -737,7 +751,9 @@ def test_import_leaves_out_typing_and_random():
 
 
 # the flipcheck modules each command line loads, as ``python -S`` runs it:
-# README's "Start-up" table, each fano op, JSON output and two usage errors
+# README's "Start-up" table, each fano op, JSON output and two usage errors.
+# A module loads where a line first reads it, so JSON output loads no dsl
+# and an error raised before a module is read loads none of it
 _MODULE_SETS = {
     "hodge hh0": (("hodge", "hh0", "--builtin", "f1-quartic-double-solid"),
                   "_packed cli hodge varieties"),
@@ -753,8 +769,7 @@ _MODULE_SETS = {
                           "_packed cli fano hodge motive sod"),
     "fano dims": (("fano", "dims", "--family", "cubic", "--n", "3", "--k", "1"),
                   "_packed cli fano hodge motive sod"),
-    "fano dims no family": (("fano", "dims"),
-                            "_packed cli fano hodge motive sod"),
+    "fano dims no family": (("fano", "dims"), "cli"),
     "fano splittings": (("fano", "splittings", "--n", "5"),
                         "_packed cli fano hodge motive sod"),
     "fano sodcounts": (("fano", "sodcounts", "--family", "cubic", "--n", "3",
@@ -762,9 +777,9 @@ _MODULE_SETS = {
                        "_packed cli dsl fano hodge motive sod"),
     "fano sodcounts --json": (("fano", "sodcounts", "--family", "cubic",
                                "--n", "3", "--k", "1", "--json"),
-                              "_packed cli dsl fano hodge motive sod"),
+                              "_packed cli fano hodge motive sod"),
     "fano sodcounts no k": (("fano", "sodcounts", "--family", "gr25"),
-                            "_packed cli dsl fano hodge motive sod"),
+                            "_packed cli fano hodge motive sod"),
     "motive check": (("motive", "check", str(CHECKS / "flip-derivation.mot")),
                      "_packed cli dsl motive sod"),
     "motive eval": (("motive", "eval",
@@ -777,7 +792,7 @@ _MODULE_SETS = {
         "_packed cli dsl motive sod"),
     "sod conjecture-consistency --json": (
         ("sod", "conjecture-consistency", "--n-odd-max", "15", "--json"),
-        "_packed cli dsl motive sod"),
+        "_packed cli motive sod"),
     "verify-all": (("verify-all",),
                    "_packed cli dsl fano hodge motive sod varieties"),
     "verify-all --json": (("verify-all", "--json"),
@@ -823,27 +838,31 @@ def test_commands_load_json_and_shutil_only_when_they_need_them():
     assert out.splitlines()[-1] == "[] True"
 
 
-@pytest.mark.parametrize("snapshot, argv", [
-    ("help.txt", ("--help",)),
-    ("sod-check-help.txt", ("sod", "check", "--help")),
-    ("fano-codim-usage-error.txt", ("fano", "codim", "--n", "x")),
-    ("hodge-help.txt", ("hodge", "-h")),
-    ("fano-help.txt", ("fano", "-h")),
-    ("sod-help.txt", ("sod", "-h")),
-    ("sod-conjecture-consistency-help.txt",
+# (snapshot, number, argv), named as the cases above
+_HELP_SNAPSHOTS = [
+    ("help.txt", 0, ("--help",)),
+    ("sod-check-help.txt", 1, ("sod", "check", "--help")),
+    ("fano-codim-usage-error.txt", 2, ("fano", "codim", "--n", "x")),
+    ("hodge-help.txt", 3, ("hodge", "-h")),
+    ("fano-help.txt", 4, ("fano", "-h")),
+    ("sod-help.txt", 5, ("sod", "-h")),
+    ("sod-conjecture-consistency-help.txt", 6,
      ("sod", "conjecture-consistency", "-h")),
-    ("sod-obstruction-help.txt", ("sod", "obstruction", "-h")),
-    ("motive-help.txt", ("motive", "-h")),
-    ("verify-all-help.txt", ("verify-all", "-h")),
-    ("hodge-usage-error.txt", ("hodge", "hh0")),
-    ("hodge-two-sources-usage-error.txt",
+    ("sod-obstruction-help.txt", 7, ("sod", "obstruction", "-h")),
+    ("motive-help.txt", 8, ("motive", "-h")),
+    ("verify-all-help.txt", 9, ("verify-all", "-h")),
+    ("hodge-usage-error.txt", 10, ("hodge", "hh0")),
+    ("hodge-two-sources-usage-error.txt", 11,
      ("hodge", "hh0", "--builtin", "x", "--diamond", "y")),
-    ("fano-dims-usage-error.txt", ("fano", "dims", "--family")),
-    ("sod-usage-error.txt", ("sod",)),
-    ("sod-obstruction-usage-error.txt", ("sod", "obstruction")),
-    ("motive-eval-usage-error.txt", ("motive", "eval")),
-    ("verify-all-usage-error.txt", ("verify-all", "--bogus")),
-])
+    ("fano-dims-usage-error.txt", 12, ("fano", "dims", "--family")),
+    ("sod-usage-error.txt", 13, ("sod",)),
+    ("sod-obstruction-usage-error.txt", 14, ("sod", "obstruction")),
+    ("motive-eval-usage-error.txt", 15, ("motive", "eval")),
+    ("verify-all-usage-error.txt", 16, ("verify-all", "--bogus")),
+]
+
+
+@pytest.mark.parametrize("snapshot, argv", **_snapshot_cases(_HELP_SNAPSHOTS))
 def test_help_and_usage_errors_ignore_the_terminal_width(snapshot, argv):
     """Help (on stdout, exit 0) and usage errors (on stderr, exit 2) are
     laid out at 78 columns whatever ``COLUMNS`` says, byte for byte the

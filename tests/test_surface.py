@@ -70,3 +70,22 @@ def test_no_public_method_hides_behind_a_builtin_method_name():
     methods = {name for path in SRC for name in
                _public_methods(ast.parse(path.read_text(encoding="utf-8")))}
     assert methods & BUILTIN_METHODS == {"add"}
+
+
+def test_cli_functions_import_only_stdlib_modules_they_alone_need():
+    """A command or golden check reaches a flipcheck module as
+    ``fc.<module>``, which the package imports on first access, so no
+    function in cli.py imports one itself: a relative import there would
+    be a second, hand-written copy of that loader.  The imports left in
+    functions are the standard-library modules only some commands need."""
+    tree = ast.parse((REPO / "src" / "flipcheck" / "cli.py")
+                     .read_text(encoding="utf-8"))
+    imported = set()
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                if isinstance(node, ast.ImportFrom):
+                    imported.add("." * node.level + (node.module or ""))
+                elif isinstance(node, ast.Import):
+                    imported.update(alias.name for alias in node.names)
+    assert imported == {"argparse", "json", "random"}
