@@ -673,6 +673,14 @@ _OUTPUT_SNAPSHOTS = [
      ("fano", "codim", "--family", "cubic", "--n", "3", "--k", "0", "--json")),
     ("sod-conjecture-consistency-15.json", 7,
      ("sod", "conjecture-consistency", "--n-odd-max", "15", "--json")),
+    ("hodge-hilb2-quartic-double-solid.txt", 8,
+     ("hodge", "hilb2", "--builtin", "quartic-double-solid")),
+    ("hodge-hilb2-p3-column.txt", 9,
+     ("hodge", "hilb2", "--builtin", "p3", "--column")),
+    ("hodge-sym2-curve-g2.json", 10,
+     ("hodge", "sym2", "--builtin", "curve-g2", "--json")),
+    ("hodge-hh0-degree2-del-pezzo-surface.json", 11,
+     ("hodge", "hh0", "--builtin", "degree2-del-pezzo-surface", "--json")),
 ]
 
 
