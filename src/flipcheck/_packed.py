@@ -72,6 +72,13 @@ def unpack(x: int, width: int) -> list[int]:
     return memoryview(raw).cast(_FORMAT[wide]).tolist()
 
 
+def _tables(lists: Mapping[Hashable, list[int]]) -> Groups:
+    """Coefficient lists as groups, with no zero and no empty group."""
+    tables = {g: {p: c for p, c in enumerate(coeffs) if c}
+              for g, coeffs in lists.items()}
+    return {g: cells for g, cells in tables.items() if cells}
+
+
 def _total(groups: Groups) -> int:
     return sum(abs(c) for cells in groups.values() for c in cells.values())
 
@@ -88,11 +95,10 @@ def _signed(cells: Mapping[int, int], width: int) -> tuple[int, int]:
             pack({p: -c for p, c in cells.items() if c < 0}, width))
 
 
-def convolve(xs: Groups, ys: Groups, merge: Callable
-             ) -> dict[Hashable, list[int]]:
+def convolve(xs: Groups, ys: Groups, merge: Callable) -> Groups:
     """Grouped product: ``{merge(g, h): xs[g] * ys[h]}``, summed over the
-    pairs that merge alike, as coefficient lists.  Coefficients are signed;
-    each group multiplies as its positive part minus its negative part.
+    pairs that merge alike.  Coefficients are signed; each group
+    multiplies as its positive part minus its negative part.
     ``merge(g, h)`` must determine ``h`` from ``g`` and the result, as both
     ``+`` and a product of monomials do: then each term of one side meets
     at most one term of the other in a slot, so every slot of either sum is
@@ -121,13 +127,12 @@ def convolve(xs: Groups, ys: Groups, merge: Callable
             for i, c in enumerate(minus):
                 coeffs[i] -= c
         out[key] = coeffs
-    return out
+    return _tables(out)
 
 
-def square(xs: Groups, merge: Callable, own: Callable
-           ) -> dict[Hashable, list[int]]:
+def square(xs: Groups, merge: Callable, own: Callable) -> Groups:
     """Symmetric square of ``sum_g xs[g] * g`` by Macdonald's formula, for
-    nonnegative coefficients, as coefficient lists.
+    nonnegative coefficients.
 
     Two groups ``g != h`` give ``xs[g] * xs[h]`` at ``merge(g, h)``.  A group
     gives ``(c2 * a(t)^2 + c1 * a(t^2)) / 2`` at ``key`` for each
@@ -147,4 +152,4 @@ def square(xs: Groups, merge: Callable, own: Callable
         for h, y, _ in packed[i + 1:]:
             key = merge(g, h)
             out[key] = out.get(key, 0) + x * y
-    return {key: unpack(v, w) for key, v in out.items()}
+    return _tables({key: unpack(v, w) for key, v in out.items()})

@@ -178,10 +178,12 @@ def tokenize(text: str) -> Tokens:
     del parts, offsets  # only the columns are returned: free the rest now
     kinds = list(map(_KIND.get, texts,
                      map(_FIRST_KIND.get, map(itemgetter(0), texts))))
-    if "#" in text:
+    if "#" in text:  # one column at a time: each is freed as its copy is bound
         keep = list(map("COMMENT".__ne__, kinds))
-        kinds, texts, starts, ends = (list(compress(column, keep)) for column
-                                      in (kinds, texts, starts, ends))
+        texts = list(compress(texts, keep))
+        starts = list(compress(starts, keep))
+        ends = list(compress(ends, keep))
+        kinds = list(compress(kinds, keep))
     end = len(text)
     kinds.append("EOF")
     texts.append("")

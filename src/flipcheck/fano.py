@@ -29,7 +29,6 @@ from collections import namedtuple
 from collections.abc import Sequence
 from math import comb
 
-from .hodge import MAX_DIM
 from .sod import SodLedger
 
 
@@ -310,6 +309,7 @@ def sod_counts(family: Family, n: int, k: int) -> SodCounts:
 # -- normal bundles of lines and their Hilbert squares -------------------------
 
 SplittingType = tuple[int, ...]  # sorted degrees of a direct sum of O(a_i)
+MAX_LINE_N = 100_000  # largest n: each splitting type lists n - 1 summands
 
 
 def enumerate_line_splittings(n: int) -> list[SplittingType]:
@@ -324,8 +324,8 @@ def enumerate_line_splittings(n: int) -> list[SplittingType]:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    if n > MAX_DIM:
-        raise ValueError(f"need n <= {MAX_DIM}")
+    if n > MAX_LINE_N:
+        raise ValueError(f"need n <= {MAX_LINE_N}")
     types: list[SplittingType] = []
     if n >= 3:  # deficit pattern {1, 1} needs two summands
         types.append(tuple(sorted((0, 0) + (1,) * (n - 3))))

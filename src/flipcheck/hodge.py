@@ -22,11 +22,11 @@ Everything is exact integer arithmetic on sparse tables; entries are
 dimensions only (no lattice or torsion information is modelled).  Values are
 immutable after construction and all operations are pure functions.
 
-Products and squares run on packed diagonals (``_packed``): the entries
-``h^{p,p+s}`` of one diagonal ``s = q - p`` sit in fixed-width slots ``p`` of
-one Python integer, and one big-integer multiply per pair of diagonals does
-the whole Kunneth product.  ``Sym^2`` follows Macdonald's
-``(a^2 + psi^2 a) / 2``.
+A diamond is stored by diagonal, ``{s: {p: h^{p,p+s}}}`` for ``s = q - p``,
+with no zero entry and no empty diagonal.  Products and squares run on that
+layout in the packed kernel (``_packed``): one diagonal's entries sit in
+fixed-width slots ``p`` of one Python integer, and one big-integer multiply
+per pair of diagonals does the whole Kunneth product.
 """
 
 import operator
@@ -35,6 +35,7 @@ from collections.abc import Mapping
 from . import _packed
 
 Bidegree = tuple[int, int]
+Diagonals = dict[int, dict[int, int]]  # {q - p: {p: h^{p,q}}}
 
 # largest dimension of an input diamond (JSON or builtin): the packed
 # operations size their buffers by the dimension, not by the entries
@@ -49,54 +50,59 @@ class HodgeDiamond:
     ``[P^{n-1}] - [pt]`` need not satisfy them.
     """
 
-    __slots__ = ("dim", "_entries")
+    __slots__ = ("dim", "_diagonals")
 
     def __init__(self, dim: int, entries: Mapping[Bidegree, int] = {}):
         if dim < 0:
             raise ValueError(f"dimension must be nonnegative, got {dim}")
+        self.dim, self._diagonals = dim, {}
         for (p, q), v in entries.items():
             _check_entry(p, q, v)
             if v and not (0 <= p <= dim and 0 <= q <= dim):
                 raise ValueError(f"entry h^({p},{q}) outside [0,{dim}]^2")
-        self.dim = dim
-        self._entries = {key: v for key, v in entries.items() if v}
+            if v:
+                self._diagonals.setdefault(q - p, {})[p] = v
 
     @classmethod
-    def _trusted(cls, dim: int, table: dict[Bidegree, int]) -> "HodgeDiamond":
-        """Wrap a table already known to be positive and inside ``[0, dim]^2``."""
+    def _trusted(cls, dim: int, diagonals: Diagonals) -> "HodgeDiamond":
+        """Wrap positive, nonempty diagonals inside ``[0, dim]^2``."""
         d = object.__new__(cls)
-        d.dim, d._entries = dim, table
+        d.dim, d._diagonals = dim, diagonals
         return d
 
     def hodge(self, p: int, q: int) -> int:
         """Return ``h^{p,q}``; absent entries are zero."""
-        return self._entries.get((p, q), 0)
+        cells = self._diagonals.get(q - p)
+        return cells.get(p, 0) if cells else 0
 
     def entries(self) -> dict[Bidegree, int]:
-        """A copy of the nonzero entries."""
-        return dict(self._entries)
+        """The nonzero entries, keyed by ``(p, q)``."""
+        return {(p, p + s): v for s, cells in self._diagonals.items()
+                for p, v in cells.items()}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HodgeDiamond):
             return NotImplemented
-        return self.dim == other.dim and self._entries == other._entries
+        return self.dim == other.dim and self._diagonals == other._diagonals
 
     def __repr__(self) -> str:
         cells = ", ".join(
-            f"({p},{q}): {v}" for (p, q), v in sorted(self._entries.items())
+            f"({p},{q}): {v}" for (p, q), v in sorted(self.entries().items())
         )
         return f"HodgeDiamond(dim={self.dim}, {{{cells}}})"
 
     # -- symmetry checks ---------------------------------------------------
 
     def is_hodge_symmetric(self) -> bool:
-        return all(v == self.hodge(q, p) for (p, q), v in self._entries.items())
+        return all(v == self.hodge(p + s, p)
+                   for s, cells in self._diagonals.items()
+                   for p, v in cells.items())
 
     def is_serre_dual(self) -> bool:
         n = self.dim
-        return all(
-            v == self.hodge(n - p, n - q) for (p, q), v in self._entries.items()
-        )
+        return all(v == self.hodge(n - p, n - p - s)
+                   for s, cells in self._diagonals.items()
+                   for p, v in cells.items())
 
     def validate(self) -> "HodgeDiamond":
         """Check both symmetries and return the diamond itself."""
@@ -111,7 +117,7 @@ class HodgeDiamond:
     def to_json_dict(self) -> dict:
         return {
             "dim": self.dim,
-            "entries": [[p, q, v] for (p, q), v in sorted(self._entries.items())],
+            "entries": [[p, q, v] for (p, q), v in sorted(self.entries().items())],
         }
 
     @classmethod
@@ -145,34 +151,13 @@ def _check_entry(p: int, q: int, v: int) -> None:
         raise ValueError(f"negative entry h^({p},{q}) = {v}")
 
 
-# -- packed diagonals ----------------------------------------------------------
-
-
-def _diagonals(a: HodgeDiamond) -> dict[int, dict[int, int]]:
-    """Entries grouped by diagonal: ``{q - p: {p: h^{p,q}}}``."""
-    cells: dict[int, dict[int, int]] = {}
-    for (p, q), v in a._entries.items():
-        cells.setdefault(q - p, {})[p] = v
-    return cells
-
-
-def _unpacked(dim: int, diagonals: Mapping[int, list[int]]) -> HodgeDiamond:
-    """The diamond whose diagonal ``s`` holds the entries ``diagonals[s]``."""
-    table: dict[Bidegree, int] = {}
-    for s, slots in diagonals.items():
-        for p, v in enumerate(slots):
-            if v:
-                table[(p, p + s)] = v
-    return HodgeDiamond._trusted(dim, table)
-
-
 # -- operations --------------------------------------------------------------
 
 
 def kunneth(a: HodgeDiamond, b: HodgeDiamond) -> HodgeDiamond:
     """Hodge diamond of a product: bigraded convolution of the two tables."""
-    out = _packed.convolve(_diagonals(a), _diagonals(b), operator.add)
-    return _unpacked(a.dim + b.dim, out)
+    out = _packed.convolve(a._diagonals, b._diagonals, operator.add)
+    return HodgeDiamond._trusted(a.dim + b.dim, out)
 
 
 def sym2(a: HodgeDiamond) -> HodgeDiamond:
@@ -189,9 +174,9 @@ def sym2(a: HodgeDiamond) -> HodgeDiamond:
     parity of the diagonal ``s = q - p``; within a diagonal every slot of
     ``x^2 + (-1)^s * psi`` is even and nonnegative.
     """
-    out = _packed.square(_diagonals(a), operator.add,
+    out = _packed.square(a._diagonals, operator.add,
                          lambda s: ((2 * s, 1, -1 if s % 2 else 1),))
-    return _unpacked(2 * a.dim, out)
+    return HodgeDiamond._trusted(2 * a.dim, out)
 
 
 def hilbert_square(a: HodgeDiamond) -> HodgeDiamond:
@@ -204,10 +189,11 @@ def hilbert_square(a: HodgeDiamond) -> HodgeDiamond:
     if n < 1:
         raise ValueError("Hilbert square of a 0-dimensional variety is not modelled")
     square = sym2(a)
-    exceptional = HodgeDiamond._trusted(n - 1, {(i, i): 1 for i in range(1, n)})
-    table = square._entries  # a fresh table, summed into in place
-    for key, v in kunneth(a, exceptional)._entries.items():
-        table[key] = table.get(key, 0) + v
+    exceptional = HodgeDiamond(n - 1, {(i, i): 1 for i in range(1, n)})
+    for s, cells in kunneth(a, exceptional)._diagonals.items():
+        into = square._diagonals.setdefault(s, {})  # fresh: summed into in place
+        for p, v in cells.items():
+            into[p] = into.get(p, 0) + v
     return square
 
 
@@ -215,7 +201,7 @@ def hh0(a: HodgeDiamond) -> int:
     """Sum of the diagonal entries ``h^{p,p}``: the dimension of degree-zero
     Hochschild homology via Hochschild--Kostant--Rosenberg.
     """
-    return sum(v for (p, q), v in a._entries.items() if p == q)
+    return sum(a._diagonals.get(0, {}).values())
 
 
 def diagonal(a: HodgeDiamond) -> list[int]:
@@ -225,8 +211,8 @@ def diagonal(a: HodgeDiamond) -> list[int]:
 
 def euler(a: HodgeDiamond) -> int:
     """Topological Euler characteristic: alternating sum over ``p + q``."""
-    return sum(v if (p + q) % 2 == 0 else -v
-               for (p, q), v in a._entries.items())
+    return sum((-1) ** (s % 2) * sum(cells.values())  # p + q = 2p + s
+               for s, cells in a._diagonals.items())
 
 
 def format_diamond(a: HodgeDiamond) -> str:

@@ -104,14 +104,10 @@ def _mul_flat(terms: dict[TermKey, int], xs, ys) -> None:
             terms[key] = get(key, 0) + c1 * c2
 
 
-def _add_packed(terms: dict[TermKey, int],
-                packed: Mapping[Monomial, list[int]]) -> None:
-    """Add coefficient lists in ``L``, one per monomial."""
-    for mono, coeffs in packed.items():
-        for lp, c in enumerate(coeffs):
-            if c:
-                key = (lp, mono)
-                terms[key] = terms.get(key, 0) + c
+def _add_packed(terms: dict[TermKey, int], packed: _packed.Groups) -> None:
+    """Add the packed kernel's ``{monomial: {power of L: coefficient}}``."""
+    for key, c in _items(packed):
+        terms[key] = terms.get(key, 0) + c
 
 
 class MotiveExpr:

@@ -774,20 +774,20 @@ _MODULE_SETS = {
                          "quartic-double-solid"),
                         "_packed cli hodge motive sod varieties"),
     "fano codim --grid": (("fano", "codim", "--grid"),
-                          "_packed cli fano hodge motive sod"),
+                          "_packed cli fano motive sod"),
     "fano dims": (("fano", "dims", "--family", "cubic", "--n", "3", "--k", "1"),
-                  "_packed cli fano hodge motive sod"),
+                  "_packed cli fano motive sod"),
     "fano dims no family": (("fano", "dims"), "cli"),
     "fano splittings": (("fano", "splittings", "--n", "5"),
-                        "_packed cli fano hodge motive sod"),
+                        "_packed cli fano motive sod"),
     "fano sodcounts": (("fano", "sodcounts", "--family", "cubic", "--n", "3",
                         "--k", "1"),
-                       "_packed cli dsl fano hodge motive sod"),
+                       "_packed cli dsl fano motive sod"),
     "fano sodcounts --json": (("fano", "sodcounts", "--family", "cubic",
                                "--n", "3", "--k", "1", "--json"),
-                              "_packed cli fano hodge motive sod"),
+                              "_packed cli fano motive sod"),
     "fano sodcounts no k": (("fano", "sodcounts", "--family", "gr25"),
-                            "_packed cli fano hodge motive sod"),
+                            "_packed cli fano motive sod"),
     "motive check": (("motive", "check", str(CHECKS / "flip-derivation.mot")),
                      "_packed cli dsl motive sod"),
     "motive eval": (("motive", "eval",

@@ -2,7 +2,7 @@ import random
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flipcheck import hodge, sod, varieties
@@ -182,6 +182,38 @@ def test_bundles_and_blowups_match_pairwise(a, r, codim):
     exceptional = tate_twist(kunneth(a, varieties.projective_space(codim - 2)), 1)
     assert_same(_sum_tables(total.dim, [total, exceptional]),
                 blowup_pairwise(total, a, codim))
+
+
+@given(wide_diamonds(), wide_diamonds())
+@example(varieties.projective_space(1), varieties.point())  # empty correction
+@example(HodgeDiamond(1, {(0, 1): 1, (1, 0): 1}),  # odd diagonals square to 0
+         varieties.curve(2))
+@settings(max_examples=100)
+def test_results_store_no_zero_and_no_empty_diagonal(a, b):
+    """Rebuilding a result from its entries gives an equal diamond: ``==``
+    compares the stored diagonals, so a zero entry or an empty diagonal
+    kept by an operation fails here."""
+    results = [kunneth(a, b), sym2(a)]
+    if a.dim >= 1:
+        results.append(hilbert_square(a))
+    for r in results:
+        assert HodgeDiamond(r.dim, r.entries()) == r
+
+
+def test_four_corners_of_dimension_1000_match_pairwise():
+    n = 1000
+    a = HodgeDiamond(n, {(0, 0): 1, (0, n): 2, (n, 0): 2, (n, n): 1})
+    assert_same(kunneth(a, a), kunneth_pairwise(a, a))
+    assert_same(sym2(a), sym2_pairwise(a))
+    assert_same(hilbert_square(a), hilbert_square_pairwise(a))
+
+
+def test_hodge_is_zero_off_the_table_and_on_missing_diagonals():
+    d = varieties.curve(2)  # diagonals -1, 0 and 1
+    assert [d.hodge(p, q) for p, q in ((0, 0), (1, 0), (0, 1))] == [1, 2, 2]
+    for p, q in ((-1, -1), (2, 2), (-1, 0), (1, 2), (5, -5), (0, 3), (2, 0)):
+        assert d.hodge(p, q) == 0
+    assert HodgeDiamond(3).hodge(0, 0) == 0
 
 
 def test_dense_dimension_20_matches_pairwise():

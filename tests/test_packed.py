@@ -52,11 +52,6 @@ def total(groups):
     return sum(abs(c) for a in groups.values() for c in a.values())
 
 
-def as_tables(lists):
-    return {key: {p: c for p, c in enumerate(coeffs) if c}
-            for key, coeffs in lists.items()}
-
-
 def nonzero(tables):
     return {key: {p: c for p, c in t.items() if c} for key, t in tables.items()
             if any(t.values())}
@@ -91,7 +86,7 @@ def test_convolve_at_every_width(width):
     bound = min(total(xs) * top(ys), total(ys) * top(xs))
     assert bound == 256**width - 1 and _packed.width(bound) == width
     got = _packed.convolve(xs, ys, merge_names)
-    assert nonzero(as_tables(got)) == nonzero(convolve_loop(xs, ys, merge_names))
+    assert got == nonzero(convolve_loop(xs, ys, merge_names))
 
 
 def sym2_rule(g):
@@ -107,7 +102,7 @@ def test_square_at_every_width(width):
     xs = {(): {0: t - 3, 2: 1, 5: 1}, ("X",): {1: 1}}
     assert total(xs) == t and _packed.width(t * t + t) == width
     got = _packed.square(xs, merge_names, sym2_rule)
-    assert nonzero(as_tables(got)) == nonzero(square_loop(xs, merge_names, sym2_rule))
+    assert got == nonzero(square_loop(xs, merge_names, sym2_rule))
 
 
 coefficients = st.sampled_from([1, 3, 100, 10**4, 10**8, 10**9, 10**30]).flatmap(
@@ -122,7 +117,7 @@ groups = st.dictionaries(
 @settings(max_examples=150)
 def test_convolve_matches_loop(xs, ys):
     got = _packed.convolve(xs, ys, merge_names)
-    assert nonzero(as_tables(got)) == nonzero(convolve_loop(xs, ys, merge_names))
+    assert got == nonzero(convolve_loop(xs, ys, merge_names))
 
 
 @given(groups.map(lambda xs: {g: {p: abs(c) for p, c in a.items()}
@@ -130,4 +125,4 @@ def test_convolve_matches_loop(xs, ys):
 @settings(max_examples=150)
 def test_square_matches_loop(xs):
     got = _packed.square(xs, merge_names, sym2_rule)
-    assert nonzero(as_tables(got)) == nonzero(square_loop(xs, merge_names, sym2_rule))
+    assert got == nonzero(square_loop(xs, merge_names, sym2_rule))
