@@ -681,6 +681,17 @@ _OUTPUT_SNAPSHOTS = [
      ("hodge", "sym2", "--builtin", "curve-g2", "--json")),
     ("hodge-hh0-degree2-del-pezzo-surface.json", 11,
      ("hodge", "hh0", "--builtin", "degree2-del-pezzo-surface", "--json")),
+    ("sod-obstruction-quartic-double-solid.txt", 12,
+     ("sod", "obstruction", "--builtin", "quartic-double-solid")),
+    ("sod-obstruction-degree2-del-pezzo-surface.json", 13,
+     ("sod", "obstruction", "--builtin", "degree2-del-pezzo-surface", "--json")),
+    ("fano-codim-grid.txt", 14, ("fano", "codim", "--grid")),
+    ("fano-sodcounts-cubic-n3-k1.txt", 15,
+     ("fano", "sodcounts", "--family", "cubic", "--n", "3", "--k", "1")),
+    ("fano-sodcounts-cubic-n3-k1.json", 16,
+     ("fano", "sodcounts", "--family", "cubic", "--n", "3", "--k", "1",
+      "--json")),
+    ("fano-splittings-n5.txt", 17, ("fano", "splittings", "--n", "5")),
 ]
 
 
