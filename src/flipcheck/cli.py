@@ -222,13 +222,25 @@ def _fano_codim(args):
 # -- sod subcommand --------------------------------------------------------------
 
 
-def _read_script(path: str) -> list:
-    """The statements of the script at ``path``; a decoding or parse error
-    names the file."""
+def _script_values(path: str, kinds: tuple, wrong_kind: str) -> list:
+    """The values of the statements of the script at ``path``, each one of
+    ``kinds``.  A decoding error names the file; a parse error also the line
+    and column, and so does an evaluation error or a value of another kind
+    (``wrong_kind`` its message), at the start of its statement."""
     try:
         # newline="": offsets index the file as written, as dsl counts lines
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            return fc.dsl.parse_script(fh.read())
+            text = fh.read()
+        values = []
+        for node in fc.dsl.parse_script(text):
+            try:
+                value = fc.dsl.evaluate(node)
+                if not isinstance(value, kinds):
+                    raise ValueError(wrong_kind)
+            except ValueError as exc:
+                raise fc.dsl.ParseError(str(exc), text, node.span[0]) from None
+            values.append(value)
+        return values
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 at byte {exc.start}: "
                          f"{exc.reason}") from None
@@ -240,14 +252,13 @@ def _read_script(path: str) -> list:
 def _sod_check(args):
     table = fc.sod.default_rules()
     ledgers: list[fc.sod.SodLedger] = []
-    for node in _read_script(args.file):
-        value = fc.dsl.evaluate(node)
+    values = _script_values(args.file, (fc.sod.RewriteRule, fc.sod.SodLedger),
+                            "sod scripts may only contain rules and ledgers")
+    for value in values:
         if isinstance(value, fc.sod.RewriteRule):
             table.add(value)
-        elif isinstance(value, fc.sod.SodLedger):
-            ledgers.append(value)
         else:
-            raise ValueError("sod scripts may only contain rules and ledgers")
+            ledgers.append(value)
     if len(ledgers) != 2:
         raise ValueError(
             f"expected exactly two ledgers (ambient then candidate), "
@@ -260,7 +271,7 @@ def _sod_check(args):
     verdict = fc.sod.embedding_obstruction(candidate_hh0, ambient_hh0)
     return 0, lambda: [
         _dumps({"ambient_hh0": ambient_hh0, "candidate_hh0": candidate_hh0,
-                "verdict": str(verdict)}, sort_keys=True)
+                "verdict": verdict}, sort_keys=True)
         if args.json else
         f"ambient hh0 = {ambient_hh0}\ncandidate hh0 = {candidate_hh0}\n"
         f"{ambient_hh0} vs {candidate_hh0} {verdict}"]
@@ -292,7 +303,7 @@ def _sod_consistency(args):
 
 # the paper's embedding-obstruction verdicts, keyed by the builtin whose
 # Hilbert square is the ambient: golden check name, the candidate's hh0 or
-# the builtin whose hh0 it is, the sod.Verdict the numbers are known to give
+# the builtin whose hh0 it is, the verdict the numbers are known to give
 _OBSTRUCTION_SCENARIOS = {
     "quartic-double-solid": (
         "sod/obstruction-quartic-double-solid", "f1-quartic-double-solid",
@@ -313,7 +324,7 @@ def _check_obstruction(ambient_name: str) -> CheckReport:
     verdict = fc.sod.embedding_obstruction(candidate, ambient)
     return make_report(name, {"candidate_hh0": candidate,
                               "ambient_hh0": ambient},
-                       expected, str(verdict), "paper")
+                       expected, verdict, "paper")
 
 
 def _sod_obstruction(args):
@@ -335,9 +346,8 @@ def _sod_obstruction(args):
 
 
 def cmd_motive(args):
-    values = [fc.dsl.evaluate(node) for node in _read_script(args.file)]
-    if not all(isinstance(v, fc.motive.MotiveExpr) for v in values):
-        raise ValueError("motive scripts may only contain expressions")
+    values = _script_values(args.file, (fc.motive.MotiveExpr,),
+                            "motive scripts may only contain expressions")
     if args.motive_op == "eval":
         return 0, lambda: [fc.dsl.print_canonical(value) for value in values]
     # check: every statement must vanish

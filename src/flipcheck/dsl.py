@@ -37,8 +37,9 @@ MAX_NESTING = 200  # expression levels
 
 
 class ParseError(ValueError):
-    """A syntax error at ``offset`` into ``text``.  Its 1-based ``line`` and
-    ``column`` are worked out here, once: only an error needs them."""
+    """A syntax error at ``offset`` into ``text``, or an evaluation error at
+    its statement's start.  Its 1-based ``line`` and ``column`` are worked
+    out here, once: only an error needs them."""
 
     def __init__(self, message: str, text: str, offset: int):
         self.message, self.offset = message, offset
@@ -48,9 +49,9 @@ class ParseError(ValueError):
 
 
 # -- AST ----------------------------------------------------------------------
-# Plain ``__slots__`` classes with identity equality; ``_fields`` is ``span``
-# and then the constructor's other arguments, in order.  A span is the
-# ``(start, end)`` pair of offsets into the parsed text.
+# Plain ``__slots__`` classes with identity equality; ``_fields``, built from
+# the slots, is ``span`` and then the constructor's other arguments, in
+# order.  A span is the ``(start, end)`` pair of offsets into the parsed text.
 
 
 class Node:
@@ -58,13 +59,15 @@ class Node:
     # perfbench's AST-node counter walks __dataclass_fields__: keep it _fields
     _fields = __dataclass_fields__ = ("span",)
 
+    def __init_subclass__(cls):
+        cls._fields = cls.__dataclass_fields__ = Node.__slots__ + cls.__slots__
+
     def __init__(self, span: tuple[int, int]):
         self.span = span
 
 
 class IntLit(Node):
     __slots__ = ("value",)
-    _fields = __dataclass_fields__ = ("span", "value")
 
     def __init__(self, span: tuple[int, int], value: int):
         self.span, self.value = span, value
@@ -72,7 +75,6 @@ class IntLit(Node):
 
 class LPow(Node):
     __slots__ = ("power",)
-    _fields = __dataclass_fields__ = ("span", "power")
 
     def __init__(self, span: tuple[int, int], power: int):
         self.span, self.power = span, power
@@ -80,7 +82,6 @@ class LPow(Node):
 
 class Atom(Node):
     __slots__ = ("name",)
-    _fields = __dataclass_fields__ = ("span", "name")
 
     def __init__(self, span: tuple[int, int], name: str):
         self.span, self.name = span, name
@@ -88,7 +89,6 @@ class Atom(Node):
 
 class Sym2(Node):
     __slots__ = ("arg",)
-    _fields = __dataclass_fields__ = ("span", "arg")
 
     def __init__(self, span: tuple[int, int], arg: Node):
         self.span, self.arg = span, arg
@@ -96,7 +96,6 @@ class Sym2(Node):
 
 class Tensor(Node):
     __slots__ = ("left", "right")
-    _fields = __dataclass_fields__ = ("span", "left", "right")
 
     def __init__(self, span: tuple[int, int], left: str, right: str):
         self.span, self.left, self.right = span, left, right
@@ -104,7 +103,6 @@ class Tensor(Node):
 
 class Sum(Node):
     __slots__ = ("terms",)
-    _fields = __dataclass_fields__ = ("span", "terms")
 
     def __init__(self, span: tuple[int, int], terms: tuple[tuple[int, Node], ...]):
         self.span, self.terms = span, terms  # terms: (+1 or -1, node) pairs
@@ -112,7 +110,6 @@ class Sum(Node):
 
 class Product(Node):
     __slots__ = ("factors",)
-    _fields = __dataclass_fields__ = ("span", "factors")
 
     def __init__(self, span: tuple[int, int], factors: tuple[Node, ...]):
         self.span, self.factors = span, factors
@@ -120,7 +117,6 @@ class Product(Node):
 
 class LedgerLiteral(Node):
     __slots__ = ("entries",)
-    _fields = __dataclass_fields__ = ("span", "entries")
 
     def __init__(self, span: tuple[int, int], entries: tuple[tuple[str, int], ...]):
         self.span, self.entries = span, entries
@@ -128,7 +124,6 @@ class LedgerLiteral(Node):
 
 class RuleDef(Node):
     __slots__ = ("lhs", "rhs")
-    _fields = __dataclass_fields__ = ("span", "lhs", "rhs")
 
     def __init__(self, span: tuple[int, int], lhs: Node, rhs: LedgerLiteral):
         # lhs is an Atom, Sym2(Atom) or Tensor
@@ -173,9 +168,10 @@ def tokenize(text: str) -> Tokens:
         raise _unexpected_character(text, parts)
     offsets = list(accumulate(map(len, parts)))  # the end of each part
     texts = parts[1::2]
+    del parts  # only columns are returned: free each list once they are cut
     starts = offsets[0:-1:2]
     ends = offsets[1::2]
-    del parts, offsets  # only the columns are returned: free the rest now
+    del offsets
     kinds = list(map(_KIND.get, texts,
                      map(_FIRST_KIND.get, map(itemgetter(0), texts))))
     if "#" in text:  # one column at a time: each is freed as its copy is bound

@@ -29,7 +29,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from math import comb
 
-from .sod import SodLedger
+import flipcheck as fc
 
 
 class Family(enum.Enum):
@@ -294,12 +294,13 @@ def sod_counts(family: Family, n: int, k: int) -> SodCounts:
     check_cell(family, n, k)
     if family is Family.CUBIC:
         extra = rank_sym2_u(k) - (k + 2)
-        flip_form = SodLedger({"D_PQ": 1, f"D_F{k + 1}": extra})
-        expanded = SodLedger({f"D_F{k}": n - k + 2, f"D_F{k + 1}": extra})
+        flip_form = fc.sod.SodLedger({"D_PQ": 1, f"D_F{k + 1}": extra})
+        expanded = fc.sod.SodLedger({f"D_F{k}": n - k + 2,
+                                     f"D_F{k + 1}": extra})
         return SodCounts(flip_form, expanded)
     if family is Family.TWO_QUADRICS:
         extra = rank_sym2_u(k) - 2
-        return SodCounts(SodLedger({"D_OGr": 1, f"D_F{k + 1}": extra}))
+        return SodCounts(fc.sod.SodLedger({"D_OGr": 1, f"D_F{k + 1}": extra}))
     raise ValueError(
         "Gr(2,5) sections carry a full exceptional collection; no ledger "
         "template is tabulated"

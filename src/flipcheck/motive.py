@@ -25,6 +25,7 @@ The Hilbert-square class is then
 from collections.abc import Mapping
 
 from . import _packed
+from .sod import sym2_atom_name
 
 # a monomial is a sorted tuple of atom names; "pt" never appears
 Monomial = tuple[str, ...]
@@ -266,10 +267,6 @@ def flip_difference(f: MotiveExpr, r: int, s: int) -> MotiveExpr:
     return f * (class_of_pn(r) - class_of_pn(s))
 
 
-def sym2_atom_name(name: str) -> str:
-    return f"Sym2_{name}"
-
-
 def _sym2_rule(g: Monomial) -> tuple[tuple[Monomial, int, int], ...]:
     """Macdonald's terms of ``Sym^2(a(L) g)`` as ``(monomial, c2, c1)``, each
     meaning ``monomial * (c2 * a(L)^2 + c1 * a(L^2)) / 2``:
@@ -309,14 +306,9 @@ def sym2_class(x: MotiveExpr) -> MotiveExpr:
     get = terms.get
     records = _records(flat)
     for i, ((lp, mono), m) in enumerate(flat):
-        if mono:
-            key = (2 * lp, (sym2_atom_name(mono[0]),))
-            terms[key] = get(key, 0) + m
-            key = (2 * lp, mono + mono)
-            terms[key] = get(key, 0) + m * (m - 1) // 2
-        else:
-            key = (2 * lp, ())
-            terms[key] = get(key, 0) + m * (m + 1) // 2
+        for monomial, c2, c1 in _sym2_rule(mono):  # with a(L) = m L^lp
+            key = (2 * lp, monomial)
+            terms[key] = get(key, 0) + (c2 * m * m + c1 * m) // 2
         _mul_flat(terms, flat[i:i + 1], records[i + 1:])
     if groups:
         _mul_flat(terms, flat, _records(_items(groups)))

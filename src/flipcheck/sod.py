@@ -29,12 +29,9 @@ copies of each component (the projective-bundle part of the exceptional
 divisor).
 """
 
-import enum
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 from math import comb
-
-from .motive import sym2_atom_name
 
 
 class UnresolvedPairError(ValueError):
@@ -135,6 +132,10 @@ class RewriteRule(namedtuple("RewriteRule", "kind args rhs")):
         if len(args) != want:
             raise ValueError(f"{kind} rule needs {want} argument(s)")
         return tuple.__new__(cls, (kind, args, rhs))
+
+
+def sym2_atom_name(name: str) -> str:
+    return f"Sym2_{name}"
 
 
 def tensor_atom_name(a: str, b: str) -> str:
@@ -286,17 +287,9 @@ def additive_invariant(led: SodLedger, assignment: Mapping[str, int]) -> int:
     return sum(m * assignment[name] for name, m in led.multiplicities.items())
 
 
-class Verdict(enum.Enum):
-    OBSTRUCTED = "OBSTRUCTED"
-    INCONCLUSIVE = "INCONCLUSIVE"
-
-    def __str__(self) -> str:
-        return self.value
-
-
-def embedding_obstruction(candidate_hh0: int, ambient_hh0: int) -> Verdict:
+def embedding_obstruction(candidate_hh0: int, ambient_hh0: int) -> str:
     """Can a category with hh0 ``candidate_hh0`` sit inside one with hh0
-    ``ambient_hh0``?
+    ``ambient_hh0``?  Returns ``"OBSTRUCTED"`` or ``"INCONCLUSIVE"``.
 
     hh0 is additive across semiorthogonal components, so candidate hh0
     exceeding ambient hh0 obstructs any embedding.  The comparison is
@@ -305,8 +298,8 @@ def embedding_obstruction(candidate_hh0: int, ambient_hh0: int) -> Verdict:
     if candidate_hh0 < 0 or ambient_hh0 < 0:
         raise ValueError("hh0 values must be nonnegative")
     if candidate_hh0 > ambient_hh0:
-        return Verdict.OBSTRUCTED
-    return Verdict.INCONCLUSIVE
+        return "OBSTRUCTED"
+    return "INCONCLUSIVE"
 
 
 # -- the intersection-of-two-quadrics ledgers ----------------------------------

@@ -40,7 +40,7 @@ def test_criterion_2_fano_surface_obstruction():
         assert hodge.hh0(f1) == 222
         ambient = hodge.hilbert_square(varieties.builtin("quartic-double-solid"))
         verdict = sod.embedding_obstruction(hodge.hh0(f1), hodge.hh0(ambient))
-        assert verdict is sod.Verdict.OBSTRUCTED
+        assert verdict == "OBSTRUCTED"
 
     run_criterion(2, 0.1, body)
 
@@ -49,8 +49,7 @@ def test_criterion_3_degree2_surface_counts():
     def body():
         led = sod.sym2_ledger(["Dpt"] * 10)
         assert led.total() == 65 == 10 * 9 // 2 + 2 * 10
-        assert sod.embedding_obstruction(56, led.total()) is \
-            sod.Verdict.INCONCLUSIVE
+        assert sod.embedding_obstruction(56, led.total()) == "INCONCLUSIVE"
 
     run_criterion(3, 0.1, body)
 

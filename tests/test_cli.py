@@ -535,6 +535,29 @@ def test_parse_error_names_file_line_and_column(tmp_path, capsys, command):
     assert err == f"error: {script}:2:10: unexpected character '$'\n"
 
 
+@pytest.mark.parametrize("text, command, message", [
+    ("1 + L\nSym2(A*B)\n", "motive", "2:1: monomial A*B is not a single atom"),
+    ("1\n  A (*) B\n", "motive",
+     "2:3: tensor factors only make sense on rule left-hand sides"),
+    ("L\n\n(Sym2(0 - A))\n", "motive",
+     "3:1: negative coefficient -1 at L^0: not an effective class"),
+    ("1 - 1\n{Dpt:1}\n", "motive",
+     "2:1: motive scripts may only contain expressions"),
+    ("{Dpt:1}\nSym2(Dpt) => {Dpt:2}\n  1 + L\n{Dpt:2}\n", "sod",
+     "3:3: sod scripts may only contain rules and ledgers"),
+], ids=["sym2-of-product", "tensor", "sym2-of-negative", "motive-ledger",
+        "sod-expression"])
+def test_evaluation_error_names_its_statement(tmp_path, capsys, text, command,
+                                              message):
+    """A statement that parses but fails to evaluate, or has the wrong kind
+    for its script, is reported at the line and column where it starts."""
+    script = tmp_path / "bad.txt"
+    script.write_text(text)
+    for op in ("check", "eval") if command == "motive" else ("check",):
+        code, out, err = run(capsys, command, op, str(script))
+        assert (code, out, err) == (2, "", f"error: {script}:{message}\n")
+
+
 @pytest.mark.parametrize("data, line, column", [
     (b"1 +\r)\n", 1, 5),
     (b"L + 1\r\nC +\r\n)\r\n", 3, 1),
@@ -742,8 +765,8 @@ def test_import_leaves_out_typing_and_random():
     Run as ``python -S -m flipcheck``, as the benchmark runs them, the
     command lines above load no ``argparse``, ``gettext`` or ``locale``,
     because ``_read_argv`` reads them; ``hodge`` commands load no ``re``,
-    ``enum`` or module outside hodge and varieties, and script commands
-    none of fano, hodge and varieties."""
+    ``enum`` or module outside hodge and varieties, ``sod obstruction`` no
+    ``enum``, and script commands none of fano, hodge and varieties."""
     code = ("import sys, flipcheck.cli; print(sorted({'typing', 'random', "
             "'dataclasses', 'inspect', 'argparse', 're', 'enum', "
             "'flipcheck.dsl', 'flipcheck.fano', 'flipcheck.hodge', "
@@ -758,6 +781,8 @@ def test_import_leaves_out_typing_and_random():
         if argv[0] == "hodge":
             banned |= {"re", "enum", "flipcheck.dsl", "flipcheck.fano",
                        "flipcheck.sod", "flipcheck.motive"}
+        if argv[:2] == ("sod", "obstruction"):
+            banned.add("enum")
         if argv[:2] in _SCRIPT_COMMANDS:
             banned |= {"flipcheck.fano", "flipcheck.hodge",
                        "flipcheck.varieties"}
@@ -783,22 +808,20 @@ _MODULE_SETS = {
                             "_packed cli hodge varieties"),
     "sod obstruction": (("sod", "obstruction", "--builtin",
                          "quartic-double-solid"),
-                        "_packed cli hodge motive sod varieties"),
-    "fano codim --grid": (("fano", "codim", "--grid"),
-                          "_packed cli fano motive sod"),
+                        "_packed cli hodge sod varieties"),
+    "fano codim --grid": (("fano", "codim", "--grid"), "cli fano"),
     "fano dims": (("fano", "dims", "--family", "cubic", "--n", "3", "--k", "1"),
-                  "_packed cli fano motive sod"),
+                  "cli fano"),
     "fano dims no family": (("fano", "dims"), "cli"),
-    "fano splittings": (("fano", "splittings", "--n", "5"),
-                        "_packed cli fano motive sod"),
+    "fano splittings": (("fano", "splittings", "--n", "5"), "cli fano"),
     "fano sodcounts": (("fano", "sodcounts", "--family", "cubic", "--n", "3",
                         "--k", "1"),
                        "_packed cli dsl fano motive sod"),
     "fano sodcounts --json": (("fano", "sodcounts", "--family", "cubic",
                                "--n", "3", "--k", "1", "--json"),
-                              "_packed cli fano motive sod"),
+                              "cli fano sod"),
     "fano sodcounts no k": (("fano", "sodcounts", "--family", "gr25"),
-                            "_packed cli fano motive sod"),
+                            "cli fano"),
     "motive check": (("motive", "check", str(CHECKS / "flip-derivation.mot")),
                      "_packed cli dsl motive sod"),
     "motive eval": (("motive", "eval",
@@ -811,7 +834,7 @@ _MODULE_SETS = {
         "_packed cli dsl motive sod"),
     "sod conjecture-consistency --json": (
         ("sod", "conjecture-consistency", "--n-odd-max", "15", "--json"),
-        "_packed cli motive sod"),
+        "cli sod"),
     "verify-all": (("verify-all",),
                    "_packed cli dsl fano hodge motive sod varieties"),
     "verify-all --json": (("verify-all", "--json"),
