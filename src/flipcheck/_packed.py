@@ -84,7 +84,8 @@ def _total(groups: Groups) -> int:
 
 
 def _top(groups: Groups) -> int:
-    return max(abs(c) for cells in groups.values() for c in cells.values())
+    return max((abs(c) for cells in groups.values() for c in cells.values()),
+               default=0)
 
 
 def _signed(cells: Mapping[int, int], width: int) -> tuple[int, int]:
@@ -97,8 +98,9 @@ def _signed(cells: Mapping[int, int], width: int) -> tuple[int, int]:
 
 def convolve(xs: Groups, ys: Groups, merge: Callable) -> Groups:
     """Grouped product: ``{merge(g, h): xs[g] * ys[h]}``, summed over the
-    pairs that merge alike.  Coefficients are signed; each group
-    multiplies as its positive part minus its negative part.
+    pairs that merge alike, except those that merge to None.  Coefficients
+    are signed; each group multiplies as its positive part minus its
+    negative part.
     ``merge(g, h)`` must determine ``h`` from ``g`` and the result, as both
     ``+`` and a product of monomials do: then each term of one side meets
     at most one term of the other in a slot, so every slot of either sum is
@@ -115,6 +117,8 @@ def convolve(xs: Groups, ys: Groups, merge: Callable) -> Groups:
     for g, (xp, xn) in px:
         for h, (yp, yn) in py:
             key = merge(g, h)
+            if key is None:
+                continue
             pos[key] = pos.get(key, 0) + xp * yp + xn * yn
             if xn or yn:
                 neg[key] = neg.get(key, 0) + xp * yn + xn * yp
@@ -134,22 +138,25 @@ def square(xs: Groups, merge: Callable, own: Callable) -> Groups:
     """Symmetric square of ``sum_g xs[g] * g`` by Macdonald's formula, for
     nonnegative coefficients.
 
-    Two groups ``g != h`` give ``xs[g] * xs[h]`` at ``merge(g, h)``.  A group
-    gives ``(c2 * a(t)^2 + c1 * a(t^2)) / 2`` at ``key`` for each
-    ``(key, c2, c1)`` in ``own(g)``, where ``a = xs[g]``; the caller's rule
-    keeps every slot of the numerator even and nonnegative, so one shift
-    halves it slot by slot.  Every numerator slot is at most ``T^2 + T``
-    for the total ``T`` of all coefficients.
+    Two groups ``g != h`` give ``xs[g] * xs[h]`` at ``merge(g, h)``, as in
+    :func:`convolve`.  A group gives ``(c2 * a(t)^2 + c1 * a(t^2)) / 2`` at
+    ``key`` for each ``(key, c2, c1)`` in ``own(g)``, where ``a = xs[g]``;
+    the caller's rule keeps every slot of the numerator even and
+    nonnegative, so one shift halves it slot by slot.  As in
+    :func:`convolve`, each term meets at most one term of a group in a slot,
+    so for ``c2 <= 1`` and ``|c1| <= 2`` a numerator slot is at most
+    ``(T + 2) * max|c|`` for the total ``T`` of all coefficients, and an
+    output slot, which counts a pair of units once, at most half that.
     """
-    t = _total(xs)
-    w = width(t * t + t)
+    w = width((_total(xs) + 2) * _top(xs))
     packed = [(g, pack(cells, w), cells) for g, cells in xs.items()]
     out: dict[Hashable, int] = {}
     for i, (g, x, cells) in enumerate(packed):
-        xx, psi = x * x, pack(cells, w, step=2)
         for key, c2, c1 in own(g):
-            out[key] = out.get(key, 0) + ((c2 * xx + c1 * psi) >> 1)
+            psi = pack(cells, w, step=2)
+            out[key] = out.get(key, 0) + ((c2 * x * x + c1 * psi) >> 1)
         for h, y, _ in packed[i + 1:]:
             key = merge(g, h)
-            out[key] = out.get(key, 0) + x * y
+            if key is not None:
+                out[key] = out.get(key, 0) + x * y
     return _tables({key: unpack(v, w) for key, v in out.items()})

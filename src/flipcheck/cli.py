@@ -3,8 +3,8 @@
 Every number the package is built to reproduce is available as a named,
 exit-code-bearing check: ``flipcheck verify-all`` runs the whole golden
 suite.  Exit codes: 0 all checks pass, 1 a check failed, 2 usage, parse or
-validation error.  Output is deterministic (sorted keys, no timestamps, no
-color), so identical invocations produce byte-identical output.
+validation error, 141 stdout closed early.  Output is deterministic (sorted
+keys, no timestamps, no color), so identical invocations give identical bytes.
 
 A process loads only what its command runs: commands and golden checks
 reach each submodule as ``fc.<module>``, which the package imports on
@@ -260,10 +260,8 @@ def _sod_check(args):
         else:
             ledgers.append(value)
     if len(ledgers) != 2:
-        raise ValueError(
-            f"expected exactly two ledgers (ambient then candidate), "
-            f"found {len(ledgers)}"
-        )
+        raise ValueError(f"expected exactly two ledgers (ambient then "
+                         f"candidate), found {len(ledgers)}")
     ambient = table.normalize(ledgers[0])
     candidate = table.normalize(ledgers[1])
     ambient_hh0 = fc.sod.additive_invariant(ambient, {"Dpt": 1})
@@ -361,34 +359,9 @@ def cmd_motive(args):
 # -- the golden suite ------------------------------------------------------------
 
 
-def _check_qds_column() -> CheckReport:
-    d = fc.hodge.hilbert_square(fc.varieties.builtin("quartic-double-solid"))
-    return make_report(
-        "hodge/hilb2-quartic-double-solid-column",
-        {"builtin": "quartic-double-solid"},
-        [1, 2, 4, 104, 4, 2, 1], fc.hodge.diagonal(d), "paper")
-
-
-def _check_qds_hh0() -> CheckReport:
-    d = fc.hodge.hilbert_square(fc.varieties.builtin("quartic-double-solid"))
-    return make_report("hodge/hilb2-quartic-double-solid-hh0",
-                       {"builtin": "quartic-double-solid"},
-                       118, fc.hodge.hh0(d), "paper")
-
-
-def _check_f1_hh0() -> CheckReport:
-    d = fc.varieties.builtin("f1-quartic-double-solid")
-    return make_report("hodge/f1-surface-hh0",
-                       {"builtin": "f1-quartic-double-solid"},
-                       222, fc.hodge.hh0(d), "paper")
-
-
-def _check_degree2_hilb2_hh0() -> CheckReport:
-    d = fc.hodge.hilbert_square(
-        fc.varieties.builtin("degree2-del-pezzo-surface"))
-    return make_report("hodge/degree2-surface-hilb2-hh0",
-                       {"builtin": "degree2-del-pezzo-surface"},
-                       65, fc.hodge.hh0(d), "paper")
+def _check_hodge(name: str, builtin: str, expected, measure) -> CheckReport:
+    return make_report(f"hodge/{name}", {"builtin": builtin}, expected,
+                       measure(fc.varieties.builtin(builtin)), "paper")
 
 
 def _check_euler_identity() -> CheckReport:
@@ -614,10 +587,15 @@ def _check_round_trip() -> CheckReport:
 
 
 ALL_CHECKS = [
-    _check_qds_column,
-    _check_qds_hh0,
-    _check_f1_hh0,
-    _check_degree2_hilb2_hh0,
+    lambda: _check_hodge("hilb2-quartic-double-solid-column",
+                         "quartic-double-solid", [1, 2, 4, 104, 4, 2, 1],
+                         lambda d: fc.hodge.diagonal(fc.hodge.hilbert_square(d))),
+    lambda: _check_hodge("hilb2-quartic-double-solid-hh0", "quartic-double-solid",
+                         118, lambda d: fc.hodge.hh0(fc.hodge.hilbert_square(d))),
+    lambda: _check_hodge("f1-surface-hh0", "f1-quartic-double-solid", 222,
+                         fc.hodge.hh0),
+    lambda: _check_hodge("degree2-surface-hilb2-hh0", "degree2-del-pezzo-surface",
+                         65, lambda d: fc.hodge.hh0(fc.hodge.hilbert_square(d))),
     _check_euler_identity,
     lambda: _check_obstruction("quartic-double-solid"),
     _check_degree2_count,
@@ -686,12 +664,8 @@ def random_ledger(rng: "random.Random") -> "fc.sod.SodLedger":
 
 def random_rule(rng: "random.Random") -> "fc.sod.RewriteRule":
     kind = rng.choice(["atom", "sym2", "tensor"])
-    if kind == "tensor":
-        args = (rng.choice(_LEDGER_POOL), rng.choice(_LEDGER_POOL))
-    else:
-        args = (rng.choice(_LEDGER_POOL),)
-    rhs = random_ledger(rng)
-    return fc.sod.RewriteRule(kind, args, rhs)
+    args = tuple(rng.choice(_LEDGER_POOL) for _ in range(1 + (kind == "tensor")))
+    return fc.sod.RewriteRule(kind, args, random_ledger(rng))
 
 
 def random_value(rng: "random.Random"):
@@ -841,7 +815,8 @@ def main(argv: list[str] | None = None) -> int:
     error a command raises is a ``ValueError`` (``ParseError``, sod's typed
     errors, bad JSON or UTF-8, ...) or an ``OSError``; ``render`` raises one
     only for an int of over 4300 digits, which Python will not print.  Each
-    ends here as one ``error:`` line, exit 2 and no output."""
+    ends here as one ``error:`` line, exit 2 and no output.  A reader that
+    closes stdout early ends the output, with exit 141 and nothing on stderr."""
     if argv is None:
         argv = sys.argv[1:]
     args = _read_argv(argv) or build_parser().parse_args(argv)
@@ -854,8 +829,14 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for line in lines:
-        print(line)
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the rest goes to devnull, so exit flushes quietly
+        import os
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports `yes | head -1`
     return code
 
 

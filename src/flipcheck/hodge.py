@@ -26,7 +26,9 @@ A diamond is stored by diagonal, ``{s: {p: h^{p,p+s}}}`` for ``s = q - p``,
 with no zero entry and no empty diagonal.  Products and squares run on that
 layout in the packed kernel (``_packed``): one diagonal's entries sit in
 fixed-width slots ``p`` of one Python integer, and one big-integer multiply
-per pair of diagonals does the whole Kunneth product.
+per pair of diagonals does the whole Kunneth product.  On Hodge-symmetric
+inputs they compute only the diagonals ``s >= 0``, and diagonal ``-s`` is
+diagonal ``s`` moved up ``s`` slots (the half path).
 """
 
 import operator
@@ -94,15 +96,14 @@ class HodgeDiamond:
     # -- symmetry checks ---------------------------------------------------
 
     def is_hodge_symmetric(self) -> bool:
-        return all(v == self.hodge(p + s, p)
-                   for s, cells in self._diagonals.items()
-                   for p, v in cells.items())
+        d = self._diagonals  # diagonal -s is diagonal s moved up s slots
+        return all(-s in d for s in d) and all(
+            d[-s] == _mirror(s, cells) for s, cells in d.items() if s > 0)
 
     def is_serre_dual(self) -> bool:
-        n = self.dim
-        return all(v == self.hodge(n - p, n - p - s)
-                   for s, cells in self._diagonals.items()
-                   for p, v in cells.items())
+        n, d = self.dim, self._diagonals  # diagonal s at p is -s at n - p
+        return all(d.get(-s) == {n - p: v for p, v in cells.items()}
+                   for s, cells in d.items())
 
     def validate(self) -> "HodgeDiamond":
         """Check both symmetries and return the diamond itself."""
@@ -154,10 +155,30 @@ def _check_entry(p: int, q: int, v: int) -> None:
 # -- operations --------------------------------------------------------------
 
 
+def _mirror(s: int, cells: dict[int, int]) -> dict[int, int]:
+    """Diagonal ``-s`` of a Hodge-symmetric table from its diagonal ``s``."""
+    return {p + s: v for p, v in cells.items()}
+
+
+def _rules(*diamonds: HodgeDiamond) -> tuple:
+    """Whether to take the half path, and the kernels' merge and own rule."""
+    half = all(d.is_hodge_symmetric() for d in diamonds)
+    merge = (lambda s, t: s + t if s + t >= 0 else None) if half else operator.add
+    return half, merge, (lambda s: () if half and s < 0
+                         else ((2 * s, 1, -1 if s % 2 else 1),))
+
+
+def _whole(dim: int, out: Diagonals, half: bool) -> HodgeDiamond:
+    if half:
+        out.update({-s: _mirror(s, cells) for s, cells in out.items() if s > 0})
+    return HodgeDiamond._trusted(dim, out)
+
+
 def kunneth(a: HodgeDiamond, b: HodgeDiamond) -> HodgeDiamond:
     """Hodge diamond of a product: bigraded convolution of the two tables."""
-    out = _packed.convolve(a._diagonals, b._diagonals, operator.add)
-    return HodgeDiamond._trusted(a.dim + b.dim, out)
+    half, merge, _ = _rules(a, b)
+    out = _packed.convolve(a._diagonals, b._diagonals, merge)
+    return _whole(a.dim + b.dim, out, half)
 
 
 def sym2(a: HodgeDiamond) -> HodgeDiamond:
@@ -174,9 +195,8 @@ def sym2(a: HodgeDiamond) -> HodgeDiamond:
     parity of the diagonal ``s = q - p``; within a diagonal every slot of
     ``x^2 + (-1)^s * psi`` is even and nonnegative.
     """
-    out = _packed.square(a._diagonals, operator.add,
-                         lambda s: ((2 * s, 1, -1 if s % 2 else 1),))
-    return HodgeDiamond._trusted(2 * a.dim, out)
+    half, merge, own = _rules(a)
+    return _whole(2 * a.dim, _packed.square(a._diagonals, merge, own), half)
 
 
 def hilbert_square(a: HodgeDiamond) -> HodgeDiamond:

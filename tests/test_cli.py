@@ -673,6 +673,26 @@ def test_error_exits_2_with_one_line_as_a_process(tmp_path, case):
     assert "set_int_max_str_digits" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("hodge", "hh0", "--builtin", "p2"),
+    ("hodge", "hilb2", "--builtin", "p2000", "--column"),
+    ("verify-all",)], ids=" ".join)
+def test_closed_stdout_exits_141_with_nothing_on_stderr(argv):
+    """A reader that has closed its end of the pipe ends the output: exit
+    141, as a shell reports a writer that SIGPIPE ends, and no traceback
+    or "Exception ignored" line from the flush at exit."""
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "flipcheck", *argv],
+                              env=env, stdout=write, stderr=subprocess.PIPE,
+                              timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
 # -- snapshots -----------------------------------------------------------------------
 
 GOLDEN = REPO / "tests" / "golden"
@@ -715,6 +735,10 @@ _OUTPUT_SNAPSHOTS = [
      ("fano", "sodcounts", "--family", "cubic", "--n", "3", "--k", "1",
       "--json")),
     ("fano-splittings-n5.txt", 17, ("fano", "splittings", "--n", "5")),
+    ("hodge-sym2-quartic-double-solid.json", 18,
+     ("hodge", "sym2", "--builtin", "quartic-double-solid", "--json")),
+    ("hodge-hilb2-curve-g3.json", 19,
+     ("hodge", "hilb2", "--builtin", "curve-g3", "--json")),
 ]
 
 

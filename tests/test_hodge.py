@@ -141,14 +141,24 @@ def assert_same(got, want):
 @st.composite
 def wide_diamonds(draw, max_dim=12, max_value=10**30):
     """Diamonds of dimension 0-12 with entries up to 10**30: sparse, empty,
-    diagonal-only (P^n-like) or corner-plus-diagonal (Calabi-Yau-like)."""
-    dim = draw(st.integers(0, max_dim))
+    diagonal-only (P^n-like), corner-plus-diagonal (Calabi-Yau-like),
+    mirrored (Hodge-symmetric, with entries off the diagonal) or mirrored
+    with one entry off the diagonal changed (not Hodge-symmetric).  The
+    operations take their half path on Hodge-symmetric inputs only."""
+    shape = draw(st.sampled_from(["sparse", "empty", "diagonal", "corners",
+                                  "mirrored", "unmirrored"]))
+    dim = draw(st.integers(1 if shape == "unmirrored" else 0, max_dim))
     value = st.integers(1, draw(st.sampled_from([1, 9, 10**6, max_value])))
-    shape = draw(st.sampled_from(["sparse", "empty", "diagonal", "corners"]))
+    cell = st.tuples(st.integers(0, dim), st.integers(0, dim))
     entries = {}
     if shape == "sparse":
-        cell = st.tuples(st.integers(0, dim), st.integers(0, dim))
         entries = draw(st.dictionaries(cell, value, max_size=30))
+    elif shape in ("mirrored", "unmirrored"):
+        for (p, q), v in draw(st.dictionaries(cell, value, max_size=30)).items():
+            entries[(p, q)] = entries[(q, p)] = v
+        if shape == "unmirrored":
+            p, q = draw(cell.filter(lambda c: c[0] != c[1]))
+            entries[(p, q)] = entries.get((p, q), 0) + draw(value)
     elif shape in ("diagonal", "corners"):
         entries = {(p, p): draw(value) for p in range(dim + 1)}
     if shape == "corners":

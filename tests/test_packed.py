@@ -95,14 +95,40 @@ def sym2_rule(g):
     return ((("Sym2_" + g[0],), 0, 2), (g + g, 1, -1))
 
 
+def at_the_top(width):
+    """Inputs whose slot bound ``(T + 2) * max|c|`` is as large as ``width``
+    bytes hold, for the total ``T`` of the coefficients, and the input that
+    pinned the old bound ``T^2 + T`` just inside ``width``."""
+    b = 256**width
+    c = 16**width - 1  # (c + 2) * c = b - 1
+    d = (isqrt(3 * b - 2) - 1) // 3  # the largest d with (3d + 2) * d < b
+    t = (isqrt(4 * b - 3) - 1) // 2  # the largest t with t^2 + t < b
+    return [
+        {(): {0: c}},  # the () rule: numerator slot 0 is c^2 + c
+        {("X",): {0: c}},  # the atom's (0, 2) rule gives 2c, (1, -1) c^2 - c
+        {(): {0: d}, ("X",): {0: d}, ("Sym2_X",): {0: d}},  # (0, 2) meets () * Sym2_X
+        {(): {0: t - 3, 2: 1, 5: 1}, ("X",): {1: 1}},
+    ]
+
+
 @pytest.mark.parametrize("width", WIDTHS)
 def test_square_at_every_width(width):
-    """Totals ``T`` with ``T^2 + T`` just inside ``width`` bytes."""
-    t = (isqrt(4 * 256**width - 3) - 1) // 2
-    xs = {(): {0: t - 3, 2: 1, 5: 1}, ("X",): {1: 1}}
-    assert total(xs) == t and _packed.width(t * t + t) == width
-    got = _packed.square(xs, merge_names, sym2_rule)
-    assert got == nonzero(square_loop(xs, merge_names, sym2_rule))
+    """At the top of each width every slot comes out exact, and the largest
+    output slot would not fit a width one byte narrower."""
+    *tops, old = at_the_top(width)
+    for xs in tops:
+        assert _packed.width((total(xs) + 2) * top(xs)) == width
+    assert _packed.width(total(old) ** 2 + total(old)) == width
+    for xs in tops + [old]:
+        want = nonzero(square_loop(xs, merge_names, sym2_rule))
+        assert max(max(t.values()) for t in want.values()) >= 256**(width - 1)
+        assert _packed.square(xs, merge_names, sym2_rule) == want
+
+
+def test_empty_groups_give_nothing():
+    assert _packed.square({}, merge_names, sym2_rule) == {}
+    assert _packed.square({(): {}}, merge_names, sym2_rule) == {}
+    assert _packed.convolve({}, {(): {0: 1}}, merge_names) == {}
 
 
 coefficients = st.sampled_from([1, 3, 100, 10**4, 10**8, 10**9, 10**30]).flatmap(
