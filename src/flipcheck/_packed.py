@@ -19,6 +19,7 @@ take the per-slot loop.
 
 import sys
 from collections.abc import Callable, Hashable, Mapping
+from itertools import compress
 
 Groups = Mapping[Hashable, Mapping[int, int]]  # {g: {exponent: coefficient}}
 
@@ -74,9 +75,8 @@ def unpack(x: int, width: int) -> list[int]:
 
 def _tables(lists: Mapping[Hashable, list[int]]) -> Groups:
     """Coefficient lists as groups, with no zero and no empty group."""
-    tables = {g: {p: c for p, c in enumerate(coeffs) if c}
-              for g, coeffs in lists.items()}
-    return {g: cells for g, cells in tables.items() if cells}
+    return {g: dict(compress(enumerate(coeffs), coeffs))
+            for g, coeffs in lists.items() if any(coeffs)}
 
 
 def _total(groups: Groups) -> int:
@@ -98,9 +98,9 @@ def _signed(cells: Mapping[int, int], width: int) -> tuple[int, int]:
 
 def convolve(xs: Groups, ys: Groups, merge: Callable) -> Groups:
     """Grouped product: ``{merge(g, h): xs[g] * ys[h]}``, summed over the
-    pairs that merge alike, except those that merge to None.  Coefficients
-    are signed; each group multiplies as its positive part minus its
-    negative part.
+    pairs that merge alike.  Coefficients are signed; each group multiplies
+    as its positive part minus its negative part.  A merge to None ends the
+    row of ``g``: a caller that drops a tail of each row orders ``ys`` so.
     ``merge(g, h)`` must determine ``h`` from ``g`` and the result, as both
     ``+`` and a product of monomials do: then each term of one side meets
     at most one term of the other in a slot, so every slot of either sum is
@@ -118,7 +118,7 @@ def convolve(xs: Groups, ys: Groups, merge: Callable) -> Groups:
         for h, (yp, yn) in py:
             key = merge(g, h)
             if key is None:
-                continue
+                break
             pos[key] = pos.get(key, 0) + xp * yp + xn * yn
             if xn or yn:
                 neg[key] = neg.get(key, 0) + xp * yn + xn * yp
@@ -134,29 +134,40 @@ def convolve(xs: Groups, ys: Groups, merge: Callable) -> Groups:
     return _tables(out)
 
 
-def square(xs: Groups, merge: Callable, own: Callable) -> Groups:
-    """Symmetric square of ``sum_g xs[g] * g`` by Macdonald's formula, for
-    nonnegative coefficients.
-
-    Two groups ``g != h`` give ``xs[g] * xs[h]`` at ``merge(g, h)``, as in
-    :func:`convolve`.  A group gives ``(c2 * a(t)^2 + c1 * a(t^2)) / 2`` at
-    ``key`` for each ``(key, c2, c1)`` in ``own(g)``, where ``a = xs[g]``;
-    the caller's rule keeps every slot of the numerator even and
-    nonnegative, so one shift halves it slot by slot.  As in
-    :func:`convolve`, each term meets at most one term of a group in a slot,
-    so for ``c2 <= 1`` and ``|c1| <= 2`` a numerator slot is at most
-    ``(T + 2) * max|c|`` for the total ``T`` of all coefficients, and an
-    output slot, which counts a pair of units once, at most half that.
+def square(xs: Groups, merge: Callable, own: Callable,
+           ys: Groups = {}) -> Groups:
+    """Symmetric square of ``sum_g xs[g] * g`` by Macdonald's formula plus
+    the product ``xs * ys`` (a correction polynomial, or none), in one pass,
+    for nonnegative coefficients.  Two groups ``g != h`` give
+    ``xs[g] * xs[h]``, and ``h`` in ``ys`` gives ``xs[g] * ys[h]``, at
+    ``merge(g, h)``, rows ended as in :func:`convolve`.  A group gives
+    ``(c2 * a(t)^2 + c1 * a(t^2)) / 2`` at ``key`` for each ``(key, c2,
+    c1)`` in ``own(g)``, ``a = xs[g]``; the caller's rule keeps every slot
+    of the numerator even and nonnegative, so one shift halves it, and
+    gives distinct groups distinct keys.  Then a unit of ``xs`` meets the
+    units of at most one cell in a slot, so for ``c2 <= 1`` and
+    ``|c1| <= 2``, and the total ``T`` of ``xs``, a numerator slot is at
+    most ``(T + 2) * max|c|`` and the product's at most ``T * max(ys)``.
+    An output slot counts a pair of units once: the width holds
+    ``(T + 2) * max|c| / 2 + T * max(ys)``.
     """
-    w = width((_total(xs) + 2) * _top(xs))
-    packed = [(g, pack(cells, w), cells) for g, cells in xs.items()]
+    total = _total(xs)
+    if not total:
+        return {}
+    w = width((total + 2) * _top(xs) // 2 + total * _top(ys))
+    packed = [(g, pack(cells, w)) for g, cells in xs.items()]
+    others = [(h, pack(cells, w)) for h, cells in ys.items()]
     out: dict[Hashable, int] = {}
-    for i, (g, x, cells) in enumerate(packed):
-        for key, c2, c1 in own(g):
-            psi = pack(cells, w, step=2)
-            out[key] = out.get(key, 0) + ((c2 * x * x + c1 * psi) >> 1)
-        for h, y, _ in packed[i + 1:]:
-            key = merge(g, h)
-            if key is not None:
+    for i, (g, x) in enumerate(packed):
+        rule = own(g)
+        if rule:
+            psi = pack(xs[g], w, step=2)
+            for key, c2, c1 in rule:
+                out[key] = out.get(key, 0) + ((c2 * x * x + c1 * psi) >> 1)
+        for row in (packed[i + 1:], others):
+            for h, y in row:
+                key = merge(g, h)
+                if key is None:
+                    break
                 out[key] = out.get(key, 0) + x * y
     return _tables({key: unpack(v, w) for key, v in out.items()})

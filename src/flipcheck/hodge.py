@@ -13,7 +13,7 @@ the Hilbert square by the formula of the Grothendieck ring (``motive``):
 
     h(X^[2]) = Sym^2 h(X)  +  ([P^{n-1}] - [pt]) h(X),
 
-one symmetric square and one Kunneth product with the raw table of ones at
+the symmetric square plus the product with the raw table of ones at
 ``(i, i)``, ``1 <= i <= n-1``.  The product is the exceptional divisor of
 the blowup of ``X x X`` along the diagonal, a ``P^{n-1}``-bundle over ``X``,
 less the diagonal it replaces.
@@ -23,12 +23,15 @@ dimensions only (no lattice or torsion information is modelled).  Values are
 immutable after construction and all operations are pure functions.
 
 A diamond is stored by diagonal, ``{s: {p: h^{p,p+s}}}`` for ``s = q - p``,
-with no zero entry and no empty diagonal.  Products and squares run on that
-layout in the packed kernel (``_packed``): one diagonal's entries sit in
-fixed-width slots ``p`` of one Python integer, and one big-integer multiply
-per pair of diagonals does the whole Kunneth product.  On Hodge-symmetric
-inputs they compute only the diagonals ``s >= 0``, and diagonal ``-s`` is
-diagonal ``s`` moved up ``s`` slots (the half path).
+with no zero entry and no empty diagonal: the layout of the packed kernel
+(``_packed``), which packs a diagonal into one integer and multiplies two
+in one step.  On Hodge-symmetric inputs the operations compute only the
+diagonals ``s >= 0`` and fill in diagonal ``-s`` as diagonal ``s`` moved up
+``s`` slots (the half path); a diamond scans itself for that symmetry once,
+a result of the half path has it by construction.  The Hilbert square is
+one ``_packed.square`` pass (diagonal ``s`` gives ``(x_s^2 +- psi_s)/2`` at
+``2s``, ``x_s * e`` at ``s`` for ``e = t + ... + t^{n-1}``, ``x_s * x_t``
+at ``s + t``), one unpack and one mirror.
 """
 
 import operator
@@ -40,7 +43,8 @@ Bidegree = tuple[int, int]
 Diagonals = dict[int, dict[int, int]]  # {q - p: {p: h^{p,q}}}
 
 # largest dimension of an input diamond (JSON or builtin): the packed
-# operations size their buffers by the dimension, not by the entries
+# operations size their buffers by the dimension, not by the entries, so a
+# four-corner diamond costs a slot per p of each corner diagonal
 MAX_DIM = 100_000
 
 
@@ -52,12 +56,12 @@ class HodgeDiamond:
     ``[P^{n-1}] - [pt]`` need not satisfy them.
     """
 
-    __slots__ = ("dim", "_diagonals")
+    __slots__ = ("dim", "_diagonals", "_symmetric")
 
     def __init__(self, dim: int, entries: Mapping[Bidegree, int] = {}):
         if dim < 0:
             raise ValueError(f"dimension must be nonnegative, got {dim}")
-        self.dim, self._diagonals = dim, {}
+        self.dim, self._diagonals, self._symmetric = dim, {}, None
         for (p, q), v in entries.items():
             _check_entry(p, q, v)
             if v and not (0 <= p <= dim and 0 <= q <= dim):
@@ -66,10 +70,12 @@ class HodgeDiamond:
                 self._diagonals.setdefault(q - p, {})[p] = v
 
     @classmethod
-    def _trusted(cls, dim: int, diagonals: Diagonals) -> "HodgeDiamond":
-        """Wrap positive, nonempty diagonals inside ``[0, dim]^2``."""
+    def _trusted(cls, dim: int, diagonals: Diagonals,
+                 symmetric: bool | None = None) -> "HodgeDiamond":
+        """Wrap positive, nonempty diagonals inside ``[0, dim]^2``, and
+        whether they are Hodge-symmetric, if known."""
         d = object.__new__(cls)
-        d.dim, d._diagonals = dim, diagonals
+        d.dim, d._diagonals, d._symmetric = dim, diagonals, symmetric
         return d
 
     def hodge(self, p: int, q: int) -> int:
@@ -88,17 +94,18 @@ class HodgeDiamond:
         return self.dim == other.dim and self._diagonals == other._diagonals
 
     def __repr__(self) -> str:
-        cells = ", ".join(
-            f"({p},{q}): {v}" for (p, q), v in sorted(self.entries().items())
-        )
+        cells = ", ".join(f"({p},{q}): {v}"
+                          for (p, q), v in sorted(self.entries().items()))
         return f"HodgeDiamond(dim={self.dim}, {{{cells}}})"
 
     # -- symmetry checks ---------------------------------------------------
 
     def is_hodge_symmetric(self) -> bool:
         d = self._diagonals  # diagonal -s is diagonal s moved up s slots
-        return all(-s in d for s in d) and all(
-            d[-s] == _mirror(s, cells) for s, cells in d.items() if s > 0)
+        if self._symmetric is None:  # a diamond never changes: scan it once
+            self._symmetric = all(-s in d for s in d) and all(
+                d[-s] == _mirror(s, cells) for s, cells in d.items() if s > 0)
+        return self._symmetric
 
     def is_serre_dual(self) -> bool:
         n, d = self.dim, self._diagonals  # diagonal s at p is -s at n - p
@@ -116,10 +123,8 @@ class HodgeDiamond:
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "entries": [[p, q, v] for (p, q), v in sorted(self.entries().items())],
-        }
+        return {"dim": self.dim, "entries": [
+            [p, q, v] for (p, q), v in sorted(self.entries().items())]}
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "HodgeDiamond":
@@ -160,67 +165,58 @@ def _mirror(s: int, cells: dict[int, int]) -> dict[int, int]:
     return {p + s: v for p, v in cells.items()}
 
 
-def _rules(*diamonds: HodgeDiamond) -> tuple:
-    """Whether to take the half path, and the kernels' merge and own rule."""
-    half = all(d.is_hodge_symmetric() for d in diamonds)
+def _rules(a: HodgeDiamond, *others: HodgeDiamond) -> tuple:
+    """The diagonals of ``a``, descending, the kernels' merge and own rule,
+    and whether to take the half path, where merge ends a row at ``s + t < 0``."""
+    half = all(d.is_hodge_symmetric() for d in (a, *others))
     merge = (lambda s, t: s + t if s + t >= 0 else None) if half else operator.add
-    return half, merge, (lambda s: () if half and s < 0
-                         else ((2 * s, 1, -1 if s % 2 else 1),))
+    return dict(sorted(a._diagonals.items(), reverse=True)), merge, (
+        lambda s: () if half and s < 0 else ((2 * s, 1, -1 if s % 2 else 1),)), half
 
 
 def _whole(dim: int, out: Diagonals, half: bool) -> HodgeDiamond:
     if half:
         out.update({-s: _mirror(s, cells) for s, cells in out.items() if s > 0})
-    return HodgeDiamond._trusted(dim, out)
+    return HodgeDiamond._trusted(dim, out, half or None)
 
 
 def kunneth(a: HodgeDiamond, b: HodgeDiamond) -> HodgeDiamond:
     """Hodge diamond of a product: bigraded convolution of the two tables."""
-    half, merge, _ = _rules(a, b)
-    out = _packed.convolve(a._diagonals, b._diagonals, merge)
-    return _whole(a.dim + b.dim, out, half)
+    groups, merge, _, half = _rules(b, a)
+    return _whole(a.dim + b.dim, _packed.convolve(a._diagonals, groups, merge), half)
+
+
+def _square(a: HodgeDiamond, correction: Diagonals) -> HodgeDiamond:
+    groups, merge, own, half = _rules(a)
+    return _whole(2 * a.dim, _packed.square(groups, merge, own, correction), half)
 
 
 def sym2(a: HodgeDiamond) -> HodgeDiamond:
-    """Graded symmetric square with the Koszul sign rule.
-
-    This is the table of Z/2-coinvariants of ``H*(X) (x) H*(X)`` under the
-    swap with sign ``(-1)^{|x||y|}``.  Two distinct bidegrees contribute the
-    product of their entries; a bidegree paired with itself contributes
-    ``m(m+1)/2`` in even total degree and ``m(m-1)/2`` in odd total degree
-    (Sym^2 of the even part, even (x) odd, and Lambda^2 of the odd part).
-
-    On packed diagonals this is ``(a^2 + psi^2 a) / 2``: ``psi^2`` doubles
-    bidegrees with the Koszul sign ``(-1)^{p+q}``, and ``p + q`` has the
-    parity of the diagonal ``s = q - p``; within a diagonal every slot of
-    ``x^2 + (-1)^s * psi`` is even and nonnegative.
+    """Graded symmetric square with the Koszul sign rule: the
+    Z/2-coinvariants of ``H*(X) (x) H*(X)`` under the swap with sign
+    ``(-1)^{|x||y|}``.  Two distinct bidegrees give the product of their
+    entries; a bidegree paired with itself gives ``m(m+1)/2`` in even and
+    ``m(m-1)/2`` in odd total degree.  Packed, diagonal ``s`` gives
+    ``(x^2 + (-1)^s psi) / 2`` (``p + q`` has the parity of ``s``), every
+    slot of whose numerator is even and nonnegative.
     """
-    half, merge, own = _rules(a)
-    return _whole(2 * a.dim, _packed.square(a._diagonals, merge, own), half)
+    return _square(a, {})
 
 
 def hilbert_square(a: HodgeDiamond) -> HodgeDiamond:
     """Hodge diamond of the Hilbert scheme of two points:
     ``Sym^2 X + ([P^{n-1}] - [pt]) X`` for ``n = dim >= 1``, the formula of
-    ``motive.hilbert_square_class``.  For a curve the correction is empty
-    and ``(P^1)^[2] = P^2`` comes out of the symmetric square alone.
+    ``motive.hilbert_square_class``: :func:`sym2`'s pass with the correction
+    ``t + ... + t^{n-1}`` on diagonal 0, empty for a curve.
     """
-    n = a.dim
-    if n < 1:
+    if a.dim < 1:
         raise ValueError("Hilbert square of a 0-dimensional variety is not modelled")
-    square = sym2(a)
-    exceptional = HodgeDiamond(n - 1, {(i, i): 1 for i in range(1, n)})
-    for s, cells in kunneth(a, exceptional)._diagonals.items():
-        into = square._diagonals.setdefault(s, {})  # fresh: summed into in place
-        for p, v in cells.items():
-            into[p] = into.get(p, 0) + v
-    return square
+    return _square(a, {0: {i: 1 for i in range(1, a.dim)}})
 
 
 def hh0(a: HodgeDiamond) -> int:
     """Sum of the diagonal entries ``h^{p,p}``: the dimension of degree-zero
-    Hochschild homology via Hochschild--Kostant--Rosenberg.
-    """
+    Hochschild homology via Hochschild--Kostant--Rosenberg."""
     return sum(a._diagonals.get(0, {}).values())
 
 
@@ -237,16 +233,9 @@ def euler(a: HodgeDiamond) -> int:
 
 def format_diamond(a: HodgeDiamond) -> str:
     """Render as the classical centered diamond, ``h^{n,n}`` on top."""
-    n = a.dim
-    rows = []
-    for total in range(2 * n, -1, -1):
-        lo = max(0, total - n)
-        hi = min(n, total)
-        rows.append([a.hodge(p, total - p) for p in range(hi, lo - 1, -1)])
+    n = a.dim  # row p + q = t, from p = min(n, t) down
+    rows = [[a.hodge(p, t - p) for p in range(min(n, t), max(0, t - n) - 1, -1)]
+            for t in range(2 * n, -1, -1)]
     width = max((len(str(v)) for row in rows for v in row), default=1) + 2
-    lines = []
-    full = (2 * n + 1) * width
-    for row in rows:
-        text = "".join(str(v).center(width) for v in row)
-        lines.append(text.center(full).rstrip())
-    return "\n".join(lines)
+    return "\n".join("".join(str(v).center(width) for v in row)
+                     .center((2 * n + 1) * width).rstrip() for row in rows)

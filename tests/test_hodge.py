@@ -210,6 +210,78 @@ def test_results_store_no_zero_and_no_empty_diagonal(a, b):
         assert HodgeDiamond(r.dim, r.entries()) == r
 
 
+@st.composite
+def low_dimension_tables(draw):
+    """Diamonds of dimension 1 or 2 (now and then 0 or 3) with entries up
+    to 10**30: Hodge-symmetric by construction, or with one entry off the
+    diagonal raised so that they are not."""
+    dim = draw(st.sampled_from([1, 2, 1, 2, 0, 3]))
+    value = st.integers(1, draw(st.sampled_from([1, 255, 2**64, 10**30])))
+    cell = st.tuples(st.integers(0, dim), st.integers(0, dim))
+    entries = {}
+    for (p, q), v in draw(st.dictionaries(cell, value, max_size=12)).items():
+        entries[(p, q)] = entries[(q, p)] = v
+    if dim and draw(st.booleans()):
+        p, q = draw(cell.filter(lambda c: c[0] != c[1]))
+        entries[(p, q)] = entries.get((p, q), 0) + draw(value)
+    return HodgeDiamond(dim, entries)
+
+
+def is_symmetric_by_entries(d):
+    """Hodge symmetry read entry by entry, apart from the stored diagonals."""
+    return all(d.hodge(q, p) == v for (p, q), v in d.entries().items())
+
+
+both_paths = st.one_of(low_dimension_tables(), wide_diamonds())
+
+
+@given(both_paths, both_paths)
+@example(HodgeDiamond(1, {(0, 0): 1, (1, 0): 1}), varieties.point())
+@example(HodgeDiamond(2, {(0, 0): 1, (1, 0): 2, (0, 1): 3, (2, 2): 1}),
+         varieties.curve(1))
+@settings(max_examples=200)
+def test_operations_match_pairwise_on_both_paths(a, b):
+    """``kunneth``, ``sym2`` and ``hilbert_square`` against the pairwise
+    references, on tables that take the half path and on tables that take
+    the full one, and every result knows whether it is Hodge-symmetric."""
+    results = [(kunneth(a, b), kunneth_pairwise(a, b)),
+               (kunneth(b, a), kunneth_pairwise(b, a)),
+               (sym2(a), sym2_pairwise(a))]
+    if a.dim >= 1:
+        results.append((hilbert_square(a), hilbert_square_pairwise(a)))
+    for got, want in results:
+        assert_same(got, want)
+        assert got.is_hodge_symmetric() == is_symmetric_by_entries(want)
+    assert a.is_hodge_symmetric() == is_symmetric_by_entries(a)
+
+
+def test_a_table_that_is_not_hodge_symmetric_is_never_marked_so():
+    """The full path leaves the symmetry of its result unknown, to be
+    scanned when asked; it never marks a result symmetric."""
+    a = HodgeDiamond(2, {(0, 0): 1, (1, 0): 2, (0, 1): 3, (2, 2): 1})
+    assert a._symmetric is None  # not scanned until asked
+    results = [sym2(a), hilbert_square(a), kunneth(a, a),
+               kunneth(a, varieties.projective_space(2))]
+    assert a._symmetric is False
+    assert all(r._symmetric is None for r in results)
+    assert not any(r.is_hodge_symmetric() for r in results)
+    assert all(r._symmetric is False for r in results)
+
+
+def test_symmetric_results_are_marked_without_a_rescan(monkeypatch):
+    """A result of Hodge-symmetric inputs is marked so as it is built, and
+    an input is scanned once: no later call reads its diagonals to ask."""
+    a = varieties.builtin("quartic-double-solid")  # validate scanned it
+    assert a._symmetric is True
+    results = [sym2(a), hilbert_square(a), kunneth(a, a)]
+    assert all(r._symmetric is True for r in results)
+
+    def no_scan(s, cells):
+        raise AssertionError("symmetry scanned again")
+    monkeypatch.setattr(hodge, "_mirror", no_scan)
+    assert all(r.is_hodge_symmetric() for r in results + [a])
+
+
 def test_four_corners_of_dimension_1000_match_pairwise():
     n = 1000
     a = HodgeDiamond(n, {(0, 0): 1, (0, n): 2, (n, 0): 2, (n, n): 1})

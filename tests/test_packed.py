@@ -95,20 +95,38 @@ def sym2_rule(g):
     return ((("Sym2_" + g[0],), 0, 2), (g + g, 1, -1))
 
 
+def square_bound(xs, ys={}):
+    """The square's slot bound: ``(T + 2) * max|c| / 2`` for the total ``T``
+    of the coefficients of ``xs``, plus ``T * max(ys)`` for the product."""
+    return (total(xs) + 2) * top(xs) // 2 + total(xs) * (top(ys) if ys else 0)
+
+
 def at_the_top(width):
-    """Inputs whose slot bound ``(T + 2) * max|c|`` is as large as ``width``
-    bytes hold, for the total ``T`` of the coefficients, and the input that
-    pinned the old bound ``T^2 + T`` just inside ``width``."""
+    """Inputs whose slot bound is as large as ``width`` bytes hold, and the
+    input that pinned the bound ``T^2 + T`` of an earlier kernel just inside
+    ``width``."""
     b = 256**width
-    c = 16**width - 1  # (c + 2) * c = b - 1
-    d = (isqrt(3 * b - 2) - 1) // 3  # the largest d with (3d + 2) * d < b
+    c = isqrt(2 * b - 1) - 1  # (c + 2) * c / 2 < b
+    d = isqrt(2 * b // 3)
+    while (3 * d + 2) * d // 2 >= b:
+        d -= 1
     t = (isqrt(4 * b - 3) - 1) // 2  # the largest t with t^2 + t < b
     return [
-        {(): {0: c}},  # the () rule: numerator slot 0 is c^2 + c
-        {("X",): {0: c}},  # the atom's (0, 2) rule gives 2c, (1, -1) c^2 - c
+        {(): {0: c}},  # the () rule: output slot 0 is (c^2 + c) / 2
+        {("X",): {0: c}},  # the atom's (0, 2) rule gives c, (1, -1) (c^2 - c) / 2
         {(): {0: d}, ("X",): {0: d}, ("Sym2_X",): {0: d}},  # (0, 2) meets () * Sym2_X
         {(): {0: t - 3, 2: 1, 5: 1}, ("X",): {1: 1}},
     ]
+
+
+def with_correction(width):
+    """A square and a correction polynomial that share the top of ``width``:
+    about half of the bound from each."""
+    b = 256**width
+    c = isqrt(b) - 1
+    e = (b - 1 - (c + 2) * c // 2) // (2 * c)
+    return [({(): {0: c, 1: 1}}, {(): {0: e, 1: e, 3: 1}}),
+            ({("X",): {0: c}, (): {2: 1}}, {(): {0: e}})]
 
 
 @pytest.mark.parametrize("width", WIDTHS)
@@ -117,12 +135,32 @@ def test_square_at_every_width(width):
     output slot would not fit a width one byte narrower."""
     *tops, old = at_the_top(width)
     for xs in tops:
-        assert _packed.width((total(xs) + 2) * top(xs)) == width
+        assert _packed.width(square_bound(xs)) == width
     assert _packed.width(total(old) ** 2 + total(old)) == width
     for xs in tops + [old]:
         want = nonzero(square_loop(xs, merge_names, sym2_rule))
         assert max(max(t.values()) for t in want.values()) >= 256**(width - 1)
         assert _packed.square(xs, merge_names, sym2_rule) == want
+
+
+def add_tables(a, b):
+    out = {key: dict(t) for key, t in a.items()}
+    for key, t in b.items():
+        for p, c in t.items():
+            out.setdefault(key, {})[p] = out.get(key, {}).get(p, 0) + c
+    return nonzero(out)
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_square_with_correction_at_every_width(width):
+    """The square plus the product with a correction polynomial, in one
+    pass, is the square plus the product, at the top of each width."""
+    for xs, ys in with_correction(width):
+        assert _packed.width(square_bound(xs, ys)) == width
+        want = add_tables(square_loop(xs, merge_names, sym2_rule),
+                          convolve_loop(xs, ys, merge_names))
+        assert max(max(t.values()) for t in want.values()) >= 256**(width - 1)
+        assert _packed.square(xs, merge_names, sym2_rule, ys) == want
 
 
 def test_empty_groups_give_nothing():
@@ -146,9 +184,23 @@ def test_convolve_matches_loop(xs, ys):
     assert got == nonzero(convolve_loop(xs, ys, merge_names))
 
 
-@given(groups.map(lambda xs: {g: {p: abs(c) for p, c in a.items()}
-                              for g, a in xs.items() if len(g) < 2}))
+unsigned = groups.map(lambda xs: {g: {p: abs(c) for p, c in a.items()}
+                                  for g, a in xs.items() if len(g) < 2})
+
+
+@given(unsigned)
 @settings(max_examples=150)
 def test_square_matches_loop(xs):
     got = _packed.square(xs, merge_names, sym2_rule)
     assert got == nonzero(square_loop(xs, merge_names, sym2_rule))
+
+
+@given(unsigned, st.dictionaries(st.integers(0, 20), coefficients.map(abs),
+                                 max_size=12))
+@settings(max_examples=150)
+def test_square_with_correction_matches_loops(xs, e):
+    """One correction polynomial at the unit key ``()``, or an empty one."""
+    ys = {(): e}
+    want = add_tables(square_loop(xs, merge_names, sym2_rule),
+                      convolve_loop(xs, ys, merge_names))
+    assert _packed.square(xs, merge_names, sym2_rule, ys) == want
