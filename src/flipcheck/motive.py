@@ -38,6 +38,20 @@ class FragmentError(ValueError):
     """Input lies outside the fragment an operation supports."""
 
 
+class BudgetError(ValueError):
+    """A result would pass its size budget; raised before it is computed."""
+
+
+# Sym2(x) is refused when its size may pass this many bits: at most
+# n(n + 3)/2 terms for the n terms of x, and at most (2 * span + 1) per
+# output monomial for the L-degree span of x, each of at most twice the
+# bits of the coefficient sum of x.  A nested Sym2 doubles the span and the
+# bits: over 1 + L the 11th level may hold 3.6 million bits (11 levels take
+# 0.2 s as a process on a 2-core host) and the 12th, 14.4 million (1.4 s
+# before this budget), is refused.
+MAX_SYM2_BITS = 1 << 23
+
+
 def _mul_monomials(m1: Monomial, m2: Monomial) -> Monomial:
     if not m1:
         return m2
@@ -298,6 +312,7 @@ def sym2_class(x: MotiveExpr) -> MotiveExpr:
                 "not an effective class"
             )
         raise FragmentError(f"monomial {'*'.join(mono)} is not a single atom")
+    _check_sym2_size(x.terms)
     if len(x.terms) < _PACK_MIN:
         flat, groups = list(x.terms.items()), {}
     else:
@@ -314,6 +329,19 @@ def sym2_class(x: MotiveExpr) -> MotiveExpr:
         _mul_flat(terms, flat, _records(_items(groups)))
         _add_packed(terms, _packed.square(groups, _mul_monomials, _sym2_rule))
     return MotiveExpr._trusted(terms)
+
+
+def _check_sym2_size(terms: Mapping[TermKey, int]) -> None:
+    """Raise :class:`BudgetError` if ``Sym2`` of ``terms`` may pass
+    ``MAX_SYM2_BITS``, from the L-degree span and coefficient bits."""
+    powers = [lp for lp, _ in terms] or [0]
+    n, m = len(terms), len({mono for _, mono in terms})
+    span = max(powers) - min(powers)
+    count = min(n * (n + 3), (2 * span + 1) * m * (m + 3)) // 2
+    bits = 2 * sum(terms.values()).bit_length()
+    if count * bits > MAX_SYM2_BITS:
+        raise BudgetError(f"Sym2 of this value may hold {count} terms of "
+                          f"{bits} bits, over the budget of {MAX_SYM2_BITS} bits")
 
 
 def hilbert_square_class(x: MotiveExpr, n: int) -> MotiveExpr:

@@ -87,6 +87,9 @@ INPUTS = {
                                 for i in range(10000))
                         + "A10000 => {Dpt:1}\n{A0:1}\n{Dpt:1}\n",
     "inputs/sym2-depth-10.mot": _nested_sym2(10),
+    # past the Sym2 size budget: 12 levels, and the deepest the parser takes
+    "inputs/sym2-depth-12.mot": _nested_sym2(12),
+    "inputs/sym2-depth-199.mot": _nested_sym2(199),
 }
 
 
@@ -152,7 +155,8 @@ def commands() -> list[list[str]]:
     for name in ("loop.sod", "line2.sod", "ring.sod", "chain.sod"):
         lines += [["sod", "check", f"inputs/{name}"]]
     for name in ("latin1.mot", "lone-cr.mot", "eval-line2.mot",
-                 "parse-error.mot", "missing.mot", "sym2-depth-10.mot"):
+                 "parse-error.mot", "missing.mot", "sym2-depth-10.mot",
+                 "sym2-depth-12.mot", "sym2-depth-199.mot"):
         lines += [["motive", "eval", f"inputs/{name}"],
                   ["motive", "check", f"inputs/{name}"]]
     for n in ("2", "3", "15", "1001", "1002", "1000000000"):

@@ -545,8 +545,11 @@ def test_parse_error_names_file_line_and_column(tmp_path, capsys, command):
      "2:1: motive scripts may only contain expressions"),
     ("{Dpt:1}\nSym2(Dpt) => {Dpt:2}\n  1 + L\n{Dpt:2}\n", "sod",
      "3:3: sod scripts may only contain rules and ledgers"),
+    ("1\n 2 * " + "Sym2(" * 12 + "1 + L" + ")" * 12 + "\n", "motive",
+     "2:2: Sym2 of this value may hold 8194 terms of 1758 bits, over the "
+     "budget of 8388608 bits"),
 ], ids=["sym2-of-product", "tensor", "sym2-of-negative", "motive-ledger",
-        "sod-expression"])
+        "sod-expression", "sym2-over-budget"])
 def test_evaluation_error_names_its_statement(tmp_path, capsys, text, command,
                                               message):
     """A statement that parses but fails to evaluate, or has the wrong kind
@@ -641,6 +644,9 @@ _PROCESS_ERRORS = {
     "oversized-n-odd-max": (("sod", "conjecture-consistency",
                              "--n-odd-max", "1000000000"), None),
     "oversized-full-view": (("hodge", "hilb2", "--builtin", "p10000"), None),
+    # the deepest nesting the parser takes; each Sym2 doubles the result
+    "sym2-depth-199": (("motive", "eval", "{file}"),
+                       "Sym2(" * 199 + "1 + L" + ")" * 199 + "\n"),
     # results of over 4,300 digits, which Python refuses to print
     **{f"fano-{op}-too-long-to-print": (
         ("fano", op, "--family", "cubic", "--n", "7" * 4001,

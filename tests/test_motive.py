@@ -5,8 +5,8 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from flipcheck import hodge, varieties
-from flipcheck.motive import (_PACK_MIN, ONE, FragmentError, MotiveExpr,
-                              _grouped, blowup_class, class_of_pn,
+from flipcheck.motive import (_PACK_MIN, MAX_SYM2_BITS, ONE, BudgetError,
+                              FragmentError, MotiveExpr, _grouped, blowup_class, class_of_pn,
                               flip_difference, hilbert_square_class, sym2_class)
 
 L = MotiveExpr.lefschetz(1)
@@ -148,6 +148,31 @@ def test_sym2_class_fragment_errors():
         sym2_class(atom("C") * atom("F"))
     with pytest.raises(FragmentError):
         sym2_class(atom("C") * atom("C"))
+
+
+def test_nested_sym2_is_refused_before_it_is_squared():
+    """Each level of Sym2 over 1 + L doubles the L-degree and the bits of
+    the coefficients: 11 levels answer, and the 12th is refused from the
+    size of the 11th alone."""
+    x = ONE + L
+    for _ in range(11):
+        x = sym2_class(x)
+    assert max(lp for lp, _ in x.terms) == 2**11
+    assert sum(x.terms.values()).bit_length() == 879
+    with pytest.raises(BudgetError, match=f"over the budget of {MAX_SYM2_BITS} bits"):
+        sym2_class(x)
+    with pytest.raises(BudgetError):
+        hilbert_square_class(x, 3)
+
+
+def test_sym2_budget_lets_wide_and_sparse_classes_through():
+    """The budget bounds output size, not the L-degree alone: Sym2 of
+    [P^10000], and of a sum whose top power is L^3000000000, answer."""
+    pn = class_of_pn(10000)
+    assert sym2_class(pn).terms[(10000, ())] == 5001
+    lp = MotiveExpr.lefschetz
+    sparse = sum((lp(i) for i in range(1, 9)), ONE) + lp(3000000000)
+    assert sym2_class(sparse).terms[(6000000000, ())] == 1
 
 
 def _assert_canonical(x):
