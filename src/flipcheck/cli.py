@@ -12,6 +12,7 @@ first access, and ``argparse`` is imported only for help and usage
 errors, which ``_read_argv`` leaves to it.
 """
 
+import gc
 import sys
 from collections import namedtuple
 from types import SimpleNamespace
@@ -147,7 +148,7 @@ def cmd_fano(args):
             {name: form.to_json_dict() for name, form in forms.items()},
             sort_keys=True, indent=2)]
     return 0, lambda: [f"{name.replace('_', ' ') + ':':<15}"
-                       f"{fc.dsl.print_canonical(form)}"
+                       f"{fc.sod.canonical_text(form)}"
                        for name, form in forms.items()]
 
 
@@ -294,7 +295,7 @@ def _sod_consistency(args):
              for r in results], sort_keys=True)]
     return code, lambda: [
         f"{'PASS' if r.holds else 'FAIL'} n={r.n}: "
-        f"{fc.dsl.print_canonical(r.hilb2)}" if r.in_stated_range else
+        f"{fc.sod.canonical_text(r.hilb2)}" if r.in_stated_range else
         f"SKIP n={r.n} (outside stated range; counts clamped)"
         for r in results]
 
@@ -641,20 +642,19 @@ def cmd_verify_all(args):
 
 # -- random value generator (round-trip checks) ---------------------------------
 
+_COEFF_POOL = [c for c in range(-9, 10) if c]
 _ATOM_POOL = ["C", "F", "X", "Y2", "Sym2_C", "a_1"]
 _LEDGER_POOL = ["DC", "DSym2C", "Dpt", "DCl0", "DS", "D_F1"]
 
 
 def random_motive(rng: "random.Random") -> "fc.motive.MotiveExpr":
-    expr = fc.motive.MotiveExpr()
+    terms = {}
     for _ in range(rng.randint(0, 6)):
-        coeff = rng.choice([c for c in range(-9, 10) if c])
-        lp = rng.randint(0, 5)
-        mono = tuple(rng.choice(_ATOM_POOL)
-                     for _ in range(rng.randint(0, 3)))
-        expr = expr + fc.motive.MotiveExpr(
-            {(lp, tuple(sorted(mono))): coeff})
-    return expr
+        coeff = rng.choice(_COEFF_POOL)
+        key = (rng.randint(0, 5), tuple(sorted(
+            rng.choice(_ATOM_POOL) for _ in range(rng.randint(0, 3)))))
+        terms[key] = terms.get(key, 0) + coeff
+    return fc.motive.MotiveExpr(terms)
 
 
 def random_ledger(rng: "random.Random") -> "fc.sod.SodLedger":
@@ -840,5 +840,17 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+def run() -> None:
+    """Exit with ``main()``'s code: ``python -m flipcheck`` and the installed
+    ``flipcheck`` script.  The heap is frozen first, so the interpreter's
+    collections at shutdown skip every object the command left; flushes,
+    ``atexit`` handlers and profilers still run, which ``os._exit`` would
+    skip."""
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -28,10 +28,10 @@ of construction history and ``parse(print(v))`` returns an equal value.
 
 import re
 from itertools import accumulate, compress, islice
-from operator import itemgetter
+from operator import add, itemgetter, sub
 
 from .motive import RESERVED_ATOMS, MotiveExpr, TermKey, sym2_class
-from .sod import RewriteRule, SodLedger
+from .sod import RewriteRule, SodLedger, canonical_text
 
 MAX_NESTING = 200  # expression levels
 
@@ -137,14 +137,15 @@ class RuleDef(Node):
 _SPLIT_RE = re.compile(r"(#[^\r\n]*|[0-9]+|[A-Za-z][A-Za-z0-9_]*|\(\*\)|=>"
                        r"|[-+*^(){}:,])")
 _WHITESPACE = " \t\r\n"
-# a token's kind by its text, else by its first character
-_KIND = {"(*)": "TENSOR", "=>": "ARROW", "+": "PLUS", "-": "MINUS",
-         "*": "STAR", "^": "CARET", "(": "LPAREN", ")": "RPAREN",
-         "{": "LBRACE", "}": "RBRACE", ":": "COLON", ",": "COMMA"}
-_FIRST_KIND = {"#": "COMMENT",
+# a token's kind by its first character, but for "(*)", whose first
+# character is a token of its own
+_FIRST_KIND = {"#": "COMMENT", "=": "ARROW", "+": "PLUS", "-": "MINUS",
+               "*": "STAR", "^": "CARET", "(": "LPAREN", ")": "RPAREN",
+               "{": "LBRACE", "}": "RBRACE", ":": "COLON", ",": "COMMA",
                **dict.fromkeys("0123456789", "INT"),
                **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ"
                                "abcdefghijklmnopqrstuvwxyz", "IDENT")}
+_TENSOR = {"(*)": "TENSOR"}
 
 
 class Tokens:
@@ -166,20 +167,23 @@ def tokenize(text: str) -> Tokens:
     parts = _SPLIT_RE.split(text)
     if "".join(parts[0::2]).strip(_WHITESPACE):
         raise _unexpected_character(text, parts)
-    offsets = list(accumulate(map(len, parts)))  # the end of each part
     texts = parts[1::2]
-    del parts  # only columns are returned: free each list once they are cut
-    starts = offsets[0:-1:2]
-    ends = offsets[1::2]
-    del offsets
-    kinds = list(map(_KIND.get, texts,
-                     map(_FIRST_KIND.get, map(itemgetter(0), texts))))
+    kinds = list(map(_FIRST_KIND.__getitem__, map(itemgetter(0), texts)))
+    if "(*)" in text:
+        kinds = list(map(_TENSOR.get, texts, kinds))
+    # a token ends after every gap and token up to it: no list of every
+    # part's offset is built, and no comment's end is kept
+    ends = accumulate(map(add, map(len, islice(parts, 0, None, 2)),
+                          map(len, texts)))
     if "#" in text:  # one column at a time: each is freed as its copy is bound
         keep = list(map("COMMENT".__ne__, kinds))
-        texts = list(compress(texts, keep))
-        starts = list(compress(starts, keep))
         ends = list(compress(ends, keep))
+        texts = list(compress(texts, keep))
         kinds = list(compress(kinds, keep))
+    else:
+        ends = list(ends)
+    del parts  # only columns are returned
+    starts = list(map(sub, ends, map(len, texts)))
     end = len(text)
     kinds.append("EOF")
     texts.append("")
@@ -485,10 +489,8 @@ def print_canonical(value) -> str:
     """Deterministic text form; parse(print(v)) evaluates back to v."""
     if isinstance(value, MotiveExpr):
         return _print_motive(value)
-    if isinstance(value, SodLedger):
-        return _print_ledger(value)
-    if isinstance(value, RewriteRule):
-        return _print_rule(value)
+    if isinstance(value, (SodLedger, RewriteRule)):
+        return canonical_text(value)
     raise TypeError(f"cannot print {type(value).__name__}")
 
 
@@ -516,19 +518,3 @@ def _print_motive(x: MotiveExpr) -> str:
             out.append(f"{'-' if coeff < 0 else '+'} {text}")
     return " ".join(out)
 
-
-def _print_ledger(led: SodLedger) -> str:
-    inner = ", ".join(
-        f"{name}:{m}" for name, m in sorted(led.multiplicities.items())
-    )
-    return "{" + inner + "}"
-
-
-def _print_rule(rule: RewriteRule) -> str:
-    if rule.kind == "atom":
-        lhs = rule.args[0]
-    elif rule.kind == "sym2":
-        lhs = f"Sym2({rule.args[0]})"
-    else:
-        lhs = f"{rule.args[0]} (*) {rule.args[1]}"
-    return f"{lhs} => {_print_ledger(rule.rhs)}"

@@ -91,9 +91,7 @@ class SodLedger:
         return sum(self.multiplicities.values())
 
     def __repr__(self) -> str:
-        from . import dsl
-
-        return f"SodLedger({dsl.print_canonical(self)!r})"
+        return f"SodLedger({canonical_text(self)!r})"
 
     def to_json_dict(self) -> dict:
         return {
@@ -132,6 +130,18 @@ class RewriteRule(namedtuple("RewriteRule", "kind args rhs")):
         if len(args) != want:
             raise ValueError(f"{kind} rule needs {want} argument(s)")
         return tuple.__new__(cls, (kind, args, rhs))
+
+
+def canonical_text(value: SodLedger | RewriteRule) -> str:
+    """The text of a ledger or a rule as ``dsl`` reads it, atoms sorted by
+    name; ``dsl.print_canonical`` prints both through this, so a command
+    that only prints ledgers loads no ``dsl``."""
+    if isinstance(value, RewriteRule):
+        lhs = (f"Sym2({value.args[0]})" if value.kind == "sym2"
+               else " (*) ".join(value.args))  # an atom, or a tensor pair
+        return f"{lhs} => {canonical_text(value.rhs)}"
+    return "{" + ", ".join(f"{name}:{m}" for name, m
+                           in sorted(value.multiplicities.items())) + "}"
 
 
 def sym2_atom_name(name: str) -> str:

@@ -699,6 +699,38 @@ def test_closed_stdout_exits_141_with_nothing_on_stderr(argv):
     assert (proc.returncode, proc.stderr) == (141, b"")
 
 
+def test_a_profiler_still_reports_after_the_command():
+    """The process entry point freezes the heap before it exits instead of
+    ending the process at once: a profiler run around it still prints its
+    table after the command's output, and the exit code stays 0."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "cProfile", "-m", "flipcheck", "hodge",
+         "hh0", "--builtin", "p1"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    first, table = proc.stdout.split("\n", 1)
+    assert first == "2"
+    assert "function calls" in table and "ncalls" in table
+
+
+def test_atexit_handlers_run_and_the_exit_code_is_kept(tmp_path):
+    """A handler registered before the package runs as ``__main__`` still
+    runs at exit, after the command's output, and the command's exit code
+    (1, a statement that does not vanish) is the process's."""
+    script = tmp_path / "nonzero.mot"
+    script.write_text("L\n")
+    code = ("import atexit, runpy, sys\n"
+            "atexit.register(print, 'atexit ran')\n"
+            f"sys.argv = ['flipcheck', 'motive', 'check', {str(script)!r}]\n"
+            "runpy.run_module('flipcheck', run_name='__main__')\n")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "FAIL statement 1: L\natexit ran\n", "")
+
+
 # -- snapshots -----------------------------------------------------------------------
 
 GOLDEN = REPO / "tests" / "golden"
@@ -745,6 +777,8 @@ _OUTPUT_SNAPSHOTS = [
      ("hodge", "sym2", "--builtin", "quartic-double-solid", "--json")),
     ("hodge-hilb2-curve-g3.json", 19,
      ("hodge", "hilb2", "--builtin", "curve-g3", "--json")),
+    ("sod-conjecture-consistency-15.txt", 20,
+     ("sod", "conjecture-consistency", "--n-odd-max", "15")),
 ]
 
 
@@ -796,7 +830,9 @@ def test_import_leaves_out_typing_and_random():
     command lines above load no ``argparse``, ``gettext`` or ``locale``,
     because ``_read_argv`` reads them; ``hodge`` commands load no ``re``,
     ``enum`` or module outside hodge and varieties, ``sod obstruction`` no
-    ``enum``, and script commands none of fano, hodge and varieties."""
+    ``enum``, ``sod conjecture-consistency`` none of ``re``, ``enum``, dsl
+    and motive, as it prints ledgers through sod, and script commands none
+    of fano, hodge and varieties."""
     code = ("import sys, flipcheck.cli; print(sorted({'typing', 'random', "
             "'dataclasses', 'inspect', 'argparse', 're', 'enum', "
             "'flipcheck.dsl', 'flipcheck.fano', 'flipcheck.hodge', "
@@ -813,6 +849,8 @@ def test_import_leaves_out_typing_and_random():
                        "flipcheck.sod", "flipcheck.motive"}
         if argv[:2] == ("sod", "obstruction"):
             banned.add("enum")
+        if argv[:2] == ("sod", "conjecture-consistency"):
+            banned |= {"re", "enum", "flipcheck.dsl", "flipcheck.motive"}
         if argv[:2] in _SCRIPT_COMMANDS:
             banned |= {"flipcheck.fano", "flipcheck.hodge",
                        "flipcheck.varieties"}
@@ -846,7 +884,7 @@ _MODULE_SETS = {
     "fano splittings": (("fano", "splittings", "--n", "5"), "cli fano"),
     "fano sodcounts": (("fano", "sodcounts", "--family", "cubic", "--n", "3",
                         "--k", "1"),
-                       "_packed cli dsl fano motive sod"),
+                       "cli fano sod"),
     "fano sodcounts --json": (("fano", "sodcounts", "--family", "cubic",
                                "--n", "3", "--k", "1", "--json"),
                               "cli fano sod"),
@@ -860,8 +898,7 @@ _MODULE_SETS = {
     "sod check": (("sod", "check", str(CHECKS / "degree2-surface.sod")),
                   "_packed cli dsl motive sod"),
     "sod conjecture-consistency": (
-        ("sod", "conjecture-consistency", "--n-odd-max", "15"),
-        "_packed cli dsl motive sod"),
+        ("sod", "conjecture-consistency", "--n-odd-max", "15"), "cli sod"),
     "sod conjecture-consistency --json": (
         ("sod", "conjecture-consistency", "--n-odd-max", "15", "--json"),
         "cli sod"),
@@ -889,6 +926,19 @@ def test_each_command_loads_exactly_its_modules(tmp_path, argv, modules):
               if line.startswith("import time:")}
     assert {name for name in loaded if name.startswith("flipcheck.")} == {
         f"flipcheck.{name}" for name in modules.split()}
+
+
+def test_ledger_repr_loads_no_dsl():
+    """A ledger prints its canonical text through sod, so its repr loads
+    neither dsl nor the ``re`` and motive that dsl brings."""
+    code = ("import sys\n"
+            "from flipcheck.sod import SodLedger\n"
+            "print(repr(SodLedger({'Dpt': 1})), sorted({'flipcheck.dsl', "
+            "'flipcheck.motive', 're'} & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "SodLedger('{Dpt:1}') []\n"
 
 
 def test_commands_load_json_and_shutil_only_when_they_need_them():

@@ -22,9 +22,12 @@ def test_output_matches_the_committed_corpus(workdir, monkeypatch):
 
 
 # one line per kind of output: text, JSON, a large column, an error line
+# (exit 2), a failing check (exit 1), and ledgers printed without dsl
 _SAMPLE = ["verify-all", "hodge sym2 --diamond inputs/wide-entries.json --json",
            "hodge hilb2 --builtin p10000 --column",
-           "motive eval inputs/eval-line2.mot"]
+           "motive eval inputs/eval-line2.mot",
+           "motive check inputs/sym2-depth-10.mot",
+           "sod conjecture-consistency --n-odd-max 15"]
 
 
 @pytest.mark.parametrize("command", _SAMPLE)

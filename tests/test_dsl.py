@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import re
 from collections import namedtuple
@@ -606,6 +607,18 @@ def test_round_trip_specific_values():
                  "Sym2(DC) => {DC:1, DSym2C:1}", "0 - 1 + C",
                  "DC (*) Dpt => {DC:1}"):
         assert print_canonical(evaluate(parse(text))) == text
+
+
+def test_round_trip_check_draws_the_recorded_sample():
+    """``verify-all``'s round-trip check draws 200 values from the seed
+    20240815.  Their canonical texts hash to what they hashed to when the
+    sampler added its terms one ``MotiveExpr`` at a time, so the check still
+    tests the same values."""
+    rng = random.Random(20240815)
+    texts = "".join(print_canonical(random_value(rng)) + "\n"
+                    for _ in range(200))
+    assert hashlib.sha256(texts.encode()).hexdigest() == (
+        "3d5bce2ba70124c6785157810cf5d78a0d807a72e5f8e3dd1a193b67e32a1e55")
 
 
 # -- fuzzing -----------------------------------------------------------------------
