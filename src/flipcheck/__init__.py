@@ -18,6 +18,10 @@ Submodules:
 
 __version__ = "0.1.0"
 
+# the three del Pezzo families fano works over, by the names the CLI takes
+# and prints: every process loads this file, fano or not
+FAMILIES = ("cubic", "two-quadrics", "gr25")
+
 __all__ = ["dsl", "fano", "hodge", "motive", "sod", "varieties",
            "__version__"]
 

@@ -101,26 +101,26 @@ GRID_K_MAX = 6
 GRID_N_MAX = 30
 
 
-def _grid(family: "fc.fano.Family") -> list[tuple[int, int]]:
+def _grid(family: str) -> list[tuple[int, int]]:
     """The (n, k) cells of the verification grid, k-major.  The two
     hypersurface families start at (0, 0), a cell only the codimension
     identities evaluate."""
-    if family is fc.fano.Family.GR25_SECTION:
+    if family == "gr25":
         return [(n, 0) for n in range(2, 7)] + [(n, 1) for n in (4, 5, 6)]
     return [(n, k) for k in range(GRID_K_MAX + 1)
             for n in range(k, GRID_N_MAX + 1)]
 
 
-def _codim_grid(family: "fc.fano.Family") -> dict:
+def _codim_grid(family: str) -> dict:
     """The verification grid's passed and total cells, its failed cells,
     and the k whose identity in n fails (none for the table-driven gr25)."""
     domain = _grid(family)
-    failures = [[family.value, n, k] for n, k in domain
+    failures = [[family, n, k] for n, k in domain
                 if not fc.fano.verify_codim_identity(family, n, k).passed]
     symbolic = [k for k in range(GRID_K_MAX + 1)
-                if family is not fc.fano.Family.GR25_SECTION
+                if family != "gr25"
                 and not fc.fano.verify_codim_identity_symbolic(family, k)]
-    return {"family": family.value, "passed": len(domain) - len(failures),
+    return {"family": family, "passed": len(domain) - len(failures),
             "total": len(domain), "failures": failures,
             "symbolic_failures": symbolic}
 
@@ -139,10 +139,7 @@ def cmd_fano(args):
         return 0, lambda: ([f"n={args.n}: {len(types)} splitting type{plural}"]
                            + [f"  {fc.fano.format_splitting(t)}"
                               for t in types])
-    counts = fc.fano.sod_counts(_family(args), args.n, _plane_dim(args))
-    forms = {"flip_form": counts.flip_form,
-             "expanded_form": counts.expanded_form}
-    forms = {name: form for name, form in forms.items() if form is not None}
+    forms = fc.fano.sod_counts(_family(args), args.n, _plane_dim(args))
     if args.json:
         return 0, lambda: [_dumps(
             {name: form.to_json_dict() for name, form in forms.items()},
@@ -152,10 +149,10 @@ def cmd_fano(args):
                        for name, form in forms.items()]
 
 
-def _family(args) -> "fc.fano.Family":
+def _family(args) -> str:
     if not args.family:
         raise ValueError("--family is required here")
-    return fc.fano.parse_family(args.family)
+    return args.family
 
 
 def _plane_dim(args) -> int:
@@ -166,7 +163,7 @@ def _plane_dim(args) -> int:
 
 def _fano_dims(args):
     family = _family(args)
-    if family is fc.fano.Family.GR25_SECTION:
+    if family == "gr25":
         row = fc.fano.gr25_dim_row(args.n)
         if args.json:
             return 0, lambda: [_dumps(row._asdict(), sort_keys=True)]
@@ -178,7 +175,7 @@ def _fano_dims(args):
     dim = fc.fano.expected_dim_fano(family, args.n, args.k)
     if args.json:
         return 0, lambda: [_dumps(
-            {"family": family.value, "n": args.n, "k_planes": args.k,
+            {"family": family, "n": args.n, "k_planes": args.k,
              "expected_dim": dim, "empty": dim < 0}, sort_keys=True)]
     note = "  (negative: empty)" if dim < 0 else ""
     return 0, lambda: [f"expected dim F_{args.k}(X) = {dim}{note}"]
@@ -186,8 +183,7 @@ def _fano_dims(args):
 
 def _fano_codim(args):
     if args.grid:
-        families = ([fc.fano.parse_family(args.family)] if args.family
-                    else list(fc.fano.Family))
+        families = [args.family] if args.family else fc.FAMILIES
         payload = [_codim_grid(family) for family in families]
         code = 1 if any(row["failures"] or row["symbolic_failures"]
                         for row in payload) else 0
@@ -200,7 +196,7 @@ def _fano_codim(args):
                 name, symbolic = row["family"], row["symbolic_failures"]
                 lines.append(f"{name}: {row['passed']}/{row['total']} "
                              f"identity cells pass")
-                if name != fc.fano.Family.GR25_SECTION.value:
+                if name != "gr25":
                     word = "pass" if not symbolic else f"FAIL at k={symbolic}"
                     lines.append(f"{name}: symbolic identity in n: {word}")
             return lines
@@ -208,7 +204,7 @@ def _fano_codim(args):
     family = _family(args)
     if args.k is None:
         raise ValueError("--k is required without --grid")
-    if family is not fc.fano.Family.GR25_SECTION:  # gr25 checks its own cells
+    if family != "gr25":  # gr25 checks its own cells
         fc.fano.check_cell(family, args.n, args.k)
     report = fc.fano.verify_codim_identity(family, args.n, args.k)
     code = 0 if report.passed else 1
@@ -428,12 +424,10 @@ def _check_cross_module_hh0() -> CheckReport:
                        [54, 54], [via_ledger, via_hodge], "derived")
 
 
-def _check_codim_grid(family_name: str) -> CheckReport:
-    family = fc.fano.Family(family_name)
+def _check_codim_grid(family: str) -> CheckReport:
     grid = _codim_grid(family)
-    provenance = ("paper" if family is fc.fano.Family.GR25_SECTION
-                  else "derived")
-    return make_report(f"fano/codim-grid-{family.value}",
+    provenance = "paper" if family == "gr25" else "derived"
+    return make_report(f"fano/codim-grid-{family}",
                        {"cells": grid["total"]}, [[], []],
                        [grid["failures"], grid["symbolic_failures"]],
                        provenance)
@@ -495,13 +489,14 @@ def _check_sod_counts_cubic() -> CheckReport:
     failures = []
     for k in range(0, 4):
         for n in range(k if k > 0 else 1, 11):
-            counts = fc.fano.sod_counts(fc.fano.Family.CUBIC, n, k)
+            counts = fc.fano.sod_counts("cubic", n, k)
             traded = fc.sod.substitute(
-                counts.flip_form, "D_PQ",
+                counts["flip_form"], "D_PQ",
                 fc.sod.SodLedger({f"D_F{k}": n - k + 2}))
-            if traded != counts.expanded_form:
+            if traded != counts["expanded_form"]:
                 failures.append([n, k, "substitution"])
-            diff = counts.expanded_form.total() - counts.flip_form.total()
+            diff = (counts["expanded_form"].total()
+                    - counts["flip_form"].total())
             if diff != (n - k + 2) - 1:
                 failures.append([n, k, "total"])
     return make_report("fano/sod-counts-cubic-two-forms",
@@ -510,13 +505,13 @@ def _check_sod_counts_cubic() -> CheckReport:
 
 def _check_flip_shapes() -> CheckReport:
     failures = []
-    for family in fc.fano.Family:
+    for family in fc.FAMILIES:
         for n, k in _grid(family):
             if n == 0:  # flip shapes need dim X >= 1
                 continue
             for shape in fc.fano.flip_shapes(family, n, k):
                 if not shape.is_degenerate() and shape.r < shape.s:
-                    failures.append([family.value, n, k])
+                    failures.append([family, n, k])
     return make_report("fano/flip-shape-r-ge-s", {}, [], failures, "derived")
 
 
@@ -683,9 +678,6 @@ def random_value(rng: "random.Random"):
 _HODGE_OPS = ("hilb2", "sym2", "hh0")
 _FANO_OPS = ("dims", "codim", "splittings", "sodcounts")
 _MOTIVE_OPS = ("eval", "check")
-# fano.Family's values, in order: reading them there would import fano and
-# enum into every process, hodge commands included
-_FAMILIES = ("cubic", "two-quadrics", "gr25")
 
 # the command grammar, stated once: build_parser builds argparse's parser
 # from it, and _read_argv reads the exactly valid forms by it.  Command
@@ -704,7 +696,7 @@ _FORMS = {
         **_JSON}, ("--builtin", "--diamond")),
     ("fano",): (cmd_fano, "del Pezzo family bookkeeping",
                 [("fano_op", _FANO_OPS)], {
-        "--family": (None, _FAMILIES, None), "--n": (3, int, "dim X"),
+        "--family": (None, fc.FAMILIES, None), "--n": (3, int, "dim X"),
         "--k": (None, int, "quadric or plane dimension"),
         "--grid": (False, None, "verify the whole (n, k) grid"), **_JSON}, ()),
     ("sod",): (None, "decomposition ledger checks", [], {}, ()),

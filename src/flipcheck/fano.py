@@ -24,7 +24,6 @@ module computes is integer arithmetic about that picture:
   P^2 via Kunneth cohomology on P^1 x P^1.
 """
 
-import enum
 from collections import namedtuple
 from collections.abc import Sequence
 from math import comb
@@ -32,30 +31,25 @@ from math import comb
 import flipcheck as fc
 
 
-class Family(enum.Enum):
-    CUBIC = "cubic"
-    TWO_QUADRICS = "two-quadrics"
-    GR25_SECTION = "gr25"
+def check_family(family: str) -> None:
+    """Raise ``ValueError`` unless ``family`` names one of ``FAMILIES``."""
+    if family not in fc.FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of "
+                         + ", ".join(fc.FAMILIES))
 
 
-def parse_family(text: str) -> Family:
-    for fam in Family:
-        if fam.value == text:
-            return fam
-    raise ValueError(f"unknown family {text!r}; expected one of "
-                     + ", ".join(f.value for f in Family))
-
-
-def check_cell(family: Family, n: int, k: int) -> None:
-    """Raise ``ValueError`` unless ``n = dim X >= 1``, ``0 <= k <= n`` for
-    the quadric dimension ``k``, and ``2 <= n <= 6`` for Gr(2,5) sections."""
+def check_cell(family: str, n: int, k: int) -> None:
+    """Raise ``ValueError`` unless ``family`` is known, ``n = dim X >= 1``,
+    ``0 <= k <= n`` for the quadric dimension ``k``, and ``2 <= n <= 6`` for
+    Gr(2,5) sections."""
+    check_family(family)
     if n < 1:
         raise ValueError("n must be positive")
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k > n:
         raise ValueError(f"k = {k} exceeds n = {n}")
-    if family is Family.GR25_SECTION and not 2 <= n <= 6:
+    if family == "gr25" and not 2 <= n <= 6:
         raise ValueError("Gr(2,5) sections have 2 <= dim X <= 6")
 
 
@@ -97,17 +91,18 @@ def gr25_dim_row(n: int) -> Gr25DimRow:
     return _GR25_ROWS[n]
 
 
-def expected_dim_fano(family: Family, n: int, k_planes: int) -> int:
+def expected_dim_fano(family: str, n: int, k_planes: int) -> int:
     """Expected dimension of the Fano scheme of ``k_planes``-planes on a
     cubic or an intersection of two quadrics; it may be negative (empty is a
     separate classification, never silently clamped).  Gr(2,5) sections
     read :func:`gr25_dim_row` instead."""
+    check_family(family)
     if k_planes < 0:
         raise ValueError("k_planes must be nonnegative")
     j = k_planes
-    if family is Family.CUBIC:
+    if family == "cubic":
         return (j + 1) * (n + 1 - j) - comb(j + 3, 3)
-    if family is Family.TWO_QUADRICS:
+    if family == "two-quadrics":
         return (j + 1) * (n - j + 2) - 2 * comb(j + 2, 2)
     raise ValueError("Gr(2,5) dimensions come from its table, not a formula")
 
@@ -115,68 +110,58 @@ def expected_dim_fano(family: Family, n: int, k_planes: int) -> int:
 # -- emptiness regimes ---------------------------------------------------------
 
 
-class Regime(enum.Enum):
-    """Where the parameters fall relative to the emptiness thresholds.
-
-    NONEMPTY_EXPECTED: both sides populated, genuine flip.
-    F_K_EMPTY: the Hilbert scheme of quadrics itself is empty (for pencils
-    of quadrics this is the regime where the relative orthogonal
-    Grassmannian side is empty).
-    F_K1_EMPTY_FLIP_DEGENERATES: no (k+1)-planes, so the flip collapses to
-    an isomorphism with the bundle side.
-    DISJOINT_UNION: the Gr(2,5) k = 2 case, a disjoint union of the bundle
-    side and a quadric bundle over F_3; not a flip.
-    """
-
-    NONEMPTY_EXPECTED = "nonempty_expected"
-    F_K_EMPTY = "F_k_empty"
-    F_K1_EMPTY_FLIP_DEGENERATES = "F_k1_empty_flip_degenerates"
-    DISJOINT_UNION = "disjoint_union"
-
-
-def emptiness_threshold(family: Family, n: int, k: int) -> Regime:
+def emptiness_threshold(family: str, n: int, k: int) -> str:
     """Classify ``G_k(X)`` by the emptiness thresholds of the two Fano
     schemes involved: a Fano scheme of negative expected dimension is
-    empty, and the Gr(2,5) table marks its empty ones."""
+    empty, and the Gr(2,5) table marks its empty ones.  The regime is
+
+    * ``"nonempty_expected"``: both sides populated, a genuine flip;
+    * ``"F_k_empty"``: the Hilbert scheme of quadrics itself is empty (for
+      pencils of quadrics, the relative orthogonal Grassmannian side);
+    * ``"F_k1_empty_flip_degenerates"``: no (k+1)-planes, so the flip
+      collapses to an isomorphism with the bundle side;
+    * ``"disjoint_union"``: the Gr(2,5) k = 2 case, a disjoint union of the
+      bundle side and a quadric bundle over F_3; not a flip.
+    """
+    check_family(family)
     if k < 0 or n < 1:
         raise ValueError("need n >= 1 and k >= 0")
-    if family is Family.GR25_SECTION:
+    if family == "gr25":
         row = gr25_dim_row(n)
         if k == 0:
-            return Regime.NONEMPTY_EXPECTED  # F_1 nonempty for every 2 <= n <= 6
+            return "nonempty_expected"  # F_1 nonempty for every 2 <= n <= 6
         if k == 1:
             if row.f2_sigma is None and row.f2_tau is None:
-                return Regime.F_K1_EMPTY_FLIP_DEGENERATES
-            return Regime.NONEMPTY_EXPECTED
+                return "F_k1_empty_flip_degenerates"
+            return "nonempty_expected"
         if k == 2 and row.f3 is not None:
-            return Regime.DISJOINT_UNION
-        return Regime.F_K1_EMPTY_FLIP_DEGENERATES  # no (k+1)-planes
-    if family is Family.CUBIC:
+            return "disjoint_union"
+        return "F_k1_empty_flip_degenerates"  # no (k+1)-planes
+    if family == "cubic":
         f_k_empty = expected_dim_fano(family, n, k) < 0
     else:  # the pencil's isotropic side is empty iff n < k - 1 + (k+3)/2
         f_k_empty = 2 * n < 3 * k + 1
     if f_k_empty:
-        return Regime.F_K_EMPTY
+        return "F_k_empty"
     if expected_dim_fano(family, n, k + 1) < 0:
-        return Regime.F_K1_EMPTY_FLIP_DEGENERATES
-    return Regime.NONEMPTY_EXPECTED
+        return "F_k1_empty_flip_degenerates"
+    return "nonempty_expected"
 
 
 # -- flip shapes ---------------------------------------------------------------
 
 
-def flip_shapes(family: Family, n: int, k: int) -> list[FlipShape]:
+def flip_shapes(family: str, n: int, k: int) -> list[FlipShape]:
     """The flip shape(s) for ``G_k(X)``, one per component of the
     replacement center over ``F_{k+1}(X)`` (Gr(2,5) sections with k = 1 have
     a sigma and then a tau component).  Degenerate regimes carry the
     ``s = -1`` marker."""
     check_cell(family, n, k)
     r = rank_sym2_u(k) - 1
-    regime = emptiness_threshold(family, n, k)
-    degenerate = regime is not Regime.NONEMPTY_EXPECTED
-    if family is Family.CUBIC:
+    degenerate = emptiness_threshold(family, n, k) != "nonempty_expected"
+    if family == "cubic":
         return [FlipShape(r, -1 if degenerate else k + 1)]
-    if family is Family.TWO_QUADRICS or k == 0:
+    if family == "two-quadrics" or k == 0:
         return [FlipShape(r, -1 if degenerate else 1)]
     if k == 1:
         # kernel bundle has rank 2 - k = 1 over sigma-planes, rank 2 over tau
@@ -205,7 +190,7 @@ class CodimReport(namedtuple("CodimReport", "family n k checks")):
 
     def to_json_dict(self) -> dict:
         return {
-            "family": self.family.value,
+            "family": self.family,
             "n": self.n,
             "k": self.k,
             "checks": [
@@ -215,14 +200,15 @@ class CodimReport(namedtuple("CodimReport", "family n k checks")):
         }
 
 
-def verify_codim_identity(family: Family, n: int, k: int) -> CodimReport:
+def verify_codim_identity(family: str, n: int, k: int) -> CodimReport:
     """Evaluate both sides of the identity chain showing that the
     replacement center is cut out in the expected codimension
     ``rank Sym^2 U_{k+2}``, as exact integers.
     """
+    check_family(family)
     rank = rank_sym2_u(k)
     checks: list[IdentityCheck] = []
-    if family is Family.CUBIC:
+    if family == "cubic":
         dim_f_k = expected_dim_fano(family, n, k)
         dim_f_k1 = expected_dim_fano(family, n, k + 1)
         dim_zprime = dim_f_k1 + (k + 1)        # flag bundle P^{k+1} fibers
@@ -232,7 +218,7 @@ def verify_codim_identity(family: Family, n: int, k: int) -> CodimReport:
                                     dim_zprime, middle))
         checks.append(IdentityCheck("reindexed form = dim_Yprime - rank",
                                     middle, dim_yprime - rank))
-    elif family is Family.TWO_QUADRICS:
+    elif family == "two-quadrics":
         dim_f_k1 = expected_dim_fano(family, n, k + 1)
         dim_zprime = dim_f_k1 + 1              # pencil P^1 factor
         dim_yprime = (k + 2) * (n - k + 1) - rank + 1  # isotropic side
@@ -268,11 +254,11 @@ def verify_codim_identity(family: Family, n: int, k: int) -> CodimReport:
     return CodimReport(family, n, k, tuple(checks))
 
 
-def verify_codim_identity_symbolic(family: Family, k: int) -> bool:
+def verify_codim_identity_symbolic(family: str, k: int) -> bool:
     """The identity chain for fixed ``k`` as affine functions of n, for the
     two hypersurface-type families: sampled at n = 0, 1, 2, both sides of
     every check agree and the samples are collinear."""
-    if family is Family.GR25_SECTION:
+    if family == "gr25":
         raise ValueError("the Gr(2,5) table is not polynomial in n")
     samples = [verify_codim_identity(family, n, k).checks for n in (0, 1, 2)]
     return all(c0.passed and c1.passed and c2.passed
@@ -283,24 +269,21 @@ def verify_codim_identity_symbolic(family: Family, k: int) -> bool:
 # -- decomposition component counts --------------------------------------------
 
 
-# Component multiset(s) for the decomposition of D^b(G_k(X)): ``flip_form``
-# keeps the bundle side as a single atom (D_PQ or D_OGr); for cubics
-# ``expanded_form`` trades it for copies of D_F<k>.
-SodCounts = namedtuple("SodCounts", "flip_form expanded_form",
-                       defaults=(None,))
-
-
-def sod_counts(family: Family, n: int, k: int) -> SodCounts:
+def sod_counts(family: str, n: int, k: int) -> dict:
+    """Component multisets for the decomposition of D^b(G_k(X)), by form:
+    ``flip_form`` keeps the bundle side as a single atom (D_PQ or D_OGr);
+    for cubics ``expanded_form`` trades it for copies of D_F<k>."""
     check_cell(family, n, k)
-    if family is Family.CUBIC:
+    if family == "cubic":
         extra = rank_sym2_u(k) - (k + 2)
-        flip_form = fc.sod.SodLedger({"D_PQ": 1, f"D_F{k + 1}": extra})
-        expanded = fc.sod.SodLedger({f"D_F{k}": n - k + 2,
-                                     f"D_F{k + 1}": extra})
-        return SodCounts(flip_form, expanded)
-    if family is Family.TWO_QUADRICS:
+        return {"flip_form": fc.sod.SodLedger({"D_PQ": 1,
+                                               f"D_F{k + 1}": extra}),
+                "expanded_form": fc.sod.SodLedger({f"D_F{k}": n - k + 2,
+                                                   f"D_F{k + 1}": extra})}
+    if family == "two-quadrics":
         extra = rank_sym2_u(k) - 2
-        return SodCounts(fc.sod.SodLedger({"D_OGr": 1, f"D_F{k + 1}": extra}))
+        return {"flip_form": fc.sod.SodLedger({"D_OGr": 1,
+                                               f"D_F{k + 1}": extra})}
     raise ValueError(
         "Gr(2,5) sections carry a full exceptional collection; no ledger "
         "template is tabulated"

@@ -8,7 +8,6 @@ import time
 
 from flipcheck import dsl, fano, hodge, motive, sod, varieties
 from flipcheck.cli import random_value
-from flipcheck.fano import Family
 
 
 def run_criterion(number: int, budget_s: float, body) -> None:
@@ -74,17 +73,17 @@ def test_criterion_4_conjecture_consistency():
 
 def test_criterion_5_codimension_identities():
     def body():
-        for family in (Family.CUBIC, Family.TWO_QUADRICS):
+        for family in ("cubic", "two-quadrics"):
             for k in range(7):
                 for n in range(k, 31):
                     assert fano.verify_codim_identity(family, n, k).passed
                 assert fano.verify_codim_identity_symbolic(family, k)
         for n in range(2, 7):
-            report = fano.verify_codim_identity(Family.GR25_SECTION, n, 0)
+            report = fano.verify_codim_identity("gr25", n, 0)
             assert report.passed
             assert report.checks[-1].rhs == 2 * n - 3
         for n in (4, 5, 6):
-            report = fano.verify_codim_identity(Family.GR25_SECTION, n, 1)
+            report = fano.verify_codim_identity("gr25", n, 1)
             assert report.passed
             assert report.checks[-2].rhs == 3 * n - 11
 
@@ -104,10 +103,8 @@ def test_criterion_6_gr25_dimension_table():
             row = fano.gr25_dim_row(n)
             assert (row.f1, row.f2_sigma, row.f2_tau, row.f3) == \
                 (f1, f2s, f2t, f3)
-        assert fano.emptiness_threshold(Family.GR25_SECTION, 5, 2) is \
-            fano.Regime.DISJOINT_UNION
-        assert fano.emptiness_threshold(Family.GR25_SECTION, 6, 2) is \
-            fano.Regime.DISJOINT_UNION
+        assert fano.emptiness_threshold("gr25", 5, 2) == "disjoint_union"
+        assert fano.emptiness_threshold("gr25", 6, 2) == "disjoint_union"
 
     run_criterion(6, 0.1, body)
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flipcheck import cli, dsl, fano, sod, varieties
+from flipcheck import cli, dsl, sod, varieties
 from flipcheck.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -829,10 +829,10 @@ def test_import_leaves_out_typing_and_random():
     Run as ``python -S -m flipcheck``, as the benchmark runs them, the
     command lines above load no ``argparse``, ``gettext`` or ``locale``,
     because ``_read_argv`` reads them; ``hodge`` commands load no ``re``,
-    ``enum`` or module outside hodge and varieties, ``sod obstruction`` no
-    ``enum``, ``sod conjecture-consistency`` none of ``re``, ``enum``, dsl
-    and motive, as it prints ledgers through sod, and script commands none
-    of fano, hodge and varieties."""
+    ``enum`` or module outside hodge and varieties, ``sod obstruction`` and
+    ``fano`` commands no ``enum``, ``sod conjecture-consistency`` none of
+    ``re``, ``enum``, dsl and motive, as it prints ledgers through sod, and
+    script commands none of fano, hodge and varieties."""
     code = ("import sys, flipcheck.cli; print(sorted({'typing', 'random', "
             "'dataclasses', 'inspect', 'argparse', 're', 'enum', "
             "'flipcheck.dsl', 'flipcheck.fano', 'flipcheck.hodge', "
@@ -847,7 +847,7 @@ def test_import_leaves_out_typing_and_random():
         if argv[0] == "hodge":
             banned |= {"re", "enum", "flipcheck.dsl", "flipcheck.fano",
                        "flipcheck.sod", "flipcheck.motive"}
-        if argv[:2] == ("sod", "obstruction"):
+        if argv[:2] == ("sod", "obstruction") or argv[0] == "fano":
             banned.add("enum")
         if argv[:2] == ("sod", "conjecture-consistency"):
             banned |= {"re", "enum", "flipcheck.dsl", "flipcheck.motive"}
@@ -1108,12 +1108,6 @@ def test_minimal_forms_give_the_stated_namespace(argv, namespace):
     above: every default, and no attribute more or less."""
     assert vars(cli._read_argv(list(argv))) == namespace
     assert _argparse_vars(list(argv)) == namespace
-
-
-def test_family_choices_are_the_fano_families():
-    """``--family`` takes fano's family names, in fano's order; the CLI
-    states them apart so that reading argv never imports fano."""
-    assert cli._FAMILIES == tuple(family.value for family in fano.Family)
 
 
 def test_argv_reader_reads_the_exact_forms():

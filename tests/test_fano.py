@@ -6,8 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flipcheck import fano
-from flipcheck.fano import (Family, FlipShape, Regime,
-                            brute_force_line_splittings, check_cell,
+from flipcheck.fano import (FlipShape, brute_force_line_splittings, check_cell,
                             degree_classification,
                             emptiness_threshold, enumerate_line_splittings,
                             expected_dim_fano, flip_shapes,
@@ -25,17 +24,17 @@ GRID = [(n, k) for k in range(7) for n in range(max(k, 1), 31)]
 
 
 def test_cubic_dims():
-    assert expected_dim_fano(Family.CUBIC, 3, 1) == 2  # lines on a threefold
+    assert expected_dim_fano("cubic", 3, 1) == 2  # lines on a threefold
     for n in range(1, 20):
-        assert expected_dim_fano(Family.CUBIC, n, 0) == n  # 0-planes = X
+        assert expected_dim_fano("cubic", n, 0) == n  # 0-planes = X
 
 
 def test_two_quadrics_dims():
-    assert expected_dim_fano(Family.TWO_QUADRICS, 3, 1) == 2
+    assert expected_dim_fano("two-quadrics", 3, 1) == 2
     for n in range(1, 20):
-        assert expected_dim_fano(Family.TWO_QUADRICS, n, 0) == n
+        assert expected_dim_fano("two-quadrics", n, 0) == n
     # 16 lines on the quartic del Pezzo surface: zero-dimensional
-    assert expected_dim_fano(Family.TWO_QUADRICS, 2, 1) == 0
+    assert expected_dim_fano("two-quadrics", 2, 1) == 0
 
 
 def test_gr25_dim_table_verbatim():
@@ -47,7 +46,7 @@ def test_gr25_dim_table_verbatim():
     with pytest.raises(ValueError):
         gr25_dim_row(7)
     with pytest.raises(ValueError, match="table"):
-        expected_dim_fano(Family.GR25_SECTION, 5, 2)
+        expected_dim_fano("gr25", 5, 2)
 
 
 def h0_quotient_dual_twist2(k):
@@ -87,18 +86,32 @@ def test_h0_quotient_dual_twist2():
 
 def test_params_validation():
     with pytest.raises(ValueError, match="^k must be nonnegative$"):
-        check_cell(Family.CUBIC, 3, -1)
+        check_cell("cubic", 3, -1)
     with pytest.raises(ValueError, match="^n must be positive$"):
-        check_cell(Family.CUBIC, 0, 0)
+        check_cell("cubic", 0, 0)
     with pytest.raises(ValueError, match="^k = 3 exceeds n = 2$"):
-        check_cell(Family.CUBIC, 2, 3)
+        check_cell("cubic", 2, 3)
     with pytest.raises(ValueError,
                        match=r"^Gr\(2,5\) sections have 2 <= dim X <= 6$"):
-        check_cell(Family.GR25_SECTION, 7, 0)
-    check_cell(Family.GR25_SECTION, 6, 6)
-    assert fano.parse_family("cubic") is Family.CUBIC
+        check_cell("gr25", 7, 0)
+    check_cell("gr25", 6, 6)
+    fano.check_family("cubic")
     with pytest.raises(ValueError):
-        fano.parse_family("quartic")
+        fano.check_family("quartic")
+
+
+@pytest.mark.parametrize("func", [
+    check_cell, expected_dim_fano, emptiness_threshold, flip_shapes,
+    verify_codim_identity, verify_codim_identity_symbolic, sod_counts],
+    ids=lambda func: func.__name__)
+def test_unknown_family_is_refused_with_one_message(func):
+    """Every function that takes a family refuses a name outside
+    ``FAMILIES`` with the same message, and answers nothing for it."""
+    args = (1,) if func is verify_codim_identity_symbolic else (3, 1)
+    with pytest.raises(ValueError) as info:
+        func("quartic", *args)
+    assert str(info.value) == ("unknown family 'quartic'; expected one of "
+                               "cubic, two-quadrics, gr25")
 
 
 # -- emptiness regimes ------------------------------------------------------------
@@ -106,98 +119,90 @@ def test_params_validation():
 
 def test_cubic_regimes():
     # n = 1: X is a cubic curve; points exist, lines do not
-    assert emptiness_threshold(Family.CUBIC, 1, 0) is \
-        Regime.F_K1_EMPTY_FLIP_DEGENERATES
+    assert emptiness_threshold("cubic", 1, 0) == "F_k1_empty_flip_degenerates"
     # no 2-planes on a cubic threefold
-    assert emptiness_threshold(Family.CUBIC, 3, 2) is Regime.F_K_EMPTY
-    assert emptiness_threshold(Family.CUBIC, 3, 0) is Regime.NONEMPTY_EXPECTED
+    assert emptiness_threshold("cubic", 3, 2) == "F_k_empty"
+    assert emptiness_threshold("cubic", 3, 0) == "nonempty_expected"
 
 
 def test_cubic_thresholds_match_expected_dims():
     for n, k in GRID:
         if k > n:
             continue
-        regime = emptiness_threshold(Family.CUBIC, n, k)
-        f_k = expected_dim_fano(Family.CUBIC, n, k)
-        f_k1 = expected_dim_fano(Family.CUBIC, n, k + 1)
+        regime = emptiness_threshold("cubic", n, k)
+        f_k = expected_dim_fano("cubic", n, k)
+        f_k1 = expected_dim_fano("cubic", n, k + 1)
         if f_k < 0:
-            assert regime is Regime.F_K_EMPTY, (n, k)
+            assert regime == "F_k_empty", (n, k)
         elif f_k1 < 0:
-            assert regime is Regime.F_K1_EMPTY_FLIP_DEGENERATES, (n, k)
+            assert regime == "F_k1_empty_flip_degenerates", (n, k)
         else:
-            assert regime is Regime.NONEMPTY_EXPECTED, (n, k)
+            assert regime == "nonempty_expected", (n, k)
 
 
 def test_two_quadrics_regimes():
     # elliptic curve: conic pairs exist, no lines, flip collapses
-    assert emptiness_threshold(Family.TWO_QUADRICS, 1, 0) is \
-        Regime.F_K1_EMPTY_FLIP_DEGENERATES
+    assert emptiness_threshold("two-quadrics", 1, 0) == \
+        "F_k1_empty_flip_degenerates"
     # the quartic del Pezzo surface has its 16 lines: genuine flip
-    assert emptiness_threshold(Family.TWO_QUADRICS, 2, 0) is \
-        Regime.NONEMPTY_EXPECTED
-    assert emptiness_threshold(Family.TWO_QUADRICS, 1, 1) is Regime.F_K_EMPTY
+    assert emptiness_threshold("two-quadrics", 2, 0) == "nonempty_expected"
+    assert emptiness_threshold("two-quadrics", 1, 1) == "F_k_empty"
     for n, k in GRID:
-        regime = emptiness_threshold(Family.TWO_QUADRICS, n, k)
-        if regime is Regime.F_K1_EMPTY_FLIP_DEGENERATES:
-            assert expected_dim_fano(Family.TWO_QUADRICS, n, k + 1) < 0
-        if regime is Regime.NONEMPTY_EXPECTED:
-            assert expected_dim_fano(Family.TWO_QUADRICS, n, k + 1) >= 0
+        regime = emptiness_threshold("two-quadrics", n, k)
+        if regime == "F_k1_empty_flip_degenerates":
+            assert expected_dim_fano("two-quadrics", n, k + 1) < 0
+        if regime == "nonempty_expected":
+            assert expected_dim_fano("two-quadrics", n, k + 1) >= 0
 
 
 def test_gr25_regimes():
     for n in range(2, 7):
-        assert emptiness_threshold(Family.GR25_SECTION, n, 0) is \
-            Regime.NONEMPTY_EXPECTED
-    assert emptiness_threshold(Family.GR25_SECTION, 3, 1) is \
-        Regime.F_K1_EMPTY_FLIP_DEGENERATES
-    assert emptiness_threshold(Family.GR25_SECTION, 4, 1) is \
-        Regime.NONEMPTY_EXPECTED
+        assert emptiness_threshold("gr25", n, 0) == "nonempty_expected"
+    assert emptiness_threshold("gr25", 3, 1) == "F_k1_empty_flip_degenerates"
+    assert emptiness_threshold("gr25", 4, 1) == "nonempty_expected"
     # the k = 2 disjoint-union regime is its own thing, not a flip
-    assert emptiness_threshold(Family.GR25_SECTION, 5, 2) is \
-        Regime.DISJOINT_UNION
-    assert emptiness_threshold(Family.GR25_SECTION, 4, 2) is \
-        Regime.F_K1_EMPTY_FLIP_DEGENERATES
-    assert emptiness_threshold(Family.GR25_SECTION, 6, 3) is \
-        Regime.F_K1_EMPTY_FLIP_DEGENERATES
+    assert emptiness_threshold("gr25", 5, 2) == "disjoint_union"
+    assert emptiness_threshold("gr25", 4, 2) == "F_k1_empty_flip_degenerates"
+    assert emptiness_threshold("gr25", 6, 3) == "F_k1_empty_flip_degenerates"
 
 
 # -- flip shapes -------------------------------------------------------------------
 
 
 def test_flip_shape_cubic_k0():
-    [shape] = flip_shapes(Family.CUBIC, 3, 0)
+    [shape] = flip_shapes("cubic", 3, 0)
     assert (shape.r, shape.s) == (2, 1)
 
 
 def test_flip_shape_two_quadrics_always_pencil():
     for k in range(5):
-        [shape] = flip_shapes(Family.TWO_QUADRICS, 2 * k + 4, k)
+        [shape] = flip_shapes("two-quadrics", 2 * k + 4, k)
         assert shape.s == 1
         assert shape.r == comb(k + 3, 2) - 1
 
 
 def test_flip_shape_gr25_components():
-    sigma, tau = flip_shapes(Family.GR25_SECTION, 6, 1)
+    sigma, tau = flip_shapes("gr25", 6, 1)
     assert (sigma.r, sigma.s) == (5, 0)
     assert (tau.r, tau.s) == (5, 1)
-    [shape] = flip_shapes(Family.GR25_SECTION, 5, 0)
+    [shape] = flip_shapes("gr25", 5, 0)
     assert shape.s == 1
 
 
 def test_flip_shape_degenerate_marker():
-    [shape] = flip_shapes(Family.CUBIC, 1, 0)
+    [shape] = flip_shapes("cubic", 1, 0)
     assert shape.s == -1 and shape.is_degenerate()
 
 
 def test_flip_shape_r_at_least_s_everywhere():
     for n, k in GRID:
-        for family in (Family.CUBIC, Family.TWO_QUADRICS):
+        for family in ("cubic", "two-quadrics"):
             for shape in flip_shapes(family, n, k):
                 if not shape.is_degenerate():
                     assert shape.r >= shape.s, (family, n, k)
     for n in range(2, 7):
         for k in (0, 1):
-            for shape in flip_shapes(Family.GR25_SECTION, n, k):
+            for shape in flip_shapes("gr25", n, k):
                 if not shape.is_degenerate():
                     assert shape.r >= shape.s, (n, k)
 
@@ -207,44 +212,44 @@ def test_flip_shape_r_at_least_s_everywhere():
 
 def test_codim_cubic_k0_closed_form():
     for n in range(3, 31):
-        report = verify_codim_identity(Family.CUBIC, n, 0)
+        report = verify_codim_identity("cubic", n, 0)
         assert report.passed
         assert report.checks[0].lhs == 2 * n - 3
 
 
 def test_codim_gr25_spot_values():
-    report = verify_codim_identity(Family.GR25_SECTION, 4, 0)
+    report = verify_codim_identity("gr25", 4, 0)
     assert report.passed
     assert report.checks[0].lhs == 5
-    report = verify_codim_identity(Family.GR25_SECTION, 6, 1)
+    report = verify_codim_identity("gr25", 6, 1)
     assert report.passed
     assert report.checks[-2].rhs == 3 * 6 - 11
     with pytest.raises(ValueError):
-        verify_codim_identity(Family.GR25_SECTION, 3, 1)
+        verify_codim_identity("gr25", 3, 1)
     with pytest.raises(ValueError):
-        verify_codim_identity(Family.GR25_SECTION, 5, 2)
+        verify_codim_identity("gr25", 5, 2)
 
 
 def test_codim_full_grids():
     for n, k in GRID:
-        assert verify_codim_identity(Family.CUBIC, n, k).passed, (n, k)
-        assert verify_codim_identity(Family.TWO_QUADRICS, n, k).passed, (n, k)
+        assert verify_codim_identity("cubic", n, k).passed, (n, k)
+        assert verify_codim_identity("two-quadrics", n, k).passed, (n, k)
     for n in range(2, 7):
-        assert verify_codim_identity(Family.GR25_SECTION, n, 0).passed
+        assert verify_codim_identity("gr25", n, 0).passed
     for n in (4, 5, 6):
-        assert verify_codim_identity(Family.GR25_SECTION, n, 1).passed
+        assert verify_codim_identity("gr25", n, 1).passed
 
 
 def test_codim_symbolic():
     for k in range(7):
-        assert verify_codim_identity_symbolic(Family.CUBIC, k)
-        assert verify_codim_identity_symbolic(Family.TWO_QUADRICS, k)
+        assert verify_codim_identity_symbolic("cubic", k)
+        assert verify_codim_identity_symbolic("two-quadrics", k)
     with pytest.raises(ValueError):
-        verify_codim_identity_symbolic(Family.GR25_SECTION, 0)
+        verify_codim_identity_symbolic("gr25", 0)
 
 
 def test_codim_report_json_shape():
-    report = verify_codim_identity(Family.CUBIC, 3, 0)
+    report = verify_codim_identity("cubic", 3, 0)
     data = report.to_json_dict()
     assert data["family"] == "cubic" and data["n"] == 3 and data["k"] == 0
     assert all(c["pass"] for c in data["checks"])
@@ -254,36 +259,36 @@ def test_codim_report_json_shape():
 
 
 def test_sod_counts_cubic_k0():
-    counts = sod_counts(Family.CUBIC, 3, 0)
-    assert counts.flip_form == SodLedger({"D_PQ": 1, "D_F1": 1})
-    assert counts.expanded_form == SodLedger({"D_F0": 5, "D_F1": 1})
+    counts = sod_counts("cubic", 3, 0)
+    assert counts["flip_form"] == SodLedger({"D_PQ": 1, "D_F1": 1})
+    assert counts["expanded_form"] == SodLedger({"D_F0": 5, "D_F1": 1})
 
 
 def test_sod_counts_cubic_k1():
-    counts = sod_counts(Family.CUBIC, 6, 1)
-    assert counts.flip_form.multiplicities["D_F2"] == comb(4, 2) - 3 == 3
+    counts = sod_counts("cubic", 6, 1)
+    assert counts["flip_form"].multiplicities["D_F2"] == comb(4, 2) - 3 == 3
 
 
 def test_sod_counts_two_quadrics_k0():
-    counts = sod_counts(Family.TWO_QUADRICS, 5, 0)
-    assert counts.flip_form == SodLedger({"D_OGr": 1, "D_F1": 1})
-    assert counts.expanded_form is None
+    counts = sod_counts("two-quadrics", 5, 0)
+    assert counts["flip_form"] == SodLedger({"D_OGr": 1, "D_F1": 1})
+    assert "expanded_form" not in counts
 
 
 def test_sod_counts_two_form_trade():
     for k in range(4):
         for n in range(max(k, 1), 12):
-            counts = sod_counts(Family.CUBIC, n, k)
-            traded = substitute(counts.flip_form, "D_PQ",
+            counts = sod_counts("cubic", n, k)
+            traded = substitute(counts["flip_form"], "D_PQ",
                                 SodLedger({f"D_F{k}": n - k + 2}))
-            assert traded == counts.expanded_form
-            assert counts.expanded_form.total() - counts.flip_form.total() \
-                == (n - k + 2) - 1
+            assert traded == counts["expanded_form"]
+            assert counts["expanded_form"].total() \
+                - counts["flip_form"].total() == (n - k + 2) - 1
 
 
 def test_sod_counts_gr25_not_tabulated():
     with pytest.raises(ValueError):
-        sod_counts(Family.GR25_SECTION, 5, 0)
+        sod_counts("gr25", 5, 0)
 
 
 # -- line splittings ---------------------------------------------------------------------
@@ -382,14 +387,14 @@ def test_degree_classification():
 
 def test_records_compare_and_hash_by_value():
     assert repr(FlipShape(1, 0)) == "FlipShape(r=1, s=0)"
-    [a] = flip_shapes(Family.CUBIC, 3, 0)
-    assert [a] == flip_shapes(Family.CUBIC, 3, 0)
-    assert hash(a) == hash(flip_shapes(Family.CUBIC, 3, 0)[0])
+    [a] = flip_shapes("cubic", 3, 0)
+    assert [a] == flip_shapes("cubic", 3, 0)
+    assert hash(a) == hash(flip_shapes("cubic", 3, 0)[0])
     assert a != FlipShape(a.r, a.s + 1)
-    assert len({verify_codim_identity(Family.CUBIC, 5, 1),
-                verify_codim_identity(Family.CUBIC, 5, 1)}) == 1
+    assert len({verify_codim_identity("cubic", 5, 1),
+                verify_codim_identity("cubic", 5, 1)}) == 1
     assert gr25_dim_row(5) == gr25_dim_row(5)
     assert gr25_dim_row(5)._asdict() == {"n": 5, "f1": 6, "f2_sigma": 4,
                                          "f2_tau": 3, "f3": 0}
     assert verify_taut_splitting(0, range(0)) == ()
-    assert sod_counts(Family.TWO_QUADRICS, 5, 0).expanded_form is None
+    assert "expanded_form" not in sod_counts("two-quadrics", 5, 0)

@@ -249,7 +249,7 @@ def test_lines_on_cubics_give_the_hilbert_square(q, n, count):
     coefficient of ``[X]`` at ``n + 1`` Lefschetz copies without ``hodge``
     or ``fano.sod_counts``, against ``motive.flip_difference`` with the
     shape ``fano.flip_shapes`` gives the cubic's lines."""
-    (shape,) = fano.flip_shapes(fano.Family.CUBIC, n, 0)
+    (shape,) = fano.flip_shapes("cubic", n, 0)
     x, f = MotiveExpr.atom("X"), MotiveExpr.atom("F")
     for n1, n2, directions, on_x in smooth_cubics(q, n, count, seed=q * 10 + n):
         assert directions == n1 * points_of_pn(q, n - 1)  # smooth at F_q points
