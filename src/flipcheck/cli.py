@@ -490,14 +490,12 @@ def _check_sod_counts_cubic() -> CheckReport:
     for k in range(0, 4):
         for n in range(k if k > 0 else 1, 11):
             counts = fc.fano.sod_counts("cubic", n, k)
+            flip, expanded = counts["flip_form"], counts["expanded_form"]
             traded = fc.sod.substitute(
-                counts["flip_form"], "D_PQ",
-                fc.sod.SodLedger({f"D_F{k}": n - k + 2}))
-            if traded != counts["expanded_form"]:
+                flip, "D_PQ", fc.sod.SodLedger({f"D_F{k}": n - k + 1}))
+            if traded != expanded:
                 failures.append([n, k, "substitution"])
-            diff = (counts["expanded_form"].total()
-                    - counts["flip_form"].total())
-            if diff != (n - k + 2) - 1:
+            if expanded.total() - flip.total() != n - k:
                 failures.append([n, k, "total"])
     return make_report("fano/sod-counts-cubic-two-forms",
                        {"k": "[0, 3]", "n": "[k, 10]"}, [], failures, "paper")

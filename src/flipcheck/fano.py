@@ -271,23 +271,23 @@ def verify_codim_identity_symbolic(family: str, k: int) -> bool:
 
 def sod_counts(family: str, n: int, k: int) -> dict:
     """Component multisets for the decomposition of D^b(G_k(X)), by form:
-    ``flip_form`` keeps the bundle side as a single atom (D_PQ or D_OGr);
-    for cubics ``expanded_form`` trades it for copies of D_F<k>."""
+    ``flip_form`` keeps the bundle side as a single atom (D_PQ or D_OGr)
+    beside ``r - s`` copies of D_F<k+1>, none where the flip shape is
+    degenerate; for cubics ``expanded_form`` trades D_PQ, a
+    P^{n-k}-bundle over F_k, for ``n - k + 1`` copies of D_F<k>."""
     check_cell(family, n, k)
-    if family == "cubic":
-        extra = rank_sym2_u(k) - (k + 2)
-        return {"flip_form": fc.sod.SodLedger({"D_PQ": 1,
-                                               f"D_F{k + 1}": extra}),
-                "expanded_form": fc.sod.SodLedger({f"D_F{k}": n - k + 2,
-                                                   f"D_F{k + 1}": extra})}
+    if family == "gr25":
+        raise ValueError(
+            "Gr(2,5) sections carry a full exceptional collection; no "
+            "ledger template is tabulated")
+    [shape] = flip_shapes(family, n, k)
+    extra = ({} if shape.is_degenerate()
+             else {f"D_F{k + 1}": shape.r - shape.s})
     if family == "two-quadrics":
-        extra = rank_sym2_u(k) - 2
-        return {"flip_form": fc.sod.SodLedger({"D_OGr": 1,
-                                               f"D_F{k + 1}": extra})}
-    raise ValueError(
-        "Gr(2,5) sections carry a full exceptional collection; no ledger "
-        "template is tabulated"
-    )
+        return {"flip_form": fc.sod.SodLedger({"D_OGr": 1, **extra})}
+    expanded = {f"D_F{k}": n - k + 1, **extra}
+    return {"flip_form": fc.sod.SodLedger({"D_PQ": 1, **extra}),
+            "expanded_form": fc.sod.SodLedger(expanded)}
 
 
 # -- normal bundles of lines and their Hilbert squares -------------------------

@@ -261,7 +261,7 @@ def test_codim_report_json_shape():
 def test_sod_counts_cubic_k0():
     counts = sod_counts("cubic", 3, 0)
     assert counts["flip_form"] == SodLedger({"D_PQ": 1, "D_F1": 1})
-    assert counts["expanded_form"] == SodLedger({"D_F0": 5, "D_F1": 1})
+    assert counts["expanded_form"] == SodLedger({"D_F0": 4, "D_F1": 1})
 
 
 def test_sod_counts_cubic_k1():
@@ -280,10 +280,10 @@ def test_sod_counts_two_form_trade():
         for n in range(max(k, 1), 12):
             counts = sod_counts("cubic", n, k)
             traded = substitute(counts["flip_form"], "D_PQ",
-                                SodLedger({f"D_F{k}": n - k + 2}))
+                                SodLedger({f"D_F{k}": n - k + 1}))
             assert traded == counts["expanded_form"]
             assert counts["expanded_form"].total() \
-                - counts["flip_form"].total() == (n - k + 2) - 1
+                - counts["flip_form"].total() == n - k
 
 
 def test_sod_counts_gr25_not_tabulated():

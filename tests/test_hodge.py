@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flipcheck import hodge, sod, varieties
+from flipcheck import fano, hodge, sod, varieties
 from flipcheck.hodge import (HodgeDiamond, diagonal, euler, hh0,
                              hilbert_square, kunneth, sym2)
 
@@ -558,6 +558,36 @@ def test_galkin_shinder_cubics(name):
     for key, v in kunneth(varieties.projective_space(x.dim), x).entries().items():
         rest[key] = rest.get(key, 0) - v
     assert {key: v for key, v in rest.items() if v} == tate_twist(f, 2).entries()
+
+
+@pytest.mark.parametrize("name", sorted(GALKIN_SHINDER_CUBICS))
+def test_cubic_expanded_form_has_the_invariants_of_the_hilbert_square(name):
+    """``fano.sod_counts``'s cubic ``expanded_form`` at k = 0, read through
+    ``sod.additive_invariant`` with the diamonds above, has the hh0 and the
+    Euler number of ``X^[2]``, as ``D(X^[2]) = <D(F), n + 1 copies of
+    D(X)>`` (Belmans-Fu-Raedschelders) requires: n = 2, 3, 4 give 54/54,
+    43/3 and 401/459."""
+    x, f = GALKIN_SHINDER_CUBICS[name]
+    ledger = fano.sod_counts("cubic", x.dim, 0)["expanded_form"]
+    for invariant in (hh0, euler):
+        assignment = {"D_F0": invariant(x), "D_F1": invariant(f)}
+        assert sod.additive_invariant(ledger, assignment) \
+            == invariant(hilbert_square(x)), invariant.__name__
+
+
+def test_cubic_threefold_conics_expanded_form_is_a_p2_bundle():
+    """A cubic threefold holds no planes, so ``F_2`` is empty, and its
+    conics, ``(n, k) = (3, 1)``, form a P^2-bundle over the Fano surface
+    F of lines: the plane of a conic meets X in it and one line.  The
+    expanded form read with ``D_F2`` as 0 has the hh0 and Euler number of
+    ``P^2 x F``, 81/81."""
+    _, f = GALKIN_SHINDER_CUBICS["threefold"]
+    ledger = fano.sod_counts("cubic", 3, 1)["expanded_form"]
+    bundle = kunneth(varieties.projective_space(2), f)
+    for invariant in (hh0, euler):
+        assignment = {"D_F1": invariant(f), "D_F2": 0}
+        assert sod.additive_invariant(ledger, assignment) \
+            == invariant(bundle) == 81, invariant.__name__
 
 
 @given(diamonds(max_dim=3).filter(lambda d: d.dim >= 1))
