@@ -26,9 +26,8 @@ scripts).  Canonical printing sorts everything, so printing is independent
 of construction history and ``parse(print(v))`` returns an equal value.
 """
 
-import re
-from itertools import accumulate, compress, islice
-from operator import add, itemgetter, sub
+from itertools import accumulate, compress
+from operator import sub
 
 from .motive import RESERVED_ATOMS, MotiveExpr, TermKey, sym2_class
 from .sod import RewriteRule, SodLedger, canonical_text
@@ -131,21 +130,27 @@ class RuleDef(Node):
 
 
 # -- lexer --------------------------------------------------------------------
-
-# One capture group: ``split`` returns the gaps between tokens at even
-# indices and the tokens (comments among them) at odd ones.
-_SPLIT_RE = re.compile(r"(#[^\r\n]*|[0-9]+|[A-Za-z][A-Za-z0-9_]*|\(\*\)|=>"
-                       r"|[-+*^(){}:,])")
+# ``str`` methods only, so that script commands never import ``re``.  A NUL
+# in the text becomes a character that starts no token, and each comment one
+# piece of its length (:func:`_blank_comments`).  ``replace`` then puts a NUL
+# on both sides of each operator and whitespace character, before "=" and
+# after ">" (so "=>" stays whole), back around "(*)", and one for two in a
+# row; ``split("\0")`` returns tokens, whitespace and comments in order.
 _WHITESPACE = " \t\r\n"
-# a token's kind by its first character, but for "(*)", whose first
-# character is a token of its own
-_FIRST_KIND = {"#": "COMMENT", "=": "ARROW", "+": "PLUS", "-": "MINUS",
-               "*": "STAR", "^": "CARET", "(": "LPAREN", ")": "RPAREN",
-               "{": "LBRACE", "}": "RBRACE", ":": "COLON", ",": "COMMA",
-               **dict.fromkeys("0123456789", "INT"),
-               **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-                               "abcdefghijklmnopqrstuvwxyz", "IDENT")}
-_TENSOR = {"(*)": "TENSOR"}
+_OPERATORS = "+-*^(){}:,"
+_DIGITS = "0123456789"
+_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+_SEPARATE = (*((c, f"\0{c}\0") for c in _OPERATORS + _WHITESPACE),
+             ("=", "\0="), (">", ">\0"), ("\0(\0\0*\0\0)\0", "\0(*)\0"),
+             ("\0\0", "\0"))
+# the pieces that are whole tokens, or none, whatever the text
+_SETTLED = frozenset(["", "(*)", "=>", *_OPERATORS, *_WHITESPACE])
+# a token's kind by its first character, none for whitespace and comments,
+# but for "(*)", whose first character is a token of its own
+_KIND = {"(*)": "TENSOR", "=": "ARROW", "+": "PLUS", "-": "MINUS",
+         "*": "STAR", "^": "CARET", "(": "LPAREN", ")": "RPAREN",
+         "{": "LBRACE", "}": "RBRACE", ":": "COLON", ",": "COMMA",
+         **dict.fromkeys(_DIGITS, "INT"), **dict.fromkeys(_LETTERS, "IDENT")}
 
 
 class Tokens:
@@ -164,25 +169,27 @@ class Tokens:
 
 def tokenize(text: str) -> Tokens:
     # Whole-list operations only: no tuple or other container per token.
-    parts = _SPLIT_RE.split(text)
-    if "".join(parts[0::2]).strip(_WHITESPACE):
-        raise _unexpected_character(text, parts)
-    texts = parts[1::2]
-    kinds = list(map(_FIRST_KIND.__getitem__, map(itemgetter(0), texts)))
-    if "(*)" in text:
-        kinds = list(map(_TENSOR.get, texts, kinds))
-    # a token ends after every gap and token up to it: no list of every
-    # part's offset is built, and no comment's end is kept
-    ends = accumulate(map(add, map(len, islice(parts, 0, None, 2)),
-                          map(len, texts)))
-    if "#" in text:  # one column at a time: each is freed as its copy is bound
-        keep = list(map("COMMENT".__ne__, kinds))
-        ends = list(compress(ends, keep))
-        texts = list(compress(texts, keep))
-        kinds = list(compress(kinds, keep))
-    else:
-        ends = list(ends)
-    del parts  # only columns are returned
+    split = text.replace("\0", "\1")
+    if "#" in split:
+        split = _blank_comments(split)
+    for old, new in _SEPARATE:
+        split = split.replace(old, new)
+    pieces = split.split("\0")
+    del split
+    distinct = set(pieces)
+    words = [p for p in distinct.difference(_SETTLED) if not _whole(p)]
+    if words:
+        pieces = _split_words(text, pieces, words)
+        distinct = set(pieces)
+    # a kind is looked up once per distinct piece
+    kinds = list(map({piece: _KIND.get(piece) or _KIND.get(piece[:1])
+                      for piece in distinct}.__getitem__, pieces))
+    del distinct
+    # a token ends after every piece up to it: no list of all offsets is built
+    ends = list(compress(accumulate(map(len, pieces)), kinds))
+    texts = list(compress(pieces, kinds))
+    del pieces  # only columns are returned
+    kinds = list(filter(None, kinds))
     starts = list(map(sub, ends, map(len, texts)))
     end = len(text)
     kinds.append("EOF")
@@ -192,13 +199,40 @@ def tokenize(text: str) -> Tokens:
     return Tokens(kinds, texts, starts, ends)
 
 
-def _unexpected_character(text: str, parts: list[str]) -> ParseError:
-    """The error at the first character of a gap that is not whitespace."""
-    gap_starts = islice(accumulate(map(len, parts), initial=0), 0, None, 2)
-    pos = next(start + len(gap) - len(gap.lstrip(_WHITESPACE))
-               for start, gap in zip(gap_starts, parts[0::2])
-               if gap.strip(_WHITESPACE))
-    return ParseError(f"unexpected character {text[pos]!r}", text, pos)
+def _blank_comments(text: str) -> str:
+    """``text`` with CR as LF and each comment, from ``#`` to the line's end,
+    as a NUL and as many ``#``; other lines gain a NUL, which splits nothing."""
+    return "\n".join([(line.partition("#")[0] + "\0").ljust(len(line) + 1, "#")
+                      for line in text.replace("\r", "\n").split("\n")])
+
+
+def _whole(piece: str) -> bool:
+    """Whether a piece free of operators and whitespace is a token or comment."""
+    return piece.isascii() and (piece.isdigit() or piece[0] == "#" or
+                                piece[0].isalpha()
+                                and piece.replace("_", "0").isalnum())
+
+
+def _split_words(text: str, pieces: list[str], words: list[str]) -> list[str]:
+    """``pieces`` with each of ``words`` cut into INT and IDENT tokens
+    (``12ab`` into ``12`` and ``ab``), or the error at the first character
+    of the text that starts no token."""
+    cuts, bad = {}, {}
+    for word in words:
+        tokens, rest = [], word
+        while rest and rest[0] in _LETTERS + _DIGITS:
+            tail = rest.lstrip(_DIGITS if rest[0] in _DIGITS
+                               else _LETTERS + _DIGITS + "_")
+            tokens.append(rest[:len(rest) - len(tail)])
+            rest = tail
+        if rest:
+            bad[word] = len(word) - len(rest)
+        cuts[word] = "\0".join(tokens)
+    if bad:
+        first = next(i for i, piece in enumerate(pieces) if piece in bad)
+        pos = sum(map(len, pieces[:first])) + bad[pieces[first]]
+        raise ParseError(f"unexpected character {text[pos]!r}", text, pos)
+    return "\0".join(map(cuts.get, pieces, pieces)).split("\0")
 
 
 # -- parser -------------------------------------------------------------------

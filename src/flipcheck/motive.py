@@ -48,7 +48,7 @@ class BudgetError(ValueError):
 # bits of the coefficient sum of x.  A nested Sym2 doubles the span and the
 # bits: over 1 + L the 11th level may hold 3.6 million bits (11 levels take
 # 0.2 s as a process on a 2-core host) and the 12th, 14.4 million (1.4 s
-# before this budget), is refused.
+# before this budget), is refused.  Products answer to the same budget.
 MAX_SYM2_BITS = 1 << 23
 
 
@@ -190,6 +190,7 @@ class MotiveExpr:
         multiply as one packed product, other pairs term by term.
         ``other`` is grouped only when ``self`` has such a group."""
         other = _coerce(other)
+        _check_product_size(self.terms, other.terms)
         terms: dict[TermKey, int] = {}
         groups = {}
         if len(self.terms) >= _PACK_MIN and len(other.terms) >= _PACK_MIN:
@@ -331,17 +332,37 @@ def sym2_class(x: MotiveExpr) -> MotiveExpr:
     return MotiveExpr._trusted(terms)
 
 
+def _shape(terms: Mapping[TermKey, int]) -> tuple[int, int]:
+    """The L-degree span of ``terms`` and its number of monomials."""
+    powers = [lp for lp, _ in terms] or [0]
+    return max(powers) - min(powers), len({mono for _, mono in terms})
+
+
 def _check_sym2_size(terms: Mapping[TermKey, int]) -> None:
     """Raise :class:`BudgetError` if ``Sym2`` of ``terms`` may pass
     ``MAX_SYM2_BITS``, from the L-degree span and coefficient bits."""
-    powers = [lp for lp, _ in terms] or [0]
-    n, m = len(terms), len({mono for _, mono in terms})
-    span = max(powers) - min(powers)
+    n, (span, m) = len(terms), _shape(terms)
     count = min(n * (n + 3), (2 * span + 1) * m * (m + 3)) // 2
     bits = 2 * sum(terms.values()).bit_length()
     if count * bits > MAX_SYM2_BITS:
         raise BudgetError(f"Sym2 of this value may hold {count} terms of "
                           f"{bits} bits, over the budget of {MAX_SYM2_BITS} bits")
+
+
+def _check_product_size(xs: Mapping[TermKey, int],
+                        ys: Mapping[TermKey, int]) -> None:
+    """Raise :class:`BudgetError` if ``xs * ys`` may pass ``MAX_SYM2_BITS``:
+    at most a term per pair of terms (tested first) or ``span_x + span_y + 1``
+    per pair of monomials, each of the bits of both sums of ``|c|``."""
+    bits = (sum(map(abs, xs.values())).bit_length()
+            + sum(map(abs, ys.values())).bit_length())
+    count = len(xs) * len(ys)
+    if count * bits > MAX_SYM2_BITS:
+        (span_x, m_x), (span_y, m_y) = _shape(xs), _shape(ys)
+        count = min(count, (span_x + span_y + 1) * m_x * m_y)
+        if count * bits > MAX_SYM2_BITS:
+            raise BudgetError(f"this product may hold {count} terms of {bits} "
+                              f"bits, over the budget of {MAX_SYM2_BITS} bits")
 
 
 def hilbert_square_class(x: MotiveExpr, n: int) -> MotiveExpr:

@@ -548,8 +548,12 @@ def test_parse_error_names_file_line_and_column(tmp_path, capsys, command):
     ("1\n 2 * " + "Sym2(" * 12 + "1 + L" + ")" * 12 + "\n", "motive",
      "2:2: Sym2 of this value may hold 8194 terms of 1758 bits, over the "
      "budget of 8388608 bits"),
+    ("1\n  " + " * ".join(["(" + "Sym2(" * 10 + "1 + L" + ")" * 10 + ")"] * 8)
+     + "\n", "motive",
+     "2:3: this product may hold 5121 terms of 2199 bits, over the budget of "
+     "8388608 bits"),
 ], ids=["sym2-of-product", "tensor", "sym2-of-negative", "motive-ledger",
-        "sod-expression", "sym2-over-budget"])
+        "sod-expression", "sym2-over-budget", "product-over-budget"])
 def test_evaluation_error_names_its_statement(tmp_path, capsys, text, command,
                                               message):
     """A statement that parses but fails to evaluate, or has the wrong kind
@@ -864,6 +868,29 @@ def test_import_leaves_out_typing_and_random():
         loaded = {line.rsplit("|", 1)[1].strip() for line in err.splitlines()
                   if line.startswith("import time:")}
         assert "flipcheck.cli" in loaded and loaded & banned == set(), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ("motive", op, str(path)) for path in sorted(CHECKS.glob("*.mot"))
+    for op in ("check", "eval")] + [
+    ("sod", "check", str(path)) for path in sorted(CHECKS.glob("*.sod"))],
+    ids=lambda argv: " ".join(argv[:2]) + " " + Path(argv[2]).name)
+def test_script_commands_load_no_re_and_no_enum(argv):
+    """The lexer splits with ``str`` methods, so a script command run as
+    ``python -S`` without ``--json`` loads neither ``re`` nor the ``enum``
+    that ``re`` brings."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    code = ("import runpy, sys\n"
+            f"sys.argv = ['flipcheck', *{list(argv)!r}]\n"
+            "try:\n"
+            "    runpy.run_module('flipcheck', run_name='__main__')\n"
+            "finally:\n"
+            "    print(sorted({'re', 'enum', 'flipcheck.dsl'} & set(sys.modules)),"
+            " file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stdout
+    assert proc.stderr == "['flipcheck.dsl']\n"
 
 
 # the flipcheck modules each command line loads, as ``python -S`` runs it:

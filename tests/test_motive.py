@@ -175,6 +175,38 @@ def test_sym2_budget_lets_wide_and_sparse_classes_through():
     assert sym2_class(sparse).terms[(6000000000, ())] == 1
 
 
+def test_products_are_refused_before_they_are_computed():
+    """A product is refused when its size may pass the Sym2 budget: of the
+    powers of Sym2 nested 10 deep over 1 + L, the fourth may hold 4,097
+    terms of 1,762 bits (7.2 million) and answers, and the fifth, 5,121
+    terms of 2,199 bits (11.3 million), is refused."""
+    x = ONE + L
+    for _ in range(10):
+        x = sym2_class(x)
+    square = x * x
+    fourth = square * square
+    assert len(fourth.terms) == 4097
+    with pytest.raises(BudgetError) as info:
+        fourth * x
+    assert str(info.value) == ("this product may hold 5121 terms of 2199 bits, "
+                               f"over the budget of {MAX_SYM2_BITS} bits")
+    with pytest.raises(BudgetError):
+        MotiveExpr.const(1 << MAX_SYM2_BITS) * 2
+
+
+def test_product_budget_lets_wide_and_sparse_classes_through():
+    """The budget bounds output size from both the term counts and the
+    L-degree spans: two classes of 256 distinct atoms, and a sum whose top
+    power is L^3000000000 times itself, answer."""
+    rng = random.Random(5)
+    left, right = (MotiveExpr({(rng.randint(0, 4), (f"{p}{i}",)): rng.randint(1, 3)
+                               for i in range(256)}) for p in "pq")
+    assert len((left * right).terms) == 256 * 256
+    lp = MotiveExpr.lefschetz
+    sparse = sum((lp(i) for i in range(1, 9)), ONE) + lp(3000000000)
+    assert (sparse * sparse).terms[(6000000000, ())] == 1
+
+
 def _assert_canonical(x):
     """No zero coefficient and only sorted monomial tuples: the public
     constructor would store the same terms, key for key."""
