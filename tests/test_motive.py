@@ -178,7 +178,7 @@ def test_sym2_budget_lets_wide_and_sparse_classes_through():
 def test_products_are_refused_before_they_are_computed():
     """A product is refused when its size may pass the Sym2 budget: of the
     powers of Sym2 nested 10 deep over 1 + L, the fourth may hold 4,097
-    terms of 1,762 bits (7.2 million) and answers, and the fifth, 5,121
+    terms of 1,760 bits (7.2 million) and answers, and the fifth, 5,121
     terms of 2,199 bits (11.3 million), is refused."""
     x = ONE + L
     for _ in range(10):
