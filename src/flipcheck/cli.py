@@ -53,9 +53,53 @@ def _load_diamond(args) -> "fc.hodge.HodgeDiamond":
     return fc.hodge.HodgeDiamond.from_json_dict(data).validate()
 
 
-def _dumps(value, **options) -> str:
-    import json  # only --json output needs it; keeps it out of start-up
-    return json.dumps(value, **options)
+class _NotPlain(Exception):
+    """A value ``_json`` leaves to the json module."""
+
+
+def _dumps(value, sort_keys: bool = False, indent: int | None = None) -> str:
+    """``json.dumps(value, sort_keys=sort_keys, indent=indent)``, byte for
+    byte.  Dicts with str keys, lists, tuples, bools, ints, None and strings
+    of printable ASCII without ``"`` or ``\\`` are written here, so --json
+    output loads neither json nor the re and enum it brings; any other
+    value hands the whole call to json, which escapes and formats it."""
+    try:
+        if indent is None:
+            return _json(value, sort_keys, None, "")
+        return _json(value, sort_keys, " " * indent, "\n")
+    except _NotPlain:
+        import json
+        return json.dumps(value, sort_keys=sort_keys, indent=indent)
+
+
+def _json(value, sort_keys: bool, step: str | None, newline: str) -> str:
+    """``value`` as JSON: ``step`` is the indent of one level (None: one
+    line), ``newline`` the line break and indent before this level's
+    closing bracket ("" on one line)."""
+    if isinstance(value, str):
+        if value.isascii() and value.isprintable() and not (
+                '"' in value or "\\" in value):
+            return '"' + value + '"'
+    elif value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    elif isinstance(value, int):
+        return int.__repr__(value)  # past the digit limit: ValueError
+    elif isinstance(value, (list, tuple, dict)):
+        brackets = "{}" if isinstance(value, dict) else "[]"
+        if not value:
+            return brackets
+        inner = "" if step is None else newline + step
+        if brackets == "{}":
+            if not all(isinstance(key, str) for key in value):
+                raise _NotPlain
+            body = [_json(key, sort_keys, step, inner) + ": "
+                    + _json(item, sort_keys, step, inner) for key, item
+                    in (sorted(value.items()) if sort_keys else value.items())]
+        else:
+            body = [_json(item, sort_keys, step, inner) for item in value]
+        sep = ", " if step is None else "," + inner
+        return brackets[0] + inner + sep.join(body) + newline + brackets[1]
+    raise _NotPlain
 
 
 def _json_int(text: str) -> int:

@@ -622,6 +622,55 @@ def test_verify_all_fault_injection(monkeypatch, capsys):
     assert "FAIL hodge/hilb2-quartic-double-solid-column" in out
 
 
+# -- JSON output ------------------------------------------------------------------
+
+
+_PRINTABLE = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E))
+# quotes, backslashes, controls, DEL, non-ASCII, astral and lone surrogates
+_TEXT = st.one_of(_PRINTABLE, st.text(st.characters(exclude_categories=())),
+                  st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\xe9",
+                                   "\U0001f600", "a\\b", 'say "hi"']))
+_JSON_VALUES = st.recursive(
+    st.one_of(_TEXT, st.none(), st.booleans(), st.integers(),
+              # 4,300 digits print; 4,301 raise json's ValueError
+              st.builds(lambda sign, digits: sign * 10 ** (digits - 1),
+                        st.sampled_from([1, -1]), st.sampled_from([4300, 4301])),
+              st.floats()),
+    lambda values: st.one_of(
+        st.lists(values, max_size=4), st.tuples(values, values),
+        st.builds(cli.CheckReport, *[values] * 6),
+        st.dictionaries(_PRINTABLE, values, max_size=4),
+        st.dictionaries(st.one_of(_TEXT, st.integers(), st.floats(),
+                                  st.booleans(), st.none()),
+                        values, max_size=4)),
+    max_leaves=12)
+
+
+def _dumped(dumps, value, options):
+    try:
+        return dumps(value, **options)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("options", [{}, {"sort_keys": True},
+                                     {"sort_keys": True, "indent": 2}],
+                         ids=["plain", "sorted", "sorted-indented"])
+@settings(max_examples=200, deadline=None)
+@given(value=_JSON_VALUES)
+@example(value={"b": [1, -2, True, False, None], "a": {}, "c": [], "d": ()})
+@example(value={"x": 1.5})
+@example(value={1: "one", "two": 2})
+@example(value=["caf\xe9", 'q"', "back\\slash", "\n", "\U0001f600"])
+@example(value=[10 ** 4300])
+def test_json_writer_matches_json_dumps(options, value):
+    """``_dumps`` prints what ``json.dumps`` prints with the option sets the
+    commands pass, byte for byte, or raises the same error: floats, non-str
+    keys and strings that need escaping take json's own path."""
+    assert _dumped(cli._dumps, value, options) == _dumped(json.dumps, value,
+                                                          options)
+
+
 # -- usage ------------------------------------------------------------------------
 
 
@@ -870,6 +919,37 @@ def test_import_leaves_out_typing_and_random():
         assert "flipcheck.cli" in loaded and loaded & banned == set(), argv
 
 
+# a --json command line of each command that prints JSON
+_JSON_COMMAND_LINES = [
+    ("verify-all", "--json"),
+    ("hodge", "hh0", "--builtin", "degree2-del-pezzo-surface", "--json"),
+    ("hodge", "sym2", "--builtin", "curve-g2", "--json"),
+    ("fano", "dims", "--family", "gr25", "--n", "5", "--json"),
+    ("fano", "codim", "--grid", "--json"),
+    ("fano", "sodcounts", "--family", "cubic", "--n", "3", "--k", "1",
+     "--json"),
+    ("fano", "splittings", "--n", "5", "--json"),
+    ("sod", "obstruction", "--builtin", "degree2-del-pezzo-surface", "--json"),
+    ("sod", "conjecture-consistency", "--n-odd-max", "15", "--json"),
+    ("sod", "check", "--json", str(CHECKS / "degree2-surface.sod")),
+]
+
+
+def _run_as_module(argv, modules: set) -> subprocess.CompletedProcess:
+    """``python -S -m flipcheck *argv``, which then prints on stderr the
+    sorted names of ``modules`` that it loaded."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    code = ("import runpy, sys\n"
+            f"sys.argv = ['flipcheck', *{list(argv)!r}]\n"
+            "try:\n"
+            "    runpy.run_module('flipcheck', run_name='__main__')\n"
+            "finally:\n"
+            f"    print(sorted({modules!r} & set(sys.modules)),"
+            " file=sys.stderr)\n")
+    return subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
 @pytest.mark.parametrize("argv", [
     ("motive", op, str(path)) for path in sorted(CHECKS.glob("*.mot"))
     for op in ("check", "eval")] + [
@@ -877,20 +957,21 @@ def test_import_leaves_out_typing_and_random():
     ids=lambda argv: " ".join(argv[:2]) + " " + Path(argv[2]).name)
 def test_script_commands_load_no_re_and_no_enum(argv):
     """The lexer splits with ``str`` methods, so a script command run as
-    ``python -S`` without ``--json`` loads neither ``re`` nor the ``enum``
-    that ``re`` brings."""
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    code = ("import runpy, sys\n"
-            f"sys.argv = ['flipcheck', *{list(argv)!r}]\n"
-            "try:\n"
-            "    runpy.run_module('flipcheck', run_name='__main__')\n"
-            "finally:\n"
-            "    print(sorted({'re', 'enum', 'flipcheck.dsl'} & set(sys.modules)),"
-            " file=sys.stderr)\n")
-    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
+    ``python -S`` loads neither ``re`` nor the ``enum`` that ``re``
+    brings."""
+    proc = _run_as_module(argv, {"re", "enum", "flipcheck.dsl"})
     assert proc.returncode == 0 and proc.stdout
     assert proc.stderr == "['flipcheck.dsl']\n"
+
+
+@pytest.mark.parametrize("argv", _JSON_COMMAND_LINES,
+                         ids=lambda argv: " ".join(argv[:2]))
+def test_json_output_loads_no_json_re_or_enum(argv):
+    """``_dumps`` writes JSON output itself, so a ``--json`` command run as
+    ``python -S`` loads none of ``json``, ``re`` and ``enum``."""
+    proc = _run_as_module(argv, {"json", "re", "enum"})
+    assert proc.returncode == 0 and proc.stdout[0] in "[{"
+    assert proc.stderr == "[]\n"
 
 
 # the flipcheck modules each command line loads, as ``python -S`` runs it:
@@ -972,18 +1053,22 @@ def test_ledger_repr_loads_no_dsl():
     assert out == "SodLedger('{Dpt:1}') []\n"
 
 
-def test_commands_load_json_and_shutil_only_when_they_need_them():
-    """A command without ``--json`` loads neither ``json`` nor ``shutil``
-    (nor the compression modules ``shutil`` brings): help is laid out at a
-    fixed width, and only JSON input and output import ``json``."""
+def test_commands_load_json_and_shutil_only_when_they_need_them(tmp_path):
+    """A command loads neither ``json`` nor ``shutil`` (nor the compression
+    modules ``shutil`` brings), with or without ``--json``: help is laid
+    out at a fixed width, ``_dumps`` writes JSON output itself, and only
+    diamond JSON input imports ``json``."""
+    diamond = tmp_path / "d.json"
+    diamond.write_text('{"dim": 0, "entries": [[0, 0, 1]]}')
     code = (
         "import sys\n"
         "from flipcheck import cli\n"
         f"cli.main(['motive', 'check', {str(CHECKS / 'flip-derivation.mot')!r}])\n"
         "cli.main(['verify-all'])\n"
+        "cli.main(['verify-all', '--json'])\n"
         "before = sorted({'json', 'shutil', 'zlib', 'bz2', 'lzma'}"
         " & set(sys.modules))\n"
-        "cli.main(['verify-all', '--json'])\n"
+        f"cli.main(['hodge', 'hh0', '--diamond', {str(diamond)!r}])\n"
         "print(before, 'json' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
@@ -1159,12 +1244,11 @@ def test_argv_reader_reads_the_exact_forms():
 
 def test_checks_and_scripts_leave_no_cyclic_garbage():
     """The golden checks, the scripts under checks/, a rule script of a few
-    hundred rules and ``main`` on the golden command lines free everything
-    they drop by reference counting, so a change that makes a reference
-    cycle fails here instead of growing memory and collector time.  Left
-    out are ``--json``, because the standard library's pure-Python encoder
-    for indented output makes closure cycles, and argparse, which makes
-    cycles of its own and runs only for help and usage errors."""
+    hundred rules and ``main`` on the golden and ``--json`` command lines
+    free everything they drop by reference counting, so a change that makes
+    a reference cycle fails here instead of growing memory and collector
+    time.  Left out is argparse, which makes cycles of its own and runs
+    only for help and usage errors."""
     rules = "".join(f"D{i} => {{Dpt:{i % 3 + 1}, D{i // 2}:1}}\n"
                     for i in range(1, 300))
     script = rules + "{D299:2, D150:1}\n{Dpt:1, D7:3}\n"
@@ -1173,9 +1257,8 @@ def test_checks_and_scripts_leave_no_cyclic_garbage():
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
         cli.run_all_checks()
-        for argv in _COMMAND_LINES:
-            if "--json" not in argv:
-                main(list(argv))
+        for argv in _COMMAND_LINES + _JSON_COMMAND_LINES:
+            main(list(argv))
         for text in [p.read_text(encoding="utf-8")
                      for p in sorted(CHECKS.iterdir())] + [script]:
             table = sod.default_rules()
