@@ -611,8 +611,8 @@ def _check_euler_specialization() -> CheckReport:
 
 
 def _check_round_trip() -> CheckReport:
-    import random  # only this check needs it; keeps it out of start-up
-    rng = random.Random(20240815)
+    import _random  # random's C core: importing random itself costs more
+    rng = _Draws(_random.Random(20240815))
     failures = []
     for i in range(200):
         value = random_value(rng)
@@ -678,6 +678,43 @@ def cmd_verify_all(args):
 
 
 # -- random value generator (round-trip checks) ---------------------------------
+
+class _Draws:
+    """The draws ``random_value`` makes, each as ``random.Random`` makes it
+    from the same Mersenne Twister state ``core``, without the import of
+    ``random``: ``random()`` itself, ``randint`` and ``choice`` by
+    rejection over ``getrandbits``, and ``sample`` by the pool that
+    ``random.sample`` keeps for a population of at most 21."""
+
+    __slots__ = ("random", "getrandbits")
+
+    def __init__(self, core):
+        self.random, self.getrandbits = core.random, core.getrandbits
+
+    def _below(self, n: int) -> int:
+        """A draw from ``range(n)``, ``n > 0``: ``Random._randbelow``."""
+        k = n.bit_length()
+        r = self.getrandbits(k)
+        while r >= n:
+            r = self.getrandbits(k)
+        return r
+
+    def randint(self, a: int, b: int) -> int:
+        return a + self._below(b - a + 1)
+
+    def choice(self, seq):
+        return seq[self._below(len(seq))]
+
+    def sample(self, population: list, k: int) -> list:
+        pool = list(population)
+        n = len(pool)
+        out = []
+        for i in range(k):
+            j = self._below(n - i)
+            out.append(pool[j])
+            pool[j] = pool[n - i - 1]
+        return out
+
 
 _COEFF_POOL = [c for c in range(-9, 10) if c]
 _ATOM_POOL = ["C", "F", "X", "Y2", "Sym2_C", "a_1"]
@@ -876,10 +913,13 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     """Exit with ``main()``'s code: ``python -m flipcheck`` and the installed
-    ``flipcheck`` script.  The heap is frozen first, so the interpreter's
-    collections at shutdown skip every object the command left; flushes,
-    ``atexit`` handlers and profilers still run, which ``os._exit`` would
-    skip."""
+    ``flipcheck`` script.  The heap is frozen before the command, so no
+    collection during it walks the objects interpreter start-up left, and
+    again after it, so the interpreter's collections at shutdown skip every
+    object the command left; flushes, ``atexit`` handlers and profilers
+    still run, which ``os._exit`` would skip.  ``main`` freezes nothing:
+    tests call it many times in one process."""
+    gc.freeze()
     try:
         sys.exit(main())
     finally:

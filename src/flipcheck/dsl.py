@@ -145,9 +145,9 @@ _SEPARATE = (*((c, f"\0{c}\0") for c in _OPERATORS + _WHITESPACE),
              ("\0\0", "\0"))
 # the pieces that are whole tokens, or none, whatever the text
 _SETTLED = frozenset(["", "(*)", "=>", *_OPERATORS, *_WHITESPACE])
-# a token's kind by its first character, none for whitespace and comments,
-# but for "(*)", whose first character is a token of its own
-_KIND = {"(*)": "TENSOR", "=": "ARROW", "+": "PLUS", "-": "MINUS",
+# a token's kind by its first character, none for whitespace and comments;
+# "(*)", whose first character is a token of its own, is looked up apart
+_KIND = {"=": "ARROW", "+": "PLUS", "-": "MINUS",
          "*": "STAR", "^": "CARET", "(": "LPAREN", ")": "RPAREN",
          "{": "LBRACE", "}": "RBRACE", ":": "COLON", ",": "COMMA",
          **dict.fromkeys(_DIGITS, "INT"), **dict.fromkeys(_LETTERS, "IDENT")}
@@ -177,14 +177,19 @@ def tokenize(text: str) -> Tokens:
     pieces = split.split("\0")
     del split
     distinct = set(pieces)
-    words = [p for p in distinct.difference(_SETTLED) if not _whole(p)]
+    # the pieces that are neither a whole token nor a comment
+    words = [p for p in distinct.difference(_SETTLED)
+             if not (p.isascii() and (p.isdigit() or p[0] == "#"
+                                      or p[0].isalpha()
+                                      and p.replace("_", "0").isalnum()))]
     if words:
         pieces = _split_words(text, pieces, words)
         distinct = set(pieces)
     # a kind is looked up once per distinct piece
-    kinds = list(map({piece: _KIND.get(piece) or _KIND.get(piece[:1])
-                      for piece in distinct}.__getitem__, pieces))
-    del distinct
+    kind = {piece: _KIND.get(piece[:1]) for piece in distinct}
+    kind["(*)"] = "TENSOR"
+    kinds = list(map(kind.__getitem__, pieces))
+    del distinct, kind
     # a token ends after every piece up to it: no list of all offsets is built
     ends = list(compress(accumulate(map(len, pieces)), kinds))
     texts = list(compress(pieces, kinds))
@@ -204,13 +209,6 @@ def _blank_comments(text: str) -> str:
     as a NUL and as many ``#``; other lines gain a NUL, which splits nothing."""
     return "\n".join([(line.partition("#")[0] + "\0").ljust(len(line) + 1, "#")
                       for line in text.replace("\r", "\n").split("\n")])
-
-
-def _whole(piece: str) -> bool:
-    """Whether a piece free of operators and whitespace is a token or comment."""
-    return piece.isascii() and (piece.isdigit() or piece[0] == "#" or
-                                piece[0].isalpha()
-                                and piece.replace("_", "0").isalnum())
 
 
 def _split_words(text: str, pieces: list[str], words: list[str]) -> list[str]:
@@ -242,12 +240,10 @@ class _Parser:
     def __init__(self, text: str):
         tokens = tokenize(text)
         self.text = text
-        self.kinds, self.texts, self.starts, self.ends = columns = (
+        # no lookahead reads past the EOF token: ``rule_lhs`` and ``factor``
+        # look one further only after a token that is not EOF
+        self.kinds, self.texts, self.starts, self.ends = (
             tokens.kinds, tokens.texts, tokens.starts, tokens.ends)
-        # four more EOF tokens make every lookahead of ``rule_lhs`` a plain
-        # index
-        for column in columns:
-            column.extend(column[-1:] * 4)
         self.i = 0
         self.depth = 0
 

@@ -756,6 +756,18 @@ def test_closed_stdout_exits_141_with_nothing_on_stderr(argv):
     assert (proc.returncode, proc.stderr) == (141, b"")
 
 
+def test_run_freezes_the_heap_before_and_after_the_command(monkeypatch):
+    """``run`` freezes before ``main``, so no collection during the command
+    walks the objects start-up left, and again after it, for the
+    collections at shutdown; its exit code is ``main``'s."""
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+    with pytest.raises(SystemExit) as exit_:
+        cli.run()
+    assert (calls, exit_.value.code) == (["freeze", "main", "freeze"], 3)
+
+
 def test_a_profiler_still_reports_after_the_command():
     """The process entry point freezes the heap before it exits instead of
     ending the process at once: a profiler run around it still prints its
@@ -972,6 +984,16 @@ def test_json_output_loads_no_json_re_or_enum(argv):
     proc = _run_as_module(argv, {"json", "re", "enum"})
     assert proc.returncode == 0 and proc.stdout[0] in "[{"
     assert proc.stderr == "[]\n"
+
+
+@pytest.mark.parametrize("argv", [("verify-all",), ("verify-all", "--json")],
+                         ids=" ".join)
+def test_verify_all_loads_no_random(argv):
+    """The round-trip check draws from ``random``'s C core, ``_random``, so
+    ``verify-all`` run as ``python -S`` never loads ``random``."""
+    proc = _run_as_module(argv, {"random", "_random"})
+    assert proc.returncode == 0 and proc.stdout
+    assert proc.stderr == "['_random']\n"
 
 
 # the flipcheck modules each command line loads, as ``python -S`` runs it:

@@ -1,3 +1,4 @@
+import _random
 import gc
 import hashlib
 import random
@@ -6,10 +7,10 @@ from collections import namedtuple
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flipcheck.cli import random_value
+from flipcheck.cli import _LEDGER_POOL, _Draws, random_value
 from flipcheck.dsl import (Atom, EvalError, IntLit, LedgerLiteral, LPow, Node,
                            ParseError, Product, RuleDef, Sum, Sym2, Tensor,
                            evaluate, parse, parse_script, print_canonical,
@@ -641,6 +642,27 @@ def test_round_trip_check_draws_the_recorded_sample():
                     for _ in range(200))
     assert hashlib.sha256(texts.encode()).hexdigest() == (
         "3d5bce2ba70124c6785157810cf5d78a0d807a72e5f8e3dd1a193b67e32a1e55")
+
+
+@given(st.integers(-2**70, 2**70), st.integers(1, 2**70))
+@example(20240815, 99)  # the check's own seed
+@settings(max_examples=40)
+def test_round_trip_sampler_draws_what_random_draws(seed, width):
+    """The round-trip check draws from ``_Draws`` over ``random``'s C core
+    so that it need not import ``random``; from one seed, each of its draws
+    returns what ``random.Random``'s returns, and both states stay in step."""
+    ours, theirs = _Draws(_random.Random(seed)), random.Random(seed)
+    for w in (1, 2, 3, 4, 5, 6, 7, 8, 16, 19, 64, 99, 100, 2**31, 2**40 + 5,
+              width):
+        assert ours.randint(-3, w - 4) == theirs.randint(-3, w - 4)
+    for pool in ([7], ["atom", "sym2", "tensor"], _LEDGER_POOL,
+                 list(range(-9, 10))):
+        assert ours.choice(pool) == theirs.choice(pool)
+    for k in range(len(_LEDGER_POOL) + 1):
+        assert ours.sample(_LEDGER_POOL, k) == theirs.sample(_LEDGER_POOL, k)
+    assert ours.random() == theirs.random()
+    assert ([print_canonical(random_value(ours)) for _ in range(500)]
+            == [print_canonical(random_value(theirs)) for _ in range(500)])
 
 
 # -- fuzzing -----------------------------------------------------------------------

@@ -451,3 +451,125 @@ def test_specialization_cross_check_with_hodge():
 def test_specialize_requires_all_atoms():
     with pytest.raises(KeyError):
         (atom("X") + L).specialize({})
+
+
+# -- the Hodge realization ---------------------------------------------------------
+#
+# ``specialize`` uses only ``+``, ``*`` and ``**`` on the values it is given,
+# so a small E-polynomial type makes it the Hodge realization of motive
+# classes, with no code shared with ``hodge``'s packed kernels.
+
+
+class EPoly:
+    """An E-polynomial ``sum (-1)^(p+q) h^{p,q} u^p v^q`` as
+    ``{(p, q): coefficient}``, with no zero coefficient.  An int is the
+    constant polynomial."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict):
+        self.terms = {key: c for key, c in terms.items() if c}
+
+    @classmethod
+    def of(cls, d: hodge.HodgeDiamond) -> "EPoly":
+        return cls({(p, q): (-1) ** (p + q) * v
+                    for (p, q), v in d.entries().items()})
+
+    @staticmethod
+    def _coerce(other) -> "EPoly":
+        return EPoly({(0, 0): other}) if isinstance(other, int) else other
+
+    def __eq__(self, other) -> bool:
+        return self.terms == EPoly._coerce(other).terms
+
+    def __repr__(self) -> str:
+        return f"EPoly({self.terms})"
+
+    def __add__(self, other) -> "EPoly":
+        out = dict(self.terms)
+        for key, c in EPoly._coerce(other).terms.items():
+            out[key] = out.get(key, 0) + c
+        return EPoly(out)
+
+    __radd__ = __add__
+
+    def __mul__(self, other) -> "EPoly":
+        out = {}
+        for (p, q), c in self.terms.items():
+            for (r, s), e in EPoly._coerce(other).terms.items():
+                out[(p + r, q + s)] = out.get((p + r, q + s), 0) + c * e
+        return EPoly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> "EPoly":
+        out = EPoly({(0, 0): 1})
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def sym2(self) -> "EPoly":
+        """``(E(u, v)^2 + E(u^2, v^2)) / 2``: the lambda-ring square, whose
+        signs give a bidegree of odd ``p + q`` paired with itself
+        ``m(m-1)/2``."""
+        twice = self * self + EPoly({(2 * p, 2 * q): c
+                                     for (p, q), c in self.terms.items()})
+        assert all(c % 2 == 0 for c in twice.terms.values())
+        return EPoly({key: c // 2 for key, c in twice.terms.items()})
+
+
+UV = EPoly({(1, 1): 1})  # the realization of L
+
+
+# every builtin with a complete table (a table of h^{p,p} alone has no
+# E-polynomial), curves of genus 0 to 3, and the paper's second family
+COMPLETE_DIAMONDS = {
+    **{name: varieties.builtin(name) for name in varieties.builtin_names()
+       if "<" not in name and name not in varieties.DIAGONAL_ONLY},
+    **{f"curve-g{g}": varieties.curve(g) for g in range(4)},
+    "two-quadrics-3": varieties.intersection_of_two_quadrics(3),
+    "two-quadrics-5": varieties.intersection_of_two_quadrics(5),
+}
+
+
+@st.composite
+def symmetric_diamonds(draw, max_dim=3, max_value=4):
+    """A small Hodge-symmetric diamond of dimension at least 1."""
+    dim = draw(st.integers(1, max_dim))
+    upper = draw(st.dictionaries(
+        st.tuples(st.integers(0, dim), st.integers(0, dim)).filter(
+            lambda key: key[0] <= key[1]),
+        st.integers(1, max_value), max_size=5))
+    table = {}
+    for (p, q), v in upper.items():
+        table[(p, q)] = table[(q, p)] = v
+    return hodge.HodgeDiamond(dim, table)
+
+
+def _assert_realized(a: hodge.HodgeDiamond, b: hodge.HodgeDiamond) -> None:
+    """``kunneth``, ``sym2`` and ``hilbert_square`` agree with the realized
+    product ``[X][Y]``, square ``Sym^2 [X]`` and ``hilbert_square_class``."""
+    ea, eb = EPoly.of(a), EPoly.of(b)
+    realized = {"X": ea, "Y": eb, "Sym2_X": ea.sym2()}
+    assert (atom("X") * atom("Y")).specialize(realized, UV) == \
+        EPoly.of(hodge.kunneth(a, b))
+    assert sym2_class(atom("X")).specialize(realized, UV) == \
+        EPoly.of(hodge.sym2(a))
+    if a.dim >= 1:
+        assert hilbert_square_class(atom("X"), a.dim).specialize(
+            realized, UV) == EPoly.of(hodge.hilbert_square(a))
+
+
+@pytest.mark.parametrize("name", COMPLETE_DIAMONDS)
+def test_hodge_operations_are_the_realized_classes_on_complete_tables(name):
+    a = COMPLETE_DIAMONDS[name]
+    for other in ("p1", "curve-g2", "quartic-double-solid"):
+        _assert_realized(a, varieties.builtin(other))
+    assert class_of_pn(a.dim).specialize({}, UV) == \
+        EPoly.of(varieties.projective_space(a.dim))
+
+
+@given(symmetric_diamonds(), symmetric_diamonds())
+@settings(max_examples=100)
+def test_hodge_operations_are_the_realized_classes(a, b):
+    _assert_realized(a, b)

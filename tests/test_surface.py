@@ -89,4 +89,4 @@ def test_cli_functions_import_only_stdlib_modules_they_alone_need():
                     imported.add("." * node.level + (node.module or ""))
                 elif isinstance(node, ast.Import):
                     imported.update(alias.name for alias in node.names)
-    assert imported == {"argparse", "json", "os", "random"}
+    assert imported == {"_random", "argparse", "json", "os"}
