@@ -913,17 +913,21 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     """Exit with ``main()``'s code: ``python -m flipcheck`` and the installed
-    ``flipcheck`` script.  The heap is frozen before the command, so no
-    collection during it walks the objects interpreter start-up left, and
-    again after it, so the interpreter's collections at shutdown skip every
-    object the command left; flushes, ``atexit`` handlers and profilers
-    still run, which ``os._exit`` would skip.  ``main`` freezes nothing:
-    tests call it many times in one process."""
-    gc.freeze()
+    ``flipcheck`` script.  The cyclic collector is off while the command
+    runs, so no collection walks the tokens and AST it holds; the heap is
+    then frozen, so the interpreter's collections at shutdown skip every
+    object the command left, and the collector is left as it was found.
+    Flushes, ``atexit`` handlers and profilers still run, which
+    ``os._exit`` would skip.  ``main`` touches no collector setting: tests
+    call it many times in one process."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         sys.exit(main())
     finally:
         gc.freeze()
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Text format for motive expressions, ledgers and rewrite rules.
 
-Grammar (recursive descent with one token of lookahead, except a rule's
-``lhs``, which is read up to five tokens ahead to find its ``=>``;
+Grammar (one token of lookahead, except a rule's ``lhs``, which is read
+up to five tokens ahead to find its ``=>``; ``expr``, ``term`` and
+``factor`` are read by one loop with a stack of open groups;
 precedence ``^`` over ``*`` over ``+``/``-``; whitespace-insensitive; ``#``
 starts a comment that runs to the next CR or LF; integers are arbitrary
 precision):
@@ -240,12 +241,11 @@ class _Parser:
     def __init__(self, text: str):
         tokens = tokenize(text)
         self.text = text
-        # no lookahead reads past the EOF token: ``rule_lhs`` and ``factor``
+        # no lookahead reads past the EOF token: ``rule_lhs`` and ``expr``
         # look one further only after a token that is not EOF
         self.kinds, self.texts, self.starts, self.ends = (
             tokens.kinds, tokens.texts, tokens.starts, tokens.ends)
         self.i = 0
-        self.depth = 0
 
     def peek(self) -> str:
         return self.kinds[self.i]
@@ -291,72 +291,90 @@ class _Parser:
     # expressions ----------------------------------------------------------
 
     def expr(self) -> Node:
-        # the one place nesting is counted: every "(" and "Sym2(" opens an expr
-        kinds = self.kinds
-        start = self.starts[self.i]
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise ParseError("expression nesting too deep", self.text, start)
-        try:
-            first = self.term()
-            kind = kinds[self.i]
-            if kind != "PLUS" and kind != "MINUS":
-                return first
-            terms = [(1, first)]
-            while kind == "PLUS" or kind == "MINUS":
-                self.i += 1
-                terms.append((1 if kind == "PLUS" else -1, self.term()))
-                kind = kinds[self.i]
-            return Sum((start, terms[-1][1].span[1]), tuple(terms))
-        finally:
-            self.depth -= 1
-
-    def term(self) -> Node:
-        kinds = self.kinds
-        start = self.starts[self.i]
-        first = self.factor()
-        if kinds[self.i] != "STAR":
-            return first
-        factors = [first]
-        while kinds[self.i] == "STAR":
-            self.i += 1
-            factors.append(self.factor())
-        return Product((start, factors[-1].span[1]), tuple(factors))
-
-    def factor(self) -> Node:
-        kinds, i = self.kinds, self.i
-        kind = kinds[i]
-        start = self.starts[i]
-        if kind == "IDENT":
-            text = self.texts[i]
-            self.i = i + 1
-            if text == "L":
-                if kinds[i + 1] == "CARET":
+        """``expr``, ``term`` and ``factor`` in one loop.  Each ``(`` and
+        ``Sym2(`` pushes the sum and the product it interrupts, their start
+        offsets and its own, and its ``)`` pops them; the stack's height is
+        the nesting, the statement's own expression being level 1."""
+        kinds, texts, starts, ends = self.kinds, self.texts, self.starts, self.ends
+        i = self.i
+        stack = []
+        expr_start = term_start = starts[i]
+        terms, sign, factors = [], 1, []
+        while True:
+            kind = kinds[i]
+            start = starts[i]
+            if kind == "IDENT":
+                text = texts[i]
+                if text == "L":
+                    if kinds[i + 1] == "CARET":
+                        self.i = i + 2
+                        exp = self.expect("INT", "integer exponent")
+                        node = LPow((start, ends[exp]), self.integer(exp))
+                        i = exp + 1
+                    else:
+                        node = LPow((start, ends[i]), 1)
+                        i += 1
+                elif text == "Sym2":
+                    self.i = i + 1
+                    i = self.expect("LPAREN", "'(' after Sym2")
+                    node = None
+                elif kinds[i + 1] == "TENSOR":
                     self.i = i + 2
-                    exp = self.expect("INT", "integer exponent")
-                    return LPow((start, self.ends[exp]), self.integer(exp))
-                return LPow((start, self.ends[i]), 1)
-            if text == "Sym2":
-                self.expect("LPAREN", "'(' after Sym2")
-                inner = self.expr()
-                close = self.expect("RPAREN", "')'")
-                return Sym2((start, self.ends[close]), inner)
-            if kinds[i + 1] == "TENSOR":
-                self.i = i + 2
-                right = self.expect("IDENT", "atom after '(*)'")
-                return Tensor((start, self.ends[right]), text, self.texts[right])
-            return Atom((start, self.ends[i]), text)
-        if kind == "INT":
-            self.i = i + 1
-            return IntLit((start, self.ends[i]), self.integer(i))
-        if kind == "LPAREN":
-            self.i = i + 1
-            inner = self.expr()
-            close = self.expect("RPAREN", "')'")
-            # the node is new and not shared: widen its span in place
-            inner.span = (start, self.ends[close])
-            return inner
-        raise self.fail(("integer", "'L'", "atom", "Sym2(...)", "'('"))
+                    right = self.expect("IDENT", "atom after '(*)'")
+                    node = Tensor((start, ends[right]), text, texts[right])
+                    i = right + 1
+                else:
+                    node = Atom((start, ends[i]), text)
+                    i += 1
+            elif kind == "INT":
+                node = IntLit((start, ends[i]), self.integer(i))
+                i += 1
+            elif kind == "LPAREN":
+                node = None
+            else:
+                self.i = i
+                raise self.fail(("integer", "'L'", "atom", "Sym2(...)", "'('"))
+            if node is None:  # a group opens at ``start``; ``i`` is its "("
+                stack.append((terms, sign, factors, expr_start, term_start,
+                              start, kind == "IDENT"))
+                i += 1
+                if len(stack) >= MAX_NESTING:
+                    raise ParseError("expression nesting too deep", self.text,
+                                     starts[i])
+                expr_start = term_start = starts[i]
+                terms, sign, factors = [], 1, []
+                continue
+            # a factor ends: read on to the next one, or close its term, its
+            # expression and the groups that end with them
+            while True:
+                factors.append(node)
+                if kinds[i] == "STAR":
+                    i += 1
+                    break
+                terms.append((sign, factors[0] if len(factors) == 1 else
+                              Product((term_start, node.span[1]), tuple(factors))))
+                kind = kinds[i]
+                if kind == "PLUS" or kind == "MINUS":
+                    sign = 1 if kind == "PLUS" else -1
+                    i += 1
+                    term_start, factors = starts[i], []
+                    break
+                node = terms[0][1] if len(terms) == 1 else Sum(
+                    (expr_start, terms[-1][1].span[1]), tuple(terms))
+                if not stack:
+                    self.i = i
+                    return node
+                if kind != "RPAREN":
+                    self.i = i
+                    raise self.fail(("')'",))
+                terms, sign, factors, expr_start, term_start, start, is_sym2 = \
+                    stack.pop()
+                if is_sym2:
+                    node = Sym2((start, ends[i]), node)
+                else:
+                    # the node is new and not shared: widen its span in place
+                    node.span = (start, ends[i])
+                i += 1
 
     # ledgers and rules ---------------------------------------------------
 
@@ -524,10 +542,17 @@ def print_canonical(value) -> str:
     raise TypeError(f"cannot print {type(value).__name__}")
 
 
+def _print_order(key: TermKey) -> tuple:
+    power, mono = key
+    return (mono[0] if mono else "", mono, power)
+
+
 def _print_motive(x: MotiveExpr) -> str:
     if x.is_zero():
         return "0"
-    keys = sorted(x.terms, key=lambda key: (key[1], key[0]))
+    # ordered by (monomial, power); the monomial's first name leads the key,
+    # so most comparisons are of two strings, not of two tuples of tuples
+    keys = sorted(x.terms, key=_print_order)
     out = []
     for idx, (lp, mono) in enumerate(keys):
         coeff = x.terms[(lp, mono)]

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flipcheck import cli, dsl, sod, varieties
@@ -584,6 +584,101 @@ def test_parse_error_location_agrees_with_dsl(tmp_path, capsys, data, line,
     assert (info.value.line, info.value.column) == (line, column)
 
 
+# whole scripts, up to about 2,000 characters: expressions for the motive
+# commands, rules and two ledgers for sod check, and at times a stray piece,
+# a statement of another kind or a byte that is not UTF-8
+_script_leaves = st.sampled_from(
+    ["1", "42", "0", "L", "L^2", "L^40", "X", "Dpt", "pt", "Sym2_X", "DC",
+     "A (*) B", "x_1", "123456789012345678901234567890"])
+_script_ops = st.sampled_from([" + ", " - ", "*", "\n+ ", " -\r\n"])
+_script_expressions = st.recursive(
+    _script_leaves,
+    lambda inner: st.one_of(
+        st.tuples(inner, _script_ops, inner).map("".join),
+        inner.map("({})".format), inner.map("Sym2({})".format)),
+    max_leaves=10)
+# mostly Dpt, so that many ledgers reduce to exceptional objects alone
+_script_ledgers = st.lists(
+    st.tuples(st.sampled_from(["Dpt", "Dpt", "Dpt", "A", "B", "Sym2_A",
+                               "Tensor_A_B", "DC"]),
+              st.integers(0, 5)), max_size=4).map(
+    lambda entries: "{" + ", ".join(f"{n}:{c}" for n, c in entries) + "}")
+_script_rules = st.tuples(
+    st.sampled_from(["A", "B", "Dpt", "Sym2(A)", "Sym2(DC)", "A (*) B",
+                     "B (*) Dpt"]),
+    _script_ledgers).map(" => ".join)
+_script_strays = st.one_of(
+    st.sampled_from(["$", ")", "(", "{", "}", "=>", "Sym2", "L^", "1 +",
+                     "{A:}", "\0", "\x85", "# note", "A (*)", "=> {Dpt:1}"]),
+    _script_expressions, _script_ledgers, _script_rules)
+
+
+@st.composite
+def _script_runs(draw):
+    """A script command, the text of its script, and whether the file starts
+    with a byte that is not UTF-8."""
+    command = draw(st.sampled_from([("motive", "check"), ("motive", "eval"),
+                                    ("sod", "check"),
+                                    ("sod", "check", "--json")]))
+    if command[0] == "motive":
+        statements = draw(st.lists(_script_expressions, max_size=6))
+    else:
+        statements = (draw(st.lists(_script_rules, max_size=4))
+                      + [draw(_script_ledgers), draw(_script_ledgers)])
+    if draw(st.integers(0, 3)) == 0:
+        statements.insert(draw(st.integers(0, len(statements))),
+                          draw(_script_strays))
+    text = "\n".join(statements)
+    assume(len(text) <= 2000)
+    return command, text, draw(st.integers(0, 19)) == 0
+
+
+# the exit-2 messages of a script command that name no file: the script is
+# read, and the error is in what its statements mean together or in printing
+_UNLOCATED = ("expected exactly two ledgers", "rewrite rules loop through",
+              "no invariant assigned to atom",
+              "result holds an integer too long to print")
+
+
+@pytest.fixture(scope="module")
+def script_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("scripts")
+
+
+@given(_script_runs())
+@settings(max_examples=300, deadline=None)
+@example((("sod", "check"), "{A:1}\n{Dpt:1}", False))
+@example((("sod", "check"), "A => {B:1}\nB => {A:1}\n{A:1}\n{Dpt:1}", False))
+@example((("motive", "eval"), "Sym2(" * 12 + "42" + ")" * 12, False))
+def test_scripts_answer_or_exit_2_with_one_error_line(script_dir, case):
+    """Every script text, run by a script command through ``main`` on a
+    file, answers (exit 0, or 1 for a statement that does not vanish) with
+    one line per statement, or the ``sod check`` report, and nothing on
+    stderr; or it exits 2 with one ``error:`` line and no output, never
+    raising.  The error names the file, except for the messages in
+    ``_UNLOCATED``."""
+    command, text, bad_byte = case
+    path = script_dir / "script.txt"
+    data = text.encode("utf-8")
+    path.write_bytes(b"\xff" + data if bad_byte else data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*command[:2], str(path), *command[2:]])
+    out, err = out.getvalue(), err.getvalue()
+    if code == 2:
+        assert out == "" and err.startswith("error: ")
+        assert err.endswith("\n") and err.count("\n") == 1
+        assert (err.startswith(f"error: {path}:")
+                or any(message in err for message in _UNLOCATED))
+        return
+    assert err == "" and not bad_byte
+    if command[0] == "motive":
+        assert code in ((0, 1) if command[1] == "check" else (0,))
+        assert out.count("\n") == len(dsl.parse_script(text))
+    else:
+        assert code == 0 and out.count("\n") == (1 if "--json" in command else 3)
+
+
 # -- verify-all ----------------------------------------------------------------------
 
 
@@ -756,16 +851,37 @@ def test_closed_stdout_exits_141_with_nothing_on_stderr(argv):
     assert (proc.returncode, proc.stderr) == (141, b"")
 
 
-def test_run_freezes_the_heap_before_and_after_the_command(monkeypatch):
-    """``run`` freezes before ``main``, so no collection during the command
-    walks the objects start-up left, and again after it, for the
-    collections at shutdown; its exit code is ``main``'s."""
+def test_run_turns_the_collector_off_for_the_command_and_freezes_after(
+        monkeypatch):
+    """``run`` turns the cyclic collector off while ``main`` runs, so no
+    collection walks the tokens and AST a command holds; it freezes the heap
+    after it, for the collections at shutdown, and leaves the collector as
+    it found it, on or off, also when ``main`` raises; its exit code is
+    ``main``'s."""
     calls = []
-    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
-    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+    monkeypatch.setattr(gc, "freeze",
+                        lambda: calls.append(("freeze", gc.isenabled())))
+    monkeypatch.setattr(cli, "main",
+                        lambda: calls.append(("main", gc.isenabled())) or 3)
+    assert gc.isenabled()
     with pytest.raises(SystemExit) as exit_:
         cli.run()
-    assert (calls, exit_.value.code) == (["freeze", "main", "freeze"], 3)
+    assert (calls, exit_.value.code, gc.isenabled()) == (
+        [("main", False), ("freeze", False)], 3, True)
+
+    def failing():
+        raise KeyboardInterrupt
+    monkeypatch.setattr(cli, "main", failing)
+    with pytest.raises(KeyboardInterrupt):
+        cli.run()
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            cli.run()
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_a_profiler_still_reports_after_the_command():
@@ -1264,16 +1380,51 @@ def test_argv_reader_reads_the_exact_forms():
 # -- cyclic garbage ------------------------------------------------------------------
 
 
-def test_checks_and_scripts_leave_no_cyclic_garbage():
+def _script_command_lines(tmp_path):
+    """Script commands on the paths that end a command, each with its exit
+    code: a failing statement, every kind of exit-2 error a script can give,
+    and two scripts of some size, a 2,000-term sum and nested ``Sym2``."""
+    files = {
+        "fail.mot": "1 + L\nL - L\n",
+        "syntax.mot": "1 + L\n1 + )\n",
+        "ledger.mot": "1 + L\n{Dpt:1}\n",
+        "expr.sod": "{Dpt:1}\n1 + L\n",
+        "deep.mot": "Sym2(" * 199 + "1 + L" + ")" * 199 + "\n",
+        "sum.mot": " + ".join(f"{i % 9 + 1}*L^{i % 6}*a{i % 701}*b{i % 13}"
+                               for i in range(2000)) + "\n",
+        "nested.mot": "Sym2(Sym2(Sym2(1 + 2*L + L^2 + 3*L^3)))\n"
+                      "Sym2(Sym2(2 + L*u1 + 3*L^2)) - Sym2(L + w)*w\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    (tmp_path / "latin1.mot").write_bytes(b"\xff{Dpt:1}\n")
+    return [
+        (("motive", "check", "fail.mot"), 1),
+        (("motive", "eval", "syntax.mot"), 2),
+        (("motive", "eval", "ledger.mot"), 2),
+        (("sod", "check", "expr.sod"), 2),
+        (("motive", "eval", "deep.mot"), 2),
+        (("motive", "check", "latin1.mot"), 2),
+        (("sod", "check", "missing.sod"), 2),
+        (("motive", "eval", "sum.mot"), 0),
+        (("motive", "check", "nested.mot"), 1),
+    ]
+
+
+def test_checks_and_scripts_leave_no_cyclic_garbage(tmp_path):
     """The golden checks, the scripts under checks/, a rule script of a few
-    hundred rules and ``main`` on the golden and ``--json`` command lines
-    free everything they drop by reference counting, so a change that makes
-    a reference cycle fails here instead of growing memory and collector
-    time.  Left out is argparse, which makes cycles of its own and runs
-    only for help and usage errors."""
+    hundred rules, ``main`` on the golden and ``--json`` command lines, and
+    ``main`` on script commands that fail, exit 2 at each kind of script
+    error or run a large sum and nested ``Sym2``, free everything they drop
+    by reference counting.  A process runs its command with the cyclic
+    collector off (``cli.run``), so a change that makes a reference cycle
+    fails here instead of growing memory.  Left out is argparse, which makes
+    cycles of its own and runs only for help and usage errors."""
     rules = "".join(f"D{i} => {{Dpt:{i % 3 + 1}, D{i // 2}:1}}\n"
                     for i in range(1, 300))
     script = rules + "{D299:2, D150:1}\n{Dpt:1, D7:3}\n"
+    commands = _script_command_lines(tmp_path)
+    codes = []
     gc.collect()
     saved, flags = len(gc.garbage), gc.get_debug()
     gc.set_debug(gc.DEBUG_SAVEALL)
@@ -1281,6 +1432,8 @@ def test_checks_and_scripts_leave_no_cyclic_garbage():
         cli.run_all_checks()
         for argv in _COMMAND_LINES + _JSON_COMMAND_LINES:
             main(list(argv))
+        for (*words, name), _ in commands:
+            codes.append(main([*words, str(tmp_path / name)]))
         for text in [p.read_text(encoding="utf-8")
                      for p in sorted(CHECKS.iterdir())] + [script]:
             table = sod.default_rules()
@@ -1295,4 +1448,5 @@ def test_checks_and_scripts_leave_no_cyclic_garbage():
     finally:
         gc.set_debug(flags)
         del gc.garbage[saved:]
+    assert codes == [code for _, code in commands]
     assert [type(obj).__name__ for obj in garbage] == []

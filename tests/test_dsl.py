@@ -3,6 +3,7 @@ import gc
 import hashlib
 import random
 import re
+import sys
 from collections import namedtuple
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flipcheck import dsl
 from flipcheck.cli import _LEDGER_POOL, _Draws, random_value
 from flipcheck.dsl import (Atom, EvalError, IntLit, LedgerLiteral, LPow, Node,
                            ParseError, Product, RuleDef, Sum, Sym2, Tensor,
@@ -20,6 +22,7 @@ from flipcheck.sod import RewriteRule, SodLedger
 
 L = MotiveExpr.lefschetz(1)
 atom = MotiveExpr.atom
+CHECKS = Path(__file__).resolve().parent.parent / "checks"
 
 # one token as a record, for the assertions below; the lexer itself returns
 # four parallel columns and builds no object per token
@@ -556,6 +559,162 @@ def test_ast_spans_match_recount_and_cover_parentheses(text):
         assert (tokens[a].start, tokens[b].end) in spans
 
 
+# -- the expression loop against recursive descent ---------------------------------
+
+
+class _RecursiveParser(dsl._Parser):
+    """The parser with expressions read by recursive descent, one method per
+    grammar rule, as the expression loop replaced: the reference for its
+    nodes, spans, error messages and offsets."""
+
+    def __init__(self, text: str):
+        super().__init__(text)
+        self.depth = 0
+
+    def expr(self) -> Node:
+        kinds = self.kinds
+        start = self.starts[self.i]
+        self.depth += 1
+        if self.depth > dsl.MAX_NESTING:
+            raise ParseError("expression nesting too deep", self.text, start)
+        try:
+            first = self.term()
+            kind = kinds[self.i]
+            if kind != "PLUS" and kind != "MINUS":
+                return first
+            terms = [(1, first)]
+            while kind == "PLUS" or kind == "MINUS":
+                self.i += 1
+                terms.append((1 if kind == "PLUS" else -1, self.term()))
+                kind = kinds[self.i]
+            return Sum((start, terms[-1][1].span[1]), tuple(terms))
+        finally:
+            self.depth -= 1
+
+    def term(self) -> Node:
+        kinds = self.kinds
+        start = self.starts[self.i]
+        first = self.factor()
+        if kinds[self.i] != "STAR":
+            return first
+        factors = [first]
+        while kinds[self.i] == "STAR":
+            self.i += 1
+            factors.append(self.factor())
+        return Product((start, factors[-1].span[1]), tuple(factors))
+
+    def factor(self) -> Node:
+        kinds, i = self.kinds, self.i
+        kind = kinds[i]
+        start = self.starts[i]
+        if kind == "IDENT":
+            text = self.texts[i]
+            self.i = i + 1
+            if text == "L":
+                if kinds[i + 1] == "CARET":
+                    self.i = i + 2
+                    exp = self.expect("INT", "integer exponent")
+                    return LPow((start, self.ends[exp]), self.integer(exp))
+                return LPow((start, self.ends[i]), 1)
+            if text == "Sym2":
+                self.expect("LPAREN", "'(' after Sym2")
+                inner = self.expr()
+                close = self.expect("RPAREN", "')'")
+                return Sym2((start, self.ends[close]), inner)
+            if kinds[i + 1] == "TENSOR":
+                self.i = i + 2
+                right = self.expect("IDENT", "atom after '(*)'")
+                return Tensor((start, self.ends[right]), text, self.texts[right])
+            return Atom((start, self.ends[i]), text)
+        if kind == "INT":
+            self.i = i + 1
+            return IntLit((start, self.ends[i]), self.integer(i))
+        if kind == "LPAREN":
+            self.i = i + 1
+            inner = self.expr()
+            close = self.expect("RPAREN", "')'")
+            inner.span = (start, self.ends[close])
+            return inner
+        raise self.fail(("integer", "'L'", "atom", "Sym2(...)", "'('"))
+
+
+def _assert_same_tree(ours, theirs):
+    """The same node classes, spans and fields, node for node."""
+    assert type(ours) is type(theirs)
+    if isinstance(ours, Node):
+        for name in ours._fields:
+            _assert_same_tree(getattr(ours, name), getattr(theirs, name))
+    elif isinstance(ours, (tuple, list)):
+        assert len(ours) == len(theirs)
+        for a, b in zip(ours, theirs):
+            _assert_same_tree(a, b)
+    else:
+        assert ours == theirs
+
+
+def _outcome(parser_class, text, whole):
+    """The statements of ``text`` (``whole``), or its first statement and
+    the index after it; or the ParseError's message and offset."""
+    try:
+        parser = parser_class(text)
+        if whole:
+            return parser.script()
+        return parser.statement() if parser.peek() != "EOF" else None, parser.i
+    except ParseError as exc:
+        return str(exc), exc.offset
+
+
+def _assert_matches_recursive_descent(text):
+    """The whole text, and its first statement alone, give the recursive
+    reference's nodes, or its error message at its offset."""
+    for whole in (True, False):
+        _assert_same_tree(_outcome(dsl._Parser, text, whole),
+                          _outcome(_RecursiveParser, text, whole))
+
+
+@given(st.one_of(script_texts, token_texts,
+                 st.tuples(_error_prefixes, st.sampled_from(sorted(_ERROR_SITES)))
+                 .map(lambda p: p[0] + _ERROR_SITES[p[1]][0]),
+                 st.text(alphabet="01L^*+-(){}:,=> \nSym2DCpt#", max_size=200)))
+@settings(max_examples=500)
+def test_expression_loop_matches_recursive_descent(text):
+    """Drawn scripts, token soup and texts with every kind of error parse
+    to the nodes, spans, messages and offsets of the recursive parser."""
+    _assert_matches_recursive_descent(text)
+
+
+@pytest.mark.parametrize("opener, closer", [
+    ("(", ")"), ("Sym2(", ")"), ("(Sym2(", "))"), ("Sym2((", "))")])
+@pytest.mark.parametrize("repeats", [99, 100, 199, 200, 201])
+def test_expression_loop_matches_recursive_descent_at_the_nesting_bound(
+        opener, closer, repeats):
+    for inner in ["L", "1 + L*X", "", "1 +", "A (*)"]:
+        for text in [opener * repeats + inner + closer * repeats,
+                     "2*" + opener * repeats + inner + closer * (repeats - 1),
+                     "\n" + opener * repeats + inner]:
+            _assert_matches_recursive_descent(text)
+
+
+def _generated_scripts(seed: int) -> list:
+    """The benchmark's ``scripts`` workload files for ``seed``."""
+    sys.path.insert(0, str(CHECKS.parent / "perfbench"))
+    try:
+        import gen
+    finally:
+        sys.path.pop(0)
+    return [script.text for script in gen.scripts(seed)]
+
+
+@pytest.mark.parametrize("source", ["checks", "seed 1", "seed 31"])
+def test_expression_loop_matches_recursive_descent_on_real_scripts(source):
+    if source == "checks":
+        texts = [p.read_text(encoding="utf-8") for p in sorted(CHECKS.iterdir())]
+    else:
+        texts = _generated_scripts(int(source.split()[1]))
+    for text in texts:
+        _assert_matches_recursive_descent(text)
+
+
 # -- scripts ---------------------------------------------------------------------
 
 
@@ -613,6 +772,29 @@ def test_print_is_construction_order_independent():
 def test_print_rejects_unknown_types():
     with pytest.raises(TypeError):
         print_canonical(42)
+
+
+# atom names as text of any kind: empty, NUL, shared prefixes and the names
+# that Sym2 makes, so that no join of names can stand in for the monomial
+_print_names = st.one_of(
+    st.text(max_size=4),
+    st.sampled_from(["", "\0", "a", "a\0", "a\0b", "ab", "b", "Sym2", "Sym2_",
+                     "Sym2_a", "Sym2_a_b", "Sym2_Sym2_a"]))
+_print_keys = st.lists(
+    st.tuples(st.one_of(st.integers(0, 3), st.integers(0, 2**80)),
+              st.lists(_print_names, max_size=3).map(tuple)),
+    max_size=30, unique=True)
+
+
+@given(_print_keys)
+@settings(max_examples=300)
+@example([(0, ("a", "")), (1, ("a\0",)), (2, ("a", "b")), (0, ("a\0b",))])
+@example([(0, ()), (1, ("",)), (2, ("", "")), (0, ("\0",))])
+def test_print_order_is_monomial_then_power(keys):
+    """Canonical printing orders terms by ``(monomial, power)``, whatever the
+    atom names; its key leads with the monomial's first name."""
+    assert (sorted(keys, key=dsl._print_order)
+            == sorted(keys, key=lambda key: (key[1], key[0])))
 
 
 # -- round trips --------------------------------------------------------------------
@@ -701,7 +883,6 @@ def test_spans_and_tokens_compare_and_hash_by_value():
 
 _NODE_TYPES = [Node, IntLit, LPow, Atom, Sym2, Tensor, Sum, Product,
                LedgerLiteral, RuleDef]
-CHECKS = Path(__file__).resolve().parent.parent / "checks"
 
 
 def test_node_classes_are_slotted_with_fields_in_constructor_order():
