@@ -22,6 +22,25 @@ __version__ = "0.1.0"
 # and prints: every process loads this file, fano or not
 FAMILIES = ("cubic", "two-quadrics", "gr25")
 
+
+def comb(n: int, k: int) -> int:
+    """``math.comb(n, k)``, exactly, for the ledgers of ``sod`` and the
+    counts of ``fano``: 0 for ``k > n``, and ValueError when an argument is
+    negative.  Stated here because ``math`` is an extension module whose
+    load every process that counts would pay."""
+    if n < 0:
+        raise ValueError("n must be a non-negative integer")
+    if k < 0:
+        raise ValueError("k must be a non-negative integer")
+    if k > n:
+        return 0
+    k = min(k, n - k)
+    out = 1
+    for i in range(1, k + 1):
+        out = out * (n - k + i) // i  # C(n - k + i, i), exact at every step
+    return out
+
+
 __all__ = ["dsl", "fano", "hodge", "motive", "sod", "varieties",
            "__version__"]
 

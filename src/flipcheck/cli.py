@@ -263,25 +263,39 @@ def _fano_codim(args):
 # -- sod subcommand --------------------------------------------------------------
 
 
-def _script_values(path: str, kinds: tuple, wrong_kind: str) -> list:
+_TOO_LONG = "result holds an integer too long to print"
+
+
+def _script_values(path: str, kinds: tuple, wrong_kind: str) -> tuple:
     """The values of the statements of the script at ``path``, each one of
-    ``kinds``.  A decoding error names the file; a parse error also the line
-    and column, and so does an evaluation error or a value of another kind
+    ``kinds``, and ``error(i, message)``, the ``ValueError`` of ``message``
+    at ``PATH:LINE:COL`` of statement ``i``, or at ``PATH`` for None.  A
+    decoding error names the file; a parse error also the line and column,
+    and so does an evaluation error or a value of another kind
     (``wrong_kind`` its message), at the start of its statement."""
+    starts = []
+
+    def error(i: int | None, message: str) -> ValueError:
+        if i is None:
+            return ValueError(f"{path}: {message}")
+        site = fc.dsl.ParseError(message, text, starts[i])
+        return ValueError(f"{path}:{site.line}:{site.column}: {message}")
+
     try:
         # newline="": offsets index the file as written, as dsl counts lines
         with open(path, "r", encoding="utf-8", newline="") as fh:
             text = fh.read()
         values = []
         for node in fc.dsl.parse_script(text):
+            starts.append(node.span[0])
             try:
                 value = fc.dsl.evaluate(node)
                 if not isinstance(value, kinds):
                     raise ValueError(wrong_kind)
             except ValueError as exc:
-                raise fc.dsl.ParseError(str(exc), text, node.span[0]) from None
+                raise error(len(values), str(exc)) from None
             values.append(value)
-        return values
+        return values, error
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 at byte {exc.start}: "
                          f"{exc.reason}") from None
@@ -292,21 +306,31 @@ def _script_values(path: str, kinds: tuple, wrong_kind: str) -> list:
 
 def _sod_check(args):
     table = fc.sod.default_rules()
-    ledgers: list[fc.sod.SodLedger] = []
-    values = _script_values(args.file, (fc.sod.RewriteRule, fc.sod.SodLedger),
-                            "sod scripts may only contain rules and ledgers")
-    for value in values:
+    values, error = _script_values(
+        args.file, (fc.sod.RewriteRule, fc.sod.SodLedger),
+        "sod scripts may only contain rules and ledgers")
+    ledgers = []  # the indices of the ledger statements
+    for i, value in enumerate(values):
         if isinstance(value, fc.sod.RewriteRule):
             table.add(value)
         else:
-            ledgers.append(value)
-    if len(ledgers) != 2:
-        raise ValueError(f"expected exactly two ledgers (ambient then "
-                         f"candidate), found {len(ledgers)}")
-    ambient = table.normalize(ledgers[0])
-    candidate = table.normalize(ledgers[1])
-    ambient_hh0 = fc.sod.additive_invariant(ambient, {"Dpt": 1})
-    candidate_hh0 = fc.sod.additive_invariant(candidate, {"Dpt": 1})
+            ledgers.append(i)
+    if len(ledgers) != 2:  # a third ledger is named; too few, the file
+        raise error(ledgers[2] if len(ledgers) > 2 else None,
+                    f"expected exactly two ledgers (ambient then candidate), "
+                    f"found {len(ledgers)}")
+    hh0 = []
+    for i in ledgers:
+        try:  # a rewrite loop, or an atom that no rule takes to Dpt
+            hh0.append(fc.sod.additive_invariant(table.normalize(values[i]),
+                                                 {"Dpt": 1}))
+        except ValueError as exc:
+            raise error(i, str(exc)) from None
+        try:  # what the output prints, checked while i names the ledger
+            str(hh0[-1])
+        except ValueError:
+            raise error(i, _TOO_LONG) from None
+    ambient_hh0, candidate_hh0 = hh0
     verdict = fc.sod.embedding_obstruction(candidate_hh0, ambient_hh0)
     return 0, lambda: [
         _dumps({"ambient_hh0": ambient_hh0, "candidate_hh0": candidate_hh0,
@@ -385,16 +409,25 @@ def _sod_obstruction(args):
 
 
 def cmd_motive(args):
-    values = _script_values(args.file, (fc.motive.MotiveExpr,),
-                            "motive scripts may only contain expressions")
-    if args.motive_op == "eval":
-        return 0, lambda: [fc.dsl.print_canonical(value) for value in values]
-    # check: every statement must vanish
-    code = 0 if all(value.is_zero() for value in values) else 1
-    return code, lambda: [f"PASS statement {i}: 0" if value.is_zero() else
-                          f"FAIL statement {i}: "
-                          f"{fc.dsl.print_canonical(value)}"
-                          for i, value in enumerate(values, start=1)]
+    values, error = _script_values(
+        args.file, (fc.motive.MotiveExpr,),
+        "motive scripts may only contain expressions")
+    check = args.motive_op == "check"  # every statement must vanish
+    # printed here, not by render, so that a value too long to print is
+    # named by its statement; check prints only values that do not vanish
+    texts = []
+    for i, value in enumerate(values):
+        try:
+            texts.append("0" if check and value.is_zero()
+                         else fc.dsl.print_canonical(value))
+        except ValueError:
+            raise error(i, _TOO_LONG) from None
+    if not check:
+        return 0, lambda: texts
+    code = 0 if all(text == "0" for text in texts) else 1
+    return code, lambda: [f"{'PASS' if text == '0' else 'FAIL'} "
+                          f"statement {i}: {text}"
+                          for i, text in enumerate(texts, start=1)]
 
 
 # -- the golden suite ------------------------------------------------------------
@@ -569,14 +602,15 @@ def _check_degree_table() -> CheckReport:
 
 def _check_flip_derivation() -> CheckReport:
     X, Xp, F = (fc.motive.MotiveExpr.atom(a) for a in ("X", "Xp", "F"))
+    # the products every (r, s) pair shares, computed once
+    centers = [F * fc.motive.class_of_pn(i) for i in range(6)]
+    difference = X - Xp
     failures = []
     for r in range(6):
         for s in range(6):
-            left = fc.motive.blowup_class(
-                X, F * fc.motive.class_of_pn(r), s + 1)
-            right = fc.motive.blowup_class(
-                Xp, F * fc.motive.class_of_pn(s), r + 1)
-            if left - right != (X - Xp) - fc.motive.flip_difference(F, r, s):
+            left = fc.motive.blowup_class(X, centers[r], s + 1)
+            right = fc.motive.blowup_class(Xp, centers[s], r + 1)
+            if left - right != difference - fc.motive.flip_difference(F, r, s):
                 failures.append([r, s])
     return make_report("motive/flip-derivation", {"r,s": "[0, 5]^2"},
                        [], failures, "derived")
@@ -611,15 +645,26 @@ def _check_euler_specialization() -> CheckReport:
 
 
 def _check_round_trip() -> CheckReport:
+    """Print 200 drawn values in 8 blocks of 25 lines and parse each block
+    as one script, which spares 192 starts of the lexer and the parser.
+    Value ``i`` fails unless a statement spans exactly its own line, as
+    parsing its text alone requires, and evaluates back to it.  Blocks,
+    not one script of 200, keep few ASTs alive at once."""
     import _random  # random's C core: importing random itself costs more
     rng = _Draws(_random.Random(20240815))
     failures = []
-    for i in range(200):
-        value = random_value(rng)
-        text = fc.dsl.print_canonical(value)
-        back = fc.dsl.evaluate(fc.dsl.parse(text))
-        if back != value:
-            failures.append(i)
+    for first in range(0, 200, 25):
+        values = [random_value(rng) for _ in range(25)]
+        texts = [fc.dsl.print_canonical(value) for value in values]
+        nodes = {node.span: node
+                 for node in fc.dsl.parse_script("\n".join(texts))}
+        start = 0
+        for i, (value, text) in enumerate(zip(values, texts), first):
+            end = start + len(text)
+            node = nodes.get((start, end))
+            if node is None or fc.dsl.evaluate(node) != value:
+                failures.append(i)
+            start = end + 1
     return make_report("dsl/round-trip-sample", {"count": 200},
                        [], failures, "derived")
 
@@ -885,9 +930,11 @@ def main(argv: list[str] | None = None) -> int:
     the lines ``render()`` builds: the only code that writes stdout.  Every
     error a command raises is a ``ValueError`` (``ParseError``, sod's typed
     errors, bad JSON or UTF-8, ...) or an ``OSError``; ``render`` raises one
-    only for an int of over 4300 digits, which Python will not print.  Each
-    ends here as one ``error:`` line, exit 2 and no output.  A reader that
-    closes stdout early ends the output, with exit 141 and nothing on stderr."""
+    only for an int of over 4300 digits, which Python will not print (script
+    commands print their values before ``render``, to name the statement).
+    Each ends here as one ``error:`` line, exit 2 and no output.  A reader
+    that closes stdout early ends the output, with exit 141 and nothing on
+    stderr."""
     if argv is None:
         argv = sys.argv[1:]
     args = _read_argv(argv) or build_parser().parse_args(argv)
@@ -896,7 +943,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             lines = render()
         except ValueError:
-            raise ValueError("result holds an integer too long to print") from None
+            raise ValueError(_TOO_LONG) from None
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,9 +26,9 @@ module computes is integer arithmetic about that picture:
 
 from collections import namedtuple
 from collections.abc import Sequence
-from math import comb
 
 import flipcheck as fc
+from flipcheck import comb
 
 
 def check_family(family: str) -> None:

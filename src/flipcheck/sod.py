@@ -31,7 +31,8 @@ divisor).
 
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
-from math import comb
+
+from . import comb
 
 
 class UnresolvedPairError(ValueError):

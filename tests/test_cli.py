@@ -357,17 +357,39 @@ def test_sod_check_rejects_expressions(tmp_path, capsys):
 
 
 def test_sod_check_requires_two_ledgers(tmp_path, capsys):
-    script = tmp_path / "one.sod"
-    script.write_text("{Dpt:1}\n")
-    code, _, err = run(capsys, "sod", "check", str(script))
-    assert code == 2 and "exactly two ledgers" in err
+    """Too few ledgers name the file; too many, the third."""
+    script = tmp_path / "ledgers.sod"
+    for text, where, found in [
+            ("", "", 0), ("A => {Dpt:1}\n{Dpt:1}\n", "", 1),
+            ("{Dpt:1}\n{Dpt:1}\nA => {Dpt:1}\n  {A:1}\n{Dpt:1}\n", ":4:3", 4)]:
+        script.write_text(text)
+        code, out, err = run(capsys, "sod", "check", str(script))
+        assert (code, out) == (2, "")
+        assert err == (f"error: {script}{where}: expected exactly two "
+                       f"ledgers (ambient then candidate), found {found}\n")
 
 
 def test_sod_check_unassigned_atom(tmp_path, capsys):
+    """The error names the ledger that holds the atom, or whose rules
+    reach it."""
     script = tmp_path / "atoms.sod"
-    script.write_text("{DMystery:1}\n{Dpt:2}\n")
-    code, _, err = run(capsys, "sod", "check", str(script))
-    assert code == 2 and "DMystery" in err
+    for text, where in [
+            ("{DMystery:1}\n{Dpt:2}\n", "1:1"),
+            ("# the candidate\n{Dpt:2}\nA => {DMystery:1}\n {Dpt:1, A:1}\n",
+             "4:2")]:
+        script.write_text(text)
+        code, out, err = run(capsys, "sod", "check", str(script))
+        assert (code, out) == (2, "")
+        assert err == (f"error: {script}:{where}: no invariant assigned to "
+                       f"atom 'DMystery'\n")
+
+
+def test_sod_check_rewrite_loop_names_its_ledger(tmp_path, capsys):
+    script = tmp_path / "loop.sod"
+    script.write_text("A => {B:1}\nB => {A:1}\n{Dpt:1}\n\n  {Dpt:1, B:2}\n")
+    code, out, err = run(capsys, "sod", "check", str(script))
+    assert (code, out) == (2, "")
+    assert err == f"error: {script}:5:3: rewrite rules loop through 'B'\n"
 
 
 def test_sod_check_missing_file(capsys):
@@ -500,12 +522,14 @@ _HUGE_HH0 = f"A => {{Dpt:{_NINES}}}\n{{A:{_NINES}}}\n{{Dpt:1}}\n"
 ], ids=["motive-eval", "motive-check", "sod-check", "sod-check-json"])
 def test_result_too_long_to_print_exits_2(tmp_path, capsys, text, argv):
     """No partial output and no traceback: the whole output is built
-    before the first line is printed."""
+    before the first line is printed.  The error names the statement whose
+    value is too long: the second, a ledger in the sod script."""
     script = tmp_path / "huge.txt"
     script.write_text(text)
     code, out, err = run(capsys, *argv[:2], str(script), *argv[2:])
     assert code == 2 and out == ""
-    assert err == "error: result holds an integer too long to print\n"
+    assert err == (f"error: {script}:2:1: result holds an integer too long "
+                   f"to print\n")
 
 
 _ONES = "1" * 5000
@@ -633,13 +657,6 @@ def _script_runs(draw):
     return command, text, draw(st.integers(0, 19)) == 0
 
 
-# the exit-2 messages of a script command that name no file: the script is
-# read, and the error is in what its statements mean together or in printing
-_UNLOCATED = ("expected exactly two ledgers", "rewrite rules loop through",
-              "no invariant assigned to atom",
-              "result holds an integer too long to print")
-
-
 @pytest.fixture(scope="module")
 def script_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("scripts")
@@ -655,8 +672,9 @@ def test_scripts_answer_or_exit_2_with_one_error_line(script_dir, case):
     file, answers (exit 0, or 1 for a statement that does not vanish) with
     one line per statement, or the ``sod check`` report, and nothing on
     stderr; or it exits 2 with one ``error:`` line and no output, never
-    raising.  The error names the file, except for the messages in
-    ``_UNLOCATED``."""
+    raising.  The error names the file, also when it is in what the
+    statements mean together (two ledgers, a rewrite loop, an atom without
+    an invariant) or in printing a value too long to print."""
     command, text, bad_byte = case
     path = script_dir / "script.txt"
     data = text.encode("utf-8")
@@ -668,8 +686,7 @@ def test_scripts_answer_or_exit_2_with_one_error_line(script_dir, case):
     if code == 2:
         assert out == "" and err.startswith("error: ")
         assert err.endswith("\n") and err.count("\n") == 1
-        assert (err.startswith(f"error: {path}:")
-                or any(message in err for message in _UNLOCATED))
+        assert err.startswith(f"error: {path}:")
         return
     assert err == "" and not bad_byte
     if command[0] == "motive":
@@ -1110,6 +1127,22 @@ def test_verify_all_loads_no_random(argv):
     proc = _run_as_module(argv, {"random", "_random"})
     assert proc.returncode == 0 and proc.stdout
     assert proc.stderr == "['_random']\n"
+
+
+@pytest.mark.parametrize("argv, counters", [
+    (("verify-all",), ["flipcheck.fano", "flipcheck.sod"]),
+    (("motive", "check", str(CHECKS / "flip-derivation.mot")),
+     ["flipcheck.sod"]),
+    (("sod", "check", str(CHECKS / "degree2-surface.sod")), ["flipcheck.sod"]),
+    (("fano", "codim", "--grid"), ["flipcheck.fano"])],
+    ids=["verify-all", "motive check", "sod check", "fano codim --grid"])
+def test_counting_commands_load_no_math(argv, counters):
+    """``sod`` and ``fano`` count with the package's own ``comb``, so a
+    command that loads them, run as ``python -S``, loads no ``math``,
+    an extension module."""
+    proc = _run_as_module(argv, {"math", "flipcheck.fano", "flipcheck.sod"})
+    assert proc.returncode == 0 and proc.stdout
+    assert proc.stderr == f"{counters}\n"
 
 
 # the flipcheck modules each command line loads, as ``python -S`` runs it:

@@ -4,15 +4,19 @@ import hashlib
 import random
 import re
 import sys
+import tracemalloc
 from collections import namedtuple
+from contextlib import contextmanager
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flipcheck import dsl
-from flipcheck.cli import _LEDGER_POOL, _Draws, random_value
+from flipcheck.cli import (_LEDGER_POOL, _check_round_trip, _Draws,
+                           random_value)
 from flipcheck.dsl import (Atom, EvalError, IntLit, LedgerLiteral, LPow, Node,
                            ParseError, Product, RuleDef, Sum, Sym2, Tensor,
                            evaluate, parse, parse_script, print_canonical,
@@ -824,6 +828,96 @@ def test_round_trip_check_draws_the_recorded_sample():
                     for _ in range(200))
     assert hashlib.sha256(texts.encode()).hexdigest() == (
         "3d5bce2ba70124c6785157810cf5d78a0d807a72e5f8e3dd1a193b67e32a1e55")
+
+
+def _round_trip_one_by_one() -> tuple[list[int], type | None]:
+    """The round-trip check as it read each text alone: the failing indices
+    and the class of the error it raised, None if it ran to the end.  The
+    index of the text that raised ends the failures."""
+    rng = _Draws(_random.Random(20240815))
+    failures = []
+    for i in range(200):
+        value = random_value(rng)
+        text = dsl.print_canonical(value)
+        try:
+            back = evaluate(parse(text))
+        except ParseError as exc:
+            return failures + [i], type(exc)
+        if back != value:
+            failures.append(i)
+    return failures, None
+
+
+def _round_trip_in_blocks() -> tuple[list[int], type | None]:
+    try:
+        return _check_round_trip().computed, None
+    except ParseError as exc:
+        return [], type(exc)
+
+
+@contextmanager
+def _printer_breaking(index: int, suffix: str):
+    """``dsl.print_canonical``, with ``suffix`` added to the text of the
+    ``index``-th value it prints, counted from 0 from here."""
+    printed = []
+
+    def broken(value):
+        text = print_canonical(value)
+        printed.append(text)
+        return text + suffix if len(printed) == index + 1 else text
+
+    with patch.object(dsl, "print_canonical", broken):
+        yield
+
+
+# a wrong value, and a text that runs into the next line
+_BREAKS = [" + X", " +"]
+
+
+@given(st.integers(0, 199), st.sampled_from(_BREAKS))
+@example(0, " +")
+@example(9, " +")  # value 10 prints "0": only the span's end fails value 9
+@example(24, " +")  # the last line of a block: the block ends in "+"
+@example(25, " + X")
+@example(199, " +")
+@settings(max_examples=40, deadline=None)
+def test_round_trip_blocks_fail_where_one_by_one_fails(index, suffix):
+    """The check parses its texts in blocks of 25 lines; with one text
+    broken, it fails wherever reading each text alone fails.  It reports
+    the one-by-one check's first failing index first, or raises the error
+    class that check raises: a span test keeps a text that is not a whole
+    statement alone, or runs into the next line, from passing.  No other
+    value fails but the line a broken text runs into."""
+    with _printer_breaking(index, suffix):
+        failures, error = _round_trip_one_by_one()
+    assert failures == [index]
+    with _printer_breaking(index, suffix):
+        blocked, blocked_error = _round_trip_in_blocks()
+    if blocked_error is not None:
+        assert blocked_error is error
+    else:
+        assert blocked and blocked[0] == failures[0]
+        assert set(blocked) <= {index, index + 1}
+
+
+def test_round_trip_blocks_pass_where_one_by_one_passes():
+    assert _round_trip_one_by_one() == ([], None)
+    report = _check_round_trip()
+    assert (report.passed, report.computed, report.inputs) == (
+        True, [], {"count": 200})
+
+
+def test_round_trip_check_peaks_small():
+    """The blocks' texts and ASTs, 25 at a time, are all the check holds:
+    one call peaks at 150 KB or less under tracemalloc."""
+    _check_round_trip()  # imports and caches out of the measured call
+    tracemalloc.start()
+    try:
+        _check_round_trip()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 150 * 1024
 
 
 @given(st.integers(-2**70, 2**70), st.integers(1, 2**70))

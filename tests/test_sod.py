@@ -1,3 +1,4 @@
+import math
 import re
 from math import comb
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import flipcheck
 from flipcheck import hodge, sod, varieties
 from flipcheck.sod import (NegativeMultiplicityError,
                            RewriteLoopError, RewriteRule, RuleTable,
@@ -63,6 +65,23 @@ def test_additive_invariant_examples():
     # the smallest unassigned name, whatever order normalizing left them in
     with pytest.raises(UnassignedAtomError, match="'DC'"):
         additive_invariant(SodLedger({"DZ": 1, "DC": 1}), {"Dpt": 1})
+
+
+def _comb_outcome(comb_, n, k):
+    try:
+        return comb_(n, k)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_comb_is_math_comb():
+    """``flipcheck.comb``, with which sod and fano count so that no process
+    loads ``math``, is ``math.comb`` on every ``n, k`` in [-3, 60]: 0 for
+    ``k > n``, and the same ValueError for a negative argument."""
+    for n in range(-3, 61):
+        for k in range(-3, 61):
+            assert (_comb_outcome(flipcheck.comb, n, k)
+                    == _comb_outcome(math.comb, n, k)), (n, k)
 
 
 # -- symmetric squares of component lists -------------------------------------------
