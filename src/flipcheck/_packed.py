@@ -15,6 +15,10 @@ power-of-two width, with strided byte copies moving between that width and
 the exact one.  Each slot keeps its exact width, since a wider slot makes
 every big multiply longer; only slots over 8 bytes (or a big-endian host)
 take the per-slot loop.
+
+Each kernel sizes and packs its groups before its one pair loop, or takes
+them packed by a caller that sized them by the same bound: ``hodge`` packs
+only the diagonals it stores and hands the others over as shifts of them.
 """
 
 import sys
@@ -22,6 +26,7 @@ from collections.abc import Callable, Hashable, Mapping
 from itertools import compress
 
 Groups = Mapping[Hashable, Mapping[int, int]]  # {g: {exponent: coefficient}}
+Packed = list[tuple[Hashable, int, int]]  # [(g, packed part, packed part)]
 
 _NATIVE = sys.byteorder == "little"
 # next power-of-two width for slot widths 1-8, and its memoryview format
@@ -96,7 +101,20 @@ def _signed(cells: Mapping[int, int], width: int) -> tuple[int, int]:
             pack({p: -c for p, c in cells.items() if c < 0}, width))
 
 
-def convolve(xs: Groups, ys: Groups, merge: Callable) -> Groups:
+def product_width(tx: int, mx: int, ty: int, my: int) -> int:
+    """Slot width of :func:`convolve` for sides of totals ``tx`` and ``ty``
+    and largest terms ``mx`` and ``my``."""
+    return width(min(tx * my, ty * mx))
+
+
+def square_width(total: int, top: int, top_ys: int = 0) -> int:
+    """Slot width of :func:`square` for ``xs`` of total ``total`` and
+    largest term ``top``, and ``ys`` of largest term ``top_ys``."""
+    return width((total + 2) * top // 2 + total * top_ys)
+
+
+def convolve(xs: Groups | Packed, ys: Groups | Packed, merge: Callable,
+             w: int = 0) -> Groups:
     """Grouped product: ``{merge(g, h): xs[g] * ys[h]}``, summed over the
     pairs that merge alike.  Coefficients are signed; each group multiplies
     as its positive part minus its negative part.  A merge to None ends the
@@ -104,18 +122,22 @@ def convolve(xs: Groups, ys: Groups, merge: Callable) -> Groups:
     ``merge(g, h)`` must determine ``h`` from ``g`` and the result, as both
     ``+`` and a product of monomials do: then each term of one side meets
     at most one term of the other in a slot, so every slot of either sum is
-    at most the total of one side times the largest term of the other.
+    at most the total of one side times the largest term of the other
+    (:func:`product_width`).  Given that width ``w``, ``xs`` and ``ys``
+    come packed at it, as lists of ``(g, positive part, negative part)``;
+    otherwise they are groups, sized and packed here.
     """
-    tx, ty = _total(xs), _total(ys)
-    if not (tx and ty):
-        return {}
-    w = width(min(tx * _top(ys), ty * _top(xs)))
-    px = [(g, _signed(cells, w)) for g, cells in xs.items()]
-    py = [(h, _signed(cells, w)) for h, cells in ys.items()]
+    if not w:
+        tx, ty = _total(xs), _total(ys)
+        if not (tx and ty):
+            return {}
+        w = product_width(tx, _top(xs), ty, _top(ys))
+        xs = [(g, *_signed(cells, w)) for g, cells in xs.items()]
+        ys = [(h, *_signed(cells, w)) for h, cells in ys.items()]
     pos: dict[Hashable, int] = {}
     neg: dict[Hashable, int] = {}
-    for g, (xp, xn) in px:
-        for h, (yp, yn) in py:
+    for g, xp, xn in xs:
+        for h, yp, yn in ys:
             key = merge(g, h)
             if key is None:
                 break
@@ -134,8 +156,8 @@ def convolve(xs: Groups, ys: Groups, merge: Callable) -> Groups:
     return _tables(out)
 
 
-def square(xs: Groups, merge: Callable, own: Callable,
-           ys: Groups = {}) -> Groups:
+def square(xs: Groups | Packed, merge: Callable, own: Callable,
+           ys: Groups | Packed = {}, w: int = 0) -> Groups:
     """Symmetric square of ``sum_g xs[g] * g`` by Macdonald's formula plus
     the product ``xs * ys`` (a correction polynomial, or none), in one pass,
     for nonnegative coefficients.  Two groups ``g != h`` give
@@ -149,23 +171,25 @@ def square(xs: Groups, merge: Callable, own: Callable,
     ``|c1| <= 2``, and the total ``T`` of ``xs``, a numerator slot is at
     most ``(T + 2) * max|c|`` and the product's at most ``T * max(ys)``.
     An output slot counts a pair of units once: the width holds
-    ``(T + 2) * max|c| / 2 + T * max(ys)``.
+    ``(T + 2) * max|c| / 2 + T * max(ys)`` (:func:`square_width`).  Given
+    that width ``w``, ``xs`` and ``ys`` come packed at it, as lists of
+    ``(g, a(t), a(t^2))`` whose ``a(t^2)`` is 0 wherever ``own`` is empty
+    or unused; otherwise they are groups, sized and packed here.
     """
-    total = _total(xs)
-    if not total:
-        return {}
-    w = width((total + 2) * _top(xs) // 2 + total * _top(ys))
-    packed = [(g, pack(cells, w)) for g, cells in xs.items()]
-    others = [(h, pack(cells, w)) for h, cells in ys.items()]
+    if not w:
+        total = _total(xs)
+        if not total:
+            return {}
+        w = square_width(total, _top(xs), _top(ys))
+        xs = [(g, pack(cells, w), pack(cells, w, step=2))
+              for g, cells in xs.items()]
+        ys = [(h, pack(cells, w), 0) for h, cells in ys.items()]
     out: dict[Hashable, int] = {}
-    for i, (g, x) in enumerate(packed):
-        rule = own(g)
-        if rule:
-            psi = pack(xs[g], w, step=2)
-            for key, c2, c1 in rule:
-                out[key] = out.get(key, 0) + ((c2 * x * x + c1 * psi) >> 1)
-        for row in (packed[i + 1:], others):
-            for h, y in row:
+    for i, (g, x, psi) in enumerate(xs):
+        for key, c2, c1 in own(g):
+            out[key] = out.get(key, 0) + ((c2 * x * x + c1 * psi) >> 1)
+        for row in (xs[i + 1:], ys):
+            for h, y, _ in row:
                 key = merge(g, h)
                 if key is None:
                     break

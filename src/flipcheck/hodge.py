@@ -25,13 +25,16 @@ immutable after construction and all operations are pure functions.
 A diamond is stored by diagonal, ``{s: {p: h^{p,p+s}}}`` for ``s = q - p``,
 with no zero entry and no empty diagonal: the layout of the packed kernel
 (``_packed``), which packs a diagonal into one integer and multiplies two
-in one step.  On Hodge-symmetric inputs the operations compute only the
-diagonals ``s >= 0`` and fill in diagonal ``-s`` as diagonal ``s`` moved up
-``s`` slots (the half path); a diamond scans itself for that symmetry once,
-a result of the half path has it by construction.  The Hilbert square is
+in one step.  A Hodge-symmetric table, decided once as it is built, keeps
+only its diagonals ``s >= 0`` (half storage): diagonal ``-s`` is diagonal
+``s`` moved up ``s`` slots, and every reader reads it so.  Another table
+keeps every diagonal.  On Hodge-symmetric inputs the operations pack the
+stored diagonals only, hand the kernel diagonal ``-s`` as packed diagonal
+``s`` shifted up ``s`` slots, and compute only the output diagonals
+``s >= 0``, which are the result (the half path).  The Hilbert square is
 one ``_packed.square`` pass (diagonal ``s`` gives ``(x_s^2 +- psi_s)/2`` at
 ``2s``, ``x_s * e`` at ``s`` for ``e = t + ... + t^{n-1}``, ``x_s * x_t``
-at ``s + t``), one unpack and one mirror.
+at ``s + t``) and one unpack.
 """
 
 import operator
@@ -53,45 +56,58 @@ class HodgeDiamond:
 
     Any nonnegative table is a diamond; :meth:`validate` checks the two
     symmetries of a geometric one.  Intermediate tables such as
-    ``[P^{n-1}] - [pt]`` need not satisfy them.
+    ``[P^{n-1}] - [pt]`` need not satisfy them.  A Hodge-symmetric table
+    stores its diagonals ``s >= 0`` only (``_half``).
     """
 
-    __slots__ = ("dim", "_diagonals", "_symmetric")
+    __slots__ = ("dim", "_diagonals", "_half")
 
     def __init__(self, dim: int, entries: Mapping[Bidegree, int] = {}):
         if dim < 0:
             raise ValueError(f"dimension must be nonnegative, got {dim}")
-        self.dim, self._diagonals, self._symmetric = dim, {}, None
+        diagonals: Diagonals = {}
         for (p, q), v in entries.items():
             _check_entry(p, q, v)
             if v and not (0 <= p <= dim and 0 <= q <= dim):
                 raise ValueError(f"entry h^({p},{q}) outside [0,{dim}]^2")
             if v:
-                self._diagonals.setdefault(q - p, {})[p] = v
+                diagonals.setdefault(q - p, {})[p] = v
+        self.dim = dim
+        self._diagonals, self._half = _halve(diagonals)
 
     @classmethod
     def _trusted(cls, dim: int, diagonals: Diagonals,
-                 symmetric: bool | None = None) -> "HodgeDiamond":
-        """Wrap positive, nonempty diagonals inside ``[0, dim]^2``, and
-        whether they are Hodge-symmetric, if known."""
+                 half: bool) -> "HodgeDiamond":
+        """Wrap positive, nonempty diagonals inside ``[0, dim]^2``: with
+        ``half``, the diagonals ``s >= 0`` of a Hodge-symmetric table;
+        otherwise every diagonal of a table, halved if it is symmetric."""
         d = object.__new__(cls)
-        d.dim, d._diagonals, d._symmetric = dim, diagonals, symmetric
+        d.dim = dim
+        d._diagonals, d._half = (diagonals, True) if half else _halve(diagonals)
         return d
 
     def hodge(self, p: int, q: int) -> int:
         """Return ``h^{p,q}``; absent entries are zero."""
+        if q < p and self._half:
+            p, q = q, p
         cells = self._diagonals.get(q - p)
         return cells.get(p, 0) if cells else 0
 
     def entries(self) -> dict[Bidegree, int]:
         """The nonzero entries, keyed by ``(p, q)``."""
-        return {(p, p + s): v for s, cells in self._diagonals.items()
-                for p, v in cells.items()}
+        out = {(p, p + s): v for s, cells in self._diagonals.items()
+               for p, v in cells.items()}
+        if self._half:  # diagonal -s at p + s is diagonal s at p
+            out.update({(p + s, p): v for s, cells in self._diagonals.items()
+                        if s for p, v in cells.items()})
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HodgeDiamond):
             return NotImplemented
-        return self.dim == other.dim and self._diagonals == other._diagonals
+        # a table decides its storage, so equal tables store alike
+        return (self.dim, self._half, self._diagonals) == \
+            (other.dim, other._half, other._diagonals)
 
     def __repr__(self) -> str:
         cells = ", ".join(f"({p},{q}): {v}"
@@ -101,14 +117,13 @@ class HodgeDiamond:
     # -- symmetry checks ---------------------------------------------------
 
     def is_hodge_symmetric(self) -> bool:
-        d = self._diagonals  # diagonal -s is diagonal s moved up s slots
-        if self._symmetric is None:  # a diamond never changes: scan it once
-            self._symmetric = all(-s in d for s in d) and all(
-                d[-s] == _mirror(s, cells) for s, cells in d.items() if s > 0)
-        return self._symmetric
+        return self._half
 
     def is_serre_dual(self) -> bool:
-        n, d = self.dim, self._diagonals  # diagonal s at p is -s at n - p
+        n, d = self.dim, self._diagonals  # diagonal s at p is -s at n - p,
+        if self._half:  # which is diagonal s at n - p - s
+            return all(cells == {n - s - p: v for p, v in cells.items()}
+                       for s, cells in d.items())
         return all(d.get(-s) == {n - p: v for p, v in cells.items()}
                    for s, cells in d.items())
 
@@ -157,38 +172,65 @@ def _check_entry(p: int, q: int, v: int) -> None:
         raise ValueError(f"negative entry h^({p},{q}) = {v}")
 
 
+def _halve(d: Diagonals) -> tuple[Diagonals, bool]:
+    """The diagonals ``s >= 0`` of a Hodge-symmetric table and True, or
+    every diagonal of another table and False: the one symmetry scan."""
+    if all(-s in d for s in d) and all(  # diagonal -s is s moved up s slots
+            d[-s] == {p + s: v for p, v in cells.items()}
+            for s, cells in d.items() if s > 0):
+        return {s: cells for s, cells in d.items() if s >= 0}, True
+    return d, False
+
+
 # -- operations --------------------------------------------------------------
 
 
-def _mirror(s: int, cells: dict[int, int]) -> dict[int, int]:
-    """Diagonal ``-s`` of a Hodge-symmetric table from its diagonal ``s``."""
-    return {p + s: v for p, v in cells.items()}
+def _size(a: HodgeDiamond) -> tuple[int, int]:
+    """The total and the largest of the entries of ``a``, for the kernels'
+    slot widths: a stored diagonal ``s > 0`` of half storage counts twice."""
+    d, half = a._diagonals, a._half
+    return (sum((2 if half and s else 1) * sum(cells.values())
+                for s, cells in d.items()),
+            max((max(cells.values()) for cells in d.values()), default=0))
 
 
-def _rules(a: HodgeDiamond, *others: HodgeDiamond) -> tuple:
-    """The diagonals of ``a``, descending, the kernels' merge and own rule,
-    and whether to take the half path, where merge ends a row at ``s + t < 0``."""
-    half = all(d.is_hodge_symmetric() for d in (a, *others))
-    merge = (lambda s, t: s + t if s + t >= 0 else None) if half else operator.add
-    return dict(sorted(a._diagonals.items(), reverse=True)), merge, (
-        lambda s: () if half and s < 0 else ((2 * s, 1, -1 if s % 2 else 1),)), half
+def _pack(a: HodgeDiamond, w: int, psi: bool = False) -> _packed.Packed:
+    """Every diagonal of ``a``, descending, packed at width ``w`` as the
+    kernels take it: ``(s, x_s, psi_s)``, ``psi_s`` the diagonal at every
+    other slot if ``psi``, else 0.  Diagonal ``-s`` of half storage is
+    ``x_s`` shifted up ``s`` slots, with ``psi`` 0: the half path never
+    squares it on its own."""
+    out = [(s, _packed.pack(cells, w), _packed.pack(cells, w, step=2) if psi else 0)
+           for s, cells in sorted(a._diagonals.items(), reverse=True)]
+    if a._half:
+        out += [(-s, x << 8 * w * s, 0) for s, x, _ in reversed(out) if s > 0]
+    return out
 
 
-def _whole(dim: int, out: Diagonals, half: bool) -> HodgeDiamond:
-    if half:
-        out.update({-s: _mirror(s, cells) for s, cells in out.items() if s > 0})
-    return HodgeDiamond._trusted(dim, out, half or None)
+def _merge(half: bool):
+    """Diagonal ``s + t``, on the half path None below 0, ending a row of
+    descending diagonals there."""
+    return (lambda s, t: s + t if s + t >= 0 else None) if half else operator.add
 
 
 def kunneth(a: HodgeDiamond, b: HodgeDiamond) -> HodgeDiamond:
     """Hodge diamond of a product: bigraded convolution of the two tables."""
-    groups, merge, _, half = _rules(b, a)
-    return _whole(a.dim + b.dim, _packed.convolve(a._diagonals, groups, merge), half)
+    half, out = a._half and b._half, {}
+    if a._diagonals and b._diagonals:  # else the slot bound is 0
+        w = _packed.product_width(*_size(a), *_size(b))
+        out = _packed.convolve(_pack(a, w), _pack(b, w), _merge(half), w)
+    return HodgeDiamond._trusted(a.dim + b.dim, out, half)
 
 
-def _square(a: HodgeDiamond, correction: Diagonals) -> HodgeDiamond:
-    groups, merge, own, half = _rules(a)
-    return _whole(2 * a.dim, _packed.square(groups, merge, own, correction), half)
+def _square(a: HodgeDiamond, correction: dict[int, int]) -> HodgeDiamond:
+    half = a._half
+    total, top = _size(a)
+    w = _packed.square_width(total, top, max(correction.values(), default=0))
+    out = _packed.square(
+        _pack(a, w, psi=True), _merge(half),
+        lambda s: () if half and s < 0 else ((2 * s, 1, -1 if s % 2 else 1),),
+        [(0, _packed.pack(correction, w), 0)] if correction else [], w)
+    return HodgeDiamond._trusted(2 * a.dim, out, half)
 
 
 def sym2(a: HodgeDiamond) -> HodgeDiamond:
@@ -211,7 +253,7 @@ def hilbert_square(a: HodgeDiamond) -> HodgeDiamond:
     """
     if a.dim < 1:
         raise ValueError("Hilbert square of a 0-dimensional variety is not modelled")
-    return _square(a, {0: {i: 1 for i in range(1, a.dim)}})
+    return _square(a, {i: 1 for i in range(1, a.dim)})
 
 
 def hh0(a: HodgeDiamond) -> int:
@@ -227,8 +269,9 @@ def diagonal(a: HodgeDiamond) -> list[int]:
 
 def euler(a: HodgeDiamond) -> int:
     """Topological Euler characteristic: alternating sum over ``p + q``."""
-    return sum((-1) ** (s % 2) * sum(cells.values())  # p + q = 2p + s
-               for s, cells in a._diagonals.items())
+    half = a._half  # a stored diagonal s > 0 stands for -s too
+    return sum((-1) ** (s % 2) * (2 if half and s else 1) * sum(cells.values())
+               for s, cells in a._diagonals.items())  # p + q = 2p + s
 
 
 def format_diamond(a: HodgeDiamond) -> str:

@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -1458,10 +1459,8 @@ def test_checks_and_scripts_leave_no_cyclic_garbage(tmp_path):
     script = rules + "{D299:2, D150:1}\n{Dpt:1, D7:3}\n"
     commands = _script_command_lines(tmp_path)
     codes = []
-    gc.collect()
-    saved, flags = len(gc.garbage), gc.get_debug()
-    gc.set_debug(gc.DEBUG_SAVEALL)
-    try:
+
+    def run():
         cli.run_all_checks()
         for argv in _COMMAND_LINES + _JSON_COMMAND_LINES:
             main(list(argv))
@@ -1476,10 +1475,68 @@ def test_checks_and_scripts_leave_no_cyclic_garbage(tmp_path):
                     table.add(value)
                 elif isinstance(value, sod.SodLedger):
                     table.normalize(value)
+    assert _cyclic_garbage(run) == []
+    assert codes == [code for _, code in commands]
+
+
+def _cyclic_garbage(run) -> list[str]:
+    """The type names of the objects that ``run()`` leaves in reference
+    cycles, kept by ``gc.DEBUG_SAVEALL`` and then dropped."""
+    gc.collect()
+    saved, flags = len(gc.garbage), gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run()
         gc.collect()
-        garbage = gc.garbage[saved:]
+        return [type(obj).__name__ for obj in gc.garbage[saved:]]
     finally:
         gc.set_debug(flags)
         del gc.garbage[saved:]
-    assert codes == [code for _, code in commands]
-    assert [type(obj).__name__ for obj in garbage] == []
+
+
+def _dense_diamond(rng, dim):
+    """Every entry positive, Hodge-symmetric and Serre-dual."""
+    entries = {}
+    for p in range(dim + 1):
+        for q in range(dim + 1):
+            if (p, q) not in entries:
+                h = rng.randint(1, 9)
+                for key in ((p, q), (q, p), (dim - p, dim - q), (dim - q, dim - p)):
+                    entries[key] = h
+    return entries
+
+
+def test_kernel_calls_leave_no_cyclic_garbage():
+    """The value-type kernels called directly, as a benchmark cycle calls
+    them: the diamond products and squares on dense symmetric diamonds of
+    dimension 10 and 20 and on a table that is not Hodge-symmetric, the
+    class squares and product on 64-term one-atom classes, and the ledger
+    operations."""
+    from flipcheck import hodge, motive
+    rng = random.Random(35)
+    tables = [hodge.HodgeDiamond(d, _dense_diamond(rng, d)) for d in (10, 20)]
+    tables.append(hodge.HodgeDiamond(3, {(0, 0): 1, (1, 0): 4, (0, 1): 2,
+                                         (2, 3): 7, (3, 3): 1}))
+    assert [d.is_hodge_symmetric() for d in tables] == [True, True, False]
+
+    def one_atom_class(prefix):
+        return {(rng.randint(0, 4), (f"{prefix}{i}",)): rng.randint(1, 3)
+                for i in range(64)}
+    x = motive.MotiveExpr({**one_atom_class("x"), (0, ()): 1})
+    a = motive.MotiveExpr(one_atom_class("p"))
+    b = motive.MotiveExpr({key: -c if i % 3 else c  # signed, as a difference
+                           for i, (key, c) in enumerate(one_atom_class("q").items())})
+    components = ["Dpt"] * 99 + ["DC"]
+
+    def run():
+        for d in tables:
+            hodge.kunneth(d, tables[0])
+            hodge.sym2(d)
+            hodge.hilbert_square(d)
+        motive.sym2_class(x)
+        motive.hilbert_square_class(x, 3)
+        a * b
+        sod.sym2_ledger(components)
+        sod.hilb2_ledger(components, 4)
+        sod.conjecture_consistency(51)
+    assert _cyclic_garbage(run) == []

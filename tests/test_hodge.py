@@ -139,12 +139,13 @@ def assert_same(got, want):
 
 
 @st.composite
-def wide_diamonds(draw, max_dim=12, max_value=10**30):
-    """Diamonds of dimension 0-12 with entries up to 10**30: sparse, empty,
-    diagonal-only (P^n-like), corner-plus-diagonal (Calabi-Yau-like),
-    mirrored (Hodge-symmetric, with entries off the diagonal) or mirrored
-    with one entry off the diagonal changed (not Hodge-symmetric).  The
-    operations take their half path on Hodge-symmetric inputs only."""
+def wide_tables(draw, max_dim=12, max_value=10**30):
+    """Tables ``(dim, entries)`` of dimension 0-12 with entries up to
+    10**30: sparse, empty, diagonal-only (P^n-like), corner-plus-diagonal
+    (Calabi-Yau-like), mirrored (Hodge-symmetric, with entries off the
+    diagonal) or mirrored with one entry off the diagonal changed (not
+    Hodge-symmetric).  The operations take their half path on
+    Hodge-symmetric inputs only."""
     shape = draw(st.sampled_from(["sparse", "empty", "diagonal", "corners",
                                   "mirrored", "unmirrored"]))
     dim = draw(st.integers(1 if shape == "unmirrored" else 0, max_dim))
@@ -164,7 +165,12 @@ def wide_diamonds(draw, max_dim=12, max_value=10**30):
     if shape == "corners":
         corner = draw(value)
         entries[(0, dim)] = entries[(dim, 0)] = corner
-    return HodgeDiamond(dim, entries)
+    return dim, entries
+
+
+def wide_diamonds():
+    """The diamonds of :func:`wide_tables`."""
+    return wide_tables().map(lambda t: HodgeDiamond(*t))
 
 
 @given(wide_diamonds(), wide_diamonds())
@@ -211,10 +217,10 @@ def test_results_store_no_zero_and_no_empty_diagonal(a, b):
 
 
 @st.composite
-def low_dimension_tables(draw):
-    """Diamonds of dimension 1 or 2 (now and then 0 or 3) with entries up
-    to 10**30: Hodge-symmetric by construction, or with one entry off the
-    diagonal raised so that they are not."""
+def low_dimension_entries(draw):
+    """Tables ``(dim, entries)`` of dimension 1 or 2 (now and then 0 or 3)
+    with entries up to 10**30: Hodge-symmetric by construction, or with one
+    entry off the diagonal raised so that they are not."""
     dim = draw(st.sampled_from([1, 2, 1, 2, 0, 3]))
     value = st.integers(1, draw(st.sampled_from([1, 255, 2**64, 10**30])))
     cell = st.tuples(st.integers(0, dim), st.integers(0, dim))
@@ -224,7 +230,12 @@ def low_dimension_tables(draw):
     if dim and draw(st.booleans()):
         p, q = draw(cell.filter(lambda c: c[0] != c[1]))
         entries[(p, q)] = entries.get((p, q), 0) + draw(value)
-    return HodgeDiamond(dim, entries)
+    return dim, entries
+
+
+def low_dimension_tables():
+    """The diamonds of :func:`low_dimension_entries`."""
+    return low_dimension_entries().map(lambda t: HodgeDiamond(*t))
 
 
 def is_symmetric_by_entries(d):
@@ -255,31 +266,168 @@ def test_operations_match_pairwise_on_both_paths(a, b):
     assert a.is_hodge_symmetric() == is_symmetric_by_entries(a)
 
 
-def test_a_table_that_is_not_hodge_symmetric_is_never_marked_so():
-    """The full path leaves the symmetry of its result unknown, to be
-    scanned when asked; it never marks a result symmetric."""
-    a = HodgeDiamond(2, {(0, 0): 1, (1, 0): 2, (0, 1): 3, (2, 2): 1})
-    assert a._symmetric is None  # not scanned until asked
-    results = [sym2(a), hilbert_square(a), kunneth(a, a),
-               kunneth(a, varieties.projective_space(2))]
-    assert a._symmetric is False
-    assert all(r._symmetric is None for r in results)
-    assert not any(r.is_hodge_symmetric() for r in results)
-    assert all(r._symmetric is False for r in results)
+def test_a_symmetric_table_stores_half_and_an_asymmetric_one_every_diagonal():
+    """A Hodge-symmetric table keeps only its diagonals ``s >= 0``, as it is
+    built and as an operation returns it; another keeps every diagonal."""
+    asym = HodgeDiamond(2, {(0, 0): 1, (1, 0): 2, (0, 1): 3, (2, 2): 1})
+    sym = varieties.builtin("quartic-double-solid")
+    one_sided = HodgeDiamond(2, {(0, 0): 1, (0, 2): 5, (1, 1): 2})
+    for d in [sym, sym2(sym), hilbert_square(sym), kunneth(sym, sym),
+              kunneth(HodgeDiamond(1, {(1, 0): 1}), HodgeDiamond(1, {(0, 1): 1})),
+              HodgeDiamond(3), varieties.projective_space(4)]:
+        assert d.is_hodge_symmetric() and d._half
+        assert min(d._diagonals, default=0) >= 0
+    for d in [asym, one_sided, sym2(asym), hilbert_square(asym),
+              kunneth(asym, asym), kunneth(asym, sym), kunneth(sym, one_sided)]:
+        assert not d.is_hodge_symmetric() and not d._half
+        assert set(d._diagonals) == {q - p for p, q in d.entries()}
+    assert set(asym._diagonals) == {-1, 0, 1}
+    assert set(one_sided._diagonals) == {0, 2}
 
 
-def test_symmetric_results_are_marked_without_a_rescan(monkeypatch):
-    """A result of Hodge-symmetric inputs is marked so as it is built, and
-    an input is scanned once: no later call reads its diagonals to ask."""
-    a = varieties.builtin("quartic-double-solid")  # validate scanned it
-    assert a._symmetric is True
-    results = [sym2(a), hilbert_square(a), kunneth(a, a)]
-    assert all(r._symmetric is True for r in results)
+def test_no_operation_on_symmetric_tables_scans_or_mirrors(monkeypatch):
+    """The symmetry scan runs once, as a table is built from entries: the
+    half path builds its results without it and without a mirror, and
+    every reader takes diagonal ``-s`` from diagonal ``s``."""
+    rng = random.Random(35)
+    upper = {(p, q): rng.randint(1, 9) for p in range(7) for q in range(p, 7)}
+    a = HodgeDiamond(6, {**upper, **{(q, p): v for (p, q), v in upper.items()}})
+    b = varieties.builtin("quartic-double-solid")
+    want = [kunneth_pairwise(a, b), sym2_pairwise(b), hilbert_square_pairwise(b)]
 
-    def no_scan(s, cells):
+    def no_scan(diagonals):
         raise AssertionError("symmetry scanned again")
-    monkeypatch.setattr(hodge, "_mirror", no_scan)
-    assert all(r.is_hodge_symmetric() for r in results + [a])
+    monkeypatch.setattr(hodge, "_halve", no_scan)
+    assert a.is_hodge_symmetric() and b.validate() is b
+    results = [kunneth(a, b), sym2(b), hilbert_square(b)]
+    for got, ref in zip(results, want):
+        assert min(got._diagonals) >= 0
+        assert got == ref
+        assert got.entries() == ref.entries()
+        assert got.is_hodge_symmetric() and got.is_serre_dual() == ref.is_serre_dual()
+        assert [got.hodge(q, p) for p, q in ref.entries()] == list(ref.entries().values())
+        assert (euler(got), hh0(got), got.to_json_dict()) == \
+            (euler(ref), hh0(ref), ref.to_json_dict())
+
+
+# -- the storage rule against the entries alone ---------------------------------
+
+
+@st.composite
+def geometric_entries(draw, max_dim=8):
+    """Tables ``(dim, entries)`` with entries mirrored four ways (Hodge
+    symmetry and Serre duality), then, as drawn, with ``h^{0,0}`` raised (so
+    no longer Serre-dual) or mirrored by Serre duality alone."""
+    dim = draw(st.integers(1, max_dim))
+    value = st.integers(1, draw(st.sampled_from([3, 10**6, 10**30])))
+    shape = draw(st.sampled_from(["geometric", "not-serre", "serre-only"]))
+    entries = {}
+    for (p, q), v in draw(st.dictionaries(
+            st.tuples(st.integers(0, dim), st.integers(0, dim)), value,
+            min_size=1, max_size=20)).items():
+        keys = [(p, q), (dim - p, dim - q)]
+        if shape != "serre-only":
+            keys += [(q, p), (dim - q, dim - p)]
+        for key in keys:
+            entries[key] = v
+    if shape == "not-serre":
+        entries[(0, 0)] = entries.get((0, 0), 0) + draw(value)
+    return dim, entries
+
+
+@st.composite
+def over_eight_byte_entries(draw):
+    """Tables whose entries reach past 2**64, so that every kernel slot is
+    over 8 bytes wide: Hodge-symmetric or not."""
+    dim = draw(st.integers(0, 5))
+    value = st.integers(2**64, 2**80)
+    cell = st.tuples(st.integers(0, dim), st.integers(0, dim))
+    entries = {}
+    for (p, q), v in draw(st.dictionaries(cell, value, min_size=1, max_size=10)).items():
+        entries[(p, q)] = entries[(q, p)] = v
+    if draw(st.booleans()):
+        p, q = draw(cell)
+        entries[(p, q)] = entries.get((p, q), 0) + 1
+    return dim, entries
+
+
+def with_zeros(tables):
+    """Tables with zero entries added in and out of ``[0, dim]^2``."""
+    return st.tuples(tables, st.lists(st.tuples(st.integers(-2, 14),
+                                                st.integers(-2, 14)), max_size=3)
+                     ).map(lambda t: (t[0][0], {**{c: 0 for c in t[1]}, **t[0][1]}))
+
+
+entry_tables = with_zeros(st.one_of(
+    low_dimension_entries(), wide_tables(), geometric_entries(),
+    over_eight_byte_entries()))
+
+
+@given(entry_tables)
+@example((1, {(1, 0): 1}))
+@example((2, {(0, 0): 1, (0, 2): 4, (2, 0): 4, (1, 1): 0, (5, 5): 0}))
+@settings(max_examples=300)
+def test_readers_match_the_entries(table):
+    """Every reader of a diamond against a reference computed from the
+    entries it was built from, on both storages."""
+    dim, e = table
+    nonzero = {key: v for key, v in e.items() if v}
+    d = HodgeDiamond(dim, e)
+    assert d.entries() == nonzero
+    assert all(d.hodge(p, q) == nonzero.get((p, q), 0)
+               for p in range(-1, dim + 2) for q in range(-1, dim + 2))
+    assert euler(d) == sum((-1) ** (p + q) * v for (p, q), v in nonzero.items())
+    assert hh0(d) == sum(v for (p, q), v in nonzero.items() if p == q)
+    assert diagonal(d) == [nonzero.get((p, p), 0) for p in range(dim + 1)]
+    symmetric = all(nonzero.get((q, p)) == v for (p, q), v in nonzero.items())
+    serre = all(nonzero.get((dim - p, dim - q)) == v
+                for (p, q), v in nonzero.items())
+    assert (d.is_hodge_symmetric(), d.is_serre_dual()) == (symmetric, serre)
+    assert d.to_json_dict() == {"dim": dim, "entries": [
+        [p, q, v] for (p, q), v in sorted(nonzero.items())]}
+    assert HodgeDiamond.from_json_dict(d.to_json_dict()) == d
+    if symmetric and serre:
+        assert d.validate() is d
+    else:
+        with pytest.raises(ValueError):
+            d.validate()
+
+
+@given(entry_tables, entry_tables)
+@settings(max_examples=150)
+def test_constructed_tables_equal_computed_ones(x, y):
+    """``==`` holds between a result and the same table built from entries,
+    and fails where the entries differ."""
+    a, b = HodgeDiamond(*x), HodgeDiamond(*y)
+    results = [(kunneth(a, b), kunneth_pairwise(a, b)), (sym2(a), sym2_pairwise(a))]
+    if a.dim >= 1:
+        results.append((hilbert_square(a), hilbert_square_pairwise(a)))
+    for got, want in results:
+        assert got == want and want == got
+        assert (got == a) == (got.dim == a.dim and got.entries() == a.entries())
+
+
+def test_constructed_and_computed_examples():
+    assert sym2(varieties.curve(1)) == HodgeDiamond(
+        2, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 2, (2, 1): 1, (1, 2): 1,
+            (2, 2): 1})
+    # a product of two tables that are not Hodge-symmetric can be
+    left, right = HodgeDiamond(1, {(1, 0): 1}), HodgeDiamond(1, {(0, 1): 1})
+    assert kunneth(left, right) == HodgeDiamond(2, {(1, 1): 1})
+    assert kunneth(left, left) != kunneth(left, right)
+
+
+@given(st.one_of(geometric_entries(), over_eight_byte_entries(), wide_tables()),
+       st.one_of(low_dimension_entries(), over_eight_byte_entries(),
+                 geometric_entries()))
+@example((2, {(0, 0): 1, (1, 1): 3, (2, 2): 1, (0, 2): 2, (2, 0): 2}),
+         (1, {(0, 0): 1, (1, 0): 2}))
+@settings(max_examples=200)
+def test_kunneth_of_a_symmetric_and_an_asymmetric_table(x, y):
+    """Half storage on one side only: the product takes the full path."""
+    a, b = HodgeDiamond(*x), HodgeDiamond(*y)
+    assert_same(kunneth(a, b), kunneth_pairwise(a, b))
+    assert_same(kunneth(b, a), kunneth_pairwise(b, a))
 
 
 def test_four_corners_of_dimension_1000_match_pairwise():
