@@ -122,6 +122,13 @@ def emptiness_threshold(family: str, n: int, k: int) -> str:
       collapses to an isomorphism with the bundle side;
     * ``"disjoint_union"``: the Gr(2,5) k = 2 case, a disjoint union of the
       bundle side and a quadric bundle over F_3; not a flip.
+
+    A general cubic's ``F_k`` is nonempty of the expected dimension when
+    that is nonnegative (Debarre-Manivel, Math. Ann. 312, 1998).  For two
+    quadrics a k-dimensional quadric in X spans a (k+1)-plane that lies in
+    a member of the pencil.  The members of a general pencil have corank
+    at most 1, so their isotropic subspaces have dimension at most
+    ``1 + floor((n+2)/2)``, and ``G_k`` is empty iff ``n < 2k``.
     """
     check_family(family)
     if k < 0 or n < 1:
@@ -139,8 +146,8 @@ def emptiness_threshold(family: str, n: int, k: int) -> str:
         return "F_k1_empty_flip_degenerates"  # no (k+1)-planes
     if family == "cubic":
         f_k_empty = expected_dim_fano(family, n, k) < 0
-    else:  # the pencil's isotropic side is empty iff n < k - 1 + (k+3)/2
-        f_k_empty = 2 * n < 3 * k + 1
+    else:  # no member of the pencil holds a (k+1)-plane
+        f_k_empty = n < 2 * k
     if f_k_empty:
         return "F_k_empty"
     if expected_dim_fano(family, n, k + 1) < 0:

@@ -7,6 +7,14 @@ diamonds satisfy two symmetries:
 * Hodge symmetry:  ``h^{p,q} = h^{q,p}``
 * Serre duality:   ``h^{p,q} = h^{n-p,n-q}``
 
+Hodge symmetry holds for every table this module models: the Hodge numbers
+of any class in the Grothendieck ring of varieties satisfy
+``h^{p,q;k} = h^{q,p;k}`` (Deligne, *Theorie de Hodge II, III*), so every
+E-polynomial is symmetric in ``u`` and ``v``.  A diamond is Hodge-symmetric
+by construction, and the constructor refuses any other table.  Serre
+duality fails for classes that are not proper, such as ``[P^{n-1}] -
+[pt]``; :meth:`HodgeDiamond.validate` checks it.
+
 The operations here are the numerical shadows of standard constructions:
 products (Kunneth), graded symmetric squares with the Koszul sign rule, and
 the Hilbert square by the formula of the Grothendieck ring (``motive``):
@@ -22,22 +30,18 @@ Everything is exact integer arithmetic on sparse tables; entries are
 dimensions only (no lattice or torsion information is modelled).  Values are
 immutable after construction and all operations are pure functions.
 
-A diamond is stored by diagonal, ``{s: {p: h^{p,p+s}}}`` for ``s = q - p``,
-with no zero entry and no empty diagonal: the layout of the packed kernel
-(``_packed``), which packs a diagonal into one integer and multiplies two
-in one step.  A Hodge-symmetric table, decided once as it is built, keeps
-only its diagonals ``s >= 0`` (half storage): diagonal ``-s`` is diagonal
-``s`` moved up ``s`` slots, and every reader reads it so.  Another table
-keeps every diagonal.  On Hodge-symmetric inputs the operations pack the
-stored diagonals only, hand the kernel diagonal ``-s`` as packed diagonal
-``s`` shifted up ``s`` slots, and compute only the output diagonals
-``s >= 0``, which are the result (the half path).  The Hilbert square is
-one ``_packed.square`` pass (diagonal ``s`` gives ``(x_s^2 +- psi_s)/2`` at
-``2s``, ``x_s * e`` at ``s`` for ``e = t + ... + t^{n-1}``, ``x_s * x_t``
-at ``s + t``) and one unpack.
+A diamond is stored by diagonal, ``{s: {p: h^{p,p+s}}}`` for ``s = q - p
+>= 0``, with no zero entry and no empty diagonal: the layout of the packed
+kernel (``_packed``), which packs a diagonal into one integer and multiplies
+two in one step.  Diagonal ``-s`` is diagonal ``s`` moved up ``s`` slots,
+and every reader reads it so.  The operations pack the stored diagonals
+only, hand the kernel diagonal ``-s`` as packed diagonal ``s`` shifted up
+``s`` slots, and compute only the output diagonals ``s >= 0``, which are
+the result.  The Hilbert square is one ``_packed.square`` pass (diagonal
+``s`` gives ``(x_s^2 +- psi_s)/2`` at ``2s``, ``x_s * e`` at ``s`` for
+``e = t + ... + t^{n-1}``, ``x_s * x_t`` at ``s + t``) and one unpack.
 """
 
-import operator
 from collections.abc import Mapping
 
 from . import _packed
@@ -52,15 +56,15 @@ MAX_DIM = 100_000
 
 
 class HodgeDiamond:
-    """A bigraded table of nonnegative integers supported on ``[0, dim]^2``.
+    """A Hodge-symmetric table of nonnegative integers supported on
+    ``[0, dim]^2``, stored as its diagonals ``s >= 0``.
 
-    Any nonnegative table is a diamond; :meth:`validate` checks the two
-    symmetries of a geometric one.  Intermediate tables such as
-    ``[P^{n-1}] - [pt]`` need not satisfy them.  A Hodge-symmetric table
-    stores its diagonals ``s >= 0`` only (``_half``).
+    The constructor refuses a table that is not Hodge-symmetric;
+    :meth:`validate` checks Serre duality, which intermediate tables such
+    as ``[P^{n-1}] - [pt]`` need not satisfy.
     """
 
-    __slots__ = ("dim", "_diagonals", "_half")
+    __slots__ = ("dim", "_diagonals")
 
     def __init__(self, dim: int, entries: Mapping[Bidegree, int] = {}):
         if dim < 0:
@@ -73,22 +77,20 @@ class HodgeDiamond:
             if v:
                 diagonals.setdefault(q - p, {})[p] = v
         self.dim = dim
-        self._diagonals, self._half = _halve(diagonals)
+        self._diagonals = _halve(diagonals)
 
     @classmethod
-    def _trusted(cls, dim: int, diagonals: Diagonals,
-                 half: bool) -> "HodgeDiamond":
-        """Wrap positive, nonempty diagonals inside ``[0, dim]^2``: with
-        ``half``, the diagonals ``s >= 0`` of a Hodge-symmetric table;
-        otherwise every diagonal of a table, halved if it is symmetric."""
+    def _trusted(cls, dim: int, diagonals: Diagonals) -> "HodgeDiamond":
+        """Wrap the positive, nonempty diagonals ``s >= 0`` of a
+        Hodge-symmetric table inside ``[0, dim]^2``."""
         d = object.__new__(cls)
         d.dim = dim
-        d._diagonals, d._half = (diagonals, True) if half else _halve(diagonals)
+        d._diagonals = diagonals
         return d
 
     def hodge(self, p: int, q: int) -> int:
         """Return ``h^{p,q}``; absent entries are zero."""
-        if q < p and self._half:
+        if q < p:
             p, q = q, p
         cells = self._diagonals.get(q - p)
         return cells.get(p, 0) if cells else 0
@@ -97,17 +99,14 @@ class HodgeDiamond:
         """The nonzero entries, keyed by ``(p, q)``."""
         out = {(p, p + s): v for s, cells in self._diagonals.items()
                for p, v in cells.items()}
-        if self._half:  # diagonal -s at p + s is diagonal s at p
-            out.update({(p + s, p): v for s, cells in self._diagonals.items()
-                        if s for p, v in cells.items()})
+        out.update({(p + s, p): v for s, cells in self._diagonals.items()
+                    if s for p, v in cells.items()})  # diagonal -s
         return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HodgeDiamond):
             return NotImplemented
-        # a table decides its storage, so equal tables store alike
-        return (self.dim, self._half, self._diagonals) == \
-            (other.dim, other._half, other._diagonals)
+        return (self.dim, self._diagonals) == (other.dim, other._diagonals)
 
     def __repr__(self) -> str:
         cells = ", ".join(f"({p},{q}): {v}"
@@ -116,21 +115,13 @@ class HodgeDiamond:
 
     # -- symmetry checks ---------------------------------------------------
 
-    def is_hodge_symmetric(self) -> bool:
-        return self._half
-
     def is_serre_dual(self) -> bool:
-        n, d = self.dim, self._diagonals  # diagonal s at p is -s at n - p,
-        if self._half:  # which is diagonal s at n - p - s
-            return all(cells == {n - s - p: v for p, v in cells.items()}
-                       for s, cells in d.items())
-        return all(d.get(-s) == {n - p: v for p, v in cells.items()}
-                   for s, cells in d.items())
+        n = self.dim  # diagonal s at p is -s at n - p, which is s at n - p - s
+        return all(cells == {n - s - p: v for p, v in cells.items()}
+                   for s, cells in self._diagonals.items())
 
     def validate(self) -> "HodgeDiamond":
-        """Check both symmetries and return the diamond itself."""
-        if not self.is_hodge_symmetric():
-            raise ValueError("table is not Hodge-symmetric")
+        """Check Serre duality and return the diamond itself."""
         if not self.is_serre_dual():
             raise ValueError("table is not Serre-dual")
         return self
@@ -172,14 +163,14 @@ def _check_entry(p: int, q: int, v: int) -> None:
         raise ValueError(f"negative entry h^({p},{q}) = {v}")
 
 
-def _halve(d: Diagonals) -> tuple[Diagonals, bool]:
-    """The diagonals ``s >= 0`` of a Hodge-symmetric table and True, or
-    every diagonal of another table and False: the one symmetry scan."""
-    if all(-s in d for s in d) and all(  # diagonal -s is s moved up s slots
+def _halve(d: Diagonals) -> Diagonals:
+    """The diagonals ``s >= 0`` of a Hodge-symmetric table: the one
+    symmetry scan, which refuses any other table."""
+    if not (all(-s in d for s in d) and all(  # diagonal -s is s moved up s
             d[-s] == {p + s: v for p, v in cells.items()}
-            for s, cells in d.items() if s > 0):
-        return {s: cells for s, cells in d.items() if s >= 0}, True
-    return d, False
+            for s, cells in d.items() if s > 0)):
+        raise ValueError("table is not Hodge-symmetric")
+    return {s: cells for s, cells in d.items() if s >= 0}
 
 
 # -- operations --------------------------------------------------------------
@@ -187,50 +178,45 @@ def _halve(d: Diagonals) -> tuple[Diagonals, bool]:
 
 def _size(a: HodgeDiamond) -> tuple[int, int]:
     """The total and the largest of the entries of ``a``, for the kernels'
-    slot widths: a stored diagonal ``s > 0`` of half storage counts twice."""
-    d, half = a._diagonals, a._half
-    return (sum((2 if half and s else 1) * sum(cells.values())
-                for s, cells in d.items()),
+    slot widths: a stored diagonal ``s > 0`` counts twice."""
+    d = a._diagonals
+    return (sum((2 if s else 1) * sum(cells.values()) for s, cells in d.items()),
             max((max(cells.values()) for cells in d.values()), default=0))
 
 
 def _pack(a: HodgeDiamond, w: int, psi: bool = False) -> _packed.Packed:
     """Every diagonal of ``a``, descending, packed at width ``w`` as the
     kernels take it: ``(s, x_s, psi_s)``, ``psi_s`` the diagonal at every
-    other slot if ``psi``, else 0.  Diagonal ``-s`` of half storage is
-    ``x_s`` shifted up ``s`` slots, with ``psi`` 0: the half path never
-    squares it on its own."""
+    other slot if ``psi``, else 0.  Diagonal ``-s`` is ``x_s`` shifted up
+    ``s`` slots, with ``psi`` 0: no operation squares it on its own."""
     out = [(s, _packed.pack(cells, w), _packed.pack(cells, w, step=2) if psi else 0)
            for s, cells in sorted(a._diagonals.items(), reverse=True)]
-    if a._half:
-        out += [(-s, x << 8 * w * s, 0) for s, x, _ in reversed(out) if s > 0]
-    return out
+    return out + [(-s, x << 8 * w * s, 0) for s, x, _ in reversed(out) if s > 0]
 
 
-def _merge(half: bool):
-    """Diagonal ``s + t``, on the half path None below 0, ending a row of
-    descending diagonals there."""
-    return (lambda s, t: s + t if s + t >= 0 else None) if half else operator.add
+def _merge(s: int, t: int) -> int | None:
+    """Diagonal ``s + t``, None below 0, ending a row of descending
+    diagonals there."""
+    return s + t if s + t >= 0 else None
 
 
 def kunneth(a: HodgeDiamond, b: HodgeDiamond) -> HodgeDiamond:
     """Hodge diamond of a product: bigraded convolution of the two tables."""
-    half, out = a._half and b._half, {}
+    out = {}
     if a._diagonals and b._diagonals:  # else the slot bound is 0
         w = _packed.product_width(*_size(a), *_size(b))
-        out = _packed.convolve(_pack(a, w), _pack(b, w), _merge(half), w)
-    return HodgeDiamond._trusted(a.dim + b.dim, out, half)
+        out = _packed.convolve(_pack(a, w), _pack(b, w), _merge, w)
+    return HodgeDiamond._trusted(a.dim + b.dim, out)
 
 
 def _square(a: HodgeDiamond, correction: dict[int, int]) -> HodgeDiamond:
-    half = a._half
     total, top = _size(a)
     w = _packed.square_width(total, top, max(correction.values(), default=0))
     out = _packed.square(
-        _pack(a, w, psi=True), _merge(half),
-        lambda s: () if half and s < 0 else ((2 * s, 1, -1 if s % 2 else 1),),
+        _pack(a, w, psi=True), _merge,
+        lambda s: () if s < 0 else ((2 * s, 1, -1 if s % 2 else 1),),
         [(0, _packed.pack(correction, w), 0)] if correction else [], w)
-    return HodgeDiamond._trusted(2 * a.dim, out, half)
+    return HodgeDiamond._trusted(2 * a.dim, out)
 
 
 def sym2(a: HodgeDiamond) -> HodgeDiamond:
@@ -269,9 +255,8 @@ def diagonal(a: HodgeDiamond) -> list[int]:
 
 def euler(a: HodgeDiamond) -> int:
     """Topological Euler characteristic: alternating sum over ``p + q``."""
-    half = a._half  # a stored diagonal s > 0 stands for -s too
-    return sum((-1) ** (s % 2) * (2 if half and s else 1) * sum(cells.values())
-               for s, cells in a._diagonals.items())  # p + q = 2p + s
+    return sum((-1) ** (s % 2) * (2 if s else 1) * sum(cells.values())
+               for s, cells in a._diagonals.items())  # p + q = 2p + s; -s too
 
 
 def format_diamond(a: HodgeDiamond) -> str:

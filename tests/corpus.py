@@ -67,7 +67,7 @@ INPUTS = {
     "inputs/wide-entries.json": _diamond(2, {
         (0, 0): 1, (1, 0): 10**30, (0, 1): 10**30, (1, 1): 7 * 10**25,
         (2, 1): 10**30, (1, 2): 10**30, (2, 2): 1}),
-    # h^{1,0} != h^{0,1}: validate refuses it
+    # h^{1,0} != h^{0,1}: the diamond constructor refuses it
     "inputs/nonsymmetric.json": _diamond(1, {
         (0, 0): 1, (1, 0): 2, (0, 1): 3, (1, 1): 1}),
     "inputs/bad.json": "{not json\n",

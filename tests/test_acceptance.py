@@ -186,9 +186,10 @@ def _random_small_diamond(rng):
     while True:
         dim = rng.randint(0, 3)
         entries = {}
-        for _ in range(rng.randint(0, 4)):
-            p, q = rng.randint(0, dim), rng.randint(0, dim)
-            entries[(p, q)] = entries.get((p, q), 0) + rng.randint(1, 3)
+        for _ in range(rng.randint(0, 4)):  # a cell and its mirror alike
+            p, q, v = rng.randint(0, dim), rng.randint(0, dim), rng.randint(1, 3)
+            for key in {(p, q), (q, p)}:
+                entries[key] = entries.get(key, 0) + v
         if sum(entries.values()) <= 8:
             return hodge.HodgeDiamond(dim, entries)
 

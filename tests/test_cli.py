@@ -1508,16 +1508,15 @@ def _dense_diamond(rng, dim):
 
 def test_kernel_calls_leave_no_cyclic_garbage():
     """The value-type kernels called directly, as a benchmark cycle calls
-    them: the diamond products and squares on dense symmetric diamonds of
-    dimension 10 and 20 and on a table that is not Hodge-symmetric, the
-    class squares and product on 64-term one-atom classes, and the ledger
-    operations."""
+    them: the diamond products and squares on dense diamonds of dimension
+    10 and 20 and on one with odd diagonals, a diamond refused as not
+    Hodge-symmetric, the class squares and product on 64-term one-atom
+    classes, and the ledger operations."""
     from flipcheck import hodge, motive
     rng = random.Random(35)
     tables = [hodge.HodgeDiamond(d, _dense_diamond(rng, d)) for d in (10, 20)]
-    tables.append(hodge.HodgeDiamond(3, {(0, 0): 1, (1, 0): 4, (0, 1): 2,
-                                         (2, 3): 7, (3, 3): 1}))
-    assert [d.is_hodge_symmetric() for d in tables] == [True, True, False]
+    tables.append(varieties.builtin("quartic-double-solid"))
+    assert all(1 in d._diagonals for d in tables)  # odd diagonals in each
 
     def one_atom_class(prefix):
         return {(rng.randint(0, 4), (f"{prefix}{i}",)): rng.randint(1, 3)
@@ -1533,6 +1532,12 @@ def test_kernel_calls_leave_no_cyclic_garbage():
             hodge.kunneth(d, tables[0])
             hodge.sym2(d)
             hodge.hilbert_square(d)
+        try:
+            hodge.HodgeDiamond(3, {(0, 0): 1, (1, 0): 4, (0, 1): 2, (3, 3): 1})
+        except ValueError:
+            pass
+        else:
+            raise AssertionError("a table that is not Hodge-symmetric was built")
         motive.sym2_class(x)
         motive.hilbert_square_class(x, 3)
         a * b

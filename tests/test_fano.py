@@ -155,6 +155,34 @@ def test_two_quadrics_regimes():
             assert expected_dim_fano("two-quadrics", n, k + 1) >= 0
 
 
+def test_two_quadrics_regimes_from_the_witt_index():
+    """A k-dimensional quadric in X spans a (k+1)-plane inside a member of
+    the pencil.  A general pencil in n + 3 variables has members of corank
+    at most 1, whose isotropic subspaces have dimension at most
+    ``1 + floor((n+2)/2)``; X holds j-planes iff ``n >= 2j`` (Reid).  So
+    ``G_k`` is empty for ``n < 2k``, degenerate for ``n = 2k, 2k + 1`` and
+    a flip from ``n = 2k + 2`` on."""
+    def regime(n, k):
+        if k + 2 > 1 + (n + 2) // 2:
+            return "F_k_empty"
+        if n < 2 * (k + 1):
+            return "F_k1_empty_flip_degenerates"
+        return "nonempty_expected"
+
+    cells = [(n, k) for n in range(1, 13) for k in range(7)]
+    wrong = [(n, k) for n, k in cells
+             if emptiness_threshold("two-quadrics", n, k) != regime(n, k)]
+    assert wrong == []
+    assert regime(6, 3) == "F_k1_empty_flip_degenerates"
+    assert regime(8, 3) == "nonempty_expected"
+    # both empty labels are degenerate, so the shapes are those of the bound
+    for n, k in cells:
+        if k <= n:
+            s = 1 if regime(n, k) == "nonempty_expected" else -1
+            assert flip_shapes("two-quadrics", n, k) == \
+                [FlipShape(comb(k + 3, 2) - 1, s)], (n, k)
+
+
 def test_gr25_regimes():
     for n in range(2, 7):
         assert emptiness_threshold("gr25", n, 0) == "nonempty_expected"
