@@ -36,13 +36,7 @@ def make_report(name: str, inputs: dict, expected, computed,
 
 def _load_diamond(args) -> "fc.hodge.HodgeDiamond":
     if args.builtin is not None:
-        try:
-            return fc.varieties.builtin(args.builtin)
-        except KeyError:
-            raise ValueError(
-                f"unknown builtin {args.builtin!r}; known: "
-                + ", ".join(fc.varieties.builtin_names())
-            )
+        return fc.varieties.builtin(args.builtin)
     import json  # only --diamond input needs it; keeps it out of start-up
 
     with open(args.diamond, "r", encoding="utf-8") as fh:
@@ -57,25 +51,25 @@ class _NotPlain(Exception):
     """A value ``_json`` leaves to the json module."""
 
 
-def _dumps(value, sort_keys: bool = False, indent: int | None = None) -> str:
-    """``json.dumps(value, sort_keys=sort_keys, indent=indent)``, byte for
+def _dumps(value, indent: int | None = None) -> str:
+    """``json.dumps(value, sort_keys=True, indent=indent)``, byte for
     byte.  Dicts with str keys, lists, tuples, bools, ints, None and strings
     of printable ASCII without ``"`` or ``\\`` are written here, so --json
     output loads neither json nor the re and enum it brings; any other
     value hands the whole call to json, which escapes and formats it."""
     try:
         if indent is None:
-            return _json(value, sort_keys, None, "")
-        return _json(value, sort_keys, " " * indent, "\n")
+            return _json(value, None, "")
+        return _json(value, " " * indent, "\n")
     except _NotPlain:
         import json
-        return json.dumps(value, sort_keys=sort_keys, indent=indent)
+        return json.dumps(value, sort_keys=True, indent=indent)
 
 
-def _json(value, sort_keys: bool, step: str | None, newline: str) -> str:
-    """``value`` as JSON: ``step`` is the indent of one level (None: one
-    line), ``newline`` the line break and indent before this level's
-    closing bracket ("" on one line)."""
+def _json(value, step: str | None, newline: str) -> str:
+    """``value`` as JSON with sorted keys: ``step`` is the indent of one
+    level (None: one line), ``newline`` the line break and indent before
+    this level's closing bracket ("" on one line)."""
     if isinstance(value, str):
         if value.isascii() and value.isprintable() and not (
                 '"' in value or "\\" in value):
@@ -92,11 +86,10 @@ def _json(value, sort_keys: bool, step: str | None, newline: str) -> str:
         if brackets == "{}":
             if not all(isinstance(key, str) for key in value):
                 raise _NotPlain
-            body = [_json(key, sort_keys, step, inner) + ": "
-                    + _json(item, sort_keys, step, inner) for key, item
-                    in (sorted(value.items()) if sort_keys else value.items())]
+            body = [_json(key, step, inner) + ": " + _json(item, step, inner)
+                    for key, item in sorted(value.items())]
         else:
-            body = [_json(item, sort_keys, step, inner) for item in value]
+            body = [_json(item, step, inner) for item in value]
         sep = ", " if step is None else "," + inner
         return brackets[0] + inner + sep.join(body) + newline + brackets[1]
     raise _NotPlain
@@ -132,8 +125,7 @@ def cmd_hodge(args):
     d = (fc.hodge.hilbert_square(d) if args.hodge_op == "hilb2"
          else fc.hodge.sym2(d))
     if args.json:
-        return 0, lambda: [_dumps(d.to_json_dict(), sort_keys=True,
-                                  indent=2)]
+        return 0, lambda: [_dumps(d.to_json_dict(), indent=2)]
     if args.column:
         return 0, lambda: [" ".join(str(v) for v in fc.hodge.diagonal(d))]
     return 0, lambda: [fc.hodge.format_diamond(d)]
@@ -187,7 +179,7 @@ def cmd_fano(args):
     if args.json:
         return 0, lambda: [_dumps(
             {name: form.to_json_dict() for name, form in forms.items()},
-            sort_keys=True, indent=2)]
+            indent=2)]
     return 0, lambda: [f"{name.replace('_', ' ') + ':':<15}"
                        f"{fc.sod.canonical_text(form)}"
                        for name, form in forms.items()]
@@ -210,7 +202,7 @@ def _fano_dims(args):
     if family == "gr25":
         row = fc.fano.gr25_dim_row(args.n)
         if args.json:
-            return 0, lambda: [_dumps(row._asdict(), sort_keys=True)]
+            return 0, lambda: [_dumps(row._asdict())]
         cells = [("dim F_1(X)", row.f1), ("dim F_2^sigma(X)", row.f2_sigma),
                  ("dim F_2^tau(X)", row.f2_tau), ("dim F_3(X)", row.f3)]
         return 0, lambda: [f"{label:<17}= {'empty' if value is None else value}"
@@ -220,7 +212,7 @@ def _fano_dims(args):
     if args.json:
         return 0, lambda: [_dumps(
             {"family": family, "n": args.n, "k_planes": args.k,
-             "expected_dim": dim, "empty": dim < 0}, sort_keys=True)]
+             "expected_dim": dim, "empty": dim < 0})]
     note = "  (negative: empty)" if dim < 0 else ""
     return 0, lambda: [f"expected dim F_{args.k}(X) = {dim}{note}"]
 
@@ -232,7 +224,7 @@ def _fano_codim(args):
         code = 1 if any(row["failures"] or row["symbolic_failures"]
                         for row in payload) else 0
         if args.json:
-            return code, lambda: [_dumps(payload, sort_keys=True, indent=2)]
+            return code, lambda: [_dumps(payload, indent=2)]
 
         def render():
             lines = []
@@ -253,8 +245,7 @@ def _fano_codim(args):
     report = fc.fano.verify_codim_identity(family, args.n, args.k)
     code = 0 if report.passed else 1
     if args.json:
-        return code, lambda: [_dumps(report.to_json_dict(),
-                                     sort_keys=True, indent=2)]
+        return code, lambda: [_dumps(report.to_json_dict(), indent=2)]
     return code, lambda: [f"{'PASS' if check.passed else 'FAIL'} {check.name}: "
                           f"lhs={check.lhs} rhs={check.rhs}"
                           for check in report.checks]
@@ -334,7 +325,7 @@ def _sod_check(args):
     verdict = fc.sod.embedding_obstruction(candidate_hh0, ambient_hh0)
     return 0, lambda: [
         _dumps({"ambient_hh0": ambient_hh0, "candidate_hh0": candidate_hh0,
-                "verdict": verdict}, sort_keys=True)
+                "verdict": verdict})
         if args.json else
         f"ambient hh0 = {ambient_hh0}\ncandidate hh0 = {candidate_hh0}\n"
         f"{ambient_hh0} vs {candidate_hh0} {verdict}"]
@@ -356,7 +347,7 @@ def _sod_consistency(args):
     if args.json:
         return code, lambda: [_dumps(
             [{"n": r.n, "holds": r.holds, "in_stated_range": r.in_stated_range}
-             for r in results], sort_keys=True)]
+             for r in results])]
     return code, lambda: [
         f"{'PASS' if r.holds else 'FAIL'} n={r.n}: "
         f"{fc.sod.canonical_text(r.hilb2)}" if r.in_stated_range else
@@ -398,7 +389,7 @@ def _sod_obstruction(args):
     code = 0 if report.passed else 1
     if args.json:
         return code, lambda: [_dumps(
-            {**report.inputs, "verdict": report.computed}, sort_keys=True)]
+            {**report.inputs, "verdict": report.computed})]
     relation = ">" if report.computed == "OBSTRUCTED" else "<="
     return code, lambda: [f"{report.computed} "
                           f"({report.inputs['candidate_hh0']} {relation} "
@@ -714,8 +705,7 @@ def cmd_verify_all(args):
     passed = sum(r.passed for r in reports)
     code = 0 if passed == len(reports) else 1
     if args.json:
-        return code, lambda: [_dumps([r._asdict() for r in reports],
-                                     sort_keys=True, indent=2)]
+        return code, lambda: [_dumps([r._asdict() for r in reports], indent=2)]
     return code, lambda: [
         f"PASS {r.name}" if r.passed else
         f"FAIL {r.name} expected={r.expected!r} computed={r.computed!r}"
@@ -928,8 +918,8 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
 def main(argv: list[str] | None = None) -> int:
     """Run one command, which returns its exit code and ``render``, and print
     the lines ``render()`` builds: the only code that writes stdout.  Every
-    error a command raises is a ``ValueError`` (``ParseError``, sod's typed
-    errors, bad JSON or UTF-8, ...) or an ``OSError``; ``render`` raises one
+    error a command raises is a ``ValueError`` (``ParseError``, a refused
+    value, bad JSON or UTF-8, ...) or an ``OSError``; ``render`` raises one
     only for an int of over 4300 digits, which Python will not print (script
     commands print their values before ``render``, to name the statement).
     Each ends here as one ``error:`` line, exit 2 and no output.  A reader

@@ -441,10 +441,6 @@ def parse_script(text: str) -> list[Node]:
 # -- evaluation ---------------------------------------------------------------
 
 
-class EvalError(ValueError):
-    pass
-
-
 Value = MotiveExpr | SodLedger | RewriteRule
 
 
@@ -475,10 +471,7 @@ def _eval_expr(node: Node) -> MotiveExpr:
     if isinstance(node, LPow):
         return MotiveExpr.lefschetz(node.power)
     if isinstance(node, Atom):
-        try:
-            return MotiveExpr.atom(node.name)
-        except ValueError as exc:
-            raise EvalError(str(exc))
+        return MotiveExpr.atom(node.name)
     if isinstance(node, Sym2):
         return sym2_class(_eval_expr(node.arg))
     if isinstance(node, Sum):
@@ -502,8 +495,8 @@ def _eval_expr(node: Node) -> MotiveExpr:
             out = out * _eval_expr(factor)
         return out
     if isinstance(node, Tensor):
-        raise EvalError("tensor factors only make sense on rule left-hand sides")
-    raise EvalError(f"cannot evaluate {type(node).__name__} as an expression")
+        raise ValueError("tensor factors only make sense on rule left-hand sides")
+    raise ValueError(f"cannot evaluate {type(node).__name__} as an expression")
 
 
 def _plain_term(factors) -> tuple[TermKey, int] | None:

@@ -34,14 +34,6 @@ TermKey = tuple[int, Monomial]  # (power of L, monomial)
 RESERVED_ATOMS = ("L", "Sym2")
 
 
-class FragmentError(ValueError):
-    """Input lies outside the fragment an operation supports."""
-
-
-class BudgetError(ValueError):
-    """A result would pass its size budget; raised before it is computed."""
-
-
 # Sym2(x) is refused when its size may pass this many bits: at most
 # n(n + 3)/2 terms for the n terms of x, and at most (2 * span + 1) per
 # output monomial for the L-degree span of x, each of at most twice the
@@ -308,11 +300,9 @@ def sym2_class(x: MotiveExpr) -> MotiveExpr:
     if bad:
         lp, mono = key = min(bad)
         if x.terms[key] < 0:
-            raise FragmentError(
-                f"negative coefficient {x.terms[key]} at L^{lp}: "
-                "not an effective class"
-            )
-        raise FragmentError(f"monomial {'*'.join(mono)} is not a single atom")
+            raise ValueError(f"negative coefficient {x.terms[key]} at L^{lp}: "
+                             "not an effective class")
+        raise ValueError(f"monomial {'*'.join(mono)} is not a single atom")
     _check_sym2_size(x.terms)
     if len(x.terms) < _PACK_MIN:
         flat, groups = list(x.terms.items()), {}
@@ -339,19 +329,19 @@ def _shape(terms: Mapping[TermKey, int]) -> tuple[int, int]:
 
 
 def _check_sym2_size(terms: Mapping[TermKey, int]) -> None:
-    """Raise :class:`BudgetError` if ``Sym2`` of ``terms`` may pass
+    """Raise ``ValueError`` if ``Sym2`` of ``terms`` may pass
     ``MAX_SYM2_BITS``, from the L-degree span and coefficient bits."""
     n, (span, m) = len(terms), _shape(terms)
     count = min(n * (n + 3), (2 * span + 1) * m * (m + 3)) // 2
     bits = 2 * sum(terms.values()).bit_length()
     if count * bits > MAX_SYM2_BITS:
-        raise BudgetError(f"Sym2 of this value may hold {count} terms of "
+        raise ValueError(f"Sym2 of this value may hold {count} terms of "
                           f"{bits} bits, over the budget of {MAX_SYM2_BITS} bits")
 
 
 def _check_product_size(xs: Mapping[TermKey, int],
                         ys: Mapping[TermKey, int]) -> None:
-    """Raise :class:`BudgetError` if ``xs * ys`` may pass ``MAX_SYM2_BITS``:
+    """Raise ``ValueError`` if ``xs * ys`` may pass ``MAX_SYM2_BITS``:
     at most a term per pair of terms (tested first) or ``span_x + span_y + 1``
     per pair of monomials, each of the bits of both sums of ``|c|``."""
     bits = (sum(map(abs, xs.values())).bit_length()
@@ -361,7 +351,7 @@ def _check_product_size(xs: Mapping[TermKey, int],
         (span_x, m_x), (span_y, m_y) = _shape(xs), _shape(ys)
         count = min(count, (span_x + span_y + 1) * m_x * m_y)
         if count * bits > MAX_SYM2_BITS:
-            raise BudgetError(f"this product may hold {count} terms of {bits} "
+            raise ValueError(f"this product may hold {count} terms of {bits} "
                               f"bits, over the budget of {MAX_SYM2_BITS} bits")
 
 

@@ -35,22 +35,6 @@ from collections.abc import Iterable, Mapping, Sequence
 from . import comb
 
 
-class UnresolvedPairError(ValueError):
-    """A Sym^2 or tensor pair has no rule in the table."""
-
-
-class NegativeMultiplicityError(ValueError):
-    """A ledger multiplicity would be negative."""
-
-
-class UnassignedAtomError(ValueError):
-    """An additive-invariant evaluation met an atom without a value."""
-
-
-class RewriteLoopError(ValueError):
-    """The rules reachable from a ledger rewrite some atom back to itself."""
-
-
 class SodLedger:
     """Multiset of category atoms; zero multiplicities are never stored."""
 
@@ -59,9 +43,7 @@ class SodLedger:
     def __init__(self, multiplicities: Mapping[str, int] = {}):
         for name, m in multiplicities.items():
             if m < 0:
-                raise NegativeMultiplicityError(
-                    f"negative multiplicity {m} for {name!r}"
-                )
+                raise ValueError(f"negative multiplicity {m} for {name!r}")
         self.multiplicities = {name: m for name, m in multiplicities.items()
                                if m}
 
@@ -85,7 +67,7 @@ class SodLedger:
 
     def __rmul__(self, k: int) -> "SodLedger":
         if k < 0:
-            raise NegativeMultiplicityError("cannot scale a ledger negatively")
+            raise ValueError("cannot scale a ledger negatively")
         return SodLedger({name: k * m for name, m in self.multiplicities.items()})
 
     def total(self) -> int:
@@ -199,7 +181,7 @@ class RuleTable:
                 stack.extend((k, False) for k in rules[name].multiplicities
                              if k in rules)
             elif not done[name]:
-                raise RewriteLoopError(f"rewrite rules loop through {name!r}")
+                raise ValueError(f"rewrite rules loop through {name!r}")
         out = dict(led.multiplicities)
         for name in reversed(order):
             m = out.pop(name)  # final and positive: the rules reaching it ran
@@ -253,7 +235,7 @@ def sym2_ledger(components: Sequence[str],
         if rhs is None:
             what = (f"Sym2({names[0]})" if len(names) == 1
                     else " (x) ".join(sorted(names)))
-            raise UnresolvedPairError(f"no rule for {what}")
+            raise ValueError(f"no rule for {what}")
         for name, m in rhs.multiplicities.items():
             out[name] = out.get(name, 0) + k * m
 
@@ -293,8 +275,7 @@ def additive_invariant(led: SodLedger, assignment: Mapping[str, int]) -> int:
     """Evaluate an additive invariant: sum of multiplicity times value."""
     missing = [name for name in led.multiplicities if name not in assignment]
     if missing:
-        raise UnassignedAtomError(
-            f"no invariant assigned to atom {min(missing)!r}")
+        raise ValueError(f"no invariant assigned to atom {min(missing)!r}")
     return sum(m * assignment[name] for name, m in led.multiplicities.items())
 
 

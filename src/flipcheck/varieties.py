@@ -26,10 +26,6 @@ _TABLES: dict[str, tuple[int, dict[tuple[int, int], int]]] = {
 DIAGONAL_ONLY = frozenset({"f1-quartic-double-solid"})
 
 
-def point() -> HodgeDiamond:
-    return HodgeDiamond(0, {(0, 0): 1})
-
-
 def projective_space(n: int) -> HodgeDiamond:
     """P^n: ones along the diagonal."""
     if n < 0:
@@ -71,9 +67,9 @@ def builtin_names() -> list[str]:
 
 
 def builtin(name: str) -> HodgeDiamond:
-    """Look up a diamond by CLI name; raises ``KeyError`` for unknown names."""
+    """Look up a diamond by CLI name; raises ``ValueError`` if unknown."""
     if name == "point":
-        return point()
+        return projective_space(0)
     digits = name[1:]
     if name[:1] == "p" and _is_digits(digits):
         # longer than MAX_DIM is larger, and maybe too long for int()
@@ -91,7 +87,8 @@ def builtin(name: str) -> HodgeDiamond:
         return curve(g)
     if name in _TABLES:
         return HodgeDiamond(*_TABLES[name]).validate()
-    raise KeyError(name)
+    raise ValueError(f"unknown builtin {name!r}; known: "
+                     + ", ".join(builtin_names()))
 
 
 def _is_digits(text: str) -> bool:

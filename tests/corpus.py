@@ -92,6 +92,29 @@ INPUTS = {
     # past the Sym2 size budget: 12 levels, and the deepest the parser takes
     "inputs/sym2-depth-12.mot": _nested_sym2(12),
     "inputs/sym2-depth-199.mot": _nested_sym2(199),
+    # refusals of sod check: too few and too many ledgers, and an atom that
+    # no rule takes to Dpt
+    "inputs/one-ledger.sod": "{Dpt:1}\n",
+    "inputs/three-ledgers.sod": "{Dpt:1}\n{Dpt:1}\n{Dpt:1}\n",
+    "inputs/unassigned.sod": "{X:1}\n{Dpt:1}\n",
+    # refusals of motive eval: the evaluator's, the size budget's (at the
+    # fifth power of the product) and the parser's
+    "inputs/tensor.mot": "A (*) B\n",
+    "inputs/negative-sym2.mot": "Sym2(0 - X)\n",
+    "inputs/product.mot": " * ".join(["(" + _nested_sym2(10)[:-1] + ")"] * 8)
+                          + "\n",
+    "inputs/nested-200.mot": "(" * 200 + "1" + ")" * 200 + "\n",
+    "inputs/long-literal.mot": "1" * 4301 + "\n",
+    "inputs/unclosed.mot": "(1 + L\n",
+    # diamond JSON of the wrong shape, each refused with its own message
+    "inputs/not-object.json": "[]\n",
+    "inputs/text-dim.json": '{"dim": "1", "entries": []}\n',
+    "inputs/large-dim.json": '{"dim": 100001, "entries": []}\n',
+    "inputs/negative-dim.json": '{"dim": -1, "entries": []}\n',
+    "inputs/object-entries.json": '{"dim": 1, "entries": {}}\n',
+    "inputs/short-row.json": '{"dim": 1, "entries": [[0, 0]]}\n',
+    "inputs/negative-entry.json": _diamond(1, {(0, 0): -1}),
+    "inputs/outside-entry.json": _diamond(1, {(0, 2): 1}),
 }
 
 
@@ -120,7 +143,10 @@ def commands() -> list[list[str]]:
         for op in HODGE_OPS:
             lines += [["hodge", op, "--diamond", path, *v] for v in VIEWS]
     lines += [["hodge", "hh0", "--diamond", f"inputs/{name}.json"]
-              for name in ("bad", "long", "deep", "missing")]
+              for name in ("bad", "long", "deep", "missing", "not-object",
+                           "text-dim", "large-dim", "negative-dim",
+                           "object-entries", "short-row", "negative-entry",
+                           "outside-entry")]
     lines += [["hodge", "hh0", "--builtin", name]
               for name in ("", "nope", "p100001", "curve-g", "p0", "p007")]
     # fano: every op by family, n and k, in range and at each bound
@@ -154,13 +180,18 @@ def commands() -> list[list[str]]:
                   ["sod", "check", script]]
     lines += [["sod", "check", "checks/degree2-surface.sod", "--json"],
               ["motive", "eval", "checks/degree2-surface.sod"]]
-    for name in ("loop.sod", "line2.sod", "ring.sod", "chain.sod"):
+    for name in ("loop.sod", "line2.sod", "ring.sod", "chain.sod",
+                 "one-ledger.sod", "three-ledgers.sod", "unassigned.sod"):
         lines += [["sod", "check", f"inputs/{name}"]]
     for name in ("latin1.mot", "lone-cr.mot", "eval-line2.mot",
                  "parse-error.mot", "missing.mot", "sym2-depth-10.mot",
                  "sym2-depth-12.mot", "sym2-depth-199.mot"):
         lines += [["motive", "eval", f"inputs/{name}"],
                   ["motive", "check", f"inputs/{name}"]]
+    lines += [["motive", "eval", f"inputs/{name}"]
+              for name in ("tensor.mot", "negative-sym2.mot", "product.mot",
+                           "nested-200.mot", "long-literal.mot",
+                           "unclosed.mot")]
     for n in ("2", "3", "15", "1001", "1002", "1000000000"):
         lines += [["sod", "conjecture-consistency", "--n-odd-max", n]]
     lines += [["sod", "conjecture-consistency", "--json"],

@@ -197,7 +197,7 @@ def test_bundles_and_blowups_match_pairwise(a, r, codim):
 
 
 @given(wide_diamonds(), wide_diamonds())
-@example(varieties.projective_space(1), varieties.point())  # empty correction
+@example(varieties.projective_space(1), varieties.projective_space(0))  # empty correction
 @example(HodgeDiamond(1, {(0, 1): 1, (1, 0): 1}),  # odd diagonals square to 0
          varieties.curve(2))
 @settings(max_examples=100)
@@ -237,7 +237,7 @@ def stores_upper_diagonals(d):
 
 @given(st.one_of(low_dimension_tables(), wide_diamonds()),
        st.one_of(low_dimension_tables(), wide_diamonds()))
-@example(HodgeDiamond(1, {(0, 0): 1, (1, 0): 1, (0, 1): 1}), varieties.point())
+@example(HodgeDiamond(1, {(0, 0): 1, (1, 0): 1, (0, 1): 1}), varieties.projective_space(0))
 @example(HodgeDiamond(2, {(0, 0): 1, (1, 0): 2, (0, 1): 2, (2, 2): 1}),
          varieties.curve(1))
 @settings(max_examples=200)
@@ -529,7 +529,7 @@ def test_json_round_trip():
 
 def test_kunneth_point_is_identity():
     x = varieties.builtin("quartic-double-solid")
-    assert kunneth(x, varieties.point()) == x
+    assert kunneth(x, varieties.projective_space(0)) == x
 
 
 def test_kunneth_p1_squared():
@@ -539,7 +539,7 @@ def test_kunneth_p1_squared():
 
 def test_kunneth_quartic_double_solid_times_point():
     x = varieties.builtin("quartic-double-solid")
-    prod = kunneth(x, varieties.point())
+    prod = kunneth(x, varieties.projective_space(0))
     assert prod.hodge(2, 1) == 10 and prod.hodge(1, 2) == 10
 
 
@@ -576,7 +576,7 @@ def test_hh0_multiplicative_iff_diagonal(a, b):
 
 
 def test_tate_twist_examples():
-    pt = varieties.point()
+    pt = varieties.projective_space(0)
     assert tate_twist(pt, 0) == pt
     assert tate_twist(pt, 2) == HodgeDiamond(2, {(2, 2): 1})
     q = tate_twist(varieties.builtin("quartic-double-solid"), 1)
@@ -590,7 +590,7 @@ def test_tate_twist_examples():
 
 
 def test_sym2_point_and_p1():
-    assert sym2(varieties.point()) == varieties.point()
+    assert sym2(varieties.projective_space(0)) == varieties.projective_space(0)
     assert sym2(varieties.projective_space(1)) == varieties.projective_space(2)
 
 
@@ -635,7 +635,7 @@ def test_hilbert_square_p1_is_p2():
 
 def test_hilbert_square_rejects_points():
     with pytest.raises(ValueError):
-        hilbert_square(varieties.point())
+        hilbert_square(varieties.projective_space(0))
 
 
 def test_hilbert_square_quartic_double_solid():
@@ -776,7 +776,7 @@ def test_projective_bundle_examples():
         assert_same(got, projective_bundle_pairwise(base, r))
         return got
 
-    assert bundle(varieties.point(), 3) == varieties.projective_space(2)
+    assert bundle(varieties.projective_space(0), 3) == varieties.projective_space(2)
     hirzebruch = bundle(varieties.projective_space(1), 2)
     assert hirzebruch.hodge(1, 1) == 2
     pb = bundle(varieties.curve(2), 2)
@@ -786,7 +786,7 @@ def test_projective_bundle_examples():
 
 def test_blowup_examples():
     one_point = blowup_pairwise(varieties.projective_space(2),
-                                varieties.point(), 2)
+                                varieties.projective_space(0), 2)
     assert one_point.hodge(1, 1) == 2
     along_line = blowup_pairwise(varieties.projective_space(3),
                                  varieties.projective_space(1), 2)
@@ -797,7 +797,7 @@ def test_blowup_examples():
 
 
 def test_hh0_values():
-    assert hh0(varieties.point()) == 1
+    assert hh0(varieties.projective_space(0)) == 1
     assert hh0(varieties.builtin("f1-quartic-double-solid")) == 222
 
 
@@ -816,7 +816,8 @@ def test_format_diamond_shape():
 def test_builtin_registry():
     assert varieties.builtin("p2") == varieties.projective_space(2)
     assert varieties.builtin("curve-g4") == varieties.curve(4)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="^unknown builtin 'nope'; known: "
+                       "point, p1, p2, p3, curve-g<g>, "):
         varieties.builtin("nope")
     with pytest.raises(ValueError):
         varieties.intersection_of_two_quadrics(4)

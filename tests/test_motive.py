@@ -5,8 +5,8 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from flipcheck import hodge, varieties
-from flipcheck.motive import (_PACK_MIN, MAX_SYM2_BITS, ONE, BudgetError,
-                              FragmentError, MotiveExpr, _grouped, blowup_class, class_of_pn,
+from flipcheck.motive import (_PACK_MIN, MAX_SYM2_BITS, ONE, MotiveExpr,
+                              _grouped, blowup_class, class_of_pn,
                               flip_difference, hilbert_square_class, sym2_class)
 
 L = MotiveExpr.lefschetz(1)
@@ -142,11 +142,12 @@ def test_sym2_class_coefficients_count_copies():
 
 
 def test_sym2_class_fragment_errors():
-    with pytest.raises(FragmentError):
+    with pytest.raises(ValueError, match="^negative coefficient -1 at L\\^1: "
+                       "not an effective class$"):
         sym2_class(-L)
-    with pytest.raises(FragmentError):
+    with pytest.raises(ValueError, match=r"^monomial C\*F is not a single atom$"):
         sym2_class(atom("C") * atom("F"))
-    with pytest.raises(FragmentError):
+    with pytest.raises(ValueError, match=r"^monomial C\*C is not a single atom$"):
         sym2_class(atom("C") * atom("C"))
 
 
@@ -159,9 +160,10 @@ def test_nested_sym2_is_refused_before_it_is_squared():
         x = sym2_class(x)
     assert max(lp for lp, _ in x.terms) == 2**11
     assert sum(x.terms.values()).bit_length() == 879
-    with pytest.raises(BudgetError, match=f"over the budget of {MAX_SYM2_BITS} bits"):
+    budget = f"over the budget of {MAX_SYM2_BITS} bits$"
+    with pytest.raises(ValueError, match="^Sym2 of this value may hold .*" + budget):
         sym2_class(x)
-    with pytest.raises(BudgetError):
+    with pytest.raises(ValueError, match="^Sym2 of this value may hold .*" + budget):
         hilbert_square_class(x, 3)
 
 
@@ -186,11 +188,12 @@ def test_products_are_refused_before_they_are_computed():
     square = x * x
     fourth = square * square
     assert len(fourth.terms) == 4097
-    with pytest.raises(BudgetError) as info:
+    with pytest.raises(ValueError) as info:
         fourth * x
     assert str(info.value) == ("this product may hold 5121 terms of 2199 bits, "
                                f"over the budget of {MAX_SYM2_BITS} bits")
-    with pytest.raises(BudgetError):
+    with pytest.raises(ValueError, match="^this product may hold 1 terms of "
+                       f".* bits, over the budget of {MAX_SYM2_BITS} bits$"):
         MotiveExpr.const(1 << MAX_SYM2_BITS) * 2
 
 
@@ -273,10 +276,10 @@ def sym2_class_pairwise(x):
     items = sorted(x.terms.items())
     for (lp, mono), c in items:
         if c < 0:
-            raise FragmentError(
+            raise ValueError(
                 f"negative coefficient {c} at L^{lp}: not an effective class")
         if len(mono) > 1:
-            raise FragmentError(f"monomial {'*'.join(mono)} is not a single atom")
+            raise ValueError(f"monomial {'*'.join(mono)} is not a single atom")
     result = {}
     for i, ((lp, mono), m) in enumerate(items):
         if mono:
@@ -325,8 +328,8 @@ def test_mul_matches_pairwise(a, b):
 def test_sym2_class_matches_pairwise(x):
     try:
         want = sym2_class_pairwise(x)
-    except FragmentError as exc:
-        with pytest.raises(FragmentError) as info:
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
             sym2_class(x)
         assert str(info.value) == str(exc)
         return

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 import flipcheck
 from flipcheck import hodge, sod, varieties
-from flipcheck.sod import (NegativeMultiplicityError,
-                           RewriteLoopError, RewriteRule, RuleTable,
-                           SodLedger, UnassignedAtomError,
-                           UnresolvedPairError, additive_invariant,
+from flipcheck.sod import (RewriteRule, RuleTable, SodLedger,
+                           additive_invariant,
                            clifford_conjecture_ledger, conjecture_consistency,
                            default_rules, embedding_obstruction,
                            fano_scheme_conjecture_ledger, hilb2_ledger,
@@ -30,7 +28,7 @@ ledgers = st.dictionaries(ledger_names, st.integers(1, 30), max_size=4).map(
 
 def test_zero_multiplicities_not_stored():
     assert SodLedger({"DC": 0}).multiplicities == {}
-    with pytest.raises(NegativeMultiplicityError):
+    with pytest.raises(ValueError, match="^negative multiplicity -1 for 'DC'$"):
         SodLedger({"DC": -1})
 
 
@@ -59,11 +57,11 @@ def test_additive_invariant_is_linear(a, b):
 def test_additive_invariant_examples():
     assert additive_invariant(SodLedger(), {}) == 0
     assert additive_invariant(SodLedger({"Dpt": 65}), {"Dpt": 1}) == 65
-    with pytest.raises(UnassignedAtomError,
+    with pytest.raises(ValueError,
                        match="^no invariant assigned to atom 'DX'$"):
         additive_invariant(SodLedger({"DX": 1}), {})
     # the smallest unassigned name, whatever order normalizing left them in
-    with pytest.raises(UnassignedAtomError, match="'DC'"):
+    with pytest.raises(ValueError, match="^no invariant assigned to atom 'DC'$"):
         additive_invariant(SodLedger({"DZ": 1, "DC": 1}), {"Dpt": 1})
 
 
@@ -111,9 +109,9 @@ def test_sym2_ledger_m_copies(m):
 
 
 def test_sym2_ledger_unresolved_pairs():
-    with pytest.raises(UnresolvedPairError, match=r"Sym2\(DX\)"):
+    with pytest.raises(ValueError, match=r"^no rule for Sym2\(DX\)$"):
         sym2_ledger(["DX"])
-    with pytest.raises(UnresolvedPairError, match=r"DC \(x\) DX"):
+    with pytest.raises(ValueError, match=r"^no rule for DC \(x\) DX$"):
         table = default_rules()
         table.add(RewriteRule("sym2", ("DX",), SodLedger({"DX": 2})))
         sym2_ledger(["DC", "DX"], table)
@@ -154,7 +152,7 @@ def sym2_ledger_pairwise(components, rules=DEFAULT_RULES):
 
     def resolve(name, what):
         if name not in rhs_for:
-            raise UnresolvedPairError(f"no rule for {what}")
+            raise ValueError(f"no rule for {what}")
         return rhs_for[name]
 
     out = SodLedger()
@@ -170,7 +168,7 @@ def _outcome(fn, *args):
     """Multiplicities in insertion order, or the unresolved-pair message."""
     try:
         return list(fn(*args).multiplicities.items())
-    except UnresolvedPairError as exc:
+    except ValueError as exc:
         return str(exc)
 
 
@@ -238,9 +236,9 @@ def test_sym2_ledger_reports_first_of_two_unresolved_pairs(components,
         RewriteRule("sym2", ("DY",), SodLedger({"Sym2_DY": 1})),
         RewriteRule("tensor", ("DY", "DY"), SodLedger({"Tensor_DY_DY": 1})),
     ]
-    with pytest.raises(UnresolvedPairError) as got:
+    with pytest.raises(ValueError, match="^no rule for ") as got:
         sym2_ledger(components, RuleTable(rules))
-    with pytest.raises(UnresolvedPairError) as want:
+    with pytest.raises(ValueError, match="^no rule for ") as want:
         sym2_ledger_pairwise(components, rules)
     assert str(got.value) == str(want.value)
     assert first_unresolved in str(got.value)
@@ -379,7 +377,8 @@ def test_rule_table_loop_detection():
     table = RuleTable()
     table.add(RewriteRule("atom", ("DA",), SodLedger({"DB": 1})))
     table.add(RewriteRule("atom", ("DB",), SodLedger({"DA": 1})))
-    with pytest.raises(RewriteLoopError):
+    with pytest.raises(ValueError,
+                       match="^rewrite rules loop through 'D[AB]'$"):
         table.normalize(SodLedger({"DA": 1}))
 
 
@@ -408,7 +407,7 @@ def test_normalize_long_ring_is_a_loop():
     n = 10_001
     table = RuleTable(_atom_rules((f"A{i}", {f"A{(i + 1) % n}": 1})
                                   for i in range(n)))
-    with pytest.raises(RewriteLoopError,
+    with pytest.raises(ValueError,
                        match=r"^rewrite rules loop through 'A\d+'$"):
         table.normalize(SodLedger({"A5": 1}))
 
@@ -459,14 +458,14 @@ def _normalize_by_min_scan(rules, led, max_steps=10_000):
         if target is None:
             return current
         current = sod.substitute(current, target, rhs_for[target])
-    raise RewriteLoopError(f"rewriting did not terminate in {max_steps} steps")
+    raise ValueError(f"rewriting did not terminate in {max_steps} steps")
 
 
 def _normal_form_or_loop(fn, *args):
-    """The result ledger, or the ``RewriteLoopError`` raised."""
+    """The result ledger, or the ``ValueError`` raised."""
     try:
         return fn(*args)
-    except RewriteLoopError as exc:
+    except ValueError as exc:
         return exc
 
 
@@ -515,8 +514,8 @@ def rewrite_rules(draw):
 def test_normalize_matches_min_scan(rules, led):
     got = _normal_form_or_loop(RuleTable(rules).normalize, led)
     want = _normal_form_or_loop(_normalize_by_min_scan, rules, led)
-    if isinstance(want, RewriteLoopError):
-        assert isinstance(got, RewriteLoopError)
+    if isinstance(want, ValueError):
+        assert isinstance(got, ValueError)
         _loop_atom(rules, got)
     else:
         assert got == want
@@ -533,8 +532,8 @@ def test_normalize_self_rewrite_and_two_cycle_loop(rules):
     rules = _atom_rules(rules)
     led = SodLedger({"DA": 1, "DC": 1})
     assert isinstance(_normal_form_or_loop(_normalize_by_min_scan, rules, led),
-                      RewriteLoopError)
-    with pytest.raises(RewriteLoopError) as info:
+                      ValueError)
+    with pytest.raises(ValueError, match="^rewrite rules loop through ") as info:
         RuleTable(rules).normalize(led)
     assert _loop_atom(rules, info.value) in ("DA", "DB")
 

@@ -1,7 +1,8 @@
 """Every public function, class and method in src/flipcheck has a caller
-outside the tests."""
+outside the tests, and every exception class a handler in src."""
 
 import ast
+import builtins
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -90,3 +91,40 @@ def test_cli_functions_import_only_stdlib_modules_they_alone_need():
                 elif isinstance(node, ast.Import):
                     imported.update(alias.name for alias in node.names)
     assert imported == {"_random", "argparse", "json", "os"}
+
+
+def _names(node):
+    """The names and attributes that ``node`` reads, as a base class or an
+    ``except`` clause spells them."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_every_exception_class_is_caught_by_type_in_src():
+    """A refusal is a ``ValueError``, which ``cli.main`` turns into one
+    ``error:`` line, so a subclass earns its place only where src catches
+    it by type: ``dsl.ParseError``, which carries a location, and
+    ``cli._NotPlain``.  A class is an exception class when one of its bases
+    is a builtin exception or another exception class of src."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SRC]
+    classes = [node for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)]
+    exceptions = {name for name, value in vars(builtins).items()
+                  if isinstance(value, type)
+                  and issubclass(value, BaseException)}
+    defined: set[str] = set()
+    while True:
+        found = {node.name for node in classes
+                 if any(name in exceptions for base in node.bases
+                        for name in _names(base))}
+        if found <= defined:
+            break
+        defined |= found
+        exceptions |= found
+    caught = {name for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.ExceptHandler) and node.type
+              for name in _names(node.type)}
+    assert defined - caught == set()
