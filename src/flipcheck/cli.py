@@ -47,23 +47,15 @@ def _load_diamond(args) -> "fc.hodge.HodgeDiamond":
     return fc.hodge.HodgeDiamond.from_json_dict(data).validate()
 
 
-class _NotPlain(Exception):
-    """A value ``_json`` leaves to the json module."""
-
-
 def _dumps(value, indent: int | None = None) -> str:
     """``json.dumps(value, sort_keys=True, indent=indent)``, byte for
-    byte.  Dicts with str keys, lists, tuples, bools, ints, None and strings
-    of printable ASCII without ``"`` or ``\\`` are written here, so --json
-    output loads neither json nor the re and enum it brings; any other
-    value hands the whole call to json, which escapes and formats it."""
-    try:
-        if indent is None:
-            return _json(value, None, "")
-        return _json(value, " " * indent, "\n")
-    except _NotPlain:
-        import json
-        return json.dumps(value, sort_keys=True, indent=indent)
+    byte, for the values commands print: dicts with str keys, lists,
+    tuples, bools, ints, None and strings of printable ASCII without ``"``
+    or ``\\``.  --json output so loads neither json nor the re and enum it
+    brings; any other value is a TypeError."""
+    if indent is None:
+        return _json(value, None, "")
+    return _json(value, " " * indent, "\n")
 
 
 def _json(value, step: str | None, newline: str) -> str:
@@ -85,14 +77,14 @@ def _json(value, step: str | None, newline: str) -> str:
         inner = "" if step is None else newline + step
         if brackets == "{}":
             if not all(isinstance(key, str) for key in value):
-                raise _NotPlain
+                raise TypeError("JSON object keys must be str")
             body = [_json(key, step, inner) + ": " + _json(item, step, inner)
                     for key, item in sorted(value.items())]
         else:
             body = [_json(item, step, inner) for item in value]
         sep = ", " if step is None else "," + inner
         return brackets[0] + inner + sep.join(body) + newline + brackets[1]
-    raise _NotPlain
+    raise TypeError(f"cannot write {value!r} as JSON")
 
 
 def _json_int(text: str) -> int:
@@ -405,12 +397,11 @@ def cmd_motive(args):
         "motive scripts may only contain expressions")
     check = args.motive_op == "check"  # every statement must vanish
     # printed here, not by render, so that a value too long to print is
-    # named by its statement; check prints only values that do not vanish
+    # named by its statement
     texts = []
     for i, value in enumerate(values):
         try:
-            texts.append("0" if check and value.is_zero()
-                         else fc.dsl.print_canonical(value))
+            texts.append(fc.dsl.print_canonical(value))
         except ValueError:
             raise error(i, _TOO_LONG) from None
     if not check:
@@ -609,7 +600,7 @@ def _check_flip_derivation() -> CheckReport:
 
 def _check_flop_zero() -> CheckReport:
     F = fc.motive.MotiveExpr.atom("F")
-    computed = [fc.motive.flip_difference(F, r, r).is_zero() for r in range(6)]
+    computed = [not fc.motive.flip_difference(F, r, r) for r in range(6)]
     return make_report("motive/flop-difference-zero", {"r": "[0, 5]"},
                        [True] * 6, computed, "trivial")
 

@@ -541,7 +541,7 @@ def _print_order(key: TermKey) -> tuple:
 
 
 def _print_motive(x: MotiveExpr) -> str:
-    if x.is_zero():
+    if not x:
         return "0"
     # ordered by (monomial, power); the monomial's first name leads the key,
     # so most comparisons are of two strings, not of two tuples of tuples

@@ -115,14 +115,11 @@ class HodgeDiamond:
 
     # -- symmetry checks ---------------------------------------------------
 
-    def is_serre_dual(self) -> bool:
-        n = self.dim  # diagonal s at p is -s at n - p, which is s at n - p - s
-        return all(cells == {n - s - p: v for p, v in cells.items()}
-                   for s, cells in self._diagonals.items())
-
     def validate(self) -> "HodgeDiamond":
         """Check Serre duality and return the diamond itself."""
-        if not self.is_serre_dual():
+        n = self.dim  # diagonal s at p is -s at n - p, which is s at n - p - s
+        if not all(cells == {n - s - p: v for p, v in cells.items()}
+                   for s, cells in self._diagonals.items()):
             raise ValueError("table is not Serre-dual")
         return self
 

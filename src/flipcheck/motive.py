@@ -215,9 +215,6 @@ class MotiveExpr:
 
     # -- queries ----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def l_coefficients(self) -> list[int]:
         """Coefficients of ``1, L, L^2, ...`` of the atom-free part."""
         top = max((lp for (lp, mono) in self.terms if not mono), default=-1)

@@ -65,11 +65,6 @@ class SodLedger:
             out[name] = out.get(name, 0) + m
         return SodLedger._trusted(out)  # sums of positive multiplicities
 
-    def __rmul__(self, k: int) -> "SodLedger":
-        if k < 0:
-            raise ValueError("cannot scale a ledger negatively")
-        return SodLedger({name: k * m for name, m in self.multiplicities.items()})
-
     def total(self) -> int:
         return sum(self.multiplicities.values())
 
@@ -261,11 +256,10 @@ def hilb2_ledger(x_components: Sequence[str],
     ``n - 2`` further copies of every component."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    out = sym2_ledger(x_components, rules)
-    per_copy: dict[str, int] = {}
+    out = dict(sym2_ledger(x_components, rules).multiplicities)
     for name in x_components:
-        per_copy[name] = per_copy.get(name, 0) + 1
-    return out + (n - 2) * SodLedger(per_copy)
+        out[name] = out.get(name, 0) + n - 2
+    return SodLedger(out)  # drops the zeros n = 2 adds
 
 
 # -- additive invariants and the obstruction check ----------------------------

@@ -115,6 +115,18 @@ INPUTS = {
     "inputs/short-row.json": '{"dim": 1, "entries": [[0, 0]]}\n',
     "inputs/negative-entry.json": _diamond(1, {(0, 0): -1}),
     "inputs/outside-entry.json": _diamond(1, {(0, 2): 1}),
+    # an atom rule beats a Sym2 rule that rewrites the same atom, in either
+    # order
+    "inputs/atom-rule-first.sod": ("Sym2_DX => {Dpt:5}\nSym2(DX) => {Dpt:1}\n"
+                                   "{Dpt:3}\n{Sym2_DX:1}\n"),
+    "inputs/sym2-rule-first.sod": ("Sym2(DX) => {Dpt:1}\nSym2_DX => {Dpt:5}\n"
+                                   "{Dpt:3}\n{Sym2_DX:1}\n"),
+    # a word the lexer cuts into an INT and an IDENT
+    "inputs/int-ident.sod": "{Dpt:2x}\n",
+    # the square of a 12-term pure-L group with signed coefficients
+    "inputs/signed-square.mot": " * ".join(["(1" + "".join(
+        f" {'-' if i % 3 == 1 else '+'} {i % 5 + 1}*L^{i}"
+        for i in range(1, 12)) + ")"] * 2) + "\n",
 }
 
 
@@ -181,7 +193,9 @@ def commands() -> list[list[str]]:
     lines += [["sod", "check", "checks/degree2-surface.sod", "--json"],
               ["motive", "eval", "checks/degree2-surface.sod"]]
     for name in ("loop.sod", "line2.sod", "ring.sod", "chain.sod",
-                 "one-ledger.sod", "three-ledgers.sod", "unassigned.sod"):
+                 "one-ledger.sod", "three-ledgers.sod", "unassigned.sod",
+                 "atom-rule-first.sod", "sym2-rule-first.sod",
+                 "int-ident.sod"):
         lines += [["sod", "check", f"inputs/{name}"]]
     for name in ("latin1.mot", "lone-cr.mot", "eval-line2.mot",
                  "parse-error.mot", "missing.mot", "sym2-depth-10.mot",
@@ -191,7 +205,7 @@ def commands() -> list[list[str]]:
     lines += [["motive", "eval", f"inputs/{name}"]
               for name in ("tensor.mot", "negative-sym2.mot", "product.mot",
                            "nested-200.mot", "long-literal.mot",
-                           "unclosed.mot")]
+                           "unclosed.mot", "signed-square.mot")]
     for n in ("2", "3", "15", "1001", "1002", "1000000000"):
         lines += [["sod", "conjecture-consistency", "--n-odd-max", n]]
     lines += [["sod", "conjecture-consistency", "--json"],

@@ -1,4 +1,5 @@
-from itertools import combinations_with_replacement
+import random
+from itertools import combinations_with_replacement, product
 from math import comb
 
 import pytest
@@ -181,6 +182,112 @@ def test_two_quadrics_regimes_from_the_witt_index():
             s = 1 if regime(n, k) == "nonempty_expected" else -1
             assert flip_shapes("two-quadrics", n, k) == \
                 [FlipShape(comb(k + 3, 2) - 1, s)], (n, k)
+
+
+# -- the two-quadrics regimes over F_3 -------------------------------------------
+
+
+def _echelon_add(echelon: dict, v: list, p: int) -> bool:
+    """Reduce ``v`` over F_p against ``echelon`` (pivot column -> row with 1
+    there and 0 before it) and add what is left; False when nothing is."""
+    for col in range(len(v)):
+        if v[col] and col in echelon:
+            c = v[col]
+            v = [(a - c * b) % p for a, b in zip(v, echelon[col])]
+    pivot = next((col for col, a in enumerate(v) if a), None)
+    if pivot is None:
+        return False
+    inverse = pow(v[pivot], p - 2, p)
+    echelon[pivot] = [a * inverse % p for a in v]
+    return True
+
+
+def _kernel(rows: list, n: int, p: int) -> list:
+    """A basis of the ``x`` in F_p^n with ``r . x = 0`` for every row r."""
+    echelon: dict = {}
+    for r in rows:
+        _echelon_add(echelon, r, p)
+    for col in sorted(echelon, reverse=True):  # to reduced row echelon form
+        for other, row in echelon.items():
+            if other < col and row[col]:
+                c = row[col]
+                echelon[other] = [(a - c * b) % p
+                                  for a, b in zip(row, echelon[col])]
+    basis = []
+    for free in (col for col in range(n) if col not in echelon):
+        x = [0] * n
+        x[free] = 1
+        for col, row in echelon.items():
+            x[col] = -row[free] % p
+        basis.append(x)
+    return basis
+
+
+def _times(m: list, v: list, p: int) -> list:
+    return [sum(a * b for a, b in zip(row, v)) % p for row in m]
+
+
+def _largest_isotropic(m: list, p: int) -> int:
+    """Dimension of the largest totally isotropic subspace of ``x^T m x``
+    over F_p, p odd, by greedy extension: every maximal one has the same
+    dimension, so the first maximal one found is a largest.  Each step
+    looks for an isotropic vector among the combinations of a basis of
+    the complement of W in W^perp, which is anisotropic, so of dimension
+    at most 2, when W is maximal."""
+    n = len(m)
+    dim, echelon = 0, {}  # W, by an echelon basis
+    while True:
+        perp = _kernel([_times(m, w, p) for w in echelon.values()], n, p)
+        extended = dict(echelon)
+        rest = [v for v in perp if _echelon_add(extended, v, p)]
+        for coeffs in product(range(p), repeat=len(rest)):
+            v = [sum(c * r[i] for c, r in zip(coeffs, rest)) % p
+                 for i in range(n)]
+            value = sum(a * b for a, b in zip(v, _times(m, v, p))) % p
+            if any(v) and value == 0:
+                break
+        else:
+            return dim
+        _echelon_add(echelon, v, p)
+        dim += 1
+
+
+def _pencil(rng: random.Random, n: int, p: int) -> list | None:
+    """The p + 1 members over F_p of a random pencil of quadrics in n
+    variables, or None when one of them has corank 2 or more."""
+    a, b = ([[0] * n for _ in range(n)] for _ in range(2))
+    for m in (a, b):
+        for i in range(n):
+            for j in range(i, n):
+                m[i][j] = m[j][i] = rng.randrange(p)
+    members = [[[(s * x + t * y) % p for x, y in zip(ra, rb)]
+                for ra, rb in zip(a, b)]
+               for s, t in [(0, 1)] + [(1, t) for t in range(p)]]
+    if any(len(_kernel(m, n, p)) > 1 for m in members):
+        return None
+    return members
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_two_quadrics_regimes_over_f3(n):
+    """The ``F_q`` side of the regimes above.  Over F_3, pencils whose
+    members all have corank at most 1: X holds a k-dimensional quadric only
+    if some member holds a totally isotropic subspace of dimension k + 2,
+    so a cell called ``F_k_empty`` has no member with one.  A small field
+    may miss the subspaces of a nonempty cell, so that side holds for
+    these seeded draws: at (6, 3), 3 of the 6 pencils have a corank-1
+    member with one of dimension 5."""
+    rng = random.Random(28 + n)
+    largest = 0
+    for _ in range(6):
+        members = None
+        while members is None:
+            members = _pencil(rng, n + 3, 3)
+        largest = max(largest, *(_largest_isotropic(m, 3) for m in members))
+    assert largest <= 1 + (n + 2) // 2
+    for k in range(5):
+        empty = emptiness_threshold("two-quadrics", n, k) == "F_k_empty"
+        assert empty == (largest < k + 2), k
 
 
 def test_gr25_regimes():

@@ -106,9 +106,9 @@ def _names(node):
 def test_every_exception_class_is_caught_by_type_in_src():
     """A refusal is a ``ValueError``, which ``cli.main`` turns into one
     ``error:`` line, so a subclass earns its place only where src catches
-    it by type: ``dsl.ParseError``, which carries a location, and
-    ``cli._NotPlain``.  A class is an exception class when one of its bases
-    is a builtin exception or another exception class of src."""
+    it by type: ``dsl.ParseError``, which carries a location, is the only
+    one.  A class is an exception class when one of its bases is a builtin
+    exception or another exception class of src."""
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SRC]
     classes = [node for tree in trees for node in ast.walk(tree)
                if isinstance(node, ast.ClassDef)]
