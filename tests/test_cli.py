@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from flipcheck import cli, dsl, sod, varieties
+from flipcheck import cli, dsl, fano, sod, varieties
 from flipcheck.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -263,6 +263,20 @@ def test_fano_codim_grid(capsys):
     assert code == 0
     assert "cubic: 196/196 identity cells pass" in out
     assert "gr25: 8/8 identity cells pass" in out
+
+
+def test_gr25_grid_is_where_the_identities_answer():
+    """``_grid("gr25")`` lists, k-major, the cells of the Gr(2,5) table
+    where ``verify_codim_identity`` answers instead of refusing."""
+    cells = []
+    for k in range(7):
+        for n in range(max(k, 2), 7):
+            try:
+                fano.verify_codim_identity("gr25", n, k)
+            except ValueError:
+                continue
+            cells.append((n, k))
+    assert cli._grid("gr25") == cells
 
 
 def test_fano_codim_single(capsys):

@@ -92,6 +92,10 @@ def test_params_validation():
         check_cell("cubic", 0, 0)
     with pytest.raises(ValueError, match="^k = 3 exceeds n = 2$"):
         check_cell("cubic", 2, 3)
+    with pytest.raises(ValueError, match="^k_planes must be nonnegative$"):
+        expected_dim_fano("cubic", 3, -1)
+    with pytest.raises(ValueError, match="^need n >= 1 and k >= 0$"):
+        emptiness_threshold("cubic", 0, 0)
     with pytest.raises(ValueError,
                        match=r"^Gr\(2,5\) sections have 2 <= dim X <= 6$"):
         check_cell("gr25", 7, 0)
@@ -327,6 +331,12 @@ def test_flip_shape_gr25_components():
 def test_flip_shape_degenerate_marker():
     [shape] = flip_shapes("cubic", 1, 0)
     assert shape.s == -1 and shape.is_degenerate()
+    # past k = 1 a Gr(2,5) section's flip degenerates (at k = 2, n >= 5 it is
+    # a disjoint union): one shape with the marker
+    for n in range(2, 7):
+        for k in range(2, n + 1):
+            assert flip_shapes("gr25", n, k) == \
+                [FlipShape(comb(k + 3, 2) - 1, -1)], (n, k)
 
 
 def test_flip_shape_r_at_least_s_everywhere():
@@ -433,6 +443,8 @@ def test_line_splittings_small_cases():
     assert enumerate_line_splittings(2) == [(-1,)]
     assert enumerate_line_splittings(3) == [(-1, 1), (0, 0)]
     assert enumerate_line_splittings(5) == [(-1, 1, 1, 1), (0, 0, 1, 1)]
+    with pytest.raises(ValueError, match="^need n >= 2$"):
+        brute_force_line_splittings(1)
 
 
 @pytest.mark.parametrize("n", range(2, 10))

@@ -511,6 +511,7 @@ def test_validate_checks_both_symmetries():
 def test_equality_by_value():
     raw = HodgeDiamond(1, {(0, 0): 1, (1, 1): 1})
     assert raw == varieties.projective_space(1)
+    assert raw.__eq__(raw.entries()) is NotImplemented
 
 
 def test_json_round_trip():
@@ -819,3 +820,7 @@ def test_builtin_registry():
         varieties.builtin("nope")
     with pytest.raises(ValueError):
         varieties.intersection_of_two_quadrics(4)
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        varieties.projective_space(-1)
+    with pytest.raises(ValueError, match="^genus must be nonnegative$"):
+        varieties.curve(-1)

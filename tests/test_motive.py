@@ -64,6 +64,19 @@ def test_additive_inverses(a):
     assert a * ONE == a
 
 
+def test_equality_with_integers_and_other_types():
+    assert MotiveExpr.const(3) == 3 and L != 1
+    assert ONE.__eq__("1") is NotImplemented and ONE != "1"
+
+
+def test_negative_powers_and_floats_are_refused():
+    with pytest.raises(ValueError,
+                       match="^negative powers of L are not in the ring$"):
+        MotiveExpr.lefschetz(-1)
+    with pytest.raises(TypeError, match="^cannot coerce float to MotiveExpr$"):
+        ONE + 1.5
+
+
 # -- projective spaces and blowups ------------------------------------------------
 
 
@@ -104,6 +117,12 @@ def test_flip_difference_antisymmetric(f, r, s):
 def test_flop_difference_is_zero():
     for r in range(6):
         assert not flip_difference(atom("F"), r, r)
+
+
+def test_flip_difference_refuses_negative_fibers():
+    with pytest.raises(ValueError,
+                       match="^fiber dimensions must be nonnegative$"):
+        flip_difference(atom("F"), -1, 0)
 
 
 def test_flip_difference_cubic_shape():

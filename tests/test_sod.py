@@ -88,6 +88,8 @@ def test_comb_is_math_comb():
 def test_sym2_ledger_curve_plus_exceptionals_n5():
     components = two_quadrics_components(5)
     assert components == ["DC", "Dpt", "Dpt", "Dpt", "Dpt"]
+    with pytest.raises(ValueError, match="^need n >= 2$"):
+        two_quadrics_components(1)
     got = sym2_ledger(components)
     assert got == SodLedger({"DSym2C": 1, "DC": 5, "Dpt": 14})
 
@@ -299,6 +301,8 @@ def test_conjecture_consistency_range():
     assert not conjecture_consistency(3).holds  # clamped counts fall short
     with pytest.raises(ValueError):
         conjecture_consistency(4)
+    with pytest.raises(ValueError, match="^need n >= 3$"):
+        fano_scheme_conjecture_ledger(2)
 
 
 def test_clifford_template_reduces_to_pencil():
@@ -345,6 +349,8 @@ def test_obstruction_degree2_surface():
 
 def test_obstruction_zero_candidate():
     assert embedding_obstruction(0, 65) == "INCONCLUSIVE"
+    with pytest.raises(ValueError, match="^hh0 values must be nonnegative$"):
+        embedding_obstruction(-1, 0)
 
 
 # -- rewrite rules ----------------------------------------------------------------------
@@ -556,6 +562,7 @@ def test_rewrite_rule_validation():
 def test_ledger_equal_and_json():
     a = SodLedger({"DC": 1, "Dpt": 2})
     assert a == SodLedger({"Dpt": 2, "DC": 1})
+    assert a.__eq__(a.multiplicities) is NotImplemented
     assert a.to_json_dict() == {
         "atoms": [{"name": "DC", "mult": 1}, {"name": "Dpt", "mult": 2}]
     }
