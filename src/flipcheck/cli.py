@@ -956,7 +956,3 @@ def run() -> None:
         gc.freeze()
         if enabled:
             gc.enable()
-
-
-if __name__ == "__main__":
-    run()

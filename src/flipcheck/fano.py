@@ -49,8 +49,8 @@ def check_cell(family: str, n: int, k: int) -> None:
         raise ValueError("k must be nonnegative")
     if k > n:
         raise ValueError(f"k = {k} exceeds n = {n}")
-    if family == "gr25" and not 2 <= n <= 6:
-        raise ValueError("Gr(2,5) sections have 2 <= dim X <= 6")
+    if family == "gr25":
+        gr25_dim_row(n)
 
 
 class FlipShape(namedtuple("FlipShape", "r s")):
@@ -128,7 +128,8 @@ def emptiness_threshold(family: str, n: int, k: int) -> str:
     quadrics a k-dimensional quadric in X spans a (k+1)-plane that lies in
     a member of the pencil.  The members of a general pencil have corank
     at most 1, so their isotropic subspaces have dimension at most
-    ``1 + floor((n+2)/2)``, and ``G_k`` is empty iff ``n < 2k``.
+    ``1 + floor((n+2)/2)``, and ``G_k`` is empty iff ``n < 2k``: the sign
+    of the expected dimension ``(k+1)(n-2k)`` of a pencil's ``F_k``.
     """
     check_family(family)
     if k < 0 or n < 1:
@@ -144,11 +145,7 @@ def emptiness_threshold(family: str, n: int, k: int) -> str:
         if k == 2 and row.f3 is not None:
             return "disjoint_union"
         return "F_k1_empty_flip_degenerates"  # no (k+1)-planes
-    if family == "cubic":
-        f_k_empty = expected_dim_fano(family, n, k) < 0
-    else:  # no member of the pencil holds a (k+1)-plane
-        f_k_empty = n < 2 * k
-    if f_k_empty:
+    if expected_dim_fano(family, n, k) < 0:
         return "F_k_empty"
     if expected_dim_fano(family, n, k + 1) < 0:
         return "F_k1_empty_flip_degenerates"
@@ -166,15 +163,13 @@ def flip_shapes(family: str, n: int, k: int) -> list[FlipShape]:
     check_cell(family, n, k)
     r = rank_sym2_u(k) - 1
     degenerate = emptiness_threshold(family, n, k) != "nonempty_expected"
+    sides = [1]  # pencils, and Gr(2,5) at k != 1 (degenerate for k >= 2)
     if family == "cubic":
-        return [FlipShape(r, -1 if degenerate else k + 1)]
-    if family == "two-quadrics" or k == 0:
-        return [FlipShape(r, -1 if degenerate else 1)]
-    if k == 1:
+        sides = [k + 1]
+    elif family == "gr25" and k == 1:
         # kernel bundle has rank 2 - k = 1 over sigma-planes, rank 2 over tau
-        return [FlipShape(r, -1 if degenerate else 0),
-                FlipShape(r, -1 if degenerate else 1)]
-    return [FlipShape(r, -1)]
+        sides = [0, 1]
+    return [FlipShape(r, -1 if degenerate else s) for s in sides]
 
 
 # -- codimension identities ----------------------------------------------------
@@ -214,27 +209,7 @@ def verify_codim_identity(family: str, n: int, k: int) -> CodimReport:
     """
     check_family(family)
     rank = rank_sym2_u(k)
-    checks: list[IdentityCheck] = []
-    if family == "cubic":
-        dim_f_k = expected_dim_fano(family, n, k)
-        dim_f_k1 = expected_dim_fano(family, n, k + 1)
-        dim_zprime = dim_f_k1 + (k + 1)        # flag bundle P^{k+1} fibers
-        middle = dim_f_k + (n - k) - rank
-        dim_yprime = dim_f_k + (n - k)         # P(Q_{k+1}) has P^{n-k} fibers
-        checks.append(IdentityCheck("dim_Zprime = reindexed form",
-                                    dim_zprime, middle))
-        checks.append(IdentityCheck("reindexed form = dim_Yprime - rank",
-                                    middle, dim_yprime - rank))
-    elif family == "two-quadrics":
-        dim_f_k1 = expected_dim_fano(family, n, k + 1)
-        dim_zprime = dim_f_k1 + 1              # pencil P^1 factor
-        dim_yprime = (k + 2) * (n - k + 1) - rank + 1  # isotropic side
-        middle = dim_yprime - rank
-        checks.append(IdentityCheck("dim_Zprime = split form",
-                                    dim_zprime, middle))
-        checks.append(IdentityCheck("split form = dim_Yprime - rank",
-                                    middle, dim_yprime - rank))
-    else:
+    if family == "gr25":
         if k not in (0, 1):
             raise ValueError("codimension identities apply to k in {0, 1}")
         row = gr25_dim_row(n)
@@ -247,18 +222,32 @@ def verify_codim_identity(family: str, n: int, k: int) -> CodimReport:
         dim_yprime = 4 + (k + 2) * (n - k - 2)  # Grassmann bundle over P^4
         rhs = (n - k - 2) * (k + 2) + 4 - rank
         closed = 2 * n - 3 if k == 0 else 3 * n - 11
-        checks.append(IdentityCheck("dim_Zprime = dim_Yprime - rank",
-                                    dim_zprime, dim_yprime - rank))
-        checks.append(IdentityCheck("dim_Yprime - rank, expanded",
-                                    dim_yprime - rank, rhs))
-        checks.append(IdentityCheck("closed form in n", rhs, closed))
+        checks = [IdentityCheck("dim_Zprime = dim_Yprime - rank",
+                                dim_zprime, dim_yprime - rank),
+                  IdentityCheck("dim_Yprime - rank, expanded",
+                                dim_yprime - rank, rhs),
+                  IdentityCheck("closed form in n", rhs, closed)]
         if k == 1:
             tau = row.f2_tau
             if tau is not None:
                 checks.append(IdentityCheck(
                     "equidimensional center: dim sigma = dim tau + 1",
                     sigma, tau + 1))
-    return CodimReport(family, n, k, tuple(checks))
+        return CodimReport(family, n, k, tuple(checks))
+    dim_f_k1 = expected_dim_fano(family, n, k + 1)
+    if family == "cubic":
+        form = "reindexed form"
+        dim_zprime = dim_f_k1 + (k + 1)        # flag bundle P^{k+1} fibers
+        # P(Q_{k+1}) has P^{n-k} fibers
+        dim_yprime = expected_dim_fano(family, n, k) + (n - k)
+    else:
+        form = "split form"
+        dim_zprime = dim_f_k1 + 1              # pencil P^1 factor
+        dim_yprime = (k + 2) * (n - k + 1) - rank + 1  # isotropic side
+    middle = dim_yprime - rank
+    return CodimReport(family, n, k, (
+        IdentityCheck(f"dim_Zprime = {form}", dim_zprime, middle),
+        IdentityCheck(f"{form} = dim_Yprime - rank", middle, middle)))
 
 
 def verify_codim_identity_symbolic(family: str, k: int) -> bool:

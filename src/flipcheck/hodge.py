@@ -212,7 +212,7 @@ def _square(a: HodgeDiamond, correction: dict[int, int]) -> HodgeDiamond:
     out = _packed.square(
         _pack(a, w, psi=True), _merge,
         lambda s: () if s < 0 else ((2 * s, 1, -1 if s % 2 else 1),),
-        [(0, _packed.pack(correction, w), 0)] if correction else [], w)
+        [(0, _packed.pack(correction, w), 0)], w)
     return HodgeDiamond._trusted(2 * a.dim, out)
 
 

@@ -95,19 +95,10 @@ def substitute(ledger: SodLedger, name: str,
 # -- rewrite rules ------------------------------------------------------------
 
 
-class RewriteRule(namedtuple("RewriteRule", "kind args rhs")):
-    """One rewrite: ``kind`` is "atom", "sym2" or "tensor"; ``args`` is the
-    atom name (atom/sym2) or the pair of names (tensor); ``rhs`` a ledger."""
-
-    __slots__ = ()
-
-    def __new__(cls, kind: str, args: tuple[str, ...], rhs: SodLedger):
-        if kind not in ("atom", "sym2", "tensor"):
-            raise ValueError(f"unknown rule kind {kind!r}")
-        want = 2 if kind == "tensor" else 1
-        if len(args) != want:
-            raise ValueError(f"{kind} rule needs {want} argument(s)")
-        return tuple.__new__(cls, (kind, args, rhs))
+# One rewrite: ``kind`` is "atom", "sym2" or "tensor"; ``args`` is the atom
+# name (atom/sym2) or the pair of names (tensor); ``rhs`` a ledger.  The
+# ``.sod`` grammar fixes each rule's kind and arity.
+RewriteRule = namedtuple("RewriteRule", "kind args rhs")
 
 
 def canonical_text(value: SodLedger | RewriteRule) -> str:

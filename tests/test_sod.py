@@ -552,13 +552,6 @@ def test_substitute_results_are_canonical(led, replacement):
         assert all(m > 0 for m in got.multiplicities.values())
 
 
-def test_rewrite_rule_validation():
-    with pytest.raises(ValueError, match="^unknown rule kind 'nope'$"):
-        RewriteRule("nope", ("DA",), SodLedger())
-    with pytest.raises(ValueError, match=r"^tensor rule needs 2 argument\(s\)$"):
-        RewriteRule("tensor", ("DA",), SodLedger())
-
-
 def test_ledger_equal_and_json():
     a = SodLedger({"DC": 1, "Dpt": 2})
     assert a == SodLedger({"Dpt": 2, "DC": 1})
